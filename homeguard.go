@@ -81,7 +81,12 @@
 // code plus message — mapped to the matching HTTP status on the JSON
 // edge and the matching gRPC status code on the RPC edge, with
 // RESOURCE_EXHAUSTED/UNAVAILABLE responses carrying a retryAfterMs
-// hint.
+// hint. Each RPC frame carries its JSON body verbatim beside a small
+// JSON header, so a body is encoded once and parsed once per hop; a
+// response too large for the 4 MiB frame cap comes back as
+// RESOURCE_EXHAUSTED. The connection preface names the frame layout
+// (HGRPC/2), and a server refuses a client speaking any other, so a
+// gateway and its nodes must run the same protocol version.
 //
 // The edge degrades by pipeline stage, not as a whole: extraction and
 // detection sit behind independent circuit breakers (consecutive

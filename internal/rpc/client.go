@@ -147,8 +147,9 @@ func deadlineMsOf(ctx context.Context) int64 {
 
 // Call invokes one unary method: req is marshaled into the request
 // body, the response body is unmarshaled into resp (ignored when resp
-// is nil). Server-side failures come back as *api.Error; transport
-// failures as ordinary errors.
+// is nil). Server-side failures come back as *api.Error; so do
+// transport failures (UNAVAILABLE) and a request too large for one
+// frame (RESOURCE_EXHAUSTED, refused before anything is sent).
 func (c *Client) Call(ctx context.Context, method string, req, resp any) error {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -159,9 +160,8 @@ func (c *Client) Call(ctx context.Context, method string, req, resp any) error {
 		return err
 	}
 	defer c.unregister(id)
-	hdr := reqHeader{Method: method, DeadlineMs: deadlineMsOf(ctx), Body: body}
-	if err := c.fw.writeJSON(frameReq, id, hdr); err != nil {
-		return api.Wrap(api.CodeUnavailable, err, "rpc: send")
+	if err := c.sendReq(ctx, id, method, body); err != nil {
+		return err
 	}
 	for {
 		select {
@@ -179,6 +179,24 @@ func (c *Client) Call(ctx context.Context, method string, req, resp any) error {
 	}
 }
 
+// sendReq writes the REQ frame opening stream id. A write failure is
+// UNAVAILABLE, except that an oversized request keeps its
+// RESOURCE_EXHAUSTED: the connection is fine, the request is not.
+func (c *Client) sendReq(ctx context.Context, id uint64, method string, body []byte) error {
+	hdr, err := json.Marshal(reqHeader{Method: method, DeadlineMs: deadlineMsOf(ctx)})
+	if err != nil {
+		return err
+	}
+	if err := c.fw.writeEnvelope(frameReq, id, hdr, body); err != nil {
+		var aerr *api.Error
+		if errors.As(err, &aerr) {
+			return aerr
+		}
+		return api.Wrap(api.CodeUnavailable, err, "rpc: send")
+	}
+	return nil
+}
+
 // ctxErr types a local context expiry the way the server would have:
 // DEADLINE_EXCEEDED or CANCELLED, with the context error wrapped so
 // errors.Is(err, context.DeadlineExceeded) still holds.
@@ -191,11 +209,13 @@ func ctxErr(ctx context.Context) error {
 	return api.Wrap(code, err, "rpc: call aborted")
 }
 
-// decodeStatus unpacks a RES payload into an error and/or resp.
+// decodeStatus unpacks a RES payload into an error and/or resp. A
+// malformed envelope is INVALID_ARGUMENT.
 func decodeStatus(payload []byte, resp any) error {
-	var res resPayload
-	if err := json.Unmarshal(payload, &res); err != nil {
-		return fmt.Errorf("rpc: bad response: %w", err)
+	var res resHeader
+	body, err := decodeEnvelope(payload, &res)
+	if err != nil {
+		return errBadEnvelope("response", err)
 	}
 	if res.Error != nil {
 		return res.Error
@@ -203,8 +223,8 @@ func decodeStatus(payload []byte, resp any) error {
 	if res.Status != 0 {
 		return api.Errorf(api.CodeInternal, "status %d with no error envelope", res.Status)
 	}
-	if resp != nil && len(res.Body) > 0 {
-		if err := json.Unmarshal(res.Body, resp); err != nil {
+	if resp != nil && len(body) > 0 {
+		if err := json.Unmarshal(body, resp); err != nil {
 			return fmt.Errorf("rpc: bad response body: %w", err)
 		}
 	}
@@ -330,17 +350,22 @@ func (c *Client) openStream(ctx context.Context, method string) (*Stream, error)
 	if err != nil {
 		return nil, err
 	}
-	hdr := reqHeader{Method: method, DeadlineMs: deadlineMsOf(ctx)}
-	if err := c.fw.writeJSON(frameReq, id, hdr); err != nil {
+	if err := c.sendReq(ctx, id, method, nil); err != nil {
 		c.unregister(id)
-		return nil, api.Wrap(api.CodeUnavailable, err, "rpc: open stream")
+		return nil, err
 	}
 	return &Stream{c: c, ctx: ctx, id: id, ch: ch}, nil
 }
 
-// Send ships one request message on the stream.
+// Send ships one request message on the stream. A message too large
+// for one frame is refused with RESOURCE_EXHAUSTED before anything is
+// sent.
 func (st *Stream) Send(req any) error {
-	return st.c.fw.writeJSON(frameMsg, st.id, req)
+	b, err := json.Marshal(req)
+	if err != nil {
+		return err
+	}
+	return st.c.fw.write(frameMsg, st.id, b)
 }
 
 // CloseSend half-closes the stream: no more Sends will follow.
@@ -365,9 +390,11 @@ func (st *Stream) Recv() (*streamItem, error) {
 			switch f.typ {
 			case frameMsg:
 				item := new(streamItem)
-				if err := json.Unmarshal(f.payload, item); err != nil {
-					return nil, fmt.Errorf("rpc: bad stream item: %w", err)
+				body, err := decodeEnvelope(f.payload, item)
+				if err != nil {
+					return nil, errBadEnvelope("stream item", err)
 				}
+				item.Result = body
 				return item, nil
 			case frameRes:
 				st.closed = true

@@ -139,9 +139,12 @@ func (s *Server) Close() error {
 }
 
 // stream is the server-side state of one open client stream: the
-// reader loop feeds MSG payloads into inbox and closes it on EOS.
+// reader loop feeds MSG payloads into inbox and closes it on EOS; done
+// closes when the stream's handler has returned, so the reader stops
+// feeding a stream nobody drains.
 type stream struct {
 	inbox chan json.RawMessage
+	done  chan struct{}
 }
 
 // handleConn runs one connection: verify the preface, then read frames
@@ -157,11 +160,15 @@ func (s *Server) handleConn(conn net.Conn) {
 	fw := &frameWriter{w: bufio.NewWriterSize(conn, 32<<10)}
 	streams := map[uint64]*stream{}
 	// Per-connection handler tracking: when the reader loop exits, the
-	// connection context is canceled so abandoned handlers unwind.
+	// connection context is canceled so abandoned handlers unwind — a
+	// stream the client never half-closed included — and only then
+	// waited for.
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	var wg sync.WaitGroup
-	defer wg.Wait()
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
 
 	for {
 		f, err := readFrame(br)
@@ -171,31 +178,39 @@ func (s *Server) handleConn(conn net.Conn) {
 		switch f.typ {
 		case frameReq:
 			var hdr reqHeader
-			if err := json.Unmarshal(f.payload, &hdr); err != nil {
-				s.writeStatus(fw, f.id, api.Errorf(api.CodeInvalidArgument, "bad request header: %v", err), nil)
+			body, err := decodeEnvelope(f.payload, &hdr)
+			if err != nil {
+				s.writeStatus(fw, f.id, errBadEnvelope("request header", err), nil)
 				continue
 			}
 			if isStreamMethod(hdr.Method) {
-				st := &stream{inbox: make(chan json.RawMessage, 16)}
+				st := &stream{inbox: make(chan json.RawMessage, 16), done: make(chan struct{})}
 				streams[f.id] = st
 				wg.Add(1)
 				go func(id uint64, hdr reqHeader, st *stream) {
 					defer wg.Done()
+					defer close(st.done)
 					s.handleStream(ctx, fw, id, hdr, st)
 				}(f.id, hdr, st)
 				continue
 			}
 			wg.Add(1)
-			go func(id uint64, hdr reqHeader) {
+			go func(id uint64, hdr reqHeader, body []byte) {
 				defer wg.Done()
-				s.handleUnary(ctx, fw, id, hdr)
-			}(f.id, hdr)
+				s.handleUnary(ctx, fw, id, hdr, body)
+			}(f.id, hdr, body)
 		case frameMsg:
 			if st, ok := streams[f.id]; ok {
 				// Blocking here applies flow control: a stream consumer
 				// that can't keep up backpressures the whole connection,
-				// exactly like an HTTP/2 window running dry.
-				st.inbox <- f.payload
+				// exactly like an HTTP/2 window running dry. A stream
+				// whose handler has returned (deadline, write failure)
+				// drops the message and is forgotten.
+				select {
+				case st.inbox <- f.payload:
+				case <-st.done:
+					delete(streams, f.id)
+				}
 			}
 		case frameEOS:
 			if st, ok := streams[f.id]; ok {
@@ -241,20 +256,21 @@ func (s *Server) intercept(method string, fn func(sp *obs.Span) *api.Error) *api
 	return aerr
 }
 
-// handleUnary decodes, dispatches and responds to one unary RPC.
-func (s *Server) handleUnary(parent context.Context, fw *frameWriter, id uint64, hdr reqHeader) {
+// handleUnary decodes, dispatches and responds to one unary RPC whose
+// request body is body.
+func (s *Server) handleUnary(parent context.Context, fw *frameWriter, id uint64, hdr reqHeader, body []byte) {
 	ctx, cancel := s.rpcCtx(parent, hdr.DeadlineMs)
 	defer cancel()
-	var body any
+	var res any
 	aerr := s.intercept(hdr.Method, func(sp *obs.Span) *api.Error {
 		if sp != nil {
 			ctx = obs.ContextWithSpan(ctx, sp)
 		}
 		var e *api.Error
-		body, e = s.dispatch(ctx, hdr.Method, hdr.Body)
+		res, e = s.dispatch(ctx, hdr.Method, body)
 		return e
 	})
-	s.writeStatus(fw, id, aerr, body)
+	s.writeStatus(fw, id, aerr, res)
 }
 
 // dispatch routes one unary method.
@@ -356,7 +372,11 @@ func (s *Server) handleStream(parent context.Context, fw *frameWriter, id uint64
 				n++
 				s.m.streamMsg()
 				item := s.streamItemFor(ctx, hdr.Method, payload)
-				if err := fw.writeJSON(frameMsg, id, item); err != nil {
+				ihdr := okItemHeader
+				if item.Error != nil {
+					ihdr, _ = json.Marshal(item) // an *api.Error always marshals
+				}
+				if err := fw.writeEnvelope(frameMsg, id, ihdr, item.Result); err != nil {
 					return api.Errorf(api.CodeUnavailable, "stream write: %v", err)
 				}
 			case <-ctx.Done():
@@ -392,27 +412,33 @@ func (s *Server) streamItemFor(ctx context.Context, method string, payload json.
 	if err != nil {
 		return streamItem{Error: api.Errorf(api.CodeInternal, "encode result: %v", err)}
 	}
+	if n := envelopeSize(okItemHeader, b); n > maxFrame {
+		return streamItem{Error: errFrameTooLarge("stream item", n)}
+	}
 	return streamItem{Result: b}
 }
 
-// writeStatus emits the RES frame for one finished RPC.
-func (s *Server) writeStatus(fw *frameWriter, id uint64, aerr *api.Error, body any) {
-	res := resPayload{}
-	if aerr != nil {
-		res.Status = aerr.Code.GRPC()
-		res.Error = aerr
-	} else if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
-			res.Status = api.CodeInternal.GRPC()
-			res.Error = api.Errorf(api.CodeInternal, "encode response: %v", err)
-		} else {
-			res.Body = b
+// writeStatus emits the RES frame for one finished RPC: res, marshaled
+// once, is the body of a success; a failure, or a response too large
+// for one frame, is a status header with no body.
+func (s *Server) writeStatus(fw *frameWriter, id uint64, aerr *api.Error, res any) {
+	var body []byte
+	if aerr == nil && res != nil {
+		var err error
+		if body, err = json.Marshal(res); err != nil {
+			aerr = api.Errorf(api.CodeInternal, "encode response: %v", err)
+		} else if n := envelopeSize(okResHeader, body); n > maxFrame {
+			aerr = errFrameTooLarge("response", n)
 		}
+	}
+	hdr := okResHeader
+	if aerr != nil {
+		body = nil
+		hdr, _ = json.Marshal(resHeader{Status: aerr.Code.GRPC(), Error: aerr}) // an *api.Error always marshals
 	}
 	// A write failure means the connection died; the reader loop
 	// notices and unwinds.
-	_ = fw.writeJSON(frameRes, id, res)
+	_ = fw.writeEnvelope(frameRes, id, hdr, body)
 }
 
 // decodeBody unmarshals a request body, mapping malformed JSON to

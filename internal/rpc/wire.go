@@ -15,23 +15,49 @@
 // core (Service), the status mapping (internal/api) and the breaker
 // semantics all carry over unchanged.
 //
-// A connection starts with the 8-byte client preface "HGRPC/1\x00".
-// Every frame thereafter is
+// A connection starts with the 8-byte client preface "HGRPC/2\x00".
+// A server closes a connection whose preface differs — including the
+// "HGRPC/1\x00" of the older layout, whose frames embedded the body in
+// the header JSON — without reading or dispatching anything, so a
+// gateway and its nodes must run the same protocol version. Every
+// frame thereafter is
 //
 //	[type:1][stream id:8 BE][payload length:4 BE][payload]
 //
-// with payloads capped at 4 MiB (the daemon's HTTP body cap). Frame
-// types:
+// Frame types:
 //
-//	REQ (1) — opens stream id with {"method","deadlineMs","body"};
-//	          unary methods carry the request in body, stream methods
-//	          leave it empty.
-//	MSG (2) — one JSON message on an open stream (client: requests;
-//	          server: per-item results).
+//	REQ (1) — opens stream id. Envelope: header {"method","deadlineMs"};
+//	          unary methods carry the request as the body, stream
+//	          methods send none.
+//	MSG (2) — one message on an open stream. Client to server: a bare
+//	          JSON request. Server to client: a per-item envelope,
+//	          header {"error"} or {}, with the item's result as the
+//	          body when it succeeded.
 //	EOS (3) — half-close: the sender is done sending MSG frames.
-//	RES (4) — terminates the stream with {"status","error","body"};
-//	          unary responses carry the reply in body, streams use it
-//	          as a trailer after their MSG frames.
+//	RES (4) — terminates the stream. Envelope: header
+//	          {"status","error"}; unary responses carry the reply as the
+//	          body, streams send it bodiless as a trailer after their
+//	          MSG frames.
+//
+// An envelope is
+//
+//	[header length:4 BE][header JSON][body]
+//
+// The small header is JSON; the body is the request or response JSON
+// exactly as one json.Marshal produced it, written verbatim and decoded
+// once by json.Unmarshal from its slice of the frame — nothing
+// re-scans it on either side. The body runs to the end of the frame
+// and may be empty. A header length that overruns the frame, or a
+// header that is not valid JSON, is a malformed envelope: the server
+// answers it with INVALID_ARGUMENT, and the client reports it as an
+// INVALID_ARGUMENT error.
+//
+// Payloads are capped at 4 MiB (the daemon's HTTP body cap). A reader
+// drops the connection on a larger frame. A server whose encoded
+// response or stream item would exceed the cap sends
+// RESOURCE_EXHAUSTED with no body in its place — the operation itself
+// has run — and a client refuses an oversized request locally with
+// RESOURCE_EXHAUSTED, sending nothing.
 //
 // Stream ids are client-chosen, strictly increasing, and multiplex
 // concurrent RPCs over one connection; writes are serialized by a
@@ -51,18 +77,21 @@ import (
 
 // Frame types.
 const (
-	frameReq = 1 // open stream: header payload
-	frameMsg = 2 // one streamed JSON message
+	frameReq = 1 // open stream: request envelope
+	frameMsg = 2 // one streamed message
 	frameEOS = 3 // half-close by the sender
-	frameRes = 4 // final status (+ unary body)
+	frameRes = 4 // final status envelope (+ unary body)
 )
 
 // Preface is the 8-byte string a client writes immediately after
 // connecting.
-const Preface = "HGRPC/1\x00"
+const Preface = "HGRPC/2\x00"
 
 // maxFrame caps frame payloads, mirroring the daemon's HTTP body cap.
 const maxFrame = 4 << 20
+
+// envHdrLen is the size of an envelope's header-length prefix.
+const envHdrLen = 4
 
 // frame is one wire frame.
 type frame struct {
@@ -71,29 +100,77 @@ type frame struct {
 	payload []byte
 }
 
-// reqHeader is the REQ frame payload: which method to invoke and the
+// reqHeader is the REQ envelope header: which method to invoke and the
 // client's deadline for the whole RPC (0 = none; the server may still
 // impose its own).
 type reqHeader struct {
-	Method     string          `json:"method"`
-	DeadlineMs int64           `json:"deadlineMs,omitempty"`
-	Body       json.RawMessage `json:"body,omitempty"`
+	Method     string `json:"method"`
+	DeadlineMs int64  `json:"deadlineMs,omitempty"`
 }
 
-// resPayload is the RES frame payload: the gRPC status number, the
-// shared error envelope when Status != 0, and the unary response body.
-type resPayload struct {
-	Status int             `json:"status"`
-	Error  *api.Error      `json:"error,omitempty"`
-	Body   json.RawMessage `json:"body,omitempty"`
+// resHeader is the RES envelope header: the gRPC status number and the
+// shared error envelope when Status != 0.
+type resHeader struct {
+	Status int        `json:"status"`
+	Error  *api.Error `json:"error,omitempty"`
 }
 
-// streamItem wraps one per-item outcome on a response stream: exactly
-// one of Result and Error is set, so a bad item reports its error
-// without tearing down the stream.
+// okResHeader is json.Marshal(resHeader{}), the header of every
+// successful RES frame.
+var okResHeader = []byte(`{"status":0}`)
+
+// streamItem is one per-item outcome on a response stream: exactly one
+// of Result and Error is set, so a bad item reports its error without
+// tearing down the stream. Error is the MSG envelope header; Result is
+// its body.
 type streamItem struct {
-	Result json.RawMessage `json:"result,omitempty"`
-	Error  *api.Error      `json:"error,omitempty"`
+	Result []byte     `json:"-"`
+	Error  *api.Error `json:"error,omitempty"`
+}
+
+// okItemHeader is json.Marshal(streamItem{Result: ...}), the header of
+// every successful stream item.
+var okItemHeader = []byte(`{}`)
+
+// errFrameTooLarge types an oversized frame, or a message (what) that
+// would need one: RESOURCE_EXHAUSTED, which no retry layer treats as
+// transient.
+func errFrameTooLarge(what string, n int) *api.Error {
+	return api.Errorf(api.CodeResourceExhausted, "rpc: %s of %d bytes exceeds the %d byte frame cap", what, n, maxFrame)
+}
+
+// errBadEnvelope types a malformed envelope on either side.
+func errBadEnvelope(what string, err error) *api.Error {
+	return api.Wrap(api.CodeInvalidArgument, err, "rpc: bad "+what)
+}
+
+// envelopeSize is the payload length of an envelope.
+func envelopeSize(hdr, body []byte) int { return envHdrLen + len(hdr) + len(body) }
+
+// splitEnvelope cuts a REQ, RES or server MSG payload into its header
+// JSON and body. Both alias payload.
+func splitEnvelope(payload []byte) (hdr, body []byte, err error) {
+	if len(payload) < envHdrLen {
+		return nil, nil, fmt.Errorf("envelope of %d bytes has no header length", len(payload))
+	}
+	n := binary.BigEndian.Uint32(payload)
+	if uint64(n) > uint64(len(payload)-envHdrLen) {
+		return nil, nil, fmt.Errorf("header length %d overruns the %d byte envelope", n, len(payload))
+	}
+	return payload[envHdrLen : envHdrLen+n], payload[envHdrLen+n:], nil
+}
+
+// decodeEnvelope splits an envelope and unmarshals its header into
+// hdr, returning the body.
+func decodeEnvelope(payload []byte, hdr any) ([]byte, error) {
+	h, body, err := splitEnvelope(payload)
+	if err != nil {
+		return nil, err
+	}
+	if err := json.Unmarshal(h, hdr); err != nil {
+		return nil, err
+	}
+	return body, nil
 }
 
 // readFrame reads one frame, rejecting oversized payloads.
@@ -105,7 +182,7 @@ func readFrame(r *bufio.Reader) (frame, error) {
 	f := frame{typ: hdr[0], id: binary.BigEndian.Uint64(hdr[1:9])}
 	n := binary.BigEndian.Uint32(hdr[9:13])
 	if n > maxFrame {
-		return frame{}, fmt.Errorf("rpc: frame of %d bytes exceeds the %d byte cap", n, maxFrame)
+		return frame{}, errFrameTooLarge("frame", int(n))
 	}
 	if n > 0 {
 		f.payload = make([]byte, n)
@@ -123,33 +200,45 @@ type frameWriter struct {
 	w  *bufio.Writer
 }
 
-// write emits one frame and flushes. Flushing per frame keeps
-// streaming interactive; the bufio layer still coalesces header and
-// payload into one syscall.
+// write emits one frame with a bare payload and flushes.
 func (fw *frameWriter) write(typ byte, id uint64, payload []byte) error {
-	if len(payload) > maxFrame {
-		return fmt.Errorf("rpc: frame of %d bytes exceeds the %d byte cap", len(payload), maxFrame)
+	return fw.writeFrame(typ, id, false, nil, payload)
+}
+
+// writeEnvelope emits one frame whose payload is the envelope of the
+// header JSON hdr and body, and flushes.
+func (fw *frameWriter) writeEnvelope(typ byte, id uint64, hdr, body []byte) error {
+	return fw.writeFrame(typ, id, true, hdr, body)
+}
+
+// writeFrame writes the frame header (and, with env, the envelope's
+// header length and hdr) and then body straight into the buffered
+// writer, so an envelope is never assembled in a buffer of its own.
+// Flushing per frame keeps streaming interactive; the bufio layer still
+// coalesces a small frame into one syscall. An oversized payload is
+// refused with errFrameTooLarge before anything is written.
+func (fw *frameWriter) writeFrame(typ byte, id uint64, env bool, hdr, body []byte) error {
+	n := len(body)
+	if env {
+		n = envelopeSize(hdr, body)
 	}
-	var hdr [13]byte
-	hdr[0] = typ
-	binary.BigEndian.PutUint64(hdr[1:9], id)
-	binary.BigEndian.PutUint32(hdr[9:13], uint32(len(payload)))
+	if n > maxFrame {
+		return errFrameTooLarge("frame", n)
+	}
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
-	if _, err := fw.w.Write(hdr[:]); err != nil {
+	pre := append(fw.w.AvailableBuffer(), typ)
+	pre = binary.BigEndian.AppendUint64(pre, id)
+	pre = binary.BigEndian.AppendUint32(pre, uint32(n))
+	if env {
+		pre = binary.BigEndian.AppendUint32(pre, uint32(len(hdr)))
+		pre = append(pre, hdr...)
+	}
+	if _, err := fw.w.Write(pre); err != nil {
 		return err
 	}
-	if _, err := fw.w.Write(payload); err != nil {
+	if _, err := fw.w.Write(body); err != nil {
 		return err
 	}
 	return fw.w.Flush()
-}
-
-// writeJSON marshals v and writes it as a frame of the given type.
-func (fw *frameWriter) writeJSON(typ byte, id uint64, v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return fw.write(typ, id, b)
 }
