@@ -26,9 +26,11 @@
 // per-RPC deadlines, gRPC status codes, and per-stage circuit breakers
 // (extraction and detection trip independently; an open breaker sheds
 // with UNAVAILABLE and a retryAfterMs hint). HTTP and RPC dispatch into
-// one shared service core, so verdicts and error codes are identical on
-// either wire — see internal/rpc for the protocol and internal/api for
-// the envelope.
+// one shared service core from one method table (internal/rpc's
+// Methods: the HTTP routes below, the RPC dispatch and the request-body
+// decoder all come from it), so verdicts and error codes are identical
+// on either wire — see internal/rpc for the protocol and internal/api
+// for the envelope.
 //
 // # Event pipeline
 //
@@ -102,9 +104,11 @@
 //     written to -snapshot-path, defaulting to <wal-dir>/checkpoint.
 //
 // Log records are logical, not physical: an install record carries the
-// app's marshaled extraction result and resolved config, so replay is
-// deterministic and never re-runs symbolic execution or config
-// resolution. Replay is idempotent via per-entity LSN watermarks
+// app's Groovy source and its resolved config, and replay installs the
+// source again through the extraction cache — a hit when the restored
+// checkpoint holds that source's extraction, a fresh symbolic execution
+// when the cache is cold — without re-running config resolution.
+// Replay is idempotent via per-entity LSN watermarks
 // persisted in the checkpoint (a record at or below an entity's
 // watermark is skipped), so a checkpoint plus an overlapping tail
 // recovers exactly once. A torn final record (the crash landed mid
@@ -212,7 +216,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -224,12 +227,10 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"sync/atomic"
 	"syscall"
 	"time"
 
-	"homeguard/internal/api"
 	"homeguard/internal/audit"
 	"homeguard/internal/events"
 	"homeguard/internal/fleet"
@@ -237,11 +238,6 @@ import (
 	"homeguard/internal/rpc"
 	"homeguard/internal/wal"
 )
-
-// maxBodyBytes caps request bodies (SmartApp sources are a few KB; 4 MiB
-// leaves generous headroom while keeping one request from exhausting the
-// daemon's memory).
-const maxBodyBytes = 4 << 20
 
 func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
@@ -257,7 +253,7 @@ func main() {
 	walDir := flag.String("wal-dir", "",
 		"write-ahead-log directory: every mutation is logged before acknowledgment and replayed on boot (empty = durability off)")
 	fsyncMode := flag.String("fsync", "always",
-		`WAL fsync policy: "always" (fsync before every acknowledgment), "interval" (background fsync every 100ms; a crash may lose the last interval), "off" (no fsync; a crash may lose OS-buffered records)`)
+		`WAL fsync policy: "always" (fsync before every acknowledgment), "interval" (background fsync every 50ms; a crash may lose the last interval), "off" (no fsync; a crash may lose OS-buffered records)`)
 	checkpointInterval := flag.Duration("checkpoint-interval", time.Minute,
 		"how often the background checkpointer persists full state and collects covered WAL segments (0 = checkpoint only on graceful shutdown)")
 	logFormat := flag.String("log-format", "text",
@@ -348,7 +344,7 @@ func main() {
 	}
 	srv.markReady()
 
-	// RPC listener: same service core as the HTTP handlers, so the two
+	// RPC listener: same service core as the HTTP routes, so the two
 	// transports cannot diverge. Started after recovery — the framed
 	// protocol has no readiness probe, so it must not accept mutations
 	// mid-replay.
@@ -570,8 +566,9 @@ var nodeID string
 // bundle: the fleet registers its metric collector on opts.Obs (created
 // here when the caller left it nil), and the same bundle's tracer and
 // capture back /debug/requests and the slow-request log. Both
-// transports dispatch into one rpc.Service, so HTTP handlers get the
-// per-stage circuit breakers and the shared error envelope for free.
+// transports dispatch into one rpc.Service through the rpc method
+// table, so HTTP routes get the per-stage circuit breakers and the
+// shared error envelope for free.
 func newServer(opts fleet.Options) *server {
 	if opts.Obs == nil {
 		opts.Obs = obs.NewObserver()
@@ -592,14 +589,7 @@ func newServer(opts fleet.Options) *server {
 		obs:     opts.Obs,
 		mux:     http.NewServeMux(),
 	}
-	s.mux.HandleFunc("POST /homes/{id}/install", s.handleInstall)
-	s.mux.HandleFunc("POST /homes/{id}/install-batch", s.handleInstallBatch)
-	s.mux.HandleFunc("POST /homes/{id}/reconfigure", s.handleReconfigure)
-	s.mux.HandleFunc("POST /homes/{id}/accept", s.handleAccept)
-	s.mux.HandleFunc("GET /homes/{id}/threats", s.handleThreats)
-	s.mux.HandleFunc("GET /homes/{id}/apps", s.handleApps)
-	s.mux.HandleFunc("POST /store/apps", s.handleStoreApps)
-	s.mux.HandleFunc("GET /store/findings", s.handleStoreFindings)
+	rpc.RegisterHTTP(s.mux, s.svc)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /debug/requests", s.handleDebugRequests)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -649,92 +639,6 @@ func (s *server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// ---------- handlers ----------
-//
-// Every handler is the same four lines: decode the api DTO, stamp the
-// home from the path, dispatch into the shared service core, write the
-// outcome. Parsing, validation, error mapping and response shaping all
-// live in internal/api and internal/rpc — the per-handler ad-hoc
-// versions this replaces could (and did) drift.
-
-func (s *server) handleInstall(w http.ResponseWriter, r *http.Request) {
-	var req api.InstallRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	req.Home = r.PathValue("id")
-	resp, aerr := s.svc.Install(r.Context(), &req)
-	s.respond(w, resp, aerr)
-}
-
-func (s *server) handleInstallBatch(w http.ResponseWriter, r *http.Request) {
-	var req api.InstallBatchRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	req.Home = r.PathValue("id")
-	resp, aerr := s.svc.InstallBatch(r.Context(), &req)
-	s.respond(w, resp, aerr)
-}
-
-func (s *server) handleReconfigure(w http.ResponseWriter, r *http.Request) {
-	var req api.ReconfigureRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	req.Home = r.PathValue("id")
-	resp, aerr := s.svc.Reconfigure(r.Context(), &req)
-	s.respond(w, resp, aerr)
-}
-
-func (s *server) handleAccept(w http.ResponseWriter, r *http.Request) {
-	var req api.AcceptRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	req.Home = r.PathValue("id")
-	resp, aerr := s.svc.Accept(r.Context(), &req)
-	s.respond(w, resp, aerr)
-}
-
-func (s *server) handleThreats(w http.ResponseWriter, r *http.Request) {
-	v := r.URL.Query().Get("active")
-	req := api.ThreatsRequest{
-		Home:   r.PathValue("id"),
-		Active: v == "true" || v == "1",
-	}
-	resp, aerr := s.svc.Threats(r.Context(), &req)
-	s.respond(w, resp, aerr)
-}
-
-func (s *server) handleApps(w http.ResponseWriter, r *http.Request) {
-	resp, aerr := s.svc.Apps(r.Context(), r.PathValue("id"))
-	s.respond(w, resp, aerr)
-}
-
-func (s *server) handleStoreApps(w http.ResponseWriter, r *http.Request) {
-	var req api.SubmitAppsRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	resp, aerr := s.svc.SubmitApps(r.Context(), &req)
-	s.respond(w, resp, aerr)
-}
-
-func (s *server) handleStoreFindings(w http.ResponseWriter, r *http.Request) {
-	var req api.FindingsRequest
-	if v := r.URL.Query().Get("since"); v != "" {
-		since, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			s.respond(w, nil, api.Errorf(api.CodeInvalidArgument, "bad since revision %q", v))
-			return
-		}
-		req.Since = since
-	}
-	resp, aerr := s.svc.Findings(r.Context(), &req)
-	s.respond(w, resp, aerr)
-}
-
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "prometheus" {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -748,7 +652,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for k, v := range m.ThreatsByKind {
 		kinds[string(k)] = v
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	rpc.WriteJSON(w, http.StatusOK, map[string]any{
 		"homes":            m.Homes,
 		"installs":         m.Installs,
 		"installErrors":    m.InstallErrors,
@@ -795,38 +699,5 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // the slowest and most recent traced requests. Empty (total 0) until
 // tracing is enabled with -trace-slow-ms.
 func (s *server) handleDebugRequests(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.obs.Capture.Snapshot())
-}
-
-// ---------- helpers ----------
-
-// decode unmarshals a JSON request body, answering the shared envelope
-// with INVALID_ARGUMENT (400) on malformed input. It reports whether
-// the handler should proceed.
-func (s *server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(into); err != nil {
-		s.respond(w, nil, api.Errorf(api.CodeInvalidArgument, "bad request body: %v", err))
-		return false
-	}
-	return true
-}
-
-// respond writes either the success body or the error envelope, with
-// the HTTP status derived from the envelope's code.
-func (s *server) respond(w http.ResponseWriter, v any, aerr *api.Error) {
-	if aerr != nil {
-		writeJSON(w, aerr.Code.HTTPStatus(), map[string]any{"error": aerr})
-		return
-	}
-	writeJSON(w, http.StatusOK, v)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		log.Printf("homeguardd: encode response: %v", err)
-	}
+	rpc.WriteJSON(w, http.StatusOK, s.obs.Capture.Snapshot())
 }

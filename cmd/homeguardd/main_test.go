@@ -17,6 +17,7 @@ import (
 	"homeguard/internal/api"
 	"homeguard/internal/fleet"
 	"homeguard/internal/obs"
+	"homeguard/internal/rpc"
 )
 
 func doJSON(t *testing.T, srv *server, method, path string, body any) (int, map[string]any) {
@@ -35,6 +36,23 @@ func doJSON(t *testing.T, srv *server, method, path string, body any) (int, map[
 		t.Fatalf("%s %s: non-JSON response %q: %v", method, path, w.Body.String(), err)
 	}
 	return w.Code, out
+}
+
+// TestDaemonServesMethodTable: every method of the table that has an
+// HTTP route is served by the daemon's mux under that route, so no
+// table route answers 404 or 405.
+func TestDaemonServesMethodTable(t *testing.T) {
+	srv := newServer(fleet.Options{Shards: 1})
+	for _, m := range rpc.Methods {
+		if m.HTTP == "" {
+			continue
+		}
+		verb, path, _ := strings.Cut(m.HTTP, " ")
+		req := httptest.NewRequest(verb, strings.Replace(path, "{id}", "h1", 1), nil)
+		if _, pattern := srv.mux.Handler(req); pattern != m.HTTP {
+			t.Errorf("%s: %s %s matched %q, want %q", m.Name, verb, req.URL.Path, pattern, m.HTTP)
+		}
+	}
 }
 
 func TestDaemonEndToEnd(t *testing.T) {

@@ -2,11 +2,16 @@ package main
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"homeguard/internal/api"
 	"homeguard/internal/fleet"
@@ -38,21 +43,37 @@ func TestTransportParity(t *testing.T) {
 	ctx := context.Background()
 
 	// step runs one operation on both edges and returns the two
-	// (payload, code) outcomes; payload is nil on error.
+	// (payload, code, message) outcomes; payload is nil on error and
+	// message empty on success.
 	type outcome struct {
 		body map[string]any
 		code api.Code
+		msg  string
 	}
-	viaHTTP := func(method, path string, body any) outcome {
-		status, resp := doJSON(t, httpSrv, method, path, body)
+	httpOutcome := func(method, path string, status int, resp map[string]any) outcome {
 		if errObj, ok := resp["error"].(map[string]any); ok {
 			code := api.Code(errObj["code"].(string))
 			if want := code.HTTPStatus(); status != want {
 				t.Errorf("HTTP %s %s: status %d for code %s, want %d", method, path, status, code, want)
 			}
-			return outcome{code: code}
+			msg, _ := errObj["message"].(string)
+			return outcome{code: code, msg: msg}
 		}
 		return outcome{body: resp, code: api.CodeOK}
+	}
+	viaHTTP := func(method, path string, body any) outcome {
+		status, resp := doJSON(t, httpSrv, method, path, body)
+		return httpOutcome(method, path, status, resp)
+	}
+	// viaHTTPRaw posts body verbatim.
+	viaHTTPRaw := func(path, body string) outcome {
+		w := httptest.NewRecorder()
+		httpSrv.mux.ServeHTTP(w, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		var resp map[string]any
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("POST %s: non-JSON response %q: %v", path, w.Body.String(), err)
+		}
+		return httpOutcome("POST", path, w.Code, resp)
 	}
 	viaRPC := func(resp any, err error) outcome {
 		if err != nil {
@@ -60,7 +81,7 @@ func TestTransportParity(t *testing.T) {
 			if !errors.As(err, &aerr) {
 				t.Fatalf("RPC returned a non-envelope error: %v", err)
 			}
-			return outcome{code: aerr.Code}
+			return outcome{code: aerr.Code, msg: aerr.Message}
 		}
 		b, merr := json.Marshal(resp)
 		if merr != nil {
@@ -77,6 +98,9 @@ func TestTransportParity(t *testing.T) {
 		if h.code != r.code {
 			t.Errorf("%s: HTTP code %s != RPC code %s", name, h.code, r.code)
 			return
+		}
+		if h.msg != r.msg {
+			t.Errorf("%s: HTTP message %q != RPC message %q", name, h.msg, r.msg)
 		}
 		if !reflect.DeepEqual(h.body, r.body) {
 			hb, _ := json.Marshal(h.body)
@@ -165,6 +189,16 @@ func TestTransportParity(t *testing.T) {
 		}, func() outcome {
 			return viaRPC(client.Apps(ctx, "h1"))
 		}},
+		{"trailing data after the body", func() outcome {
+			return viaHTTPRaw("/homes/h3/install", `{"corpus":"ComfortTV"} junk`)
+		}, func() outcome {
+			return viaRPC(nil, rawRPC(t, lis.Addr().String(), rpc.MethodInstall.Name, `{"home":"h3","corpus":"ComfortTV"} junk`))
+		}},
+		{"empty body", func() outcome {
+			return viaHTTPRaw("/homes/h3/install", "")
+		}, func() outcome {
+			return viaRPC(nil, rawRPC(t, lis.Addr().String(), rpc.MethodInstall.Name, ""))
+		}},
 	}
 	for _, s := range steps {
 		check(s.name, s.http(), s.rpc())
@@ -179,4 +213,47 @@ func TestTransportParity(t *testing.T) {
 			hm.Installs, hm.Reconfigures, hm.InstallConflicts, hm.ThreatsByKind,
 			rm.Installs, rm.Reconfigures, rm.InstallConflicts, rm.ThreatsByKind)
 	}
+}
+
+// rawRPC sends one unary request whose body is exactly body — bytes
+// rpc.Client would refuse to marshal — on a fresh connection, and
+// returns the error envelope of the reply (nil for OK). The frame
+// layout is the one internal/rpc documents.
+func rawRPC(t *testing.T, addr, method, body string) error {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	hdr := `{"method":"` + method + `"}`
+	frame := []byte(rpc.Preface)
+	frame = append(frame, 1) // REQ
+	frame = binary.BigEndian.AppendUint64(frame, 1)
+	frame = binary.BigEndian.AppendUint32(frame, uint32(4+len(hdr)+len(body)))
+	frame = binary.BigEndian.AppendUint32(frame, uint32(len(hdr)))
+	frame = append(append(frame, hdr...), body...)
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	var fh [13]byte
+	if _, err := io.ReadFull(conn, fh[:]); err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, binary.BigEndian.Uint32(fh[9:]))
+	if _, err := io.ReadFull(conn, payload); err != nil {
+		t.Fatal(err)
+	}
+	n := binary.BigEndian.Uint32(payload)
+	var res struct {
+		Error *api.Error `json:"error"`
+	}
+	if err := json.Unmarshal(payload[4:4+n], &res); err != nil {
+		t.Fatalf("bad RES header: %v", err)
+	}
+	if res.Error == nil {
+		return nil
+	}
+	return res.Error
 }

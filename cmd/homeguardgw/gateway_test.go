@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"homeguard/internal/cluster"
+	"homeguard/internal/rpc"
 )
 
 // TestGatewayHTTPEdge drives the daemon-compatible HTTP surface plus
@@ -131,6 +132,24 @@ func TestGatewayHTTPEdge(t *testing.T) {
 		t.Fatalf("readyz %d with the fleet down, want 503", resp.StatusCode)
 	} else {
 		resp.Body.Close()
+	}
+}
+
+// TestGatewayServesMethodTable: every method of the table that has an
+// HTTP route is served by the gateway's mux under that route, so no
+// table route answers 404 or 405.
+func TestGatewayServesMethodTable(t *testing.T) {
+	r := newTestRouter(t, startNode(t, "node-a"))
+	g := newGateway(r, r.obs)
+	for _, m := range rpc.Methods {
+		if m.HTTP == "" {
+			continue
+		}
+		verb, path, _ := strings.Cut(m.HTTP, " ")
+		req := httptest.NewRequest(verb, strings.Replace(path, "{id}", "h1", 1), nil)
+		if _, pattern := g.mux.Handler(req); pattern != m.HTTP {
+			t.Errorf("%s: %s %s matched %q, want %q", m.Name, verb, req.URL.Path, pattern, m.HTTP)
+		}
 	}
 }
 

@@ -55,7 +55,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -64,7 +63,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -74,8 +72,6 @@ import (
 	"homeguard/internal/obs"
 	"homeguard/internal/rpc"
 )
-
-const maxBodyBytes = 4 << 20
 
 func main() {
 	addr := flag.String("addr", ":8090", "HTTP listen address")
@@ -204,14 +200,7 @@ type gateway struct {
 
 func newGateway(rt *router, o *obs.Observer) *gateway {
 	g := &gateway{rt: rt, obs: o, mux: http.NewServeMux()}
-	g.mux.HandleFunc("POST /homes/{id}/install", g.handleInstall)
-	g.mux.HandleFunc("POST /homes/{id}/install-batch", g.handleInstallBatch)
-	g.mux.HandleFunc("POST /homes/{id}/reconfigure", g.handleReconfigure)
-	g.mux.HandleFunc("POST /homes/{id}/accept", g.handleAccept)
-	g.mux.HandleFunc("GET /homes/{id}/threats", g.handleThreats)
-	g.mux.HandleFunc("GET /homes/{id}/apps", g.handleApps)
-	g.mux.HandleFunc("POST /store/apps", g.handleStoreApps)
-	g.mux.HandleFunc("GET /store/findings", g.handleStoreFindings)
+	rpc.RegisterHTTP(g.mux, rt)
 	g.mux.HandleFunc("POST /admin/migrate", g.handleMigrate)
 	g.mux.HandleFunc("GET /cluster", g.handleCluster)
 	g.mux.HandleFunc("GET /metrics", g.handleMetrics)
@@ -220,100 +209,26 @@ func newGateway(rt *router, o *obs.Observer) *gateway {
 	return g
 }
 
-func (g *gateway) handleInstall(w http.ResponseWriter, r *http.Request) {
-	var req api.InstallRequest
-	if !g.decode(w, r, &req) {
-		return
-	}
-	req.Home = r.PathValue("id")
-	resp, aerr := g.rt.Install(r.Context(), &req)
-	g.respond(w, resp, aerr)
-}
-
-func (g *gateway) handleInstallBatch(w http.ResponseWriter, r *http.Request) {
-	var req api.InstallBatchRequest
-	if !g.decode(w, r, &req) {
-		return
-	}
-	req.Home = r.PathValue("id")
-	resp, aerr := g.rt.InstallBatch(r.Context(), &req)
-	g.respond(w, resp, aerr)
-}
-
-func (g *gateway) handleReconfigure(w http.ResponseWriter, r *http.Request) {
-	var req api.ReconfigureRequest
-	if !g.decode(w, r, &req) {
-		return
-	}
-	req.Home = r.PathValue("id")
-	resp, aerr := g.rt.Reconfigure(r.Context(), &req)
-	g.respond(w, resp, aerr)
-}
-
-func (g *gateway) handleAccept(w http.ResponseWriter, r *http.Request) {
-	var req api.AcceptRequest
-	if !g.decode(w, r, &req) {
-		return
-	}
-	req.Home = r.PathValue("id")
-	resp, aerr := g.rt.Accept(r.Context(), &req)
-	g.respond(w, resp, aerr)
-}
-
-func (g *gateway) handleThreats(w http.ResponseWriter, r *http.Request) {
-	v := r.URL.Query().Get("active")
-	req := api.ThreatsRequest{Home: r.PathValue("id"), Active: v == "true" || v == "1"}
-	resp, aerr := g.rt.Threats(r.Context(), &req)
-	g.respond(w, resp, aerr)
-}
-
-func (g *gateway) handleApps(w http.ResponseWriter, r *http.Request) {
-	resp, aerr := g.rt.Apps(r.Context(), r.PathValue("id"))
-	g.respond(w, resp, aerr)
-}
-
-func (g *gateway) handleStoreApps(w http.ResponseWriter, r *http.Request) {
-	var req api.SubmitAppsRequest
-	if !g.decode(w, r, &req) {
-		return
-	}
-	resp, aerr := g.rt.SubmitApps(r.Context(), &req)
-	g.respond(w, resp, aerr)
-}
-
-func (g *gateway) handleStoreFindings(w http.ResponseWriter, r *http.Request) {
-	var req api.FindingsRequest
-	if v := r.URL.Query().Get("since"); v != "" {
-		since, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			g.respond(w, nil, api.Errorf(api.CodeInvalidArgument, "bad since revision %q", v))
-			return
-		}
-		req.Since = since
-	}
-	resp, aerr := g.rt.Findings(r.Context(), &req)
-	g.respond(w, resp, aerr)
-}
-
 // handleMigrate is the planned-migration admin endpoint.
 func (g *gateway) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Home string `json:"home"`
 		To   string `json:"to"`
 	}
-	if !g.decode(w, r, &req) {
+	if aerr := rpc.ReadBody(w, r, &req); aerr != nil {
+		rpc.Respond(w, nil, aerr)
 		return
 	}
 	if req.Home == "" || req.To == "" {
-		g.respond(w, nil, api.Errorf(api.CodeInvalidArgument, "migrate needs home and to"))
+		rpc.Respond(w, nil, api.Errorf(api.CodeInvalidArgument, "migrate needs home and to"))
 		return
 	}
 	resp, aerr := g.rt.migrate(r.Context(), req.Home, req.To)
-	g.respond(w, resp, aerr)
+	rpc.Respond(w, resp, aerr)
 }
 
 func (g *gateway) handleCluster(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, g.rt.status())
+	rpc.WriteJSON(w, http.StatusOK, g.rt.status())
 }
 
 func (g *gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -324,7 +239,7 @@ func (g *gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, g.rt.status())
+	rpc.WriteJSON(w, http.StatusOK, g.rt.status())
 }
 
 func (g *gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -340,30 +255,4 @@ func (g *gateway) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	fmt.Fprintln(w, "ok")
-}
-
-func (g *gateway) decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(into); err != nil {
-		g.respond(w, nil, api.Errorf(api.CodeInvalidArgument, "bad request body: %v", err))
-		return false
-	}
-	return true
-}
-
-func (g *gateway) respond(w http.ResponseWriter, v any, aerr *api.Error) {
-	if aerr != nil {
-		writeJSON(w, aerr.Code.HTTPStatus(), map[string]any{"error": aerr})
-		return
-	}
-	writeJSON(w, http.StatusOK, v)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		log.Printf("homeguardgw: encode response: %v", err)
-	}
 }

@@ -14,19 +14,13 @@ import (
 	"homeguard/internal/rpc"
 )
 
-// storeKey is the ring key the store-auditor endpoints (SubmitApps,
-// Findings) route under: the auditor is per-node state, so pinning the
-// whole store feed to one consistent-hash owner keeps revisions
-// monotonic from the client's point of view.
-const storeKey = "@store"
-
 // resyncTimeout bounds one journal replay onto a new owner. Replays are
 // warm-cache work on the target (content-addressed extraction), so this
 // is generous.
 const resyncTimeout = 30 * time.Second
 
 // router is the gateway's brain: it implements rpc.Backend — so the
-// unmodified HGRPC server and the HTTP handlers in main.go both
+// unmodified HGRPC server and the HTTP routes of rpc.RegisterHTTP both
 // dispatch into it — and forwards every request to the owning node via
 // pooled clients, with per-node circuit breakers, the cluster retry
 // policy, and journal-based failover re-adoption.
@@ -278,17 +272,19 @@ func (r *router) invoke(node cluster.Node, call func(c *rpc.Client) error) error
 	return err
 }
 
-// do is the routed operation core: resolve the target, resync the
-// home's journal if routing moved it, run the call, retry retryable
-// failures per the cluster policy, and journal the op once acked.
-// journalReq nil marks a read (nothing to journal; DEADLINE_EXCEEDED
-// becomes retryable).
-func (r *router) do(ctx context.Context, home, method string, journalReq any, call func(c *rpc.Client) error) *api.Error {
+// forward is the routed operation core of every forwarded table
+// method: resolve the owner of req's routing key, resync the home's
+// journal if routing moved it, run the call, retry retryable failures
+// per the cluster policy, and journal the op once acked. A method that
+// is not Mutating is a read: nothing to journal, and DEADLINE_EXCEEDED
+// becomes retryable.
+func forward[Req, Resp any](ctx context.Context, r *router, d rpc.Desc[Req, Resp], req *Req) (*Resp, *api.Error) {
+	home := d.Key(req)
 	hs := r.homeFor(home)
 	hs.mu.Lock()
 	defer hs.mu.Unlock()
-	readOnly := journalReq == nil
-	retries, err := r.retry.Do(ctx, readOnly, func(int) error {
+	resp := new(Resp)
+	retries, err := r.retry.Do(ctx, !d.Mutating, func(int) error {
 		node, rerr := r.route(home)
 		if rerr != nil {
 			return rerr
@@ -296,16 +292,16 @@ func (r *router) do(ctx context.Context, home, method string, journalReq any, ca
 		if err := r.syncLocked(hs, home, node); err != nil {
 			return err
 		}
-		return r.invoke(node, call)
+		return r.invoke(node, func(c *rpc.Client) error { return c.Call(ctx, d.Name, req, resp) })
 	})
 	r.retries.Add(uint64(retries))
 	if err != nil {
-		return api.FromErr(err)
+		return nil, api.FromErr(err)
 	}
-	if journalReq != nil {
-		hs.ops = append(hs.ops, journalOp{method: method, req: journalReq})
+	if d.Mutating {
+		hs.ops = append(hs.ops, journalOp{method: d.Name, req: req})
 	}
-	return nil
+	return resp, nil
 }
 
 // syncLocked makes node current for the home: when the journal was last
@@ -325,7 +321,7 @@ func (r *router) syncLocked(hs *homeState, home string, node cluster.Node) error
 	ctx, cancel := context.WithTimeout(context.Background(), resyncTimeout)
 	defer cancel()
 	for _, op := range hs.ops {
-		err := r.invoke(node, func(c *rpc.Client) error { return replayOp(ctx, c, op) })
+		err := r.invoke(node, func(c *rpc.Client) error { return c.Call(ctx, op.method, op.req, nil) })
 		if err != nil {
 			var ae *api.Error
 			if errors.As(err, &ae) && ae.Code == api.CodeAlreadyExists {
@@ -339,28 +335,6 @@ func (r *router) syncLocked(hs *homeState, home string, node cluster.Node) error
 	r.resyncs.Inc()
 	log.Printf("homeguardgw: resynced home %s onto %s (%d journaled ops)", home, node.ID, len(hs.ops))
 	return nil
-}
-
-// replayOp re-issues one journaled op verbatim.
-func replayOp(ctx context.Context, c *rpc.Client, op journalOp) error {
-	var err error
-	switch req := op.req.(type) {
-	case *api.InstallRequest:
-		_, err = c.Install(ctx, req)
-	case *api.InstallBatchRequest:
-		_, err = c.InstallBatch(ctx, req)
-	case *api.ReconfigureRequest:
-		_, err = c.Reconfigure(ctx, req)
-	case *api.AcceptRequest:
-		_, err = c.Accept(ctx, req)
-	case *api.SubmitAppsRequest:
-		_, err = c.SubmitApps(ctx, req)
-	case *api.AdoptHomeRequest:
-		_, err = c.AdoptHome(ctx, req)
-	default:
-		err = fmt.Errorf("unreplayable journal op %s (%T)", op.method, op.req)
-	}
-	return err
 }
 
 // rebalance walks every journaled home after a health transition and
@@ -388,83 +362,35 @@ func (r *router) rebalance() {
 // ---------- rpc.Backend ----------
 
 func (r *router) Install(ctx context.Context, req *api.InstallRequest) (*api.InstallResponse, *api.Error) {
-	var resp *api.InstallResponse
-	aerr := r.do(ctx, req.Home, "Install", req, func(c *rpc.Client) error {
-		var err error
-		resp, err = c.Install(ctx, req)
-		return err
-	})
-	return resp, aerr
+	return forward(ctx, r, rpc.MethodInstall, req)
 }
 
 func (r *router) InstallBatch(ctx context.Context, req *api.InstallBatchRequest) (*api.InstallBatchResponse, *api.Error) {
-	var resp *api.InstallBatchResponse
-	aerr := r.do(ctx, req.Home, "InstallBatch", req, func(c *rpc.Client) error {
-		var err error
-		resp, err = c.InstallBatch(ctx, req)
-		return err
-	})
-	return resp, aerr
+	return forward(ctx, r, rpc.MethodInstallBatch, req)
 }
 
 func (r *router) Reconfigure(ctx context.Context, req *api.ReconfigureRequest) (*api.ReconfigureResponse, *api.Error) {
-	var resp *api.ReconfigureResponse
-	aerr := r.do(ctx, req.Home, "Reconfigure", req, func(c *rpc.Client) error {
-		var err error
-		resp, err = c.Reconfigure(ctx, req)
-		return err
-	})
-	return resp, aerr
+	return forward(ctx, r, rpc.MethodReconfigure, req)
 }
 
 func (r *router) Accept(ctx context.Context, req *api.AcceptRequest) (*api.AcceptResponse, *api.Error) {
-	var resp *api.AcceptResponse
-	aerr := r.do(ctx, req.Home, "Accept", req, func(c *rpc.Client) error {
-		var err error
-		resp, err = c.Accept(ctx, req)
-		return err
-	})
-	return resp, aerr
+	return forward(ctx, r, rpc.MethodAccept, req)
 }
 
 func (r *router) Threats(ctx context.Context, req *api.ThreatsRequest) (*api.ThreatsResponse, *api.Error) {
-	var resp *api.ThreatsResponse
-	aerr := r.do(ctx, req.Home, "Threats", nil, func(c *rpc.Client) error {
-		var err error
-		resp, err = c.Threats(ctx, req)
-		return err
-	})
-	return resp, aerr
+	return forward(ctx, r, rpc.MethodThreats, req)
 }
 
 func (r *router) Apps(ctx context.Context, home string) (*api.AppsResponse, *api.Error) {
-	var resp *api.AppsResponse
-	aerr := r.do(ctx, home, "Apps", nil, func(c *rpc.Client) error {
-		var err error
-		resp, err = c.Apps(ctx, home)
-		return err
-	})
-	return resp, aerr
+	return forward(ctx, r, rpc.MethodApps, &api.AppsRequest{Home: home})
 }
 
 func (r *router) SubmitApps(ctx context.Context, req *api.SubmitAppsRequest) (*api.SubmitAppsResponse, *api.Error) {
-	var resp *api.SubmitAppsResponse
-	aerr := r.do(ctx, storeKey, "SubmitApps", req, func(c *rpc.Client) error {
-		var err error
-		resp, err = c.SubmitApps(ctx, req)
-		return err
-	})
-	return resp, aerr
+	return forward(ctx, r, rpc.MethodSubmitApps, req)
 }
 
 func (r *router) Findings(ctx context.Context, req *api.FindingsRequest) (*api.FindingsResponse, *api.Error) {
-	var resp *api.FindingsResponse
-	aerr := r.do(ctx, storeKey, "Findings", nil, func(c *rpc.Client) error {
-		var err error
-		resp, err = c.Findings(ctx, req)
-		return err
-	})
-	return resp, aerr
+	return forward(ctx, r, rpc.MethodFindings, req)
 }
 
 // Ping answers for the gateway itself: callers probing the gateway get
@@ -507,13 +433,7 @@ func (r *router) MigrateHome(ctx context.Context, req *api.MigrateHomeRequest) (
 // an adopted home enjoys the same failover re-adoption as a home built
 // through the gateway op by op.
 func (r *router) AdoptHome(ctx context.Context, req *api.AdoptHomeRequest) (*api.AdoptHomeResponse, *api.Error) {
-	var resp *api.AdoptHomeResponse
-	aerr := r.do(ctx, req.Home, "AdoptHome", req, func(c *rpc.Client) error {
-		var err error
-		resp, err = c.AdoptHome(ctx, req)
-		return err
-	})
-	return resp, aerr
+	return forward(ctx, r, rpc.MethodAdoptHome, req)
 }
 
 // BreakerState reports a NODE's breaker on the gateway (stages here are
@@ -579,7 +499,7 @@ func (r *router) migrate(ctx context.Context, home, targetID string) (*api.Adopt
 	}
 	// The snapshot subsumes the old op history: journal just the adopt,
 	// so a later failover rebuilds the migrated state, then pin routing.
-	hs.ops = []journalOp{{method: "AdoptHome", req: adopt}}
+	hs.ops = []journalOp{{method: rpc.MethodAdoptHome.Name, req: adopt}}
 	hs.synced = targetID
 	r.mu.Lock()
 	r.pins[home] = targetID

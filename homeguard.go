@@ -76,10 +76,13 @@
 // StreamThreats as bidirectional streams, multiplexed over one
 // connection with per-RPC deadlines propagated from the client's
 // context. Both transports are thin shells over one shared service
-// core, so payloads and error semantics are identical (a parity test
-// pins this): every failure is one typed envelope — a machine-readable
-// code plus message — mapped to the matching HTTP status on the JSON
-// edge and the matching gRPC status code on the RPC edge, with
+// core, driven by one method table (internal/rpc's Methods) that the
+// HTTP routes, the RPC dispatch, the client stubs and the gateway all
+// read, and one request-body decoder, so payloads and error semantics
+// are identical (a parity test pins this): every failure is one typed
+// envelope — a machine-readable code plus message — mapped
+// to the matching HTTP status on the JSON edge and the matching gRPC
+// status code on the RPC edge, with
 // RESOURCE_EXHAUSTED/UNAVAILABLE responses carrying a retryAfterMs
 // hint. Each RPC frame carries its JSON body verbatim beside a small
 // JSON header, so a body is encoded once and parsed once per hop; a
@@ -270,9 +273,11 @@
 // disk never saw.
 //
 // Records are logical and self-contained: an install record carries
-// the marshaled extraction result and resolved configuration, so
-// recovery replays deterministically without re-running symbolic
-// execution or config resolution. Replay is idempotent through
+// the app's Groovy source and its resolved configuration, so recovery
+// never re-runs config resolution; replay installs the source again
+// through the content-addressed extraction cache, which answers from
+// the checkpointed extraction when there is one and re-runs symbolic
+// execution only when the cache is cold. Replay is idempotent through
 // per-entity LSN watermarks (each home and the auditor persist the
 // LSN of their last applied record in the checkpoint; replay skips
 // records at or below the watermark), so a checkpoint plus an
@@ -303,7 +308,8 @@
 //
 // One daemon scales to many cores; a fleet of daemons scales past one
 // machine. cmd/homeguardgw is the cluster gateway: it serves the exact
-// HTTP and RPC edges the daemon does and routes each request to one of
+// HTTP and RPC edges the daemon does, from the same method table, and
+// routes each request to one of
 // several homeguardd nodes (internal/cluster) by consistent hashing —
 // every home ID maps onto a ring of virtual nodes built
 // deterministically from the sorted membership, so identically

@@ -231,105 +231,70 @@ func decodeStatus(payload []byte, resp any) error {
 	return nil
 }
 
-// Install invokes the unary Install RPC.
-func (c *Client) Install(ctx context.Context, req *api.InstallRequest) (*api.InstallResponse, error) {
-	resp := new(api.InstallResponse)
-	if err := c.Call(ctx, "Install", req, resp); err != nil {
+// unary invokes one unary method of the table.
+func unary[Req, Resp any](ctx context.Context, c *Client, d Desc[Req, Resp], req *Req) (*Resp, error) {
+	resp := new(Resp)
+	if err := c.Call(ctx, d.Name, req, resp); err != nil {
 		return nil, err
 	}
 	return resp, nil
+}
+
+// Install invokes the unary Install RPC.
+func (c *Client) Install(ctx context.Context, req *api.InstallRequest) (*api.InstallResponse, error) {
+	return unary(ctx, c, MethodInstall, req)
 }
 
 // InstallBatch invokes the unary-batched InstallBatch RPC.
 func (c *Client) InstallBatch(ctx context.Context, req *api.InstallBatchRequest) (*api.InstallBatchResponse, error) {
-	resp := new(api.InstallBatchResponse)
-	if err := c.Call(ctx, "InstallBatch", req, resp); err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return unary(ctx, c, MethodInstallBatch, req)
 }
 
 // Reconfigure invokes the unary Reconfigure RPC.
 func (c *Client) Reconfigure(ctx context.Context, req *api.ReconfigureRequest) (*api.ReconfigureResponse, error) {
-	resp := new(api.ReconfigureResponse)
-	if err := c.Call(ctx, "Reconfigure", req, resp); err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return unary(ctx, c, MethodReconfigure, req)
 }
 
 // Threats invokes the unary Threats RPC.
 func (c *Client) Threats(ctx context.Context, req *api.ThreatsRequest) (*api.ThreatsResponse, error) {
-	resp := new(api.ThreatsResponse)
-	if err := c.Call(ctx, "Threats", req, resp); err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return unary(ctx, c, MethodThreats, req)
 }
 
 // SubmitApps invokes the unary SubmitApps store RPC.
 func (c *Client) SubmitApps(ctx context.Context, req *api.SubmitAppsRequest) (*api.SubmitAppsResponse, error) {
-	resp := new(api.SubmitAppsResponse)
-	if err := c.Call(ctx, "SubmitApps", req, resp); err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return unary(ctx, c, MethodSubmitApps, req)
 }
 
 // Findings invokes the unary Findings store-feed RPC.
 func (c *Client) Findings(ctx context.Context, req *api.FindingsRequest) (*api.FindingsResponse, error) {
-	resp := new(api.FindingsResponse)
-	if err := c.Call(ctx, "Findings", req, resp); err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return unary(ctx, c, MethodFindings, req)
 }
 
 // Accept invokes the unary Accept RPC.
 func (c *Client) Accept(ctx context.Context, req *api.AcceptRequest) (*api.AcceptResponse, error) {
-	resp := new(api.AcceptResponse)
-	if err := c.Call(ctx, "Accept", req, resp); err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return unary(ctx, c, MethodAccept, req)
 }
 
 // Apps invokes the unary Apps RPC.
 func (c *Client) Apps(ctx context.Context, home string) (*api.AppsResponse, error) {
-	resp := new(api.AppsResponse)
-	if err := c.Call(ctx, "Apps", &api.AppsRequest{Home: home}, resp); err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return unary(ctx, c, MethodApps, &api.AppsRequest{Home: home})
 }
 
 // Ping invokes the lightweight health-probe RPC (the gateway heartbeat).
 func (c *Client) Ping(ctx context.Context) (*api.PingResponse, error) {
-	resp := new(api.PingResponse)
-	if err := c.Call(ctx, "Ping", &api.PingRequest{}, resp); err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return unary(ctx, c, MethodPing, &api.PingRequest{})
 }
 
 // MigrateHome invokes the unary MigrateHome RPC: the node exports the
 // home's durable state and detaches it.
 func (c *Client) MigrateHome(ctx context.Context, req *api.MigrateHomeRequest) (*api.MigrateHomeResponse, error) {
-	resp := new(api.MigrateHomeResponse)
-	if err := c.Call(ctx, "MigrateHome", req, resp); err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return unary(ctx, c, MethodMigrateHome, req)
 }
 
 // AdoptHome invokes the unary AdoptHome RPC: the node imports a home
 // exported by MigrateHome.
 func (c *Client) AdoptHome(ctx context.Context, req *api.AdoptHomeRequest) (*api.AdoptHomeResponse, error) {
-	resp := new(api.AdoptHomeResponse)
-	if err := c.Call(ctx, "AdoptHome", req, resp); err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return unary(ctx, c, MethodAdoptHome, req)
 }
 
 // Stream is a client-side bidirectional stream. Send requests with
@@ -418,7 +383,7 @@ type InstallStream struct{ Stream }
 
 // StreamInstall opens a bidirectional install stream.
 func (c *Client) StreamInstall(ctx context.Context) (*InstallStream, error) {
-	st, err := c.openStream(ctx, "StreamInstall")
+	st, err := c.openStream(ctx, MethodInstall.Stream)
 	if err != nil {
 		return nil, err
 	}
@@ -428,18 +393,7 @@ func (c *Client) StreamInstall(ctx context.Context) (*InstallStream, error) {
 // RecvInstall returns the next install outcome: exactly one of the
 // response and the error is non-nil; io.EOF ends the stream.
 func (st *InstallStream) RecvInstall() (*api.InstallResponse, *api.Error, error) {
-	item, err := st.Recv()
-	if err != nil {
-		return nil, nil, err
-	}
-	if item.Error != nil {
-		return nil, item.Error, nil
-	}
-	resp := new(api.InstallResponse)
-	if err := json.Unmarshal(item.Result, resp); err != nil {
-		return nil, nil, fmt.Errorf("rpc: bad install result: %w", err)
-	}
-	return resp, nil, nil
+	return recvResult[api.InstallResponse](&st.Stream)
 }
 
 // ThreatsStream streams threat-log reads: each Send(*api.ThreatsRequest)
@@ -448,7 +402,7 @@ type ThreatsStream struct{ Stream }
 
 // StreamThreats opens a bidirectional threat-read stream.
 func (c *Client) StreamThreats(ctx context.Context) (*ThreatsStream, error) {
-	st, err := c.openStream(ctx, "StreamThreats")
+	st, err := c.openStream(ctx, MethodThreats.Stream)
 	if err != nil {
 		return nil, err
 	}
@@ -458,6 +412,12 @@ func (c *Client) StreamThreats(ctx context.Context) (*ThreatsStream, error) {
 // RecvThreats returns the next threat-read outcome: exactly one of the
 // response and the error is non-nil; io.EOF ends the stream.
 func (st *ThreatsStream) RecvThreats() (*api.ThreatsResponse, *api.Error, error) {
+	return recvResult[api.ThreatsResponse](&st.Stream)
+}
+
+// recvResult returns the next outcome of a stream whose results are
+// Resp values.
+func recvResult[Resp any](st *Stream) (*Resp, *api.Error, error) {
 	item, err := st.Recv()
 	if err != nil {
 		return nil, nil, err
@@ -465,9 +425,9 @@ func (st *ThreatsStream) RecvThreats() (*api.ThreatsResponse, *api.Error, error)
 	if item.Error != nil {
 		return nil, item.Error, nil
 	}
-	resp := new(api.ThreatsResponse)
+	resp := new(Resp)
 	if err := json.Unmarshal(item.Result, resp); err != nil {
-		return nil, nil, fmt.Errorf("rpc: bad threats result: %w", err)
+		return nil, nil, fmt.Errorf("rpc: bad stream result: %w", err)
 	}
 	return resp, nil, nil
 }

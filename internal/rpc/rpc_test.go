@@ -503,30 +503,7 @@ func TestRPCMetricsCollector(t *testing.T) {
 	}
 	client.Install(ctx, &api.InstallRequest{Home: "h1", Corpus: "NoSuchApp"})
 
-	var buf bytes.Buffer
-	if err := o.Registry.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	samples, err := obs.ParseExposition(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("exposition invalid: %v\n%s", err, buf.String())
-	}
-	want := map[string]float64{} // method|code → value
-	for _, s := range samples {
-		if s.Name != "homeguard_rpc_requests_total" {
-			continue
-		}
-		var method, code string
-		for _, l := range s.Labels {
-			switch l.Name {
-			case "method":
-				method = l.Value
-			case "code":
-				code = l.Value
-			}
-		}
-		want[method+"|"+code] = s.Value
-	}
+	want := requestCounts(t, o)
 	if want["Install|OK"] != 1 {
 		t.Errorf("Install|OK = %v, want 1 (have %v)", want["Install|OK"], want)
 	}
@@ -534,7 +511,7 @@ func TestRPCMetricsCollector(t *testing.T) {
 		t.Errorf("Install|NOT_FOUND = %v, want 1 (have %v)", want["Install|NOT_FOUND"], want)
 	}
 	var sawLatency, sawBreaker bool
-	for _, s := range samples {
+	for _, s := range scrape(t, o) {
 		switch s.Name {
 		case "homeguard_rpc_latency_seconds_count":
 			sawLatency = s.Value >= 2
@@ -548,4 +525,41 @@ func TestRPCMetricsCollector(t *testing.T) {
 	if !sawBreaker {
 		t.Error("homeguard_rpc_breaker_open gauge missing")
 	}
+}
+
+// scrape parses the registry's Prometheus exposition.
+func scrape(t *testing.T, o *obs.Observer) []obs.Sample {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := o.Registry.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := obs.ParseExposition(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("exposition invalid: %v\n%s", err, buf.String())
+	}
+	return samples
+}
+
+// requestCounts scrapes homeguard_rpc_requests_total into a
+// "method|code" → value map.
+func requestCounts(t *testing.T, o *obs.Observer) map[string]float64 {
+	t.Helper()
+	counts := map[string]float64{}
+	for _, s := range scrape(t, o) {
+		if s.Name != "homeguard_rpc_requests_total" {
+			continue
+		}
+		var method, code string
+		for _, l := range s.Labels {
+			switch l.Name {
+			case "method":
+				method = l.Value
+			case "code":
+				code = l.Value
+			}
+		}
+		counts[method+"|"+code] = s.Value
+	}
+	return counts
 }

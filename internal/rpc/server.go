@@ -26,10 +26,12 @@ type ServerOptions struct {
 	Obs *obs.Observer
 }
 
-// Backend is the method set the server dispatches to. *Service is the
-// canonical implementation (one fleet, local breakers); cmd/homeguardgw
-// implements it as a router, so the gateway serves the exact HGRPC edge
-// a single node does while proxying each call to the owning node.
+// Backend is the method set the edges dispatch to, one table
+// descriptor per request method. *Service is the canonical
+// implementation (one fleet, local breakers); cmd/homeguardgw
+// implements it as a router, so the gateway serves the exact HTTP and
+// HGRPC edges a single node does while proxying each call to the
+// owning node.
 type Backend interface {
 	Install(ctx context.Context, req *api.InstallRequest) (*api.InstallResponse, *api.Error)
 	InstallBatch(ctx context.Context, req *api.InstallBatchRequest) (*api.InstallBatchResponse, *api.Error)
@@ -180,17 +182,18 @@ func (s *Server) handleConn(conn net.Conn) {
 			var hdr reqHeader
 			body, err := decodeEnvelope(f.payload, &hdr)
 			if err != nil {
-				s.writeStatus(fw, f.id, errBadEnvelope("request header", err), nil)
+				hdr, _, _ := encodeStatus(errBadEnvelope("request header", err), nil)
+				_ = fw.writeEnvelope(frameRes, f.id, hdr, nil) // a failed write surfaces on the next read
 				continue
 			}
-			if isStreamMethod(hdr.Method) {
+			if m := streamMethods[hdr.Method]; m != nil {
 				st := &stream{inbox: make(chan json.RawMessage, 16), done: make(chan struct{})}
 				streams[f.id] = st
 				wg.Add(1)
 				go func(id uint64, hdr reqHeader, st *stream) {
 					defer wg.Done()
 					defer close(st.done)
-					s.handleStream(ctx, fw, id, hdr, st)
+					s.handleStream(ctx, fw, id, hdr, m, st)
 				}(f.id, hdr, st)
 				continue
 			}
@@ -236,128 +239,65 @@ func (s *Server) rpcCtx(parent context.Context, deadlineMs int64) (context.Conte
 	return context.WithTimeout(parent, d)
 }
 
-// intercept wraps one RPC invocation with a span and the
-// homeguard_rpc_* metrics, returning the handler's error unchanged.
-func (s *Server) intercept(method string, fn func(sp *obs.Span) *api.Error) *api.Error {
+// intercept runs one RPC under a span and the homeguard_rpc_* metrics,
+// then sends its RES frame. The latency ends, like the span, when fn
+// returns; the request counter records the code of the frame actually
+// sent, which differs from fn's outcome when the response is too large
+// for one frame.
+func (s *Server) intercept(fw *frameWriter, id uint64, method string, fn func(sp *obs.Span) (any, *api.Error)) {
 	var sp *obs.Span
 	if s.opts.Obs != nil {
 		sp = s.opts.Obs.Tracer.Start("rpc." + method)
 		sp.SetStr("method", method)
 	}
 	start := time.Now()
-	aerr := fn(sp)
-	code := api.CodeOK
-	if aerr != nil {
-		code = aerr.Code
-	}
-	sp.SetStr("code", string(code))
+	res, aerr := fn(sp)
+	sp.SetStr("code", string(statusCode(aerr)))
 	sp.End()
-	s.m.observe(method, code, time.Since(start))
-	return aerr
+	d := time.Since(start)
+	hdr, body, aerr := encodeStatus(aerr, res)
+	s.m.observe(method, statusCode(aerr), d)
+	// A write failure means the connection died; the reader loop
+	// notices and unwinds.
+	_ = fw.writeEnvelope(frameRes, id, hdr, body)
 }
 
-// handleUnary decodes, dispatches and responds to one unary RPC whose
-// request body is body.
+// statusCode is the status code of an RPC outcome.
+func statusCode(aerr *api.Error) api.Code {
+	if aerr == nil {
+		return api.CodeOK
+	}
+	return aerr.Code
+}
+
+// handleUnary dispatches and responds to one unary RPC whose request
+// body is body.
 func (s *Server) handleUnary(parent context.Context, fw *frameWriter, id uint64, hdr reqHeader, body []byte) {
 	ctx, cancel := s.rpcCtx(parent, hdr.DeadlineMs)
 	defer cancel()
-	var res any
-	aerr := s.intercept(hdr.Method, func(sp *obs.Span) *api.Error {
+	s.intercept(fw, id, hdr.Method, func(sp *obs.Span) (any, *api.Error) {
 		if sp != nil {
 			ctx = obs.ContextWithSpan(ctx, sp)
 		}
-		var e *api.Error
-		res, e = s.dispatch(ctx, hdr.Method, body)
-		return e
+		m := unaryMethods[hdr.Method]
+		if m == nil {
+			return nil, api.Errorf(api.CodeNotFound, "unknown method %q", hdr.Method)
+		}
+		return m.invoke(ctx, s.svc, body)
 	})
-	s.writeStatus(fw, id, aerr, res)
 }
 
-// dispatch routes one unary method.
-func (s *Server) dispatch(ctx context.Context, method string, body json.RawMessage) (any, *api.Error) {
-	switch method {
-	case "Install":
-		req := new(api.InstallRequest)
-		if aerr := decodeBody(body, req); aerr != nil {
-			return nil, aerr
-		}
-		return s.svc.Install(ctx, req)
-	case "InstallBatch":
-		req := new(api.InstallBatchRequest)
-		if aerr := decodeBody(body, req); aerr != nil {
-			return nil, aerr
-		}
-		return s.svc.InstallBatch(ctx, req)
-	case "Reconfigure":
-		req := new(api.ReconfigureRequest)
-		if aerr := decodeBody(body, req); aerr != nil {
-			return nil, aerr
-		}
-		return s.svc.Reconfigure(ctx, req)
-	case "Threats":
-		req := new(api.ThreatsRequest)
-		if aerr := decodeBody(body, req); aerr != nil {
-			return nil, aerr
-		}
-		return s.svc.Threats(ctx, req)
-	case "Accept":
-		req := new(api.AcceptRequest)
-		if aerr := decodeBody(body, req); aerr != nil {
-			return nil, aerr
-		}
-		return s.svc.Accept(ctx, req)
-	case "Apps":
-		req := new(api.AppsRequest)
-		if aerr := decodeBody(body, req); aerr != nil {
-			return nil, aerr
-		}
-		return s.svc.Apps(ctx, req.Home)
-	case "SubmitApps":
-		req := new(api.SubmitAppsRequest)
-		if aerr := decodeBody(body, req); aerr != nil {
-			return nil, aerr
-		}
-		return s.svc.SubmitApps(ctx, req)
-	case "Findings":
-		req := new(api.FindingsRequest)
-		if aerr := decodeBody(body, req); aerr != nil {
-			return nil, aerr
-		}
-		return s.svc.Findings(ctx, req)
-	case "Ping":
-		return s.svc.Ping(ctx)
-	case "MigrateHome":
-		req := new(api.MigrateHomeRequest)
-		if aerr := decodeBody(body, req); aerr != nil {
-			return nil, aerr
-		}
-		return s.svc.MigrateHome(ctx, req)
-	case "AdoptHome":
-		req := new(api.AdoptHomeRequest)
-		if aerr := decodeBody(body, req); aerr != nil {
-			return nil, aerr
-		}
-		return s.svc.AdoptHome(ctx, req)
-	default:
-		return nil, api.Errorf(api.CodeNotFound, "unknown method %q", method)
-	}
-}
-
-func isStreamMethod(method string) bool {
-	return method == "StreamInstall" || method == "StreamThreats"
-}
-
-// handleStream runs one bidirectional stream: requests arrive on the
-// inbox in order, each produces one MSG reply (result or per-item
-// error), and a RES trailer closes the stream. Per-item failures do
-// not tear the stream down; only transport errors and stream-level
-// deadline expiry do.
-func (s *Server) handleStream(parent context.Context, fw *frameWriter, id uint64, hdr reqHeader, st *stream) {
+// handleStream runs one bidirectional stream of method m: requests
+// arrive on the inbox in order, each produces one MSG reply (result or
+// per-item error), and a RES trailer closes the stream. Per-item
+// failures do not tear the stream down; only transport errors and
+// stream-level deadline expiry do.
+func (s *Server) handleStream(parent context.Context, fw *frameWriter, id uint64, hdr reqHeader, m *Method, st *stream) {
 	ctx, cancel := s.rpcCtx(parent, hdr.DeadlineMs)
 	defer cancel()
 	s.m.streamOpen()
 	defer s.m.streamClose()
-	aerr := s.intercept(hdr.Method, func(sp *obs.Span) *api.Error {
+	s.intercept(fw, id, hdr.Method, func(sp *obs.Span) (any, *api.Error) {
 		if sp != nil {
 			ctx = obs.ContextWithSpan(ctx, sp)
 		}
@@ -367,44 +307,28 @@ func (s *Server) handleStream(parent context.Context, fw *frameWriter, id uint64
 			select {
 			case payload, ok := <-st.inbox:
 				if !ok {
-					return nil // client half-closed: trailer follows
+					return nil, nil // client half-closed: trailer follows
 				}
 				n++
 				s.m.streamMsg()
-				item := s.streamItemFor(ctx, hdr.Method, payload)
+				item := s.streamItemFor(ctx, m, payload)
 				ihdr := okItemHeader
 				if item.Error != nil {
 					ihdr, _ = json.Marshal(item) // an *api.Error always marshals
 				}
 				if err := fw.writeEnvelope(frameMsg, id, ihdr, item.Result); err != nil {
-					return api.Errorf(api.CodeUnavailable, "stream write: %v", err)
+					return nil, api.Errorf(api.CodeUnavailable, "stream write: %v", err)
 				}
 			case <-ctx.Done():
-				return api.FromErr(ctx.Err())
+				return nil, api.FromErr(ctx.Err())
 			}
 		}
 	})
-	s.writeStatus(fw, id, aerr, nil)
 }
 
 // streamItemFor runs one streamed request and wraps its outcome.
-func (s *Server) streamItemFor(ctx context.Context, method string, payload json.RawMessage) streamItem {
-	var (
-		res  any
-		aerr *api.Error
-	)
-	switch method {
-	case "StreamInstall":
-		req := new(api.InstallRequest)
-		if aerr = decodeBody(payload, req); aerr == nil {
-			res, aerr = s.svc.Install(ctx, req)
-		}
-	case "StreamThreats":
-		req := new(api.ThreatsRequest)
-		if aerr = decodeBody(payload, req); aerr == nil {
-			res, aerr = s.svc.Threats(ctx, req)
-		}
-	}
+func (s *Server) streamItemFor(ctx context.Context, m *Method, payload []byte) streamItem {
+	res, aerr := m.invoke(ctx, s.svc, payload)
 	if aerr != nil {
 		return streamItem{Error: aerr}
 	}
@@ -418,11 +342,11 @@ func (s *Server) streamItemFor(ctx context.Context, method string, payload json.
 	return streamItem{Result: b}
 }
 
-// writeStatus emits the RES frame for one finished RPC: res, marshaled
+// encodeStatus builds the RES frame of one finished RPC: res, marshaled
 // once, is the body of a success; a failure, or a response too large
-// for one frame, is a status header with no body.
-func (s *Server) writeStatus(fw *frameWriter, id uint64, aerr *api.Error, res any) {
-	var body []byte
+// for one frame, is a status header with no body. It returns the error
+// the frame carries.
+func encodeStatus(aerr *api.Error, res any) (hdr, body []byte, sent *api.Error) {
 	if aerr == nil && res != nil {
 		var err error
 		if body, err = json.Marshal(res); err != nil {
@@ -431,26 +355,11 @@ func (s *Server) writeStatus(fw *frameWriter, id uint64, aerr *api.Error, res an
 			aerr = errFrameTooLarge("response", n)
 		}
 	}
-	hdr := okResHeader
-	if aerr != nil {
-		body = nil
-		hdr, _ = json.Marshal(resHeader{Status: aerr.Code.GRPC(), Error: aerr}) // an *api.Error always marshals
+	if aerr == nil {
+		return okResHeader, body, nil
 	}
-	// A write failure means the connection died; the reader loop
-	// notices and unwinds.
-	_ = fw.writeEnvelope(frameRes, id, hdr, body)
-}
-
-// decodeBody unmarshals a request body, mapping malformed JSON to
-// INVALID_ARGUMENT.
-func decodeBody(body json.RawMessage, into any) *api.Error {
-	if len(body) == 0 {
-		return api.Errorf(api.CodeInvalidArgument, "empty request body")
-	}
-	if err := json.Unmarshal(body, into); err != nil {
-		return api.Errorf(api.CodeInvalidArgument, "bad request body: %v", err)
-	}
-	return nil
+	hdr, _ = json.Marshal(resHeader{Status: aerr.Code.GRPC(), Error: aerr}) // an *api.Error always marshals
+	return hdr, nil, aerr
 }
 
 // ---------- metrics ----------

@@ -33,9 +33,9 @@ type ServiceOptions struct {
 }
 
 // Service is the transport-neutral core of the enforcement edge: the
-// HTTP handlers in cmd/homeguardd and the RPC dispatch in this package
-// both call these methods, so verdicts, error codes and breaker
-// behavior are identical on either wire. Methods take and return the
+// HTTP routes (RegisterHTTP) and the RPC dispatch both call these
+// methods through the method table, so verdicts, error codes and
+// breaker behavior are identical on either wire. Methods take and return the
 // api package's DTOs and report failures as *api.Error — the envelope
 // each transport writes verbatim.
 type Service struct {

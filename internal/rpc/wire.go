@@ -3,6 +3,17 @@
 // per-stage circuit breakers that shed load when extraction or
 // detection degrades, and the service core both transports share.
 //
+// # Method table
+//
+// Methods (methods.go) holds one descriptor per Backend method: wire
+// name, HTTP route, request binding, streaming variant, read-or-mutating
+// flag and the Backend call. RegisterHTTP mounts its routes for
+// homeguardd and homeguardgw alike, the server dispatches by table
+// lookup, the Client stubs take their names from it, and the gateway
+// forwards by each descriptor's routing key and Mutating flag. Both
+// edges decode request bodies with one decoder, so they accept and
+// reject the same bytes.
+//
 // # Protocol
 //
 // The wire protocol models gRPC: the status-code vocabulary, numeric
@@ -87,7 +98,9 @@ const (
 // connecting.
 const Preface = "HGRPC/2\x00"
 
-// maxFrame caps frame payloads, mirroring the daemon's HTTP body cap.
+// maxFrame caps frame payloads and HTTP request bodies alike (SmartApp
+// sources are a few KB; 4 MiB leaves generous headroom while keeping
+// one request from exhausting the server's memory).
 const maxFrame = 4 << 20
 
 // envHdrLen is the size of an envelope's header-length prefix.

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"homeguard/internal/api"
+	"homeguard/internal/obs"
 )
 
 // stubBackend answers Apps, Threats and Install with canned values and
@@ -37,6 +38,8 @@ func (b *stubBackend) Threats(ctx context.Context, req *api.ThreatsRequest) (*ap
 	return b.threats, nil
 }
 
+func (b *stubBackend) BreakerState(string) string { return "" }
+
 func (b *stubBackend) Install(ctx context.Context, req *api.InstallRequest) (*api.InstallResponse, *api.Error) {
 	b.calls.Add(1)
 	return &api.InstallResponse{App: "stub"}, nil
@@ -44,9 +47,9 @@ func (b *stubBackend) Install(ctx context.Context, req *api.InstallRequest) (*ap
 
 // startStub serves b on a loopback listener and returns a connected
 // client.
-func startStub(t *testing.T, b Backend) *Client {
+func startStub(t *testing.T, b Backend, opts ServerOptions) *Client {
 	t.Helper()
-	srv := NewServer(b, ServerOptions{})
+	srv := NewServer(b, opts)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +210,7 @@ func TestWireEmptyBodies(t *testing.T) {
 			t.Errorf("decoded code %s, want NOT_FOUND", got)
 		}
 		// And through the client.
-		_, err = startStub(t, stub).Apps(context.Background(), "h9")
+		_, err = startStub(t, stub, ServerOptions{}).Apps(context.Background(), "h9")
 		if got := codeOf(t, err); got != api.CodeNotFound || !strings.Contains(err.Error(), "no home h9") {
 			t.Errorf("client Apps = %v, want the NOT_FOUND envelope", err)
 		}
@@ -307,16 +310,18 @@ func TestWireMalformedEnvelope(t *testing.T) {
 }
 
 // TestRPCOversized: a response or stream item over the frame cap comes
-// back as RESOURCE_EXHAUSTED instead of a lost frame, and an oversized
-// request is refused locally with RESOURCE_EXHAUSTED, sending nothing.
-// The connection survives all three.
+// back as RESOURCE_EXHAUSTED instead of a lost frame, and is counted as
+// the RESOURCE_EXHAUSTED it was sent as; an oversized request is
+// refused locally with RESOURCE_EXHAUSTED, sending nothing. The
+// connection survives all three.
 func TestRPCOversized(t *testing.T) {
 	huge := strings.Repeat("x", maxFrame)
 	stub := &stubBackend{
 		apps:    &api.AppsResponse{HomeID: "h1", Apps: []string{huge}},
 		threats: &api.ThreatsResponse{HomeID: "h1", Threats: []api.Threat{{Text: huge}}},
 	}
-	client := startStub(t, stub)
+	o := obs.NewObserver()
+	client := startStub(t, stub, ServerOptions{Obs: o})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -324,6 +329,10 @@ func TestRPCOversized(t *testing.T) {
 	_, err := client.Apps(ctx, "h1")
 	if got := codeOf(t, err); got != api.CodeResourceExhausted {
 		t.Fatalf("oversized Apps reply = %v, want RESOURCE_EXHAUSTED", err)
+	}
+	counts := requestCounts(t, o)
+	if counts["Apps|RESOURCE_EXHAUSTED"] != 1 || counts["Apps|OK"] != 0 {
+		t.Errorf("oversized Apps reply counted as %v, want Apps|RESOURCE_EXHAUSTED = 1 and no Apps|OK", counts)
 	}
 
 	// Server to client, one stream item: the stream carries on.
