@@ -56,11 +56,12 @@ func BenchmarkTable3Malicious(b *testing.B) {
 	}
 }
 
-// BenchmarkFig8StoreAudit runs the full 90-app pairwise audit on the
-// parallel audit engine (internal/audit): the ~4000 app pairs fan out
-// over a work-stealing worker pool, one detector per worker, so the
-// audit scales with GOMAXPROCS while producing byte-identical findings.
-// BenchmarkFig8StoreAuditSerial is the single-worker contrast run.
+// BenchmarkFig8StoreAudit runs the full 90-app pairwise audit: one cold
+// Apply on the store auditor (internal/audit), whose ~2200 candidate app
+// pairs fan out over a work-stealing worker pool, one detector per
+// worker, so the audit scales with GOMAXPROCS while producing the serial
+// install sequence's findings. BenchmarkFig8StoreAuditSerial is the
+// single-worker contrast run.
 func BenchmarkFig8StoreAudit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.Fig8()
@@ -81,38 +82,28 @@ func BenchmarkFig8StoreAuditSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreAuditSparse is the sublinear-detection scaling benchmark:
-// a synthetic 1000-app store with ~5% channel overlap (device pool 80 —
-// see experiments.SyntheticSparseApps) audited with work items generated
-// from footprint-index postings ("index") vs the full n·(n−1)/2 pair grid
-// with the per-pair footprint prune ("grid", the pre-index scan path).
-// The findings are byte-identical (pinned by TestIndexedAuditMatchesGrid);
-// the benchmark measures candidate generation: the grid enumerates and
-// footprint-checks every one of the ~500k app pairs, the index touches
-// only the ~5% that share a channel.
-func BenchmarkStoreAuditSparse(b *testing.B) {
-	run := func(b *testing.B, apps []audit.App, opts audit.Options) {
-		var last *audit.Result
-		for i := 0; i < b.N; i++ {
-			last = audit.Run(apps, opts)
-			if len(last.Installed) != len(apps) {
-				b.Fatal("synthetic apps failed to install")
-			}
-		}
-		st := last.Stats
-		cross := len(apps) * (len(apps) - 1) / 2
-		b.ReportMetric(float64(st.PairsIndexed), "cand-pairs")
-		b.ReportMetric(float64(st.PairsIndexed)/float64(cross), "cand-frac")
-		b.ReportMetric(float64(st.PairsSkippedByIndex), "skipped-rule-pairs")
-		// Stats are per audit run (each iteration builds a fresh Result),
-		// so no division by b.N.
-		b.ReportMetric(float64(st.SolverCalls), "solver-calls")
+// coldAudit is a full store audit: one Apply of every app on a fresh
+// Auditor.
+func coldAudit(b *testing.B, apps []audit.App) *audit.Revision {
+	rev, err := audit.NewAuditor(audit.AuditorOptions{}).Apply(audit.Batch{Upserts: apps})
+	if err != nil {
+		b.Fatal(err)
 	}
+	if rev.Apps != len(apps) {
+		b.Fatal("synthetic apps failed to install")
+	}
+	return rev
+}
+
+// BenchmarkStoreAuditSparse is the sublinear-detection scaling benchmark:
+// a cold audit of a synthetic store with ~5% channel overlap (see
+// experiments.SyntheticSparseApps) whose work items come from
+// footprint-index postings, so candidate generation touches only the
+// ~5% of the ~500k app pairs (at 1k apps) that share a channel.
+func BenchmarkStoreAuditSparse(b *testing.B) {
 	// The pool scales with n so per-app overlap stays constant (~50
-	// counterpart candidates per app): the index path's work is then
-	// near-linear in app count while the grid's candidate enumeration
-	// stays quadratic — the index/grid gap must WIDEN from 1k to 2k (the
-	// super-constant-factor acceptance of this PR).
+	// counterpart candidates per app): the audit's work is then
+	// near-linear in app count, not quadratic.
 	for _, size := range []struct {
 		tag  string
 		n    int
@@ -120,24 +111,32 @@ func BenchmarkStoreAuditSparse(b *testing.B) {
 	}{{"1k", 1000, 80}, {"2k", 2000, 160}} {
 		apps := experiments.SyntheticSparseApps(size.n, size.pool, 1)
 		b.Run("index-"+size.tag, func(b *testing.B) {
-			run(b, apps, audit.Options{IndexDensityCutoff: 1.1})
-		})
-		b.Run("grid-"+size.tag, func(b *testing.B) {
-			run(b, apps, audit.Options{DisableIndex: true})
+			var last *audit.Revision
+			for i := 0; i < b.N; i++ {
+				last = coldAudit(b, apps)
+			}
+			st := last.Stats
+			cross := len(apps) * (len(apps) - 1) / 2
+			b.ReportMetric(float64(st.PairsIndexed), "cand-pairs")
+			b.ReportMetric(float64(st.PairsIndexed)/float64(cross), "cand-frac")
+			b.ReportMetric(float64(st.PairsSkippedByIndex), "skipped-rule-pairs")
+			// Stats are per revision (each iteration audits a fresh
+			// Auditor), so no division by b.N.
+			b.ReportMetric(float64(st.SolverCalls), "solver-calls")
 		})
 	}
 }
 
-// BenchmarkIncrementalAudit is the PR-8 churn benchmark: steady-state
-// store maintenance on the 2k sparse synthetic corpus. "full-reaudit-2k"
-// re-runs the whole indexed audit from scratch — the cost every store
-// revision paid before the incremental Auditor. "churn-1pct-2k" applies
-// a 1% batch (20 reconfigured apps) to a warm Auditor that retains the
-// footprint index, compiled rule sets and pair verdicts across
-// revisions, so only pairs intersecting the changed footprints are
-// re-solved. Findings parity between the two paths is pinned byte-for-
-// byte by TestIncrementalMatchesFullAudit; BENCH_pr8.json records the
-// gate baselines.
+// BenchmarkIncrementalAudit is the churn benchmark: steady-state store
+// maintenance on the 2k sparse synthetic corpus. "full-reaudit-2k"
+// audits the whole store from scratch (one cold Apply) — the cost every
+// store revision would pay without incremental state. "churn-1pct-2k"
+// applies a 1% batch (20 reconfigured apps) to a warm Auditor that
+// retains the footprint index, compiled rule sets and pair verdicts
+// across revisions, so only pairs intersecting the changed footprints
+// are re-solved. Findings parity between the two paths is pinned
+// byte-for-byte by TestIncrementalMatchesFullAudit; BENCH_pr8.json
+// records the gate baselines.
 func BenchmarkIncrementalAudit(b *testing.B) {
 	const (
 		n     = 2000
@@ -147,10 +146,7 @@ func BenchmarkIncrementalAudit(b *testing.B) {
 	base := experiments.SyntheticSparseApps(n, pool, 1)
 	b.Run("full-reaudit-2k", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			r := audit.Run(base, audit.Options{IndexDensityCutoff: 1.1})
-			if len(r.Installed) != n {
-				b.Fatal("synthetic apps failed to install")
-			}
+			coldAudit(b, base)
 		}
 	})
 	b.Run("churn-1pct-2k", func(b *testing.B) {

@@ -251,8 +251,9 @@ func cmdAudit(args []string) error {
 			apps = append(apps, loaded{strings.TrimSuffix(filepath.Base(f), ".groovy"), string(b)})
 		}
 	}
-	// The all-pairs sweep runs on the parallel audit engine; findings come
-	// back in the serial install order, so output is deterministic.
+	// The all-pairs sweep is one cold Apply on a fresh store auditor;
+	// findings come back in the serial install order, so output is
+	// deterministic.
 	inputs := make([]audit.App, 0, len(apps))
 	for _, a := range apps {
 		res, err := symexec.Extract(a.src, a.name)
@@ -262,15 +263,19 @@ func cmdAudit(args []string) error {
 		}
 		inputs = append(inputs, audit.App{Res: res, Config: experiments.StoreConfig(res)})
 	}
-	ar := audit.Run(inputs, audit.Options{})
-	total := 0
-	for _, t := range ar.Threats() {
-		fmt.Println("⚠", frontend.DescribeThreat(t))
-		total++
+	if len(inputs) == 0 {
+		return fmt.Errorf("no app under %s could be extracted", args[0])
 	}
-	st := ar.Stats
+	rev, err := audit.NewAuditor(audit.AuditorOptions{}).Apply(audit.Batch{Upserts: inputs})
+	if err != nil {
+		return err
+	}
+	for _, f := range rev.Added {
+		fmt.Println("⚠", frontend.DescribeThreat(f.Threat))
+	}
+	st := rev.Stats
 	fmt.Printf("\n%d apps, %d pairs checked, %d threats, %d solver calls (%d reused)\n",
-		len(apps), st.PairsChecked, total, st.SolverCalls, st.SolverCacheHits)
+		rev.Apps, st.PairsChecked, len(rev.Added), st.SolverCalls, st.SolverCacheHits)
 	return nil
 }
 

@@ -1,12 +1,13 @@
 // Store audit (Fig. 8): run pairwise CAI detection over the 90-app store
 // corpus with type-level device identity and NLP-classified switch types,
 // then print the per-group statistics and a sample of findings. The
-// pairwise sweep runs on the parallel audit engine (internal/audit), so
-// the 4005-pair audit uses every core.
+// pairwise sweep is one cold Apply of the corpus on the store auditor
+// (internal/audit), whose pair checks use every core.
 package main
 
 import (
 	"fmt"
+	"log"
 	"sort"
 
 	"homeguard/internal/audit"
@@ -26,8 +27,9 @@ func main() {
 	fmt.Print(experiments.FormatFig8(res))
 
 	// Show a few concrete findings, echoing the paper's six case studies.
-	// One parallel audit run yields the same threats, in the same order,
-	// as the serial per-app install loop this example used to run.
+	// One cold Apply on a fresh store auditor yields the same threats, in
+	// the same order, as the serial per-app install loop this example used
+	// to run.
 	fmt.Println("\nSample findings:")
 	var inputs []audit.App
 	for _, a := range corpus.StoreAudit() {
@@ -37,10 +39,13 @@ func main() {
 		}
 		inputs = append(inputs, audit.App{Res: r, Config: experiments.StoreConfig(r)})
 	}
-	ar := audit.Run(inputs, audit.Options{})
+	rev, err := audit.NewAuditor(audit.AuditorOptions{}).Apply(audit.Batch{Upserts: inputs})
+	if err != nil {
+		log.Fatal(err)
+	}
 	var sample []string
-	for _, t := range ar.Threats() {
-		sample = append(sample, "  "+frontend.DescribeThreat(t))
+	for _, f := range rev.Added {
+		sample = append(sample, "  "+frontend.DescribeThreat(f.Threat))
 	}
 	sort.Strings(sample)
 	seenPairs := map[string]bool{}

@@ -207,32 +207,30 @@
 //     than home or store size. Stats.PairsIndexed/PairsSkippedByIndex
 //     (surfaced in /metrics) report the effect.
 //
-//   - A parallel audit engine with index-driven work items (the paper's
-//     Sec. VIII-B store audit). internal/audit builds its pair tasks from
-//     the same posting lists — the sparse 1k-app synthetic audit drops
-//     from the quadratic pair grid to near-linear candidate generation
-//     (BENCH_pr5.json: 2.3x at 1k apps, 3.4x at 2k, the gap growing with
-//     scale) — and falls back to the grid when overlap density makes
-//     postings pointless. The tasks then fan out over a work-stealing
-//     worker pool — one detector per worker, apps compiled once and
-//     shared read-only — and results reassemble in serial install order,
-//     byte-identical to the grid and to the serial audit at any worker
-//     count. Fleet.InstallBatch uses the same idea at provisioning time:
-//     a batch's extractions run in parallel through the shared cache
-//     before the installs serialize on the home.
-//
-//   - An incremental STORE auditor: O(Δ) re-detection per store revision.
-//     Where the parallel engine recomputes a whole store, audit.Auditor
-//     keeps the index, the compiled apps and all pair verdicts alive
+//   - One store auditor for the paper's Sec. VIII-B store audit and for
+//     store churn (internal/audit). A full audit is one Apply of the
+//     whole store on a fresh audit.Auditor. Its pair tasks come from the
+//     same posting lists as Install, so the sparse synthetic store audit
+//     generates candidates in near-linear time instead of walking the
+//     quadratic pair grid (BENCH_pr5.json: 2.3x at 1k apps, 3.4x at 2k).
+//     The tasks fan out over a work-stealing worker pool, one detector
+//     per worker, with apps compiled once and shared read-only. A cold
+//     Apply reports the threats and detector counters of the serial
+//     install sequence, in its order, at any worker count; Fig. 8,
+//     `homeguard audit` and examples/storeaudit all run it. A long-lived
+//     Auditor keeps the index, the compiled apps and all pair verdicts
 //     across batches, so a store that churns a few apps re-extracts only
 //     those apps and re-solves only the pairs whose footprints intersect
 //     them (posting-list candidates; pairs that stopped sharing any
 //     channel resolve by the footprint prune without solving, and
 //     untouched pairs keep their verdicts). A 1% churn batch on the
-//     2k-app sparse corpus costs a small fraction of the full indexed
-//     re-audit (BenchmarkIncrementalAudit in BENCH_pr8.json), while a
-//     churn property test pins the active findings byte-identical to a
-//     from-scratch audit at every revision.
+//     2k-app sparse corpus costs a small fraction of a full re-audit
+//     (BenchmarkIncrementalAudit in BENCH_pr8.json), while a churn
+//     property test pins the active findings byte-identical to a serial
+//     from-scratch audit at every revision. Fleet.InstallBatch uses the
+//     same parallel-extraction idea at provisioning time: a batch's
+//     extractions run in parallel through the shared cache before the
+//     installs serialize on the home.
 //
 //   - An incremental per-home threat ledger. Each fleet home retains its
 //     current threat set grouped by app pair; Reconfigure re-solves only
@@ -379,10 +377,9 @@
 //	detect_pairs_{checked,pruned,indexed,skipped_by_index}_total
 //	detect_verdict_{hits,misses}_total
 //	solver_calls_total, solver_cache_hits_total, solver_limit_hits_total
-//	audit_runs_total, audit_pairs_checked_total,
-//	audit_solver_calls_total, audit_threats_total  store-audit engine
 //	audit_revisions_total, audit_pairs_rechecked_total,
-//	audit_findings_{added,resolved}_total          incremental store auditor
+//	audit_pairs_checked_total, audit_solver_calls_total,
+//	audit_findings_{added,resolved}_total          store auditor
 //	audit_store_apps, audit_findings_active        store size + live findings (gauges)
 //	rpc_requests_total{method,code}                RPC calls by outcome
 //	rpc_latency_seconds (histogram)                RPC edge latency
@@ -414,11 +411,9 @@
 // compilation — candidates — footprint-index candidate generation —
 // verdict — pair-verdict cache disposition, attr cache=hit|miss — and
 // solve — constraint solving for one pair), then chains, ledger or
-// splice, and report. The store-audit engine (internal/audit) records
-// extract, compile, candidates and pairs phases with one child span per
-// worker carrying busy_ns/pairs_checked/solver_calls; the incremental
-// store auditor records an audit.apply root per applied batch with
-// extract, compile, candidates, pairs and delta children (attrs
+// splice, and report. The store auditor (internal/audit) records an
+// audit.apply root per applied batch with extract (extraction and
+// compilation), candidates, pairs and delta children (attrs
 // rev/tasks/added/resolved). With a WAL attached, each mutating
 // operation gains a wal.append child covering the pre-ack log write,
 // and boot recovery records a wal.recover root (attr records). RPC-edge

@@ -1,153 +1,126 @@
 package audit_test
 
 import (
-	"strings"
+	"bytes"
 	"testing"
 
 	"homeguard/internal/audit"
 	"homeguard/internal/corpus"
 	"homeguard/internal/detect"
 	"homeguard/internal/experiments"
-	"homeguard/internal/extractcache"
 	"homeguard/internal/symexec"
 )
 
 // serialAudit is the reference implementation: one detector, apps
 // installed in order — exactly what examples/storeaudit and Fig8 did
-// before the engine existed.
-func serialAudit(t *testing.T, apps []corpus.App) (perInstall [][]detect.Threat, stats detect.Stats) {
+// before the auditor existed. It returns the threats in install order.
+func serialAudit(t *testing.T, apps []audit.App) ([]detect.Threat, detect.Stats) {
 	t.Helper()
-	d := detect.New(detect.Options{})
-	for _, a := range apps {
-		res, err := symexec.Extract(a.Source, "")
-		if err != nil {
-			t.Fatalf("extract %s: %v", a.Name, err)
-		}
-		perInstall = append(perInstall, d.Install(detect.NewInstalledApp(res, experiments.StoreConfig(res))))
-	}
-	return perInstall, d.Stats()
+	return serialAuditWith(t, apps, detect.Options{})
 }
 
-func auditApps(apps []corpus.App) []audit.App {
+// serialAuditWith is serialAudit under explicit detector options.
+func serialAuditWith(t *testing.T, apps []audit.App, opts detect.Options) ([]detect.Threat, detect.Stats) {
+	t.Helper()
+	d := detect.New(opts)
+	var out []detect.Threat
+	for _, a := range apps {
+		out = append(out, d.Install(detect.NewInstalledApp(a.Res, a.Config))...)
+	}
+	return out, d.Stats()
+}
+
+// auditApps extracts the corpus under the Fig. 8 store configuration.
+func auditApps(t *testing.T, apps []corpus.App) []audit.App {
+	t.Helper()
 	out := make([]audit.App, 0, len(apps))
 	for _, a := range apps {
 		res, err := symexec.Extract(a.Source, "")
 		if err != nil {
-			continue
+			t.Fatalf("extract %s: %v", a.Name, err)
 		}
 		out = append(out, audit.App{Res: res, Config: experiments.StoreConfig(res)})
 	}
 	return out
 }
 
-func renderThreats(perInstall [][]detect.Threat) string {
-	var b strings.Builder
-	for j, ts := range perInstall {
-		for _, th := range ts {
-			b.WriteString(th.String())
-			if j >= 0 {
-				b.WriteByte('\n')
-			}
-		}
-		b.WriteString("--\n")
-	}
-	return b.String()
-}
-
-// TestParallelMatchesSerial pins the engine's core contract: the parallel
-// audit's findings are byte-identical to the serial install sequence's —
-// same threats, same order, same per-install grouping — at any worker
-// count.
+// TestParallelMatchesSerial pins the full-audit contract on the Fig. 8
+// corpus: one Apply of every app on a fresh Auditor reports the serial
+// install sequence's threats byte for byte, in the same order, and the
+// same detector counters — index work included — at any worker count.
 func TestParallelMatchesSerial(t *testing.T) {
-	apps := corpus.StoreAudit()[:30]
-	serial, serialStats := serialAudit(t, apps)
-	want := renderThreats(serial)
+	apps := auditApps(t, corpus.StoreAudit())
+	serial, want := serialAudit(t, apps)
+	wantThreats := marshal(t, serial)
 
 	for _, workers := range []int{1, 2, 4, 8} {
-		res := audit.Run(auditApps(apps), audit.Options{Workers: workers})
-		got := renderThreats(res.PerInstall)
-		if got != want {
-			t.Fatalf("workers=%d: parallel audit diverged from serial:\ngot:\n%s\nwant:\n%s", workers, got, want)
+		rev, err := audit.NewAuditor(audit.AuditorOptions{Workers: workers}).Apply(audit.Batch{Upserts: apps})
+		if err != nil {
+			t.Fatalf("workers=%d: apply: %v", workers, err)
 		}
-		if res.Stats.PairsChecked != serialStats.PairsChecked {
-			t.Errorf("workers=%d: PairsChecked = %d, serial %d", workers, res.Stats.PairsChecked, serialStats.PairsChecked)
+		if got := marshal(t, findingThreats(rev.Added)); !bytes.Equal(got, wantThreats) {
+			t.Fatalf("workers=%d: cold apply diverged from serial:\ngot:\n%s\nwant:\n%s", workers, got, wantThreats)
 		}
-		if res.Stats.PairsPruned != serialStats.PairsPruned {
-			t.Errorf("workers=%d: PairsPruned = %d, serial %d", workers, res.Stats.PairsPruned, serialStats.PairsPruned)
+		got := rev.Stats
+		for _, c := range []struct {
+			name      string
+			got, want int
+		}{
+			{"PairsChecked", got.PairsChecked, want.PairsChecked},
+			{"PairsPruned", got.PairsPruned, want.PairsPruned},
+			{"PairsIndexed", got.PairsIndexed, want.PairsIndexed},
+			{"PairsSkippedByIndex", got.PairsSkippedByIndex, want.PairsSkippedByIndex},
+			{"SolverCalls", got.SolverCalls, want.SolverCalls},
+			{"SolverCacheHits", got.SolverCacheHits, want.SolverCacheHits},
+		} {
+			if c.got != c.want {
+				t.Errorf("workers=%d: %s = %d, serial %d", workers, c.name, c.got, c.want)
+			}
 		}
-		for k, v := range serialStats.Found {
-			if res.Stats.Found[k] != v {
-				t.Errorf("workers=%d: Found[%s] = %d, serial %d", workers, k, res.Stats.Found[k], v)
+		for _, k := range detect.AllKinds {
+			if got.Found[k] != want.Found[k] {
+				t.Errorf("workers=%d: Found[%s] = %d, serial %d", workers, k, got.Found[k], want.Found[k])
 			}
 		}
 	}
 }
 
-// TestRunExtractsSources exercises the engine's own extraction phase
-// (parallel, through a shared cache) including error slots.
-func TestRunExtractsSources(t *testing.T) {
-	cache := extractcache.New()
-	apps := []audit.App{
-		{Source: corpus.StoreAudit()[0].Source},
-		{Source: "def broken( {"},
-		{Source: corpus.StoreAudit()[1].Source},
-	}
-	res := audit.Run(apps, audit.Options{Workers: 4, Extract: cache})
-	if len(res.Errors) != 3 || res.Errors[1] == nil || res.Errors[0] != nil || res.Errors[2] != nil {
-		t.Fatalf("error slots wrong: %v", res.Errors)
-	}
-	if len(res.Installed) != 2 {
-		t.Fatalf("installed = %d, want 2", len(res.Installed))
-	}
-	if len(res.PerInstall) != 2 {
-		t.Fatalf("perInstall groups = %d, want 2", len(res.PerInstall))
-	}
-	if cache.Stats().Misses == 0 {
-		t.Fatal("shared cache unused")
-	}
-}
-
-// TestIndexedAuditMatchesGrid pins the tentpole contract on the Fig. 8
-// corpus: the audit whose work items come from footprint-index postings
-// reports byte-identical findings — same threats, same order, same
-// per-install grouping — as the full n·(n−1)/2 pair grid, and the
-// pairs-checked/pruned accounting agrees between the two paths.
+// TestIndexedAuditMatchesGrid pins the index contract on the Fig. 8
+// corpus: the Auditor, whose pair work comes from footprint-index
+// postings, reports byte-identical findings — same threats, same order —
+// as the full n·(n−1)/2 rule-pair grid (a serial detector with pruning
+// off), and every grid pair is accounted for as either checked or pruned.
 func TestIndexedAuditMatchesGrid(t *testing.T) {
-	apps := auditApps(corpus.StoreAudit())
-	grid := audit.Run(apps, audit.Options{DisableIndex: true})
-	if grid.UsedIndex {
-		t.Fatal("DisableIndex run reports UsedIndex")
+	apps := auditApps(t, corpus.StoreAudit())
+	grid, gridStats := serialAuditWith(t, apps, detect.Options{DisablePruning: true})
+	if gridStats.PairsPruned != 0 || gridStats.PairsIndexed != 0 {
+		t.Fatalf("grid run used the prune or index: pruned=%d indexed=%d",
+			gridStats.PairsPruned, gridStats.PairsIndexed)
 	}
-	// Cutoff > 1 pins the index path even if corpus density drifts above
-	// the default fallback threshold.
-	indexed := audit.Run(apps, audit.Options{IndexDensityCutoff: 1.1})
-	if !indexed.UsedIndex {
-		t.Fatal("index run fell back to the grid")
+
+	rev, err := audit.NewAuditor(audit.AuditorOptions{}).Apply(audit.Batch{Upserts: apps})
+	if err != nil {
+		t.Fatalf("apply: %v", err)
 	}
-	if got, want := renderThreats(indexed.PerInstall), renderThreats(grid.PerInstall); got != want {
+	if got, want := marshal(t, findingThreats(rev.Added)), marshal(t, grid); !bytes.Equal(got, want) {
 		t.Fatalf("indexed audit diverged from grid audit:\nindexed:\n%s\ngrid:\n%s", got, want)
 	}
-	if indexed.Stats.PairsChecked != grid.Stats.PairsChecked {
-		t.Errorf("PairsChecked: indexed %d, grid %d", indexed.Stats.PairsChecked, grid.Stats.PairsChecked)
+	indexed := rev.Stats
+	if got := indexed.PairsChecked + indexed.PairsPruned; got != gridStats.PairsChecked {
+		t.Errorf("indexed checked+pruned = %d+%d = %d, grid checked %d",
+			indexed.PairsChecked, indexed.PairsPruned, got, gridStats.PairsChecked)
 	}
-	if indexed.Stats.PairsPruned != grid.Stats.PairsPruned {
-		t.Errorf("PairsPruned: indexed %d, grid %d", indexed.Stats.PairsPruned, grid.Stats.PairsPruned)
-	}
-	if indexed.Stats.PairsIndexed == 0 || indexed.Stats.PairsSkippedByIndex == 0 {
+	if indexed.PairsIndexed == 0 || indexed.PairsSkippedByIndex == 0 {
 		t.Errorf("index accounting inert: indexed=%d skipped=%d",
-			indexed.Stats.PairsIndexed, indexed.Stats.PairsSkippedByIndex)
+			indexed.PairsIndexed, indexed.PairsSkippedByIndex)
 	}
-	for k, v := range grid.Stats.Found {
-		if indexed.Stats.Found[k] != v {
-			t.Errorf("Found[%s]: indexed %d, grid %d", k, indexed.Stats.Found[k], v)
+	if indexed.PairsSkippedByIndex > indexed.PairsPruned {
+		t.Errorf("PairsSkippedByIndex %d exceeds PairsPruned %d",
+			indexed.PairsSkippedByIndex, indexed.PairsPruned)
+	}
+	for _, k := range detect.AllKinds {
+		if indexed.Found[k] != gridStats.Found[k] {
+			t.Errorf("Found[%s]: indexed %d, grid %d", k, indexed.Found[k], gridStats.Found[k])
 		}
-	}
-}
-
-// TestRunEmpty covers the degenerate inputs.
-func TestRunEmpty(t *testing.T) {
-	res := audit.Run(nil, audit.Options{})
-	if len(res.Installed) != 0 || len(res.Threats()) != 0 {
-		t.Fatal("empty run must produce nothing")
 	}
 }

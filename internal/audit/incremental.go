@@ -1,17 +1,40 @@
-package audit
-
-// The incremental audit engine: where Run recomputes a whole store from
-// scratch, the long-lived Auditor holds the store's footprint-channel
-// index, its compiled apps and every pair's current verdict across
-// revisions, so applying a batch of app submits/updates/removes costs
-// O(Δ · overlap) — only the changed apps re-extract and recompile, and
-// only the pairs whose footprints actually intersect a changed app are
+// Package audit is the store auditor: it runs the paper's store-audit
+// workload (every app against every other app, plus each app against
+// itself) and keeps its findings current as apps are submitted, updated
+// and removed. One engine serves both uses. A full audit is one Apply of
+// the whole store on a fresh Auditor; a store revision is one Apply of
+// the changed apps on a long-lived one.
+//
+// # Serial install order
+//
+// A serial audit installs apps one by one into a single detector; install
+// j checks the pairs (j,j), (0,j), …, (j−1,j). Apply reports its findings
+// in exactly that order, and a cold Apply reports the same threats and
+// the same detector counters as that serial sequence at any worker count
+// (pinned by the tests against a one-detector oracle).
+//
+// # Index-driven work items
+//
+// Tasks are not the n·(n−1)/2 grid: they come from an inverted
+// footprint-channel index (detect.FootprintIndex), so only app pairs
+// sharing an interference channel are ever materialized. The pairs
+// skipped are exactly those the per-pair footprint prune would have
+// rejected, so the output matches the serial scan while candidate
+// generation scales with channel overlap instead of n². The skipped rule
+// pairs are charged to PairsPruned and PairsSkippedByIndex the way
+// Detector.Install charges them.
+//
+// # Incremental revisions
+//
+// The Auditor holds the store's footprint index, its compiled apps and
+// every pair's current verdict across revisions, so applying a batch
+// costs O(Δ · overlap): only the changed apps re-extract and recompile,
+// and only the pairs whose footprints intersect a changed app are
 // re-checked. Untouched pairs keep their cached verdicts, which is sound
 // because a pair's threats are a pure function of its two apps and the
-// mode universe (the same purity the parallel engine in audit.go relies
-// on to fan pairs out across workers), and complete because the footprint
-// prune is sound: a pair that stops sharing a channel provably has no
-// threats, so dropping its verdict without solving is exact.
+// mode universe, and complete because the footprint prune is sound: a
+// pair that stops sharing a channel provably has no threats, so dropping
+// its verdict without solving is exact.
 //
 // Every applied batch produces a monotonically versioned Revision with a
 // findings delta — threats added and resolved per app pair, in serial
@@ -19,8 +42,24 @@ package audit
 // feed: FindingsSince(rev) replays the retained per-revision deltas, or
 // answers with a Reset snapshot when the asked-for revision has aged out
 // of the bounded history. The full active set (Findings) is byte-identical
-// to a from-scratch Run over the current store, pinned by the churn
-// property test in incremental_test.go.
+// to a cold Apply of the current store, pinned by the churn property test
+// in incremental_test.go.
+//
+// # Concurrency model
+//
+// Extraction and compilation run first, in parallel, each changed app on
+// one worker, through an optional shared extractcache. The compiled-set
+// attach is an unsynchronized write on the InstalledApp, so it finishes
+// before the app is shared read-only across workers. Pair checks then fan
+// out over a work-stealing worker pool, one detector per worker; workers
+// share only immutable data and write disjoint result slots. A pair's
+// threats are identical whether a serial install sequence or an
+// independent detector computes them: compiled rule sets are pure
+// functions of the apps, the solver's per-pair reuse cache never crosses
+// pairs, and the only cross-app state a pair check reads — the enum-input
+// options of the pair's own two apps — is recorded before checking. The
+// engine is race-clean under -race.
+package audit
 
 import (
 	"errors"
@@ -37,6 +76,20 @@ import (
 	"homeguard/internal/symexec"
 	"homeguard/internal/wal"
 )
+
+// App is one audit input: either an already-extracted result or a source
+// to extract.
+type App struct {
+	// Name overrides the app's definition() name (extraction-time only).
+	Name string
+	// Source is the SmartApp Groovy source; used when Res is nil.
+	Source string
+	// Res is a pre-extracted result; takes precedence over Source.
+	Res *symexec.Result
+	// Config carries installation-time bindings; nil means type-level
+	// device identity.
+	Config *detect.Config
+}
 
 // ErrUnknownApp reports a Batch remove of an app the store does not hold.
 var ErrUnknownApp = errors.New("audit: app not in store")
@@ -60,7 +113,7 @@ type Batch struct {
 
 // Finding is one active threat attributed to its app pair. App1 is the
 // earlier-installed side (App1 == App2 for intra-app threats), matching
-// the serial install order the batch engine reports in.
+// the serial install order deltas are reported in.
 type Finding struct {
 	App1   string
 	App2   string
@@ -83,7 +136,10 @@ type Revision struct {
 	// unknown apps) by app name; failed upserts leave the store entry
 	// unchanged.
 	Errors map[string]error
-	// Stats aggregates the worker detectors' counters for the batch.
+	// Stats aggregates the worker detectors' counters for the batch plus
+	// the index work of its candidate generation (PairsIndexed, and the
+	// rule pairs never generated in PairsSkippedByIndex and PairsPruned),
+	// charged as Detector.Install charges them.
 	Stats detect.Stats
 	// Duration is the wall-clock cost of applying the batch.
 	Duration time.Duration
@@ -125,40 +181,36 @@ type AuditorOptions struct {
 }
 
 // storeApp is one installed store entry: the compiled app, its index
-// slot and its position in the store (install) order.
+// slot and its position in the store (install) order. batch is the
+// revision whose Apply last submitted or updated the app: during that
+// Apply it marks the app as changed.
 type storeApp struct {
-	name string
-	app  *detect.InstalledApp
-	slot int
-	pos  int
+	name  string
+	app   *detect.InstalledApp
+	slot  int
+	pos   int
+	batch uint64
+	// verdicts holds the current threats of every pair of this app that
+	// HAS threats, keyed by the counterpart (the app itself for the intra
+	// pair). Clean pairs are absent — the delta diff treats missing as
+	// empty — and both sides of a cross pair hold the same slice, so
+	// invalidating an app's pairs costs O(degree).
+	verdicts map[*storeApp][]detect.Threat
 }
-
-// pairID addresses one app pair by name, earlier-installed side first
-// (a == b for the intra-app pair). Relative store order never changes
-// while both apps stay installed — removals splice positions but keep
-// order — so a pair's orientation is stable for the verdict's lifetime.
-type pairID struct{ a, b string }
 
 // Auditor is the long-lived incremental store auditor. All methods are
 // goroutine-safe; Apply calls serialize, with the pair checks of one
 // batch fanning out over an internal worker pool.
 type Auditor struct {
-	mu       sync.Mutex
-	opts     AuditorOptions
-	workers  int
-	idx      *detect.FootprintIndex
-	compiler *detect.Detector // Precompile only: attaches compiled sets single-threaded
+	mu      sync.Mutex
+	opts    AuditorOptions
+	workers int
+	idx     *detect.FootprintIndex
 
 	slots  []*storeApp // by index slot; nil entries are free
 	free   []int       // freed slots, reused so the index never grows with churn
 	byName map[string]*storeApp
 	order  []*storeApp // store (install) order; pos fields mirror indices
-
-	// verdicts holds the current threats of every pair that HAS threats
-	// (clean pairs are absent — the delta diff treats missing as empty),
-	// and pairsOf is its per-app adjacency for O(degree) invalidation.
-	verdicts map[pairID][]detect.Threat
-	pairsOf  map[string]map[string]struct{}
 
 	rev     uint64
 	history []*Revision
@@ -181,13 +233,10 @@ func NewAuditor(opts AuditorOptions) *Auditor {
 		opts.History = DefaultRevisionHistory
 	}
 	return &Auditor{
-		opts:     opts,
-		workers:  workers,
-		idx:      detect.NewFootprintIndex(),
-		compiler: detect.New(opts.Detector),
-		byName:   map[string]*storeApp{},
-		verdicts: map[pairID][]detect.Threat{},
-		pairsOf:  map[string]map[string]struct{}{},
+		opts:    opts,
+		workers: workers,
+		idx:     detect.NewFootprintIndex(),
+		byName:  map[string]*storeApp{},
 	}
 }
 
@@ -216,79 +265,82 @@ func (a *Auditor) ActiveFindings() int {
 	return a.active
 }
 
-// pairIDOf orients a pair by store position.
-func pairIDOf(x, y *storeApp) pairID {
-	if x == y {
-		return pairID{x.name, x.name}
+// orient orders a pair by store position, earlier-installed side first
+// (x == y for the intra pair). Relative store order never changes while
+// both apps stay installed — removals splice positions but keep order —
+// so a pair's orientation is stable for the verdict's lifetime.
+func orient(x, y *storeApp) (lo, hi *storeApp) {
+	if y.pos < x.pos {
+		return y, x
 	}
-	if x.pos < y.pos {
-		return pairID{x.name, y.name}
-	}
-	return pairID{y.name, x.name}
+	return x, y
 }
 
-// notePair records id in the adjacency (both directions, self for intra).
-func (a *Auditor) notePair(id pairID) {
-	set := a.pairsOf[id.a]
-	if set == nil {
-		set = map[string]struct{}{}
-		a.pairsOf[id.a] = set
+// setVerdict records a pair's non-empty threats on both sides.
+func setVerdict(x, y *storeApp, ts []detect.Threat) {
+	if x.verdicts == nil {
+		x.verdicts = map[*storeApp][]detect.Threat{}
 	}
-	set[id.b] = struct{}{}
-	if id.b != id.a {
-		set = a.pairsOf[id.b]
-		if set == nil {
-			set = map[string]struct{}{}
-			a.pairsOf[id.b] = set
-		}
-		set[id.a] = struct{}{}
+	x.verdicts[y] = ts
+	if y.verdicts == nil {
+		y.verdicts = map[*storeApp][]detect.Threat{}
+	}
+	y.verdicts[x] = ts
+}
+
+// dropVerdict forgets a pair's threats on both sides.
+func dropVerdict(x, y *storeApp) {
+	delete(x.verdicts, y)
+	delete(y.verdicts, x)
+}
+
+// pairPos is a pair's store positions, earlier side first (a == b for
+// the intra-app pair).
+type pairPos struct{ a, b int }
+
+// before reports whether p comes before q in serial install order:
+// ascending later-side position, the intra pair before the cross pairs
+// of the same install, then ascending earlier-side position.
+func (p pairPos) before(q pairPos) bool {
+	if p.b != q.b {
+		return p.b < q.b
+	}
+	if (p.a == p.b) != (q.a == q.b) {
+		return p.a == p.b
+	}
+	return p.a < q.a
+}
+
+// orderedFindings collects one side of a findings delta with each
+// finding's pair position. It implements sort.Interface over both slices.
+type orderedFindings struct {
+	fs []Finding
+	at []pairPos
+}
+
+// add appends one pair's threats; lo is the earlier-installed side.
+func (o *orderedFindings) add(lo, hi *storeApp, ts []detect.Threat) {
+	for _, t := range ts {
+		o.fs = append(o.fs, Finding{lo.name, hi.name, t})
+		o.at = append(o.at, pairPos{lo.pos, hi.pos})
 	}
 }
 
-// dropPair forgets id's verdict and adjacency entries.
-func (a *Auditor) dropPair(id pairID) {
-	delete(a.verdicts, id)
-	if s := a.pairsOf[id.a]; s != nil {
-		delete(s, id.b)
-		if len(s) == 0 {
-			delete(a.pairsOf, id.a)
-		}
-	}
-	if id.b != id.a {
-		if s := a.pairsOf[id.b]; s != nil {
-			delete(s, id.a)
-			if len(s) == 0 {
-				delete(a.pairsOf, id.b)
-			}
-		}
-	}
+func (o *orderedFindings) Len() int           { return len(o.fs) }
+func (o *orderedFindings) Less(i, j int) bool { return o.at[i].before(o.at[j]) }
+func (o *orderedFindings) Swap(i, j int) {
+	o.fs[i], o.fs[j] = o.fs[j], o.fs[i]
+	o.at[i], o.at[j] = o.at[j], o.at[i]
 }
 
-// deltaEntry is one delta finding plus the sort keys that reproduce
-// serial install order: ascending later-side position, the intra pair
-// before the cross pairs of the same install, then ascending earlier-side
-// position (exactly how Run lays out PerInstall).
-type deltaEntry struct {
-	aPos, bPos int
-	f          Finding
-}
-
-func sortDelta(entries []deltaEntry) []Finding {
-	sort.SliceStable(entries, func(i, j int) bool {
-		if entries[i].bPos != entries[j].bPos {
-			return entries[i].bPos < entries[j].bPos
-		}
-		ii, ij := entries[i].aPos == entries[i].bPos, entries[j].aPos == entries[j].bPos
-		if ii != ij {
-			return ii
-		}
-		return entries[i].aPos < entries[j].aPos
-	})
-	out := make([]Finding, 0, len(entries))
-	for _, e := range entries {
-		out = append(out, e.f)
+// inOrder returns the findings in serial install order, sorting (stably:
+// one pair's threats keep their verdict order) only when they arrived
+// out of order.
+func (o *orderedFindings) inOrder() []Finding {
+	if !sort.IsSorted(o) {
+		sort.Stable(o)
 	}
-	return out
+	return o.fs
 }
 
 // threatIdentity is the delta identity of one threat: kind, the two
@@ -379,16 +431,24 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 		rev.Errors[key] = err
 	}
 
-	// Phase 1: extract upserts, parallel over the inputs that need it.
+	// Phase 1: extract and compile the upserts in parallel, each on one
+	// worker. The compiled-set attach is an unsynchronized write on the
+	// InstalledApp, so every app is compiled before any other goroutine
+	// sees it.
+	compilers := make([]*detect.Detector, a.workers)
+	for w := range compilers {
+		compilers[w] = detect.New(a.opts.Detector)
+	}
 	type prepared struct {
 		name string
 		res  *symexec.Result
 		cfg  *detect.Config
+		app  *detect.InstalledApp
 	}
 	preps := make([]prepared, len(batch.Upserts))
 	perr := make([]error, len(batch.Upserts))
 	xsp := sp.Child("extract")
-	runTasks(len(batch.Upserts), a.workers, func(i int) {
+	runTasksWorker(len(batch.Upserts), a.workers, func(w, i int) {
 		in := &batch.Upserts[i]
 		res := in.Res
 		if res == nil {
@@ -411,7 +471,9 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 			perr[i] = fmt.Errorf("audit: upsert %d has no app name", i)
 			return
 		}
-		preps[i] = prepared{name: name, res: res, cfg: in.Config}
+		ia := detect.NewInstalledApp(res, in.Config)
+		compilers[w].Precompile(ia)
+		preps[i] = prepared{name: name, res: res, cfg: in.Config, app: ia}
 	})
 	if xsp != nil {
 		xsp.SetInt("apps", int64(len(batch.Upserts)))
@@ -436,12 +498,11 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 		}
 	}
 
-	var addedD, resolvedD []deltaEntry
-	resolvePair := func(id pairID, aPos, bPos int) {
-		for _, t := range a.verdicts[id] {
-			resolvedD = append(resolvedD, deltaEntry{aPos, bPos, Finding{id.a, id.b, t}})
-		}
-		a.dropPair(id)
+	var resolved orderedFindings
+	resolvePair := func(x, y *storeApp) {
+		lo, hi := orient(x, y)
+		resolved.add(lo, hi, lo.verdicts[hi])
+		dropVerdict(lo, hi)
 	}
 
 	// The effective ops — removes that hit an installed app, the winning
@@ -459,18 +520,8 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 			continue
 		}
 		effRemoves = append(effRemoves, name)
-		for counter := range a.pairsOf[name] {
-			if counter == name {
-				resolvePair(pairID{name, name}, st.pos, st.pos)
-				continue
-			}
-			other := a.byName[counter]
-			id := pairIDOf(st, other)
-			lo, hi := st.pos, other.pos
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			resolvePair(id, lo, hi)
+		for other := range st.verdicts {
+			resolvePair(st, other)
 		}
 		a.idx.Update(st.slot, nil)
 		a.slots[st.slot] = nil
@@ -483,11 +534,9 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 		}
 	}
 
-	// Phase 3: upserts — build the new InstalledApp, compile it once
-	// (single-threaded: the compiled-set attach is an unsynchronized
-	// write) and splice its footprint into the index. Updates keep their
-	// store position; submits append.
-	csp := sp.Child("compile")
+	// Phase 3: upserts. Updates keep their store position and index slot;
+	// submits append and take a free slot. A changed app's slot holds no
+	// postings until phase 4 has queried its candidates.
 	var changed []*storeApp
 	for i := range preps {
 		if perr[i] != nil || last[preps[i].name] != i {
@@ -495,22 +544,20 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 		}
 		p := &preps[i]
 		effUpserts = append(effUpserts, walUpsert{name: p.name, res: p.res, cfg: p.cfg})
-		ia := detect.NewInstalledApp(p.res, p.cfg)
-		a.compiler.Precompile(ia)
+		ia := p.app
 		if st := a.byName[p.name]; st != nil {
 			st.app = ia
-			a.idx.Update(st.slot, ia.Footprint())
+			a.idx.Update(st.slot, nil)
 			changed = append(changed, st)
 			continue
 		}
 		st := &storeApp{name: p.name, app: ia}
 		if k := len(a.free); k > 0 {
-			st.slot = a.free[k-1]
+			st.slot = a.free[k-1] // its postings cleared at removal
 			a.free = a.free[:k-1]
 			a.slots[st.slot] = st
-			a.idx.Update(st.slot, ia.Footprint())
 		} else {
-			st.slot = a.idx.Add(ia.Footprint())
+			st.slot = a.idx.Add(nil)
 			a.slots = append(a.slots, st)
 		}
 		st.pos = len(a.order)
@@ -518,46 +565,72 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 		a.byName[p.name] = st
 		changed = append(changed, st)
 	}
-	if csp != nil {
-		csp.SetInt("apps", int64(len(changed)))
-		csp.End()
-	}
 
-	// Phase 4: candidate pairs. Each changed app contributes its intra
-	// pair plus every counterpart sharing a channel (posting-list walk —
-	// cost scales with actual overlap, not store size); pairs between two
-	// changed apps dedupe through the task set.
+	// Phase 4: candidate pairs, in serial install order. Changed apps are
+	// walked in store order; each contributes its intra pair plus every
+	// counterpart sharing a channel (posting-list walk — cost scales with
+	// actual overlap, not store size) that sits earlier in the store or is
+	// unchanged by this batch, so a pair of two changed apps is emitted
+	// once, by its later side. For a cold batch these are exactly the
+	// pairs, in exactly the order, a serial install sequence checks, and
+	// the counterparts never generated are charged to the prune counters
+	// the way Detector.Install charges them. Pairs that had findings but
+	// are no longer candidates stopped sharing any channel: the footprint
+	// prune proves them clean, so they resolve here without solving.
 	gsp := sp.Child("candidates")
-	type ptask struct {
-		id         pairID
-		x, y       *detect.InstalledApp // x is the earlier-installed side
-		aPos, bPos int
+	batchID := a.rev + 1
+	totalRules, pendingRules := 0, 0
+	for _, st := range a.order {
+		totalRules += len(st.app.Rules.Rules)
 	}
-	taskIx := map[pairID]struct{}{}
-	var tasks []ptask
+	for _, st := range changed {
+		st.batch = batchID
+		pendingRules += len(st.app.Rules.Rules)
+	}
+	sort.Slice(changed, func(i, j int) bool { return changed[i].pos < changed[j].pos })
+	type ptask struct{ lo, hi *storeApp } // lo is the earlier-installed side
+	at := func(t ptask) pairPos { return pairPos{t.lo.pos, t.hi.pos} }
+	tasks := make([]ptask, 0, 2*len(changed))
+	sorted := true
 	addTask := func(x, y *storeApp) {
-		id := pairIDOf(x, y)
-		if _, ok := taskIx[id]; ok {
-			return
+		lo, hi := orient(x, y)
+		t := ptask{lo, hi}
+		if n := len(tasks); n > 0 && !at(tasks[n-1]).before(at(t)) {
+			sorted = false
 		}
-		taskIx[id] = struct{}{}
-		lo, hi := x, y
-		if y.pos < x.pos {
-			lo, hi = y, x
-		}
-		tasks = append(tasks, ptask{id: id, x: lo.app, y: hi.app, aPos: lo.pos, bPos: hi.pos})
+		tasks = append(tasks, t)
 	}
+	var indexed, skipped int
 	var buf []int32
 	for _, st := range changed {
+		nRules := len(st.app.Rules.Rules)
 		addTask(st, st)
+		// The index holds the unchanged apps and the changed apps already
+		// walked: exactly st's counterparts. Like Detector.Install, st
+		// posts its own footprint only after its query.
 		buf = a.idx.AppendCandidates(st.app.Footprint(), buf[:0])
+		a.idx.Update(st.slot, st.app.Footprint())
+		candRules := 0
 		for _, s := range buf {
 			other := a.slots[s]
-			if other == nil || other == st {
-				continue
-			}
+			indexed++
+			candRules += len(other.app.Rules.Rules)
 			addTask(st, other)
 		}
+		skipped += (totalRules - pendingRules - candRules) * nRules
+		pendingRules -= nRules
+		for other := range st.verdicts {
+			if other == st || other.batch == batchID && other.pos > st.pos {
+				continue // always re-checked, or decided by the later changed app
+			}
+			slot := int32(other.slot)
+			if k := sort.Search(len(buf), func(k int) bool { return buf[k] >= slot }); k == len(buf) || buf[k] != slot {
+				resolvePair(st, other)
+			}
+		}
+	}
+	if !sorted { // a changed app paired with a later unchanged one
+		sort.Slice(tasks, func(i, j int) bool { return at(tasks[i]).before(at(tasks[j])) })
 	}
 	if gsp != nil {
 		gsp.SetInt("tasks", int64(len(tasks)))
@@ -565,8 +638,8 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 	}
 
 	// Phase 5: pair detection over the work-stealing pool, one fresh
-	// detector per worker (the shared InstalledApps are immutable after
-	// Precompile, so this is the same race-free sharing Run relies on).
+	// detector per worker (the shared InstalledApps are immutable once
+	// compiled, so workers share them without locking).
 	psp := sp.Child("pairs")
 	results := make([][]detect.Threat, len(tasks))
 	dets := make([]*detect.Detector, a.workers)
@@ -574,63 +647,44 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 		dets[w] = detect.New(a.opts.Detector)
 	}
 	runTasksWorker(len(tasks), a.workers, func(w, k int) {
-		results[k] = dets[w].DetectAppPairCandidate(tasks[k].x, tasks[k].y)
+		results[k] = dets[w].DetectAppPairCandidate(tasks[k].lo.app, tasks[k].hi.app)
 	})
 	rev.Stats = dets[0].Stats()
 	for _, d := range dets[1:] {
 		rev.Stats.Merge(d.Stats())
 	}
+	rev.Stats.PairsIndexed += indexed
+	rev.Stats.PairsPruned += skipped
+	rev.Stats.PairsSkippedByIndex += skipped
 	if psp != nil {
 		psp.SetInt("pairs", int64(len(tasks)))
 		psp.End()
 	}
 
-	// Phase 6: delta. Pairs that had findings involving a changed app but
-	// came back as no candidate stopped sharing any channel — the
-	// footprint prune proves them clean, so they resolve without solving.
-	// Checked pairs diff old against new verdicts by threat identity.
+	// Phase 6: delta. Checked pairs diff old against new verdicts by
+	// threat identity; tasks run in serial install order, so the added
+	// findings need no sort.
 	dsp := sp.Child("delta")
-	for _, st := range changed {
-		for counter := range a.pairsOf[st.name] {
-			var id pairID
-			var lo, hi int
-			if counter == st.name {
-				id = pairID{counter, counter}
-				lo, hi = st.pos, st.pos
-			} else {
-				other := a.byName[counter]
-				id = pairIDOf(st, other)
-				lo, hi = st.pos, other.pos
-				if lo > hi {
-					lo, hi = hi, lo
-				}
-			}
-			if _, ok := taskIx[id]; ok {
-				continue
-			}
-			resolvePair(id, lo, hi)
-		}
+	found := 0
+	for _, ts := range results {
+		found += len(ts)
 	}
-	for k := range tasks {
-		t := &tasks[k]
-		old := a.verdicts[t.id]
+	rev.Added = make([]Finding, 0, found)
+	for k, t := range tasks {
+		old := t.lo.verdicts[t.hi]
 		newTs := results[k]
 		add, res := diffThreats(old, newTs)
 		for _, th := range add {
-			addedD = append(addedD, deltaEntry{t.aPos, t.bPos, Finding{t.id.a, t.id.b, th}})
+			rev.Added = append(rev.Added, Finding{t.lo.name, t.hi.name, th})
 		}
-		for _, th := range res {
-			resolvedD = append(resolvedD, deltaEntry{t.aPos, t.bPos, Finding{t.id.a, t.id.b, th}})
-		}
+		resolved.add(t.lo, t.hi, res)
 		if len(newTs) > 0 {
-			a.verdicts[t.id] = newTs
-			a.notePair(t.id)
+			setVerdict(t.lo, t.hi, newTs)
 		} else if len(old) > 0 {
-			a.dropPair(t.id)
+			dropVerdict(t.lo, t.hi)
 		}
 	}
-	rev.Added = sortDelta(addedD)
-	rev.Resolved = sortDelta(resolvedD)
+	rev.Resolved = resolved.inOrder()
 	if dsp != nil {
 		dsp.SetInt("added", int64(len(rev.Added)))
 		dsp.SetInt("resolved", int64(len(rev.Resolved)))
@@ -695,8 +749,8 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 }
 
 // Findings returns the store's full active finding set in serial install
-// order — byte-identical to what Run over the current store reports
-// (pinned by the churn property test).
+// order — byte-identical to a cold Apply of the current store and to
+// the serial install sequence (pinned by the churn property test).
 func (a *Auditor) Findings() []Finding {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -715,30 +769,21 @@ func (a *Auditor) Threats() []detect.Threat {
 
 func (a *Auditor) findingsLocked() []Finding {
 	var out []Finding
-	type part struct {
-		pos int
-		id  pairID
-	}
-	var parts []part
+	var earlier []*storeApp
 	for _, st := range a.order {
-		for _, t := range a.verdicts[pairID{st.name, st.name}] {
+		for _, t := range st.verdicts[st] {
 			out = append(out, Finding{st.name, st.name, t})
 		}
-		parts = parts[:0]
-		for counter := range a.pairsOf[st.name] {
-			if counter == st.name {
-				continue
+		earlier = earlier[:0]
+		for other := range st.verdicts {
+			if other.pos < st.pos { // later pairs are listed at the later side
+				earlier = append(earlier, other)
 			}
-			other := a.byName[counter]
-			if other.pos >= st.pos {
-				continue // counted at the later-installed side
-			}
-			parts = append(parts, part{other.pos, pairID{counter, st.name}})
 		}
-		sort.Slice(parts, func(i, j int) bool { return parts[i].pos < parts[j].pos })
-		for _, p := range parts {
-			for _, t := range a.verdicts[p.id] {
-				out = append(out, Finding{p.id.a, p.id.b, t})
+		sort.Slice(earlier, func(i, j int) bool { return earlier[i].pos < earlier[j].pos })
+		for _, other := range earlier {
+			for _, t := range st.verdicts[other] {
+				out = append(out, Finding{other.name, st.name, t})
 			}
 		}
 	}
@@ -808,8 +853,8 @@ func (a *Auditor) publishMetrics(rev *Revision) {
 	r.Counter("homeguard_audit_pairs_rechecked_total", "App pairs re-checked across incremental revisions.").Add(uint64(rev.Pairs))
 	r.Counter("homeguard_audit_findings_added_total", "Findings added across incremental revisions.").Add(uint64(len(rev.Added)))
 	r.Counter("homeguard_audit_findings_resolved_total", "Findings resolved across incremental revisions.").Add(uint64(len(rev.Resolved)))
-	r.Counter("homeguard_audit_pairs_checked_total", "Rule pairs checked across audit runs.").Add(uint64(rev.Stats.PairsChecked))
-	r.Counter("homeguard_audit_solver_calls_total", "Solver invocations across audit runs.").Add(uint64(rev.Stats.SolverCalls))
+	r.Counter("homeguard_audit_pairs_checked_total", "Rule pairs checked across store revisions.").Add(uint64(rev.Stats.PairsChecked))
+	r.Counter("homeguard_audit_solver_calls_total", "Solver invocations across store revisions.").Add(uint64(rev.Stats.SolverCalls))
 	r.Gauge("homeguard_audit_store_apps", "Apps currently in the audited store.").Set(int64(rev.Apps))
 	r.Gauge("homeguard_audit_findings_active", "Currently active findings across the audited store.").Set(int64(a.active))
 }

@@ -12,6 +12,7 @@ import (
 	"homeguard/internal/detect"
 	"homeguard/internal/events"
 	"homeguard/internal/experiments"
+	"homeguard/internal/extractcache"
 	"homeguard/internal/obs"
 )
 
@@ -25,25 +26,16 @@ func synthMap(apps []audit.App) map[string]audit.App {
 	return m
 }
 
-// fullThreats runs the from-scratch engine over the store in install
-// order and flattens the per-install threats.
+// fullThreats is the from-scratch oracle: the serial install sequence
+// over the store in install order.
 func fullThreats(t *testing.T, order []string, cur map[string]audit.App) []detect.Threat {
 	t.Helper()
 	in := make([]audit.App, 0, len(order))
 	for _, name := range order {
 		in = append(in, cur[name])
 	}
-	full := audit.Run(in, audit.Options{IndexDensityCutoff: 1.1})
-	for i, err := range full.Errors {
-		if err != nil {
-			t.Fatalf("full audit error at %d: %v", i, err)
-		}
-	}
-	var out []detect.Threat
-	for _, ts := range full.PerInstall {
-		out = append(out, ts...)
-	}
-	return out
+	threats, _ := serialAudit(t, in)
+	return threats
 }
 
 func marshal(t *testing.T, ts []detect.Threat) []byte {
@@ -58,10 +50,20 @@ func marshal(t *testing.T, ts []detect.Threat) []byte {
 // TestIncrementalMatchesFullAudit is the churn property test: a
 // randomized submit/update/remove sequence applied through the
 // incremental auditor must leave findings byte-identical to a
-// from-scratch full audit of the current store at EVERY revision — same
-// threats, same witnesses, same serial install order.
+// from-scratch serial audit of the current store at EVERY revision —
+// same threats, same witnesses, same serial install order.
+//
+// The sparse store (device pool 16) churns a few apps per batch; the
+// dense one (pool 4) has many findings per app and larger batches, so
+// stale pairs, updates of both sides of a pair and out-of-order deltas
+// are all exercised.
 func TestIncrementalMatchesFullAudit(t *testing.T) {
-	const n, pool = 40, 16
+	t.Run("sparse", func(t *testing.T) { checkChurnMatchesSerial(t, 16, 5) })
+	t.Run("dense", func(t *testing.T) { checkChurnMatchesSerial(t, 4, 12) })
+}
+
+func checkChurnMatchesSerial(t *testing.T, pool, maxOps int) {
+	const n = 40
 	// Three generations of the same 40 names: same apps, different device
 	// bindings and trigger constraints — an "update" swaps generations.
 	gens := []map[string]audit.App{
@@ -88,8 +90,9 @@ func TestIncrementalMatchesFullAudit(t *testing.T) {
 			var batch audit.Batch
 			expectOrder := append([]string(nil), order...)
 			removed := map[string]bool{}
-			touched := map[string]bool{} // upserted this batch
-			ops := 1 + rng.Intn(5)
+			touched := map[string]bool{}   // upserted this batch
+			submitted := map[string]bool{} // submitted (new) this batch
+			ops := 1 + rng.Intn(maxOps)
 			for op := 0; op < ops; op++ {
 				switch k := rng.Intn(3); {
 				case k == 0 && len(order) > 0: // remove an app present at batch start
@@ -117,6 +120,16 @@ func TestIncrementalMatchesFullAudit(t *testing.T) {
 					batch.Upserts = append(batch.Upserts, gens[g][name])
 					cur[name] = gens[g][name]
 					touched[name] = true
+					if submitted[name] {
+						// A new app lands where its last upsert of the
+						// batch sits: after every app submitted so far.
+						for i, o := range expectOrder {
+							if o == name {
+								expectOrder = append(append(expectOrder[:i:i], expectOrder[i+1:]...), name)
+								break
+							}
+						}
+					}
 				default: // submit a new app
 					name := names[rng.Intn(len(names))]
 					if _, ok := cur[name]; ok || removed[name] {
@@ -126,6 +139,7 @@ func TestIncrementalMatchesFullAudit(t *testing.T) {
 					batch.Upserts = append(batch.Upserts, gens[0][name])
 					cur[name] = gens[0][name]
 					touched[name] = true
+					submitted[name] = true
 					expectOrder = append(expectOrder, name)
 				}
 			}
@@ -138,6 +152,12 @@ func TestIncrementalMatchesFullAudit(t *testing.T) {
 			}
 			if len(rev.Errors) != 0 {
 				t.Fatalf("seed %d step %d: unexpected batch errors: %v", seed, step, rev.Errors)
+			}
+			// Every re-checked pair is a changed app's intra pair or an
+			// index candidate.
+			if want := rev.Pairs - len(touched); rev.Stats.PairsIndexed != want {
+				t.Fatalf("seed %d step %d: PairsIndexed = %d, want %d (pairs %d, changed apps %d)",
+					seed, step, rev.Stats.PairsIndexed, want, rev.Pairs, len(touched))
 			}
 			order = expectOrder
 
@@ -285,10 +305,11 @@ func findingThreats(fs []audit.Finding) []detect.Threat {
 }
 
 // TestAuditorBatchErrors covers the per-app failure paths: unknown
-// removes, failed extractions (store entry unchanged) and the empty
-// batch sentinel.
+// removes, failed extractions through a shared extraction cache (store
+// entry unchanged) and the empty batch sentinel.
 func TestAuditorBatchErrors(t *testing.T) {
-	aud := audit.NewAuditor(audit.AuditorOptions{Workers: 2})
+	cache := extractcache.New()
+	aud := audit.NewAuditor(audit.AuditorOptions{Workers: 2, Extract: cache})
 	if _, err := aud.Apply(audit.Batch{}); !errors.Is(err, audit.ErrEmptyBatch) {
 		t.Fatalf("empty batch: err = %v, want ErrEmptyBatch", err)
 	}
@@ -318,6 +339,9 @@ func TestAuditorBatchErrors(t *testing.T) {
 	}
 	if rev.Errors["Broken"] == nil {
 		t.Fatalf("broken upsert: errors = %v, want extraction error", rev.Errors)
+	}
+	if misses := cache.Stats().Misses; misses != 3 {
+		t.Fatalf("shared cache misses = %d, want 3 (two apps and the broken source)", misses)
 	}
 	if rev.Apps != 2 || len(rev.Added) != 0 || len(rev.Resolved) != 0 {
 		t.Fatalf("broken upsert changed the store: %+v", rev)

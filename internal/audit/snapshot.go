@@ -118,9 +118,26 @@ func (a *Auditor) Snapshot(w io.Writer) error {
 		return nil
 	}
 
+	// Pairs in name order, earlier-installed side first.
+	type pair struct{ lo, hi *storeApp }
+	var pairs []pair
+	for _, st := range a.order {
+		for other := range st.verdicts {
+			if other.pos >= st.pos {
+				pairs = append(pairs, pair{st, other})
+			}
+		}
+	}
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i].lo.name != pairs[j].lo.name {
+			return pairs[i].lo.name < pairs[j].lo.name
+		}
+		return pairs[i].hi.name < pairs[j].hi.name
+	})
+
 	if err := write(auditMetaJSON{
 		Rev: a.rev, WalLSN: a.walLSN,
-		Apps: len(a.order), Pairs: len(a.verdicts), History: len(a.history),
+		Apps: len(a.order), Pairs: len(pairs), History: len(a.history),
 	}); err != nil {
 		return err
 	}
@@ -137,22 +154,12 @@ func (a *Auditor) Snapshot(w io.Writer) error {
 			return err
 		}
 	}
-	ids := make([]pairID, 0, len(a.verdicts))
-	for id := range a.verdicts {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].a != ids[j].a {
-			return ids[i].a < ids[j].a
-		}
-		return ids[i].b < ids[j].b
-	})
-	for _, id := range ids {
-		tb, err := detect.MarshalThreats(a.verdicts[id])
+	for _, p := range pairs {
+		tb, err := detect.MarshalThreats(p.lo.verdicts[p.hi])
 		if err != nil {
-			return fmt.Errorf("audit: snapshot: pair (%s,%s): %w", id.a, id.b, err)
+			return fmt.Errorf("audit: snapshot: pair (%s,%s): %w", p.lo.name, p.hi.name, err)
 		}
-		if err := write(auditPairJSON{A: id.a, B: id.b, Threats: tb}); err != nil {
+		if err := write(auditPairJSON{A: p.lo.name, B: p.hi.name, Threats: tb}); err != nil {
 			return err
 		}
 	}
@@ -209,6 +216,7 @@ func (a *Auditor) Restore(r io.Reader) error {
 	if err := read("meta", &meta); err != nil {
 		return err
 	}
+	compiler := detect.New(a.opts.Detector)
 	for i := 0; i < meta.Apps; i++ {
 		var aj auditAppJSON
 		if err := read(fmt.Sprintf("app %d", i), &aj); err != nil {
@@ -226,7 +234,7 @@ func (a *Auditor) Restore(r io.Reader) error {
 			return fmt.Errorf("%w: duplicate app %q", snapcodec.ErrCorrupt, aj.Name)
 		}
 		ia := detect.NewInstalledApp(res, cfg)
-		a.compiler.Precompile(ia)
+		compiler.Precompile(ia)
 		st := &storeApp{name: aj.Name, app: ia, slot: a.idx.Add(ia.Footprint()), pos: i}
 		a.slots = append(a.slots, st)
 		a.order = append(a.order, st)
@@ -237,16 +245,15 @@ func (a *Auditor) Restore(r io.Reader) error {
 		if err := read(fmt.Sprintf("pair %d", i), &pj); err != nil {
 			return err
 		}
-		if a.byName[pj.A] == nil || a.byName[pj.B] == nil {
+		x, y := a.byName[pj.A], a.byName[pj.B]
+		if x == nil || y == nil {
 			return fmt.Errorf("%w: pair (%s,%s) names an app not in the store", snapcodec.ErrCorrupt, pj.A, pj.B)
 		}
 		ts, err := detect.UnmarshalThreats(pj.Threats)
 		if err != nil {
 			return fmt.Errorf("audit: restore: pair (%s,%s): %w", pj.A, pj.B, err)
 		}
-		id := pairID{pj.A, pj.B}
-		a.verdicts[id] = ts
-		a.notePair(id)
+		setVerdict(x, y, ts)
 		a.active += len(ts)
 	}
 	for i := 0; i < meta.History; i++ {

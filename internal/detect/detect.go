@@ -213,9 +213,9 @@ func (d *Detector) noteInputOptions(app *InstalledApp) {
 
 // Precompile attaches the app's compiled rule set without installing it.
 // Compilation is a pure function of the app's exported fields (see
-// compile.go), but the attach itself is an unsynchronized write — a
-// parallel audit engine precompiles every app once, single-threaded,
-// before sharing the InstalledApps read-only across worker detectors.
+// compile.go), but the attach itself is an unsynchronized write — the
+// store auditor precompiles each changed app on one worker before
+// sharing the InstalledApps read-only across worker detectors.
 func (d *Detector) Precompile(app *InstalledApp) { d.ensureCompiled(app) }
 
 // DetectAppPair runs the full pair detection between two apps — footprint

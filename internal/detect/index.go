@@ -26,8 +26,8 @@ import (
 //
 // The index is NOT goroutine-safe; it follows the owning detector's
 // serialization contract. Slots are dense app indices assigned by Add in
-// call order (the detector keeps them aligned with its install order, the
-// audit engine with its input order).
+// call order (the detector keeps them aligned with its install order; the
+// store auditor reuses freed slots and maps them to apps itself).
 type FootprintIndex struct {
 	// chanIDs interns channel names to dense ids; postings[id] holds the
 	// packed posting list of that channel: slot<<1 | writeBit. One posting

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"homeguard/internal/audit"
@@ -37,32 +36,29 @@ type Fig8Result struct {
 }
 
 // ruleGroup classifies one rule by what its action controls.
-func ruleGroup(app *detect.InstalledApp, r *ruleActionInfo) Group {
-	if r.command == "setLocationMode" {
+func ruleGroup(command, capability string) Group {
+	if command == "setLocationMode" {
 		return GroupMode
 	}
-	if r.capability == "switch" {
+	if capability == "switch" {
 		return GroupSwitch
 	}
 	return GroupOthers
 }
 
-type ruleActionInfo struct {
-	command    string
-	capability string
-}
-
 // Fig8 runs pairwise CAI detection over the 90-app store corpus using
 // type-level device identity and NLP-classified switch types (Sec.
 // VIII-B), returning the per-group, per-kind threat statistics. The
-// pairwise sweep runs on the parallel audit engine (internal/audit) and
-// scales with GOMAXPROCS; Fig8Workers selects a fixed worker count for
-// serial-contrast benchmarking.
+// pairwise sweep is one cold Apply of the whole corpus on the store
+// auditor (internal/audit), whose pair checks scale with GOMAXPROCS;
+// Fig8Workers selects a fixed worker count for serial-contrast
+// benchmarking.
 func Fig8() *Fig8Result { return Fig8Workers(0) }
 
 // Fig8Workers is Fig8 with an explicit audit worker count (0 = all cores).
-// The engine's findings are byte-identical to the serial install sequence
-// at any worker count, so the figure's numbers don't depend on it.
+// A cold Apply reports the threats and counters of the serial install
+// sequence at any worker count, so the figure's numbers don't depend on
+// it.
 func Fig8Workers(workers int) *Fig8Result {
 	apps := corpus.StoreAudit()
 	inputs := make([]audit.App, 0, len(apps))
@@ -73,41 +69,34 @@ func Fig8Workers(workers int) *Fig8Result {
 		}
 		inputs = append(inputs, audit.App{Res: res, Config: StoreConfig(res)})
 	}
-	ar := audit.Run(inputs, audit.Options{Workers: workers})
-	installed := ar.Installed
+	rev, err := audit.NewAuditor(audit.AuditorOptions{Workers: workers}).Apply(audit.Batch{Upserts: inputs})
+	if err != nil {
+		panic(fmt.Sprintf("fig8: store audit: %v", err))
+	}
 	out := &Fig8Result{
-		Apps:         len(installed),
+		Apps:         rev.Apps,
+		Pairs:        rev.Stats.PairsChecked,
 		ThreatCounts: map[Group]map[detect.Kind]int{},
+		Stats:        rev.Stats,
 	}
 	for _, g := range Groups {
 		out.ThreatCounts[g] = map[detect.Kind]int{}
 	}
 	appsInvolved := map[string]bool{}
-	allThreats := ar.Threats()
-	out.Pairs = ar.Stats.PairsChecked
-	for _, t := range allThreats {
+	for _, f := range rev.Added {
+		t := &f.Threat
 		out.TotalThreats++
 		appsInvolved[t.R1.App] = true
 		appsInvolved[t.R2.App] = true
-		g1 := groupOfThreatSide(installed, t.R1.App, t.R1.Action.Command, t.R1.Action.Capability)
-		g2 := groupOfThreatSide(installed, t.R2.App, t.R2.Action.Command, t.R2.Action.Capability)
+		g1 := ruleGroup(t.R1.Action.Command, t.R1.Action.Capability)
+		g2 := ruleGroup(t.R2.Action.Command, t.R2.Action.Capability)
 		out.ThreatCounts[g1][t.Kind]++
 		if g2 != g1 {
 			out.ThreatCounts[g2][t.Kind]++
 		}
 	}
 	out.AppsWithThreats = len(appsInvolved)
-	out.Stats = ar.Stats
 	return out
-}
-
-func groupOfThreatSide(installed []*detect.InstalledApp, app, command, capability string) Group {
-	for _, ia := range installed {
-		if ia.Info.Name == app {
-			return ruleGroup(ia, &ruleActionInfo{command: command, capability: capability})
-		}
-	}
-	return GroupOthers
 }
 
 // FormatFig8 renders the Fig. 8 statistics as an ASCII table.
@@ -151,15 +140,4 @@ func FormatFig8(r *Fig8Result) string {
 		sb.WriteString(fmt.Sprintf("%4s %5d %s\n", k, totals[k], bar))
 	}
 	return sb.String()
-}
-
-// Fig8TopPairs returns a human-readable sample of detected threats for the
-// report (sorted for determinism).
-func Fig8TopPairs(r *Fig8Result, d *detect.Detector, limit int) []string {
-	var out []string
-	sort.Strings(out)
-	if len(out) > limit {
-		out = out[:limit]
-	}
-	return out
 }

@@ -33,8 +33,8 @@ type Collector func(e *Emit)
 //     contention to the request path.
 //
 // Registration is idempotent by name: asking for an owned metric that
-// already exists returns the existing one (the audit engine re-registers
-// its counters on every run).
+// already exists returns the existing one (the store auditor re-registers
+// its counters on every revision).
 type Registry struct {
 	mu         sync.Mutex
 	order      []string // owned metric names in registration order
