@@ -17,9 +17,12 @@
 // -nodes lists the fleet as id=rpc-addr pairs; the gateway builds a
 // consistent-hash ring (with -vnodes virtual nodes per member) over
 // them. Each home ID hashes to one owning node; requests forward over
-// pooled HGRPC clients. The ring is versioned from the sorted
-// membership, so gateway replicas configured identically route
-// identically with no coordination.
+// pooled HGRPC clients. The gateway reads only the routing key — the
+// path's {id} over HTTP, the body's "home" over RPC — and relays the
+// request and response bodies verbatim, with the key in the REQ header
+// so the node executes the home the gateway routed. The ring is
+// versioned from the sorted membership, so gateway replicas configured
+// identically route identically with no coordination.
 //
 // # Health, failover, retries
 //
@@ -27,7 +30,7 @@
 // declared down after -fail-after consecutive misses and up again after
 // one successful probe. Dead nodes are routed around (the next live
 // owner clockwise on the ring) and the gateway's journal of acked
-// mutating ops is replayed onto the new owner — tolerating
+// mutating request bodies is replayed onto the new owner — tolerating
 // ALREADY_EXISTS — before it serves the home, so no acknowledged
 // operation is lost to a node death. Per-node circuit breakers shed
 // calls to flapping nodes with UNAVAILABLE + retryAfterMs, and a retry

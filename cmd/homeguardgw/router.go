@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -19,23 +20,29 @@ import (
 // is generous.
 const resyncTimeout = 30 * time.Second
 
-// router is the gateway's brain: it implements rpc.Backend — so the
+// router is the gateway's brain: it implements rpc.Handler — so the
 // unmodified HGRPC server and the HTTP routes of rpc.RegisterHTTP both
-// dispatch into it — and forwards every request to the owning node via
-// pooled clients, with per-node circuit breakers, the cluster retry
-// policy, and journal-based failover re-adoption.
+// dispatch into it — and forwards every request body verbatim to the
+// owning node via pooled clients, with per-node circuit breakers, the
+// cluster retry policy, and journal-based failover re-adoption. It
+// reads nothing of a request but its routing key and nothing of a
+// response at all.
 //
 // # Failover model
 //
-// The gateway journals every op it has ACKED, per home, in memory. A
-// home's journal is the authoritative "what the client believes
+// The gateway journals the request body of every mutating op it has
+// ACKED, per home, in memory, with the method and the key it routed
+// by. A home's journal is the authoritative "what the client believes
 // happened" record: when routing moves the home to a different node —
-// its owner died, or a dead owner recovered — the journal is replayed
-// onto the new target before the next op, tolerating ALREADY_EXISTS
-// (records the target already has, from its own WAL or an earlier
-// replay). Replay cost is bounded because extraction and pair verdicts
-// are content-addressed: the survivor re-solves nothing it has seen.
-// The journal lives for the gateway process; bounding it with
+// its owner died, or a dead owner recovered — the journal's bodies are
+// replayed verbatim onto the new target before the next op, bound to
+// the same key, tolerating ALREADY_EXISTS (records the target already
+// has, from its own WAL or an earlier replay). Replay cost is bounded
+// because extraction and pair verdicts are content-addressed: the
+// survivor re-solves nothing it has seen. Only an acked mutating op
+// leaves gateway state behind: reads and failed writes of a home with
+// no journal create none, and MigrateHome drops the home's journal. The
+// journal lives for the gateway process; bounding it with
 // checkpoint-aware truncation is future work, noted in homeguard.go.
 type router struct {
 	ring    *cluster.Ring
@@ -60,17 +67,23 @@ type router struct {
 
 // homeState serializes one home's gateway-side lifecycle: ops, journal
 // appends, and resyncs all run under its mutex — mirroring the per-home
-// lock the daemons themselves take.
+// lock the daemons themselves take. refs, guarded by router.mu, counts
+// the ops holding or waiting for it; the last one out forgets a home
+// whose journal is empty.
 type homeState struct {
 	mu     sync.Mutex
 	ops    []journalOp
 	synced string // node ID the journal is known to be applied on
+	refs   int
 }
 
-// journalOp is one acked mutating operation, replayable verbatim.
+// journalOp is one acked mutating operation: its request body exactly
+// as the client sent it and the key it was routed by, replayable
+// verbatim.
 type journalOp struct {
-	method string
-	req    any
+	method *rpc.Method
+	key    string
+	body   []byte
 }
 
 type routerOptions struct {
@@ -222,16 +235,34 @@ func (r *router) route(home string) (cluster.Node, *api.Error) {
 	return n, nil
 }
 
-// homeFor returns (creating) the home's gateway-side state.
-func (r *router) homeFor(home string) *homeState {
+// acquire returns the home's gateway state, locked, creating it when
+// create is set; nil when the home has none and create is not set.
+func (r *router) acquire(home string, create bool) *homeState {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	hs := r.homes[home]
 	if hs == nil {
+		if !create {
+			r.mu.Unlock()
+			return nil
+		}
 		hs = &homeState{}
 		r.homes[home] = hs
 	}
+	hs.refs++
+	r.mu.Unlock()
+	hs.mu.Lock()
 	return hs
+}
+
+// release unlocks a state acquire returned and forgets it once no op
+// holds it and its journal is empty.
+func (r *router) release(home string, hs *homeState) {
+	hs.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if hs.refs--; hs.refs == 0 && len(hs.ops) == 0 {
+		delete(r.homes, home)
+	}
 }
 
 // isTransport reports an UNAVAILABLE envelope — dial refused, conn
@@ -272,36 +303,73 @@ func (r *router) invoke(node cluster.Node, call func(c *rpc.Client) error) error
 	return err
 }
 
-// forward is the routed operation core of every forwarded table
-// method: resolve the owner of req's routing key, resync the home's
-// journal if routing moved it, run the call, retry retryable failures
-// per the cluster policy, and journal the op once acked. A method that
-// is not Mutating is a read: nothing to journal, and DEADLINE_EXCEEDED
-// becomes retryable.
-func forward[Req, Resp any](ctx context.Context, r *router, d rpc.Desc[Req, Resp], req *Req) (*Resp, *api.Error) {
-	home := d.Key(req)
-	hs := r.homeFor(home)
-	hs.mu.Lock()
-	defer hs.mu.Unlock()
-	resp := new(Resp)
-	retries, err := r.retry.Do(ctx, !d.Mutating, func(int) error {
-		node, rerr := r.route(home)
+// Serve is the gateway side of rpc.Handler. It answers Ping itself and
+// routes every other method by key — or, when the edge bound none, by
+// the key-only decode m.KeyOf(body) — then resyncs the home's journal
+// if routing moved it, relays body to the owner with the key in the
+// REQ header, and returns the owner's response body untouched.
+// Retryable failures retry per the cluster policy; a method that is not
+// Mutating is a read, for which DEADLINE_EXCEEDED is retryable too. An
+// acked mutating op is journaled, except that MigrateHome drops the
+// home's journal and pin: the home has left the cluster.
+func (r *router) Serve(ctx context.Context, m *rpc.Method, key string, body []byte) ([]byte, *api.Error) {
+	if m == rpc.MethodPing.Method {
+		return r.ping()
+	}
+	if key == "" {
+		var aerr *api.Error
+		if key, aerr = m.KeyOf(body); aerr != nil {
+			return nil, aerr
+		}
+	}
+	hs := r.acquire(key, m.Mutating)
+	if hs != nil {
+		defer r.release(key, hs)
+	}
+	var out []byte
+	retries, err := r.retry.Do(ctx, !m.Mutating, func(int) error {
+		node, rerr := r.route(key)
 		if rerr != nil {
 			return rerr
 		}
-		if err := r.syncLocked(hs, home, node); err != nil {
-			return err
+		if hs != nil {
+			if err := r.syncLocked(hs, key, node); err != nil {
+				return err
+			}
 		}
-		return r.invoke(node, func(c *rpc.Client) error { return c.Call(ctx, d.Name, req, resp) })
+		return r.invoke(node, func(c *rpc.Client) (err error) {
+			out, err = c.CallRaw(ctx, m.Name, key, body)
+			return err
+		})
 	})
 	r.retries.Add(uint64(retries))
 	if err != nil {
 		return nil, api.FromErr(err)
 	}
-	if d.Mutating {
-		hs.ops = append(hs.ops, journalOp{method: d.Name, req: req})
+	switch {
+	case m == rpc.MethodMigrateHome.Method:
+		hs.ops, hs.synced = nil, ""
+		r.mu.Lock()
+		delete(r.pins, key)
+		r.mu.Unlock()
+	case m.Mutating:
+		hs.ops = append(hs.ops, journalOp{method: m, key: key, body: body})
 	}
-	return resp, nil
+	return out, nil
+}
+
+// ping answers for the gateway itself: callers probing the gateway get
+// its identity and a journal-sized view of the fleet, not a forwarded
+// node answer.
+func (r *router) ping() ([]byte, *api.Error) {
+	r.mu.Lock()
+	n := len(r.homes)
+	r.mu.Unlock()
+	out, err := json.Marshal(&api.PingResponse{Node: "gateway", Homes: n})
+	if err != nil {
+		return nil, api.Errorf(api.CodeInternal, "encode response: %v", err)
+	}
+	return out, nil
 }
 
 // syncLocked makes node current for the home: when the journal was last
@@ -321,13 +389,16 @@ func (r *router) syncLocked(hs *homeState, home string, node cluster.Node) error
 	ctx, cancel := context.WithTimeout(context.Background(), resyncTimeout)
 	defer cancel()
 	for _, op := range hs.ops {
-		err := r.invoke(node, func(c *rpc.Client) error { return c.Call(ctx, op.method, op.req, nil) })
+		err := r.invoke(node, func(c *rpc.Client) error {
+			_, err := c.CallRaw(ctx, op.method.Name, op.key, op.body)
+			return err
+		})
 		if err != nil {
 			var ae *api.Error
 			if errors.As(err, &ae) && ae.Code == api.CodeAlreadyExists {
 				continue
 			}
-			return fmt.Errorf("cluster: resync %s onto %s (%s): %w", home, node.ID, op.method, err)
+			return fmt.Errorf("cluster: resync %s onto %s (%s): %w", home, node.ID, op.method.Name, err)
 		}
 		r.resyncOps.Inc()
 	}
@@ -348,92 +419,17 @@ func (r *router) rebalance() {
 	}
 	r.mu.Unlock()
 	for _, home := range names {
-		hs := r.homeFor(home)
-		hs.mu.Lock()
+		hs := r.acquire(home, false)
+		if hs == nil {
+			continue
+		}
 		if node, rerr := r.route(home); rerr == nil && hs.synced != node.ID && len(hs.ops) > 0 {
 			if err := r.syncLocked(hs, home, node); err != nil {
 				log.Printf("homeguardgw: rebalance: %v", err)
 			}
 		}
-		hs.mu.Unlock()
+		r.release(home, hs)
 	}
-}
-
-// ---------- rpc.Backend ----------
-
-func (r *router) Install(ctx context.Context, req *api.InstallRequest) (*api.InstallResponse, *api.Error) {
-	return forward(ctx, r, rpc.MethodInstall, req)
-}
-
-func (r *router) InstallBatch(ctx context.Context, req *api.InstallBatchRequest) (*api.InstallBatchResponse, *api.Error) {
-	return forward(ctx, r, rpc.MethodInstallBatch, req)
-}
-
-func (r *router) Reconfigure(ctx context.Context, req *api.ReconfigureRequest) (*api.ReconfigureResponse, *api.Error) {
-	return forward(ctx, r, rpc.MethodReconfigure, req)
-}
-
-func (r *router) Accept(ctx context.Context, req *api.AcceptRequest) (*api.AcceptResponse, *api.Error) {
-	return forward(ctx, r, rpc.MethodAccept, req)
-}
-
-func (r *router) Threats(ctx context.Context, req *api.ThreatsRequest) (*api.ThreatsResponse, *api.Error) {
-	return forward(ctx, r, rpc.MethodThreats, req)
-}
-
-func (r *router) Apps(ctx context.Context, home string) (*api.AppsResponse, *api.Error) {
-	return forward(ctx, r, rpc.MethodApps, &api.AppsRequest{Home: home})
-}
-
-func (r *router) SubmitApps(ctx context.Context, req *api.SubmitAppsRequest) (*api.SubmitAppsResponse, *api.Error) {
-	return forward(ctx, r, rpc.MethodSubmitApps, req)
-}
-
-func (r *router) Findings(ctx context.Context, req *api.FindingsRequest) (*api.FindingsResponse, *api.Error) {
-	return forward(ctx, r, rpc.MethodFindings, req)
-}
-
-// Ping answers for the gateway itself: callers probing the gateway get
-// its identity and a journal-sized view of the fleet, not a forwarded
-// node answer.
-func (r *router) Ping(context.Context) (*api.PingResponse, *api.Error) {
-	r.mu.Lock()
-	n := len(r.homes)
-	r.mu.Unlock()
-	return &api.PingResponse{Node: "gateway", Homes: n}, nil
-}
-
-// MigrateHome forwards the detach to the home's current owner and
-// hands the snapshot back to the caller; the home is no longer served
-// by the cluster, so its journal and pin are dropped.
-func (r *router) MigrateHome(ctx context.Context, req *api.MigrateHomeRequest) (*api.MigrateHomeResponse, *api.Error) {
-	var resp *api.MigrateHomeResponse
-	hs := r.homeFor(req.Home)
-	hs.mu.Lock()
-	defer hs.mu.Unlock()
-	node, rerr := r.route(req.Home)
-	if rerr != nil {
-		return nil, rerr
-	}
-	if err := r.invoke(node, func(c *rpc.Client) error {
-		var err error
-		resp, err = c.MigrateHome(ctx, req)
-		return err
-	}); err != nil {
-		return nil, api.FromErr(err)
-	}
-	hs.ops, hs.synced = nil, ""
-	r.mu.Lock()
-	delete(r.pins, req.Home)
-	r.mu.Unlock()
-	return resp, nil
-}
-
-// AdoptHome routes the import to the home's owner and journals it, so
-// an adopted home enjoys the same failover re-adoption as a home built
-// through the gateway op by op.
-func (r *router) AdoptHome(ctx context.Context, req *api.AdoptHomeRequest) (*api.AdoptHomeResponse, *api.Error) {
-	return forward(ctx, r, rpc.MethodAdoptHome, req)
 }
 
 // BreakerState reports a NODE's breaker on the gateway (stages here are
@@ -458,9 +454,8 @@ func (r *router) migrate(ctx context.Context, home, targetID string) (*api.Adopt
 		return nil, api.Errorf(api.CodeUnavailable, "cluster: target node %s is down", targetID)
 	}
 
-	hs := r.homeFor(home)
-	hs.mu.Lock()
-	defer hs.mu.Unlock()
+	hs := r.acquire(home, true)
+	defer r.release(home, hs)
 
 	source, rerr := r.route(home)
 	if rerr != nil {
@@ -477,19 +472,22 @@ func (r *router) migrate(ctx context.Context, home, targetID string) (*api.Adopt
 	}); err != nil {
 		return nil, api.FromErr(err)
 	}
-	adopt := &api.AdoptHomeRequest{Home: home, Snapshot: exported.Snapshot}
-	var resp *api.AdoptHomeResponse
-	if err := r.invoke(target, func(c *rpc.Client) error {
-		var err error
-		resp, err = c.AdoptHome(ctx, adopt)
-		return err
-	}); err != nil {
+	adopt, err := json.Marshal(&api.AdoptHomeRequest{Home: home, Snapshot: exported.Snapshot})
+	if err != nil {
+		return nil, api.Errorf(api.CodeInternal, "cluster: encode adopt of %s: %v", home, err)
+	}
+	adoptOn := func(n cluster.Node) (out []byte, err error) {
+		err = r.invoke(n, func(c *rpc.Client) (err error) {
+			out, err = c.CallRaw(ctx, rpc.MethodAdoptHome.Name, home, adopt)
+			return err
+		})
+		return out, err
+	}
+	out, err := adoptOn(target)
+	if err != nil {
 		// The home is detached but not adopted: put it back on the source
 		// rather than leaving it nowhere.
-		if rbErr := r.invoke(source, func(c *rpc.Client) error {
-			_, e := c.AdoptHome(ctx, adopt)
-			return e
-		}); rbErr != nil {
+		if _, rbErr := adoptOn(source); rbErr != nil {
 			log.Printf("homeguardgw: migrate %s: adopt on %s failed (%v) AND rollback onto %s failed (%v)",
 				home, targetID, err, source.ID, rbErr)
 			return nil, api.Errorf(api.CodeInternal,
@@ -499,12 +497,16 @@ func (r *router) migrate(ctx context.Context, home, targetID string) (*api.Adopt
 	}
 	// The snapshot subsumes the old op history: journal just the adopt,
 	// so a later failover rebuilds the migrated state, then pin routing.
-	hs.ops = []journalOp{{method: rpc.MethodAdoptHome.Name, req: adopt}}
+	hs.ops = []journalOp{{method: rpc.MethodAdoptHome.Method, key: home, body: adopt}}
 	hs.synced = targetID
 	r.mu.Lock()
 	r.pins[home] = targetID
 	r.mu.Unlock()
 	r.migrations.Inc()
+	resp := new(api.AdoptHomeResponse)
+	if err := json.Unmarshal(out, resp); err != nil {
+		return nil, api.Errorf(api.CodeInternal, "cluster: bad adopt response for %s: %v", home, err)
+	}
 	log.Printf("homeguardgw: migrated home %s from %s to %s (%d apps)", home, source.ID, targetID, resp.Apps)
 	return resp, nil
 }

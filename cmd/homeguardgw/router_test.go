@@ -2,7 +2,11 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"net"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,13 +22,13 @@ import (
 // restart() brings a FRESH fleet up on the same address — a node that
 // lost all in-memory state, the worst case journal replay must cover.
 type fleetNode struct {
-	t    *testing.T
+	t    testing.TB
 	id   string
 	addr string
 	srv  *rpc.Server
 }
 
-func startNode(t *testing.T, id string) *fleetNode {
+func startNode(t testing.TB, id string) *fleetNode {
 	t.Helper()
 	n := &fleetNode{t: t, id: id}
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -71,7 +75,7 @@ func (n *fleetNode) dial() *rpc.Client {
 // newTestRouter wires a router over the given nodes with test-friendly
 // knobs: fail-after 2, fast retries, generous breakers (breaker
 // behavior has its own tests in internal/rpc).
-func newTestRouter(t *testing.T, nodes ...*fleetNode) *router {
+func newTestRouter(t testing.TB, nodes ...*fleetNode) *router {
 	t.Helper()
 	members := make([]cluster.Node, 0, len(nodes))
 	for _, n := range nodes {
@@ -97,6 +101,51 @@ func markDown(r *router, n *fleetNode) {
 	for i := 0; i < 3 && r.tracker.Up(n.id); i++ {
 		r.tracker.ReportFailure(n.id, context.DeadlineExceeded)
 	}
+}
+
+// call runs one table method through the router's raw entry point
+// with a typed request and response, as a client of the gateway's edge
+// sees it.
+func call[Req, Resp any](ctx context.Context, r *router, d rpc.Desc[Req, Resp], req *Req) (*Resp, *api.Error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, api.Errorf(api.CodeInternal, "encode request: %v", err)
+	}
+	out, aerr := r.Serve(ctx, d.Method, "", body)
+	if aerr != nil {
+		return nil, aerr
+	}
+	resp := new(Resp)
+	if err := json.Unmarshal(out, resp); err != nil {
+		return nil, api.Errorf(api.CodeInternal, "decode response: %v", err)
+	}
+	return resp, nil
+}
+
+// The typed methods the tests drive the router with.
+
+func (r *router) Install(ctx context.Context, req *api.InstallRequest) (*api.InstallResponse, *api.Error) {
+	return call(ctx, r, rpc.MethodInstall, req)
+}
+
+func (r *router) Accept(ctx context.Context, req *api.AcceptRequest) (*api.AcceptResponse, *api.Error) {
+	return call(ctx, r, rpc.MethodAccept, req)
+}
+
+func (r *router) Threats(ctx context.Context, req *api.ThreatsRequest) (*api.ThreatsResponse, *api.Error) {
+	return call(ctx, r, rpc.MethodThreats, req)
+}
+
+func (r *router) Apps(ctx context.Context, home string) (*api.AppsResponse, *api.Error) {
+	return call(ctx, r, rpc.MethodApps, &api.AppsRequest{Home: home})
+}
+
+func (r *router) SubmitApps(ctx context.Context, req *api.SubmitAppsRequest) (*api.SubmitAppsResponse, *api.Error) {
+	return call(ctx, r, rpc.MethodSubmitApps, req)
+}
+
+func (r *router) Findings(ctx context.Context, req *api.FindingsRequest) (*api.FindingsResponse, *api.Error) {
+	return call(ctx, r, rpc.MethodFindings, req)
 }
 
 func install(t *testing.T, r *router, home, corpus string) *api.InstallResponse {
@@ -386,5 +435,97 @@ func TestRouterIdentityMismatch(t *testing.T) {
 	r.probe(context.Background(), ring.Nodes()[0], time.Second)
 	if r.tracker.Up("node-a") {
 		t.Fatal("identity mismatch did not fail the probe")
+	}
+}
+
+// TestRouterReadsLeaveNoState: only an acked mutating op leaves gateway
+// state behind. Reads of homes the gateway never journaled and a failed
+// install route without creating any, so the journal gauge, Ping and
+// /cluster all stay at zero; one acked install then counts once, until
+// MigrateHome takes the home out of the cluster.
+func TestRouterReadsLeaveNoState(t *testing.T) {
+	na, nb := startNode(t, "node-a"), startNode(t, "node-b")
+	r := newTestRouter(t, na, nb)
+	ctx := context.Background()
+	for i := 0; i < 1000; i++ {
+		if _, aerr := r.Threats(ctx, &api.ThreatsRequest{Home: "ghost-" + itoa(i)}); aerr == nil || aerr.Code != api.CodeNotFound {
+			t.Fatalf("threats of an unknown home: %v, want NOT_FOUND", aerr)
+		}
+	}
+	if _, aerr := r.Install(ctx, &api.InstallRequest{Home: "h1", Corpus: "NoSuchApp"}); aerr == nil {
+		t.Fatal("install of an unknown corpus app acked")
+	}
+	journaled := func() int {
+		t.Helper()
+		var sb strings.Builder
+		if err := r.obs.Registry.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "homeguard_cluster_journal_homes "); ok {
+				n, err := strconv.Atoi(v)
+				if err != nil {
+					t.Fatalf("gauge %q: %v", line, err)
+				}
+				ping, aerr := call(ctx, r, rpc.MethodPing, &api.PingRequest{})
+				if aerr != nil {
+					t.Fatal(aerr)
+				}
+				if ping.Homes != n || r.status().Homes != n {
+					t.Fatalf("gauge %d, Ping %d, /cluster %d", n, ping.Homes, r.status().Homes)
+				}
+				return n
+			}
+		}
+		t.Fatal("no homeguard_cluster_journal_homes sample")
+		return 0
+	}
+	if n := journaled(); n != 0 {
+		t.Fatalf("journal gauge %d after reads and a failed install, want 0", n)
+	}
+	install(t, r, "h1", "ComfortTV")
+	if n := journaled(); n != 1 {
+		t.Fatalf("journal gauge %d after one acked install, want 1", n)
+	}
+	// The home leaves the cluster with its snapshot: no journal stays.
+	if _, aerr := call(ctx, r, rpc.MethodMigrateHome, &api.MigrateHomeRequest{Home: "h1"}); aerr != nil {
+		t.Fatalf("migrate out: %v", aerr)
+	}
+	if n := journaled(); n != 0 {
+		t.Fatalf("journal gauge %d after MigrateHome, want 0", n)
+	}
+}
+
+// TestRouterHomeStateConcurrent races reads, failed installs and acked
+// installs on the same homes: the state of a home with an acked
+// install must survive the others' releases, and a home with none
+// must be forgotten.
+func TestRouterHomeStateConcurrent(t *testing.T) {
+	r := newTestRouter(t, startNode(t, "node-a"), startNode(t, "node-b"))
+	ctx := context.Background()
+	homes := []string{"c0", "c1", "c2", "c3"}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				home := homes[(w+i)%len(homes)]
+				r.Threats(ctx, &api.ThreatsRequest{Home: home})
+				r.Install(ctx, &api.InstallRequest{Home: home, Corpus: "NoSuchApp"})
+				if home == "c0" || home == "c1" {
+					r.Install(ctx, &api.InstallRequest{Home: home, Corpus: "ComfortTV"}) // the first acks, the rest fail
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := r.status(); st.Homes != 2 {
+		t.Fatalf("gateway holds state for %d homes, want 2 (c0 and c1)", st.Homes)
+	}
+	for _, home := range []string{"c0", "c1"} {
+		if apps, aerr := r.Apps(ctx, home); aerr != nil || len(apps.Apps) != 1 {
+			t.Fatalf("apps of %s: %v %v", home, apps, aerr)
+		}
 	}
 }

@@ -78,14 +78,17 @@
 // context. Both transports are thin shells over one shared service
 // core, driven by one method table (internal/rpc's Methods) that the
 // HTTP routes, the RPC dispatch, the client stubs and the gateway all
-// read, and one request-body decoder, so payloads and error semantics
-// are identical (a parity test pins this): every failure is one typed
-// envelope — a machine-readable code plus message — mapped
+// read, and one raw entry point (rpc.Handler) into which every edge
+// hands the method, the home key and the request body. The node
+// decodes there with one request-body decoder, so payloads and error
+// semantics are identical (a parity test pins this): every failure is
+// one typed envelope — a machine-readable code plus message — mapped
 // to the matching HTTP status on the JSON edge and the matching gRPC
 // status code on the RPC edge, with
 // RESOURCE_EXHAUSTED/UNAVAILABLE responses carrying a retryAfterMs
 // hint. Each RPC frame carries its JSON body verbatim beside a small
-// JSON header, so a body is encoded once and parsed once per hop; a
+// JSON header, so a body is encoded once by its sender and parsed once
+// by the node, with a gateway in between reading only its routing key; a
 // response too large for the 4 MiB frame cap comes back as
 // RESOURCE_EXHAUSTED. The connection preface names the frame layout
 // (HGRPC/2), and a server refuses a client speaking any other, so a
@@ -307,15 +310,21 @@
 // One daemon scales to many cores; a fleet of daemons scales past one
 // machine. cmd/homeguardgw is the cluster gateway: it serves the exact
 // HTTP and RPC edges the daemon does, from the same method table, and
-// routes each request to one of
-// several homeguardd nodes (internal/cluster) by consistent hashing —
-// every home ID maps onto a ring of virtual nodes built
-// deterministically from the sorted membership, so identically
-// configured gateway replicas agree on placement with zero
-// coordination, and the ring version (a digest of membership) is
-// exported as a gauge to catch config skew between replicas. Store
-// endpoints hash as a single ring key, keeping the auditor's revision
-// feed on one node.
+// routes each request to one of several homeguardd nodes
+// (internal/cluster) by consistent hashing — every home ID maps onto a
+// ring of virtual nodes built deterministically from the sorted
+// membership, so identically configured gateway replicas agree on
+// placement with zero coordination, and the ring version (a digest of
+// membership) is exported as a gauge to catch config skew between
+// replicas. Store endpoints hash as a single ring key, keeping the
+// auditor's revision feed on one node.
+//
+// The gateway forwards bytes. Its routing key is the path's {id} on
+// HTTP and, on RPC, a key-only read of the body's "home"
+// (Method.KeyOf). The request body goes to the node verbatim with that
+// key in the REQ header, which the node binds as the home, so the key
+// routed by is the key executed; the node's response body comes back
+// verbatim. The gateway decodes no request or response body.
 //
 // Health is measured, not assumed: the gateway pings every node each
 // heartbeat interval (the daemon's -node-id answers the Ping, and an
@@ -331,12 +340,15 @@
 // failures: UNAVAILABLE always, DEADLINE_EXCEEDED only for reads — a
 // timed-out write may have applied.
 //
-// Failover does not lose acknowledged work: the gateway journals every
-// mutating operation it has acked, per home, and replays the journal
-// onto a home's new owner — tolerating ALREADY_EXISTS for records the
-// target already holds from its own WAL — before serving the home
-// there, both eagerly on a health transition and lazily on first
-// touch. Replay cost is bounded by the fleet's content-addressed
+// Failover does not lose acknowledged work: the gateway journals the
+// request body of every mutating operation it has acked, per home,
+// with the key it routed by, and replays those bodies verbatim onto a
+// home's new owner — tolerating ALREADY_EXISTS for records the target
+// already holds from its own WAL — before serving the home there, both
+// eagerly on a health transition and lazily on first touch. Only an
+// acked mutating operation leaves gateway state: reads and failed
+// writes of a home with no journal create none, and MigrateHome drops
+// the journal. Replay cost is bounded by the fleet's content-addressed
 // extraction and pair-verdict caches: the survivor re-solves nothing
 // it has seen before. A chaos test (and CI job) kill -9s one node of a
 // two-node fleet mid install storm and requires every gateway-acked

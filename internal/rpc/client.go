@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -155,39 +156,54 @@ func (c *Client) Call(ctx context.Context, method string, req, resp any) error {
 	if err != nil {
 		return err
 	}
-	id, ch, err := c.register(1)
+	out, err := c.CallRaw(ctx, method, "", body)
 	if err != nil {
 		return err
 	}
+	return decodeResult(out, resp)
+}
+
+// CallRaw invokes one unary method with a request body already encoded
+// and returns the response body undecoded; it aliases the RES frame,
+// which nothing else holds. A non-empty key goes into the REQ header
+// and binds the request to that home on the server. Errors are those
+// of Call.
+func (c *Client) CallRaw(ctx context.Context, method, key string, body []byte) ([]byte, error) {
+	id, ch, err := c.register(1)
+	if err != nil {
+		return nil, err
+	}
 	defer c.unregister(id)
-	if err := c.sendReq(ctx, id, method, body); err != nil {
-		return err
+	if err := c.sendReq(ctx, id, reqHeader{Method: method, Key: key}, body); err != nil {
+		return nil, err
 	}
 	for {
 		select {
 		case f, ok := <-ch:
 			if !ok {
-				return c.transportErr()
+				return nil, c.transportErr()
 			}
 			if f.typ != frameRes {
 				continue // stray frame on a unary call: ignore
 			}
-			return decodeStatus(f.payload, resp)
+			return statusBody(f.payload)
 		case <-ctx.Done():
-			return ctxErr(ctx)
+			return nil, ctxErr(ctx)
 		}
 	}
 }
 
-// sendReq writes the REQ frame opening stream id. A write failure is
-// UNAVAILABLE, except that an oversized request keeps its
-// RESOURCE_EXHAUSTED: the connection is fine, the request is not.
-func (c *Client) sendReq(ctx context.Context, id uint64, method string, body []byte) error {
-	hdr, err := json.Marshal(reqHeader{Method: method, DeadlineMs: deadlineMsOf(ctx)})
+// sendReq writes the REQ frame opening stream id, stamping hdr with the
+// context's deadline. A write failure is UNAVAILABLE, except that an
+// oversized request keeps its RESOURCE_EXHAUSTED: the connection is
+// fine, the request is not.
+func (c *Client) sendReq(ctx context.Context, id uint64, hdr reqHeader, body []byte) error {
+	hdr.DeadlineMs = deadlineMsOf(ctx)
+	h, err := json.Marshal(hdr)
 	if err != nil {
 		return err
 	}
-	if err := c.fw.writeEnvelope(frameReq, id, hdr, body); err != nil {
+	if err := c.fw.writeEnvelope(frameReq, id, h, body); err != nil {
 		var aerr *api.Error
 		if errors.As(err, &aerr) {
 			return aerr
@@ -212,17 +228,37 @@ func ctxErr(ctx context.Context) error {
 // decodeStatus unpacks a RES payload into an error and/or resp. A
 // malformed envelope is INVALID_ARGUMENT.
 func decodeStatus(payload []byte, resp any) error {
-	var res resHeader
-	body, err := decodeEnvelope(payload, &res)
+	body, err := statusBody(payload)
 	if err != nil {
-		return errBadEnvelope("response", err)
+		return err
+	}
+	return decodeResult(body, resp)
+}
+
+// statusBody unpacks a RES payload into its error or its body, which
+// aliases payload. A malformed envelope is INVALID_ARGUMENT.
+func statusBody(payload []byte) ([]byte, error) {
+	hdr, body, err := splitEnvelope(payload)
+	if err == nil && bytes.Equal(hdr, okResHeader) {
+		return body, nil // the header every success carries: nothing to decode
+	}
+	var res resHeader
+	body, err = decodeEnvelope(payload, &res)
+	if err != nil {
+		return nil, errBadEnvelope("response", err)
 	}
 	if res.Error != nil {
-		return res.Error
+		return nil, res.Error
 	}
 	if res.Status != 0 {
-		return api.Errorf(api.CodeInternal, "status %d with no error envelope", res.Status)
+		return nil, api.Errorf(api.CodeInternal, "status %d with no error envelope", res.Status)
 	}
+	return body, nil
+}
+
+// decodeResult unmarshals a response body into resp; a nil resp or an
+// empty body decodes nothing.
+func decodeResult(body []byte, resp any) error {
 	if resp != nil && len(body) > 0 {
 		if err := json.Unmarshal(body, resp); err != nil {
 			return fmt.Errorf("rpc: bad response body: %w", err)
@@ -291,12 +327,6 @@ func (c *Client) MigrateHome(ctx context.Context, req *api.MigrateHomeRequest) (
 	return unary(ctx, c, MethodMigrateHome, req)
 }
 
-// AdoptHome invokes the unary AdoptHome RPC: the node imports a home
-// exported by MigrateHome.
-func (c *Client) AdoptHome(ctx context.Context, req *api.AdoptHomeRequest) (*api.AdoptHomeResponse, error) {
-	return unary(ctx, c, MethodAdoptHome, req)
-}
-
 // Stream is a client-side bidirectional stream. Send requests with
 // Send, half-close with CloseSend, then drain results with Recv until
 // io.EOF (the server trailer). Per-item failures surface as the Error
@@ -315,7 +345,7 @@ func (c *Client) openStream(ctx context.Context, method string) (*Stream, error)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.sendReq(ctx, id, method, nil); err != nil {
+	if err := c.sendReq(ctx, id, reqHeader{Method: method}, nil); err != nil {
 		c.unregister(id)
 		return nil, err
 	}

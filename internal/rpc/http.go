@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"log"
@@ -10,36 +11,54 @@ import (
 )
 
 // RegisterHTTP serves every method of the table that has an HTTP route
-// on mux, dispatching into b. A route binds its request from the body
-// of a POST, then the path's {id} and the query, calls b and answers
-// with the pretty-printed response, or with the {"error": {...}}
-// envelope under the code's HTTP status.
-func RegisterHTTP(mux *http.ServeMux, b Backend) {
+// on mux, dispatching into h. A POST route hands its body to h.Serve
+// verbatim; a GET route marshals the request it binds from the path's
+// {id} and the query. Either passes {id} as the key. The response is
+// the pretty-printed body h returns, or the {"error": {...}} envelope
+// under the code's HTTP status.
+func RegisterHTTP(mux *http.ServeMux, h Handler) {
+	h = handlerOf(h)
 	for _, m := range Methods {
 		if m.HTTP == "" {
 			continue
 		}
 		mux.HandleFunc(m.HTTP, func(w http.ResponseWriter, r *http.Request) {
-			req := m.newRequest()
-			if r.Method == http.MethodPost {
-				if aerr := ReadBody(w, r, req); aerr != nil {
-					Respond(w, nil, aerr)
-					return
-				}
+			body, aerr := httpBody(m, w, r)
+			if aerr != nil {
+				Respond(w, nil, aerr)
+				return
 			}
+			key := ""
 			if m.home != nil {
-				*m.home(req) = r.PathValue("id")
+				key = r.PathValue("id")
 			}
-			if m.query != nil {
-				if aerr := m.query(req, r.URL.Query()); aerr != nil {
-					Respond(w, nil, aerr)
-					return
-				}
-			}
-			resp, aerr := m.call(b, r.Context(), req)
-			Respond(w, resp, aerr)
+			out, aerr := h.Serve(r.Context(), m, key, body)
+			respondBody(w, out, aerr)
 		})
 	}
+}
+
+// httpBody is the request body of one HTTP call of m: a POST's body as
+// sent, or the request a GET binds from the path's {id} and the query,
+// marshaled.
+func httpBody(m *Method, w http.ResponseWriter, r *http.Request) ([]byte, *api.Error) {
+	if r.Method == http.MethodPost {
+		return readBody(w, r)
+	}
+	req := m.newRequest()
+	if m.home != nil {
+		*m.home(req) = r.PathValue("id")
+	}
+	if m.query != nil {
+		if aerr := m.query(req, r.URL.Query()); aerr != nil {
+			return nil, aerr
+		}
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, api.Errorf(api.CodeInternal, "encode request: %v", err)
+	}
+	return body, nil
 }
 
 // ReadBody reads an HTTP request body under the frame cap and decodes
@@ -47,11 +66,21 @@ func RegisterHTTP(mux *http.ServeMux, b Backend) {
 // and reject the same bytes. A body over the cap, empty, malformed or
 // followed by trailing data is INVALID_ARGUMENT.
 func ReadBody(w http.ResponseWriter, r *http.Request, into any) *api.Error {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxFrame))
-	if err != nil {
-		return api.Errorf(api.CodeInvalidArgument, "bad request body: %v", err)
+	body, aerr := readBody(w, r)
+	if aerr != nil {
+		return aerr
 	}
 	return decodeBody(body, into)
+}
+
+// readBody reads an HTTP request body under the frame cap; a body over
+// the cap is INVALID_ARGUMENT.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, *api.Error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxFrame))
+	if err != nil {
+		return nil, api.Errorf(api.CodeInvalidArgument, "bad request body: %v", err)
+	}
+	return body, nil
 }
 
 // decodeBody unmarshals a request body, mapping an empty or malformed
@@ -74,6 +103,28 @@ func Respond(w http.ResponseWriter, v any, aerr *api.Error) {
 		return
 	}
 	WriteJSON(w, http.StatusOK, v)
+}
+
+// respondBody writes a response body already encoded as JSON, or the
+// error envelope. The body is indented and newline-terminated exactly
+// as WriteJSON would write the value it encodes.
+func respondBody(w http.ResponseWriter, body []byte, aerr *api.Error) {
+	if aerr != nil {
+		Respond(w, nil, aerr)
+		return
+	}
+	var buf bytes.Buffer
+	buf.Grow(2 * len(body))
+	if err := json.Indent(&buf, body, "", "  "); err != nil {
+		Respond(w, nil, api.Errorf(api.CodeInternal, "bad response body: %v", err))
+		return
+	}
+	buf.WriteByte('\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(buf.Bytes()); err != nil {
+		log.Printf("rpc: write HTTP response: %v", err)
+	}
 }
 
 // WriteJSON writes v as indented JSON under status.

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -14,6 +15,25 @@ import (
 	"homeguard/internal/audit"
 	"homeguard/internal/fleet"
 )
+
+// edgeBodies is the request bodies FuzzHTTPEdge and FuzzRouteKey start
+// from: the Fig. 3 apps as install, batch and store bodies, the other
+// methods' bodies, trailing data and an empty body.
+func edgeBodies(f *testing.F) []string {
+	f.Helper()
+	var bodies []string
+	for _, app := range fuzzApps(f) {
+		src, err := json.Marshal(app.Source)
+		if err != nil {
+			f.Fatal(err)
+		}
+		bodies = append(bodies,
+			`{"source":`+string(src)+`}`,
+			`{"items":[{"source":`+string(src)+`},{"corpus":"NoSuchApp"}]}`,
+			`{"upserts":[{"source":`+string(src)+`}],"removes":["Ghost"]}`)
+	}
+	return append(bodies, `{"app":"ComfortTV"}`, `{"threats":[0]}`, `{"corpus":"ComfortTV"} junk`, "")
+}
 
 // FuzzHTTPEdge drives the shared HTTP adapter with a fuzzed route (an
 // index into the table's HTTP methods), path id, query and body against
@@ -30,18 +50,7 @@ func FuzzHTTPEdge(f *testing.F) {
 			routes = append(routes, m)
 		}
 	}
-	var bodies []string
-	for _, app := range fuzzApps(f) {
-		src, err := json.Marshal(app.Source)
-		if err != nil {
-			f.Fatal(err)
-		}
-		bodies = append(bodies,
-			`{"source":`+string(src)+`}`,
-			`{"items":[{"source":`+string(src)+`},{"corpus":"NoSuchApp"}]}`,
-			`{"upserts":[{"source":`+string(src)+`}],"removes":["Ghost"]}`)
-	}
-	bodies = append(bodies, `{"app":"ComfortTV"}`, `{"threats":[0]}`, `{"corpus":"ComfortTV"} junk`, "")
+	bodies := edgeBodies(f)
 	for i := range routes {
 		for _, b := range bodies {
 			f.Add(uint8(i), "h1", "", []byte(b), false)
@@ -96,4 +105,71 @@ func FuzzHTTPEdge(f *testing.F) {
 			t.Fatalf("%s: body over the cap answered %s, want INVALID_ARGUMENT", m.Name, env.Error.Code)
 		}
 	})
+}
+
+// FuzzRouteKey checks the gateway's key-only decode against the full
+// one: for every method scoped to a home and any body the full decode
+// accepts, KeyOf must return the home that decode binds; when both
+// reject a body, they must fail with the same error. (KeyOf may accept
+// a body whose other fields the full decode rejects: the node answers
+// that.)
+//
+//	go test -run '^$' -fuzz FuzzRouteKey -fuzztime 30s ./internal/rpc
+func FuzzRouteKey(f *testing.F) {
+	var scoped []*Method
+	for _, m := range Methods {
+		if m.home != nil {
+			scoped = append(scoped, m)
+		}
+	}
+	bodies := edgeBodies(f)
+	bodies = append(bodies, `{"home":"h1","corpus":"ComfortTV"}`, `{"Home":"a","hOME":"b"}`, `{"home":7}`, `{"home":"h","items":5}`, `null`, `[]`,
+		`{"home":"a","home":null}`, `{"x":{"home":"n"},"home":"t"}`, `{"x":"\"home\":\"n\"","home":"t"}`,
+		`{"home":"a\u0062"}`, ` {"home" : "s" } `, `{"n":-1.5e+3,"l":[true,null,{}],"home":"t"}`)
+	for i := range scoped {
+		for _, b := range bodies {
+			f.Add(uint8(i), []byte(b))
+		}
+	}
+	f.Fuzz(func(t *testing.T, method uint8, body []byte) {
+		m := scoped[int(method)%len(scoped)]
+		key, kerr := m.KeyOf(body)
+		req := m.newRequest()
+		if aerr := decodeBody(body, req); aerr != nil {
+			if kerr != nil && (kerr.Code != aerr.Code || kerr.Message != aerr.Message) {
+				t.Fatalf("%s: body %q: KeyOf failed with %v, the full decode with %v", m.Name, body, kerr, aerr)
+			}
+			return
+		}
+		if kerr != nil || key != m.Key(req) {
+			t.Fatalf("%s: body %q: KeyOf gave %q, %v; the full decode binds %q", m.Name, body, key, kerr, m.Key(req))
+		}
+	})
+}
+
+// TestRespondBodyMatchesWriteJSON: an HTTP answer written from a body
+// already marshaled is byte for byte the one WriteJSON writes for the
+// value, HTML-escaped characters and non-ASCII text included.
+func TestRespondBodyMatchesWriteJSON(t *testing.T) {
+	svc := NewService(fleet.New(fleet.Options{Shards: 1}), ServiceOptions{})
+	var res *api.InstallResponse
+	for _, app := range []string{"ComfortTV", "ColdDefender"} {
+		var aerr *api.Error
+		if res, aerr = svc.Install(context.Background(), &api.InstallRequest{Home: "h", Corpus: app}); aerr != nil {
+			t.Fatal(aerr)
+		}
+	}
+	for _, v := range []any{res, map[string]any{"a<b>&c": "ü\u2028", "n": []int{}}, &api.AppsResponse{HomeID: "h"}} {
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got := httptest.NewRecorder(), httptest.NewRecorder()
+		WriteJSON(want, http.StatusOK, v)
+		respondBody(got, body, nil)
+		if got.Code != want.Code || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") ||
+			!bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Errorf("respondBody wrote %d %q, WriteJSON %d %q", got.Code, got.Body.String(), want.Code, want.Body.String())
+		}
+	}
 }

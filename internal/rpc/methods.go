@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"context"
+	"encoding/json"
 	"net/url"
 	"strconv"
 
@@ -16,15 +17,15 @@ const StoreKey = "@store"
 
 // Method describes one method of the edge surface. The table of them,
 // Methods, drives every edge: the HTTP routes (RegisterHTTP), the RPC
-// server's dispatch, the client stubs and the gateway's forwarding.
+// server's dispatch, the client stubs and the gateway's routing.
 type Method struct {
 	// Name is the RPC method name on the wire and in the
 	// homeguard_rpc_requests_total method label.
 	Name string
 	// HTTP is the ServeMux pattern the method is served under, "" for
-	// the RPC-only methods. A POST route decodes its request from the
-	// body; any route then binds the home from the path's {id} and the
-	// query parameters.
+	// the RPC-only methods. A POST route passes its body verbatim; a GET
+	// route builds its request from the query parameters. Either binds
+	// the home from the path's {id}.
 	HTTP string
 	// Stream names the method's bidirectional streaming variant, "" for
 	// none.
@@ -53,19 +54,56 @@ func (m *Method) Key(req any) string {
 	return *m.home(req)
 }
 
-// invoke decodes one request body and runs the method on b.
-func (m *Method) invoke(ctx context.Context, b Backend, body []byte) (any, *api.Error) {
+// routeKey is the one field a key-only decode reads.
+type routeKey struct {
+	Home string `json:"home"`
+}
+
+// KeyOf is the routing key of a raw request body, the Key its full
+// decode would give, read without decoding the rest of the request: a
+// gateway routes by it. A body the key-only decode rejects is decoded
+// in full, so the error is the one the node itself would answer.
+func (m *Method) KeyOf(body []byte) (string, *api.Error) {
+	if m.home == nil {
+		return StoreKey, nil
+	}
+	var k routeKey
+	if len(body) > 0 && json.Unmarshal(body, &k) == nil {
+		return k.Home, nil
+	}
+	req := m.newRequest()
+	if aerr := decodeBody(body, req); aerr != nil {
+		return "", aerr
+	}
+	return m.Key(req), nil
+}
+
+// serve runs the method on b from a raw request body: decode it, bind
+// key (when non-empty) as the request's home the way the HTTP edge
+// binds {id}, call b, and marshal the response.
+func (m *Method) serve(ctx context.Context, b Backend, key string, body []byte) ([]byte, *api.Error) {
 	req := m.newRequest()
 	if aerr := decodeBody(body, req); aerr != nil {
 		return nil, aerr
 	}
-	return m.call(b, ctx, req)
+	if key != "" && m.home != nil {
+		*m.home(req) = key
+	}
+	res, aerr := m.call(b, ctx, req)
+	if aerr != nil {
+		return nil, aerr
+	}
+	out, err := json.Marshal(res)
+	if err != nil {
+		return nil, api.Errorf(api.CodeInternal, "encode response: %v", err)
+	}
+	return out, nil
 }
 
-// Desc is a typed handle on one table entry: a client stub or a
-// gateway forward that names its method through a Desc is checked by
-// the compiler to pass the request type the method takes and to expect
-// the response type it returns.
+// Desc is a typed handle on one table entry: a client stub that names
+// its method through a Desc is checked by the compiler to pass the
+// request type the method takes and to expect the response type it
+// returns.
 type Desc[Req, Resp any] struct{ *Method }
 
 // spec is one table entry as written below, typed by its request and

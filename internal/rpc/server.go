@@ -26,13 +26,30 @@ type ServerOptions struct {
 	Obs *obs.Observer
 }
 
-// Backend is the method set the edges dispatch to, one table
-// descriptor per request method. *Service is the canonical
-// implementation (one fleet, local breakers); cmd/homeguardgw
-// implements it as a router, so the gateway serves the exact HTTP and
-// HGRPC edges a single node does while proxying each call to the
-// owning node.
+// Handler is the raw entry point every edge dispatches into: the RPC
+// server's unary calls and stream items and the HTTP routes all call
+// Serve with the method's descriptor, the home key the edge bound and
+// the request body, and write the response body Serve returns verbatim.
+// key is non-empty only for a method scoped to one home: the REQ
+// header's key on the RPC edge, the path's {id} on the HTTP edge, ""
+// when the edge has none (stream items, store methods, clients that
+// send no key). body is the handler's to keep; the edges never reuse
+// it. *Service serves through the method table; cmd/homeguardgw's
+// router routes by key and relays both bodies without decoding them.
+type Handler interface {
+	Serve(ctx context.Context, m *Method, key string, body []byte) ([]byte, *api.Error)
+	// BreakerState reports the named stage's breaker ("" for an unknown
+	// stage) for the homeguard_rpc_breaker_open gauge.
+	BreakerState(stage string) string
+}
+
+// Backend is a Handler with the typed method set, one method per table
+// descriptor. *Service is the canonical implementation (one fleet,
+// local breakers). The edges serve a Backend through its typed methods
+// (handlerOf), so a type that embeds *Service and overrides one of
+// them sees every call that method receives.
 type Backend interface {
+	Handler
 	Install(ctx context.Context, req *api.InstallRequest) (*api.InstallResponse, *api.Error)
 	InstallBatch(ctx context.Context, req *api.InstallBatchRequest) (*api.InstallBatchResponse, *api.Error)
 	Reconfigure(ctx context.Context, req *api.ReconfigureRequest) (*api.ReconfigureResponse, *api.Error)
@@ -44,17 +61,31 @@ type Backend interface {
 	Ping(ctx context.Context) (*api.PingResponse, *api.Error)
 	MigrateHome(ctx context.Context, req *api.MigrateHomeRequest) (*api.MigrateHomeResponse, *api.Error)
 	AdoptHome(ctx context.Context, req *api.AdoptHomeRequest) (*api.AdoptHomeResponse, *api.Error)
-	// BreakerState reports the named stage's breaker ("" for an unknown
-	// stage) for the homeguard_rpc_breaker_open gauge.
-	BreakerState(stage string) string
+}
+
+// typed serves a Backend through the method table and its own typed
+// methods, whatever type embeds them.
+type typed struct{ Backend }
+
+func (t typed) Serve(ctx context.Context, m *Method, key string, body []byte) ([]byte, *api.Error) {
+	return m.serve(ctx, t.Backend, key, body)
+}
+
+// handlerOf is the handler an edge dispatches into for h: a Backend is
+// served through its typed methods, any other Handler as it is.
+func handlerOf(h Handler) Handler {
+	if b, ok := h.(Backend); ok {
+		return typed{b}
+	}
+	return h
 }
 
 // Server serves the framed RPC protocol over a net.Listener,
-// dispatching to a Backend. One server handles any number of
+// dispatching to a Handler. One server handles any number of
 // connections; each connection multiplexes concurrent RPCs by stream
 // id.
 type Server struct {
-	svc  Backend
+	svc  Handler
 	opts ServerOptions
 	m    *rpcMetrics
 
@@ -65,15 +96,15 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// NewServer returns a server for b. When opts.Obs carries a
+// NewServer returns a server for h. When opts.Obs carries a
 // registry, the server registers its metrics collector immediately.
-func NewServer(b Backend, opts ServerOptions) *Server {
+func NewServer(h Handler, opts ServerOptions) *Server {
 	if opts.DefaultTimeout == 0 {
 		opts.DefaultTimeout = 30 * time.Second
 	}
-	s := &Server{svc: b, opts: opts, conns: map[net.Conn]struct{}{}, m: newRPCMetrics()}
+	s := &Server{svc: handlerOf(h), opts: opts, conns: map[net.Conn]struct{}{}, m: newRPCMetrics()}
 	if opts.Obs != nil && opts.Obs.Registry != nil {
-		s.m.register(opts.Obs.Registry, b)
+		s.m.register(opts.Obs.Registry, h)
 	}
 	return s
 }
@@ -244,7 +275,7 @@ func (s *Server) rpcCtx(parent context.Context, deadlineMs int64) (context.Conte
 // returns; the request counter records the code of the frame actually
 // sent, which differs from fn's outcome when the response is too large
 // for one frame.
-func (s *Server) intercept(fw *frameWriter, id uint64, method string, fn func(sp *obs.Span) (any, *api.Error)) {
+func (s *Server) intercept(fw *frameWriter, id uint64, method string, fn func(sp *obs.Span) ([]byte, *api.Error)) {
 	var sp *obs.Span
 	if s.opts.Obs != nil {
 		sp = s.opts.Obs.Tracer.Start("rpc." + method)
@@ -275,7 +306,7 @@ func statusCode(aerr *api.Error) api.Code {
 func (s *Server) handleUnary(parent context.Context, fw *frameWriter, id uint64, hdr reqHeader, body []byte) {
 	ctx, cancel := s.rpcCtx(parent, hdr.DeadlineMs)
 	defer cancel()
-	s.intercept(fw, id, hdr.Method, func(sp *obs.Span) (any, *api.Error) {
+	s.intercept(fw, id, hdr.Method, func(sp *obs.Span) ([]byte, *api.Error) {
 		if sp != nil {
 			ctx = obs.ContextWithSpan(ctx, sp)
 		}
@@ -283,7 +314,11 @@ func (s *Server) handleUnary(parent context.Context, fw *frameWriter, id uint64,
 		if m == nil {
 			return nil, api.Errorf(api.CodeNotFound, "unknown method %q", hdr.Method)
 		}
-		return m.invoke(ctx, s.svc, body)
+		key := hdr.Key
+		if m.home == nil {
+			key = ""
+		}
+		return s.svc.Serve(ctx, m, key, body)
 	})
 }
 
@@ -297,7 +332,7 @@ func (s *Server) handleStream(parent context.Context, fw *frameWriter, id uint64
 	defer cancel()
 	s.m.streamOpen()
 	defer s.m.streamClose()
-	s.intercept(fw, id, hdr.Method, func(sp *obs.Span) (any, *api.Error) {
+	s.intercept(fw, id, hdr.Method, func(sp *obs.Span) ([]byte, *api.Error) {
 		if sp != nil {
 			ctx = obs.ContextWithSpan(ctx, sp)
 		}
@@ -326,37 +361,30 @@ func (s *Server) handleStream(parent context.Context, fw *frameWriter, id uint64
 	})
 }
 
-// streamItemFor runs one streamed request and wraps its outcome.
+// streamItemFor runs one streamed request, which carries its own home
+// in its body, and wraps its outcome.
 func (s *Server) streamItemFor(ctx context.Context, m *Method, payload []byte) streamItem {
-	res, aerr := m.invoke(ctx, s.svc, payload)
+	res, aerr := s.svc.Serve(ctx, m, "", payload)
 	if aerr != nil {
 		return streamItem{Error: aerr}
 	}
-	b, err := json.Marshal(res)
-	if err != nil {
-		return streamItem{Error: api.Errorf(api.CodeInternal, "encode result: %v", err)}
-	}
-	if n := envelopeSize(okItemHeader, b); n > maxFrame {
+	if n := envelopeSize(okItemHeader, res); n > maxFrame {
 		return streamItem{Error: errFrameTooLarge("stream item", n)}
 	}
-	return streamItem{Result: b}
+	return streamItem{Result: res}
 }
 
-// encodeStatus builds the RES frame of one finished RPC: res, marshaled
-// once, is the body of a success; a failure, or a response too large
-// for one frame, is a status header with no body. It returns the error
-// the frame carries.
-func encodeStatus(aerr *api.Error, res any) (hdr, body []byte, sent *api.Error) {
-	if aerr == nil && res != nil {
-		var err error
-		if body, err = json.Marshal(res); err != nil {
-			aerr = api.Errorf(api.CodeInternal, "encode response: %v", err)
-		} else if n := envelopeSize(okResHeader, body); n > maxFrame {
-			aerr = errFrameTooLarge("response", n)
-		}
-	}
+// encodeStatus builds the RES frame of one finished RPC: body, already
+// encoded, is the body of a success; a failure, or a body too large for
+// one frame, is a status header with no body. It returns the error the
+// frame carries.
+func encodeStatus(aerr *api.Error, body []byte) (hdr, out []byte, sent *api.Error) {
 	if aerr == nil {
-		return okResHeader, body, nil
+		n := envelopeSize(okResHeader, body)
+		if n <= maxFrame {
+			return okResHeader, body, nil
+		}
+		aerr = errFrameTooLarge("response", n)
 	}
 	hdr, _ = json.Marshal(resHeader{Status: aerr.Code.GRPC(), Error: aerr}) // an *api.Error always marshals
 	return hdr, nil, aerr
@@ -393,7 +421,7 @@ func (m *rpcMetrics) streamClose() { m.streamsActive.Add(-1) }
 func (m *rpcMetrics) streamMsg()   { m.streamMsgs.Add(1) }
 
 // register exports the catalog through a scrape-time collector.
-func (m *rpcMetrics) register(reg *obs.Registry, svc Backend) {
+func (m *rpcMetrics) register(reg *obs.Registry, svc Handler) {
 	reg.RegisterCollector(func(e *obs.Emit) {
 		m.mu.Lock()
 		keys := make([][2]string, 0, len(m.byCode))

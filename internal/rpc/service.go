@@ -34,7 +34,7 @@ type ServiceOptions struct {
 
 // Service is the transport-neutral core of the enforcement edge: the
 // HTTP routes (RegisterHTTP) and the RPC dispatch both call these
-// methods through the method table, so verdicts, error codes and
+// methods through the method table (Serve), so verdicts, error codes and
 // breaker behavior are identical on either wire. Methods take and return the
 // api package's DTOs and report failures as *api.Error — the envelope
 // each transport writes verbatim.
@@ -59,6 +59,12 @@ func NewService(f *fleet.Fleet, opts ServiceOptions) *Service {
 		detect:  NewBreaker(opts.Breaker),
 		node:    opts.NodeID,
 	}
+}
+
+// Serve is the node side of Handler: it runs m through the method
+// table on the raw request body, binding key as the request's home.
+func (s *Service) Serve(ctx context.Context, m *Method, key string, body []byte) ([]byte, *api.Error) {
+	return m.serve(ctx, s, key, body)
 }
 
 // Auditor returns the store auditor (nil when the edge serves none).

@@ -9,10 +9,14 @@
 // name, HTTP route, request binding, streaming variant, read-or-mutating
 // flag and the Backend call. RegisterHTTP mounts its routes for
 // homeguardd and homeguardgw alike, the server dispatches by table
-// lookup, the Client stubs take their names from it, and the gateway
-// forwards by each descriptor's routing key and Mutating flag. Both
-// edges decode request bodies with one decoder, so they accept and
-// reject the same bytes.
+// lookup, and the Client stubs take their names from it. Every edge —
+// RPC unary calls, RPC stream items and HTTP routes — hands the
+// descriptor, a home key and the raw request body to one Handler.Serve
+// and writes the raw response body it returns. A node's *Service
+// decodes, calls and marshals there, with one request-body decoder for
+// both edges, so they accept and reject the same bytes; the gateway
+// routes by the key (or by Method.KeyOf, a key-only read of the body)
+// and relays both bodies verbatim, never decoding them.
 //
 // # Protocol
 //
@@ -37,9 +41,9 @@
 //
 // Frame types:
 //
-//	REQ (1) — opens stream id. Envelope: header {"method","deadlineMs"};
-//	          unary methods carry the request as the body, stream
-//	          methods send none.
+//	REQ (1) — opens stream id. Envelope: header
+//	          {"method","key","deadlineMs"}; unary methods carry the
+//	          request as the body, stream methods send none.
 //	MSG (2) — one message on an open stream. Client to server: a bare
 //	          JSON request. Server to client: a per-item envelope,
 //	          header {"error"} or {}, with the item's result as the
@@ -50,6 +54,15 @@
 //	          body, streams send it bodiless as a trailer after their
 //	          MSG frames.
 //
+// A REQ header's optional key binds the request to that home: for a
+// method scoped to one home, the server overwrites the body's "home"
+// with it before the call, the way the HTTP edge binds the path's {id},
+// so the key a gateway routed by is always the key the node executes.
+// The server ignores the key of a method not scoped to a home and of a
+// stream (each stream item carries its own home). The Client's typed
+// stubs send no key, so their frames carry the body's home alone; a
+// gateway's Client.CallRaw sends the key it routed by.
+//
 // An envelope is
 //
 //	[header length:4 BE][header JSON][body]
@@ -57,7 +70,8 @@
 // The small header is JSON; the body is the request or response JSON
 // exactly as one json.Marshal produced it, written verbatim and decoded
 // once by json.Unmarshal from its slice of the frame — nothing
-// re-scans it on either side. The body runs to the end of the frame
+// re-scans it on either side, and a gateway relays it without decoding
+// it at all. The body runs to the end of the frame
 // and may be empty. A header length that overruns the frame, or a
 // header that is not valid JSON, is a malformed envelope: the server
 // answers it with INVALID_ARGUMENT, and the client reports it as an
@@ -113,11 +127,13 @@ type frame struct {
 	payload []byte
 }
 
-// reqHeader is the REQ envelope header: which method to invoke and the
-// client's deadline for the whole RPC (0 = none; the server may still
-// impose its own).
+// reqHeader is the REQ envelope header: which method to invoke, the
+// home key the request is bound to ("" = none; see the package doc)
+// and the client's deadline for the whole RPC (0 = none; the server
+// may still impose its own).
 type reqHeader struct {
 	Method     string `json:"method"`
+	Key        string `json:"key,omitempty"`
 	DeadlineMs int64  `json:"deadlineMs,omitempty"`
 }
 
