@@ -13,12 +13,9 @@
 // section ("HGCKSNP\x00" v1, one JSON record naming the checkpoint LSN
 // and which optional sections follow), then the extraction cache
 // ("HGXCSNP\x00"), the pair-verdict cache ("HGPVSNP\x00"), the fleet
-// homes ("HGFLSNP\x00") and the audited store ("HGAUSNP\x00"). A legacy
-// cache-only snapshot (the pre-WAL -snapshot-path format, which starts
-// directly with the extraction-cache magic) is recognized by its leading
-// magic and restored as caches-plus-empty-state with watermark zero, so
-// an upgraded daemon warm-starts from its old snapshot and rebuilds home
-// state from the log.
+// homes ("HGFLSNP\x00") and the audited store ("HGAUSNP\x00"). It is
+// the daemon's one persistence format: a file that does not start with
+// the meta section fails boot with snapcodec.ErrCorrupt.
 
 package main
 
@@ -26,15 +23,14 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
 	"time"
 
 	"homeguard/internal/audit"
-	"homeguard/internal/extractcache"
 	"homeguard/internal/fleet"
 	"homeguard/internal/snapcodec"
 	"homeguard/internal/wal"
@@ -88,9 +84,7 @@ func saveCheckpoint(path string, l *wal.Log, f *fleet.Fleet, aud *audit.Auditor)
 	if err != nil {
 		return fail(err)
 	}
-	if err := sw.Record(rec); err != nil {
-		return fail(err)
-	}
+	sw.Record(rec) // a failed Record is sticky: Close reports it
 	if err := sw.Close(); err != nil {
 		return fail(err)
 	}
@@ -134,73 +128,60 @@ func saveCheckpoint(path string, l *wal.Log, f *fleet.Fleet, aud *audit.Auditor)
 
 // loadCheckpoint restores daemon state from path, returning the
 // checkpoint LSN. A missing file is a cold start (LSN 0, replay the
-// whole log). A legacy cache-only snapshot restores the caches and
-// leaves state to the replay. A checkpoint that fails mid-restore is
-// fatal: its covered log segments may already be collected, so serving
-// from partial state would silently drop acknowledged operations.
-func loadCheckpoint(path string, f *fleet.Fleet, aud *audit.Auditor) uint64 {
+// whole log). Any other failure is returned for the caller to treat as
+// fatal: the checkpoint's covered log segments may already be
+// collected, so serving from partial state would silently drop
+// acknowledged operations.
+func loadCheckpoint(path string, f *fleet.Fleet, aud *audit.Auditor) (uint64, error) {
 	file, err := os.Open(path)
+	if os.IsNotExist(err) {
+		log.Printf("homeguardd: no checkpoint at %s, recovering from the log alone", path)
+		return 0, nil
+	}
 	if err != nil {
-		if os.IsNotExist(err) {
-			log.Printf("homeguardd: no checkpoint at %s, recovering from the log alone", path)
-			return 0
-		}
-		log.Fatalf("homeguardd: checkpoint open: %v", err)
+		return 0, err
 	}
 	defer file.Close()
 	r := bufio.NewReader(file)
-	magic, err := snapcodec.PeekMagic(r)
-	if err != nil {
-		log.Fatalf("homeguardd: checkpoint %s: %v", path, err)
-	}
-	if magic == extractcache.SnapshotMagic {
-		// Pre-WAL snapshot: caches only, nothing the log must skip.
-		loadCaches(r, path, f)
-		return 0
-	}
-	if magic != ckptMagic {
-		log.Fatalf("homeguardd: checkpoint %s: unrecognized magic %q", path, magic)
-	}
-
 	sr, err := snapcodec.NewReader(r, ckptMagic, ckptVersion)
 	if err != nil {
-		log.Fatalf("homeguardd: checkpoint %s: %v", path, err)
+		return 0, err
 	}
 	rec, err := sr.Next()
 	if err != nil {
-		log.Fatalf("homeguardd: checkpoint %s: meta: %v", path, err)
+		return 0, fmt.Errorf("meta: %w", err)
 	}
 	var meta ckptMetaJSON
 	if err := json.Unmarshal(rec, &meta); err != nil {
-		log.Fatalf("homeguardd: checkpoint %s: meta: %v", path, err)
+		return 0, fmt.Errorf("%w: meta: %v", snapcodec.ErrCorrupt, err)
 	}
-	if _, err := sr.Next(); err != io.EOF {
-		log.Fatalf("homeguardd: checkpoint %s: meta section not closed (err %v)", path, err)
+	if err := sr.End(); err != nil {
+		return 0, fmt.Errorf("meta: %w", err)
 	}
 	nx, err := f.Cache().Restore(r)
 	if err != nil {
-		log.Fatalf("homeguardd: checkpoint %s: extraction cache: %v", path, err)
+		return 0, fmt.Errorf("extraction cache: %w", err)
 	}
 	nv := 0
 	if meta.Verdicts {
 		v := f.Verdicts()
 		if v == nil {
-			log.Fatalf("homeguardd: checkpoint %s has a verdict section but the cache is disabled", path)
+			return 0, errors.New("a pair-verdict section follows but the verdict cache is disabled")
 		}
 		if nv, err = v.Restore(r); err != nil {
-			log.Fatalf("homeguardd: checkpoint %s: pair verdicts: %v", path, err)
+			return 0, fmt.Errorf("pair verdicts: %w", err)
 		}
 	}
 	nh, err := f.RestoreHomes(r)
 	if err != nil {
-		log.Fatalf("homeguardd: checkpoint %s: fleet homes: %v", path, err)
+		return 0, fmt.Errorf("fleet homes: %w", err)
 	}
 	if err := aud.Restore(r); err != nil {
-		log.Fatalf("homeguardd: checkpoint %s: audit store: %v", path, err)
+		return 0, fmt.Errorf("audit store: %w", err)
 	}
 	log.Printf("homeguardd: checkpoint restored from %s (lsn %d, %d extractions, %d pair verdicts, %d homes, store rev %d)",
 		path, meta.LSN, nx, nv, nh, aud.Rev())
-	return meta.LSN
+	return meta.LSN, nil
 }
 
 // replayRecord dispatches one WAL record to its owner: audit-store
@@ -219,7 +200,9 @@ func (s *server) replayRecord(lsn uint64, kind byte, payload []byte) error {
 func bootRecover(srv *server, walDir, ckptPath string, opts wal.Options) *wal.Log {
 	start := time.Now()
 	sp := srv.obs.Tracer.Start("wal.recover")
-	loadCheckpoint(ckptPath, srv.fleet, srv.auditor)
+	if _, err := loadCheckpoint(ckptPath, srv.fleet, srv.auditor); err != nil {
+		log.Fatalf("homeguardd: checkpoint %s: %v", ckptPath, err)
+	}
 	l, err := wal.Open(opts)
 	if err != nil {
 		log.Fatalf("homeguardd: wal open: %v", err)

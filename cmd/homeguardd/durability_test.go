@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -16,6 +19,7 @@ import (
 	"time"
 
 	"homeguard/internal/fleet"
+	"homeguard/internal/snapcodec"
 	"homeguard/internal/wal"
 )
 
@@ -303,5 +307,100 @@ func TestDaemonCrashRecovery(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("re-install of recovered app: status %d, want 409 (already installed)", resp.StatusCode)
+	}
+}
+
+// TestLoadCheckpointErrors pins how boot treats what it finds at the
+// checkpoint path: a missing file is a cold start at LSN 0, and a
+// damaged, version-skewed or foreign file (a cache-only snapshot of the
+// retired -snapshot-path-only mode among them) is a typed error, which
+// bootRecover makes fatal.
+func TestLoadCheckpointErrors(t *testing.T) {
+	walDir := filepath.Join(t.TempDir(), "wal")
+	ckpt := filepath.Join(walDir, "checkpoint")
+	srv, l := newWALServer(t, walDir, ckpt)
+	for _, app := range []string{"ComfortTV", "ColdDefender"} {
+		if code, resp := doJSON(t, srv, "POST", "/homes/h1/install", map[string]any{"corpus": app}); code != http.StatusOK {
+			t.Fatalf("install %s: status %d resp %v", app, code, resp)
+		}
+	}
+	if code, resp := doJSON(t, srv, "POST", "/store/apps", map[string]any{
+		"upserts": []map[string]any{{"corpus": "ComfortTV"}, {"corpus": "ColdDefender"}},
+	}); code != http.StatusOK {
+		t.Fatalf("store batch: status %d resp %v", code, resp)
+	}
+	if err := checkpoint(ckpt, l, srv.fleet, srv.auditor); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	l.Close()
+	good, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "checkpoint")
+	fresh := newServer(fleet.Options{Shards: 4})
+	if lsn, err := loadCheckpoint(path, fresh.fleet, fresh.auditor); err != nil || lsn != 0 {
+		t.Errorf("missing checkpoint: lsn %d, err %v; want a cold start at lsn 0", lsn, err)
+	}
+	load := func(raw []byte) (uint64, error) {
+		t.Helper()
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fresh := newServer(fleet.Options{Shards: 4})
+		return loadCheckpoint(path, fresh.fleet, fresh.auditor)
+	}
+	if lsn, err := load(good); err != nil || lsn == 0 {
+		t.Fatalf("intact checkpoint: lsn %d, err %v", lsn, err)
+	}
+
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)/2] ^= 0x20
+	if _, err := load(flipped); !errors.Is(err, snapcodec.ErrCorrupt) {
+		t.Errorf("flipped byte: %v, want ErrCorrupt", err)
+	}
+	// Every section is checksummed and its records decode to typed
+	// errors, so a flip anywhere in the file fails typed: ErrVersion
+	// where it lands on a section's version field, ErrCorrupt elsewhere.
+	for i := 0; i < len(good); i += 101 {
+		flipped := bytes.Clone(good)
+		flipped[i] ^= 0x20
+		if _, err := load(flipped); !errors.Is(err, snapcodec.ErrCorrupt) && !errors.Is(err, snapcodec.ErrVersion) {
+			t.Errorf("byte %d flipped: %v, want ErrCorrupt or ErrVersion", i, err)
+		}
+	}
+
+	// The meta section's version is the big-endian uint32 after its magic.
+	skewed := bytes.Clone(good)
+	binary.BigEndian.PutUint32(skewed[8:12], ckptVersion+1)
+	if _, err := load(skewed); !errors.Is(err, snapcodec.ErrVersion) {
+		t.Errorf("version-skewed meta: %v, want ErrVersion", err)
+	}
+
+	var legacy bytes.Buffer
+	if _, err := srv.fleet.Cache().Snapshot(&legacy); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.fleet.Verdicts().Snapshot(&legacy); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := load(legacy.Bytes()); !errors.Is(err, snapcodec.ErrCorrupt) {
+		t.Errorf("cache-only snapshot at the checkpoint path: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestSnapshotPathNeedsWALDir runs the real main(): -snapshot-path names
+// the checkpoint of -wal-dir, so given alone it is a usage error.
+func TestSnapshotPathNeedsWALDir(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:0", "-rpc-addr", "",
+		"-snapshot-path", filepath.Join(t.TempDir(), "snapshot"))
+	cmd.Env = append(os.Environ(), "HOMEGUARDD_TEST_DAEMON=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("-snapshot-path without -wal-dir: err %v, want a non-zero exit\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "-wal-dir") {
+		t.Errorf("usage error does not name -wal-dir:\n%s", out)
 	}
 }

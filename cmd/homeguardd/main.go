@@ -14,7 +14,7 @@
 //	           [-wal-dir /var/lib/homeguard/wal]
 //	           [-fsync always|interval|off]
 //	           [-checkpoint-interval 1m]
-//	           [-snapshot-path /var/lib/homeguard/snapshot]
+//	           [-snapshot-path /var/lib/homeguard/wal/checkpoint]
 //	           [-log-format text|json] [-trace-slow-ms 250]
 //
 // # RPC edge
@@ -70,7 +70,7 @@
 //
 // GET /healthz is liveness: 200 while the process can serve, 503 once a
 // graceful drain has begun. GET /readyz is readiness: 503 until the
-// checkpoint/snapshot restore and WAL replay (when configured) have
+// checkpoint restore and WAL replay (when configured) have
 // finished and the home shards are initialized, 200 while serving, and
 // 503 again during drain so load balancers pull the instance before
 // connections are forcibly closed. While recovering, every API route
@@ -80,8 +80,8 @@
 //
 // # Durability (write-ahead log + background checkpoints)
 //
-// -wal-dir, when set, makes the daemon crash-safe rather than merely
-// warm-startable: every state-changing operation (home install,
+// -wal-dir, when set, makes the daemon crash-safe and warm-starting:
+// every state-changing operation (home install,
 // reconfigure, threat accept, store audit batch) is appended to a
 // segmented write-ahead log in that directory BEFORE the client sees
 // success, and a background checkpointer periodically persists the full
@@ -101,7 +101,12 @@
 //     against process death, not against host death).
 //   - -checkpoint-interval sets the checkpointer period (default 1m;
 //     0 checkpoints only on graceful shutdown). Checkpoints are
-//     written to -snapshot-path, defaulting to <wal-dir>/checkpoint.
+//     written to -snapshot-path, defaulting to <wal-dir>/checkpoint;
+//     -snapshot-path without -wal-dir is a usage error.
+//
+// Without -wal-dir the daemon persists nothing. -wal-dir with -fsync off
+// is the cheap warm start: a restart gets its caches and homes back
+// from the checkpoint, so a checkpointed catalog never re-extracts.
 //
 // Log records are logical, not physical: an install record carries the
 // app's Groovy source and its resolved config, and replay installs the
@@ -113,39 +118,20 @@
 // watermark is skipped), so a checkpoint plus an overlapping tail
 // recovers exactly once. A torn final record (the crash landed mid
 // write) is truncated on open; corruption anywhere earlier refuses the
-// log rather than replaying garbage, and a corrupt checkpoint in WAL
-// mode is fatal — covered segments may already be GC'd, so serving a
-// partial restore would silently drop acked state.
+// log rather than replaying garbage, and a corrupt checkpoint is
+// fatal — covered segments may already be GC'd, so serving a partial
+// restore would silently drop acked state.
 //
 // The checkpoint file is one "HGCKSNP\x00" meta section (the log
 // position the checkpoint covers) followed by the extraction-cache,
 // pair-verdict, fleet-homes and auditor sections back to back, each in
 // the internal/snapcodec framing (8-byte magic, big-endian uint32
 // version, length-prefixed records, end sentinel, SHA-256 trailer) and
-// each rejecting version skew and damage with typed errors. A legacy
-// cache-only snapshot (pre-WAL format, bare "HGXCSNP\x00" first
-// section) is still recognized and restores the caches it has.
+// each rejecting version skew and damage with typed errors. A file that
+// does not start with the meta section fails boot like any other
+// damage.
 //
-// # Warm-start snapshots
-//
-// -snapshot-path alone (without -wal-dir) keeps the original
-// cache-only warm-start mode: on boot the daemon restores the
-// extraction cache and the pair-verdict cache from the named file (a missing file is a normal cold start; a corrupt or
-// version-skewed file is logged and ignored), and on graceful shutdown
-// (SIGINT/SIGTERM) it writes a fresh snapshot to a temp file and
-// atomically renames it into place. A restarted daemon therefore serves
-// its first install storm at warm-cache latency — repeat installs of a
-// snapshotted catalog run symexec zero times and hit solved pair
-// verdicts instead of invoking the solver.
-//
-// The snapshot file is two self-contained sections back to back, one per
-// cache, each in the internal/snapcodec framing: an 8-byte magic
-// ("HGXCSNP\x00" for extractions, "HGPVSNP\x00" for pair verdicts), a
-// big-endian uint32 format version, a stream of length-prefixed records
-// (32-byte content-address key followed by the JSON payload), a
-// 0xFFFFFFFF end sentinel, and a SHA-256 checksum of the whole section.
-// Restore rejects unknown versions and checksum mismatches with typed
-// errors rather than loading garbage.
+// # Profiling
 //
 // -pprof-addr, when set, serves Go's net/http/pprof profiling endpoints
 // (/debug/pprof/...) on a SEPARATE listener so profiling is never exposed
@@ -200,7 +186,7 @@
 //	GET  /debug/requests            slow-request capture: slowest + most
 //	                                recent traced span trees (JSON)
 //	GET  /healthz                   liveness probe (503 while draining)
-//	GET  /readyz                    readiness probe (503 before the snapshot
+//	GET  /readyz                    readiness probe (503 before the checkpoint
 //	                                restore completes and while draining)
 //
 // The config object has four optional maps:
@@ -214,11 +200,9 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"log/slog"
 	"net"
@@ -249,7 +233,7 @@ func main() {
 	pprofAddr := flag.String("pprof-addr", "",
 		"optional address for net/http/pprof profiling endpoints (empty = disabled); bind to localhost")
 	snapshotPath := flag.String("snapshot-path", "",
-		"optional warm-start snapshot file: restored on boot, written on graceful shutdown (empty = disabled; with -wal-dir, defaults to <wal-dir>/checkpoint and holds the full-state checkpoint)")
+		"checkpoint file for -wal-dir: the full daemon state, restored on boot before the log replays (empty = <wal-dir>/checkpoint; requires -wal-dir)")
 	walDir := flag.String("wal-dir", "",
 		"write-ahead-log directory: every mutation is logged before acknowledgment and replayed on boot (empty = durability off)")
 	fsyncMode := flag.String("fsync", "always",
@@ -268,7 +252,10 @@ func main() {
 	if err != nil {
 		log.Fatalf("homeguardd: -fsync: %v", err)
 	}
-	if *walDir != "" && *snapshotPath == "" {
+	switch {
+	case *walDir == "" && *snapshotPath != "":
+		log.Fatalf("homeguardd: -snapshot-path is the checkpoint file of -wal-dir and needs it (for a warm start without fsync cost, use -wal-dir DIR -fsync off)")
+	case *walDir != "" && *snapshotPath == "":
 		*snapshotPath = filepath.Join(*walDir, "checkpoint")
 	}
 
@@ -339,8 +326,6 @@ func main() {
 			Fsync:    fsyncPolicy,
 			Registry: srv.obs.Registry,
 		})
-	} else if *snapshotPath != "" {
-		loadSnapshot(*snapshotPath, srv.fleet)
 	}
 	srv.markReady()
 
@@ -410,10 +395,6 @@ func main() {
 		if err := wlog.Close(); err != nil {
 			log.Printf("homeguardd: wal close: %v", err)
 		}
-	} else if *snapshotPath != "" {
-		if err := saveSnapshot(*snapshotPath, srv.fleet); err != nil {
-			log.Printf("homeguardd: snapshot save failed: %v", err)
-		}
 	}
 	// Last: drain the buffered events so a graceful restart loses none.
 	if eventWriter != nil {
@@ -421,102 +402,6 @@ func main() {
 			log.Printf("homeguardd: event sink close: %v", err)
 		}
 	}
-}
-
-// saveSnapshot writes both caches' sections to a temp file and atomically
-// renames it over path, so a crash mid-write can never leave a truncated
-// snapshot where the next boot will find it.
-func saveSnapshot(path string, f *fleet.Fleet) error {
-	tmp := path + ".tmp"
-	file, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(file)
-	nx, err := f.Cache().Snapshot(w)
-	if err != nil {
-		file.Close()
-		os.Remove(tmp)
-		return err
-	}
-	nv := 0
-	if v := f.Verdicts(); v != nil {
-		if nv, err = v.Snapshot(w); err != nil {
-			file.Close()
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		file.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := file.Sync(); err != nil {
-		file.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := file.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Fsyncing the temp file makes the CONTENT durable; the rename that
-	// publishes it lives in the parent directory, which has its own write
-	// cache. Without the directory sync a crash shortly after a clean
-	// shutdown can boot with the previous snapshot — or none at all.
-	if err := wal.SyncDir(filepath.Dir(path)); err != nil {
-		return err
-	}
-	log.Printf("homeguardd: snapshot saved to %s (%d extractions, %d pair verdicts)", path, nx, nv)
-	return nil
-}
-
-// loadSnapshot restores both caches from path. Every failure mode — no
-// file yet, version skew, corruption — degrades to a cold (or partially
-// warm) start with a log line; a damaged snapshot must never stop the
-// daemon from serving.
-func loadSnapshot(path string, f *fleet.Fleet) {
-	file, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			log.Printf("homeguardd: no snapshot at %s, starting cold", path)
-		} else {
-			log.Printf("homeguardd: snapshot open failed, starting cold: %v", err)
-		}
-		return
-	}
-	defer file.Close()
-	loadCaches(bufio.NewReader(file), path, f)
-}
-
-// loadCaches restores the extraction and pair-verdict cache sections
-// from r — the body of a legacy snapshot, also embedded in the WAL-mode
-// checkpoint format.
-func loadCaches(r *bufio.Reader, path string, f *fleet.Fleet) {
-	nx, err := f.Cache().Restore(r)
-	if err != nil {
-		log.Printf("homeguardd: extraction-cache restore failed (%d entries kept): %v", nx, err)
-		return
-	}
-	nv := 0
-	if v := f.Verdicts(); v != nil {
-		// An older snapshot (or one from a verdict-less config) may end
-		// after the extraction section.
-		if _, err := r.Peek(1); err == io.EOF {
-			log.Printf("homeguardd: snapshot restored from %s (%d extractions, no verdict section)", path, nx)
-			return
-		}
-		if nv, err = v.Restore(r); err != nil {
-			log.Printf("homeguardd: pair-verdict restore failed (%d verdicts kept): %v", nv, err)
-			return
-		}
-	}
-	log.Printf("homeguardd: snapshot restored from %s (%d extractions, %d pair verdicts)", path, nx, nv)
 }
 
 // servePprof runs the profiling listener. A dedicated mux (rather than
@@ -549,7 +434,7 @@ type server struct {
 	svc     *rpc.Service
 	obs     *obs.Observer
 	mux     *http.ServeMux
-	// ready flips true once boot (including any snapshot restore) is
+	// ready flips true once boot (including any checkpoint restore) is
 	// complete; draining flips true when graceful shutdown begins. Both
 	// are read by the health probes on every scrape.
 	ready    atomic.Bool
@@ -597,8 +482,8 @@ func newServer(opts fleet.Options) *server {
 	return s
 }
 
-// markReady is called once boot completes (after the optional snapshot
-// restore); /readyz answers 503 until then.
+// markReady is called once boot completes (after the optional checkpoint
+// restore and log replay); /readyz answers 503 until then.
 func (s *server) markReady() { s.ready.Store(true) }
 
 // startDrain flips both probes to 503 so orchestrators stop routing new

@@ -557,31 +557,32 @@ func TestDaemonActiveThreatsView(t *testing.T) {
 }
 
 // TestDaemonSnapshotWarmBoot is the daemon-level warm-start exercise the
-// CI snapshot job runs: populate a fleet over the API, save a snapshot,
-// boot a fresh fleet from it, and require the repeat install storm to be
-// served entirely warm — an extraction-cache hit ratio of at least 0.99
-// and zero new symbolic executions or pair-verdict misses.
+// CI snapshot job runs: populate a WAL-mode daemon over the API, write a
+// checkpoint, boot a fresh daemon from checkpoint plus log, and require
+// the repeat install storm to be served entirely warm — an
+// extraction-cache hit ratio of at least 0.99 and zero new symbolic
+// executions or pair-verdict misses.
 func TestDaemonSnapshotWarmBoot(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snapshot")
+	walDir := filepath.Join(t.TempDir(), "wal")
+	ckpt := filepath.Join(walDir, "checkpoint")
 
 	apps := []string{"ComfortTV", "ColdDefender", "MakeItSo", "AutoLockDoor", "EnergySaver"}
-	warm := newServer(fleet.Options{Shards: 4})
+	warm, l := newWALServer(t, walDir, ckpt)
 	for _, app := range apps {
 		code, resp := doJSON(t, warm, "POST", "/homes/h1/install", map[string]any{"corpus": app})
 		if code != http.StatusOK {
 			t.Fatalf("install %s: status %d resp %v", app, code, resp)
 		}
 	}
-	if err := saveSnapshot(path, warm.fleet); err != nil {
-		t.Fatalf("saveSnapshot: %v", err)
+	if err := checkpoint(ckpt, l, warm.fleet, warm.auditor); err != nil {
+		t.Fatalf("checkpoint: %v", err)
 	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Error("temp snapshot file left behind")
+	if _, err := os.Stat(ckpt + ".tmp"); !os.IsNotExist(err) {
+		t.Error("temp checkpoint file left behind")
 	}
+	l.Close()
 
-	cold := newServer(fleet.Options{Shards: 4})
-	loadSnapshot(path, cold.fleet)
+	cold, l := newWALServer(t, walDir, ckpt)
 	before := cold.fleet.Metrics()
 	if before.Cache.Lookups != 0 {
 		t.Fatalf("restore counted %d cache lookups; restores must not skew hit ratios", before.Cache.Lookups)
@@ -606,32 +607,18 @@ func TestDaemonSnapshotWarmBoot(t *testing.T) {
 		t.Errorf("warm boot solved %d pair verdicts, want 0 (all restored)", m.PairVerdicts.Misses)
 	}
 
-	// A second save/load cycle from the restored fleet stays intact.
-	if err := saveSnapshot(path, cold.fleet); err != nil {
-		t.Fatalf("re-save: %v", err)
+	// A second checkpoint and boot cycle from the restored daemon stays warm.
+	if err := checkpoint(ckpt, l, cold.fleet, cold.auditor); err != nil {
+		t.Fatalf("second checkpoint: %v", err)
 	}
-	again := newServer(fleet.Options{Shards: 4})
-	loadSnapshot(path, again.fleet)
+	l.Close()
+	again, l := newWALServer(t, walDir, ckpt)
+	defer l.Close()
 	code, resp := doJSON(t, again, "POST", "/homes/z/install", map[string]any{"corpus": "ComfortTV"})
 	if code != http.StatusOK {
-		t.Fatalf("install after re-load: status %d resp %v", code, resp)
+		t.Fatalf("install after second boot: status %d resp %v", code, resp)
 	}
 	if m := again.fleet.Metrics(); m.Cache.Misses != 0 {
 		t.Errorf("second warm boot ran %d extractions, want 0", m.Cache.Misses)
-	}
-
-	// Damage the file on disk: the daemon must boot cold, not crash.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0x20
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	damaged := newServer(fleet.Options{Shards: 4})
-	loadSnapshot(path, damaged.fleet) // must not panic or fail the process
-	if code, _ := doJSON(t, damaged, "POST", "/homes/d/install", map[string]any{"corpus": "ComfortTV"}); code != http.StatusOK {
-		t.Errorf("daemon with damaged snapshot cannot serve: status %d", code)
 	}
 }

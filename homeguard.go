@@ -245,21 +245,21 @@
 //     /homes/{id}/threats?active=true) serves that live view, while
 //     Threats remains the append-only history.
 //
-//   - Persistent warm-start snapshots. Both fleet-level caches persist:
+//   - Persistent warm starts. Both fleet-level caches persist:
 //     Snapshot/Restore on the extraction cache and the pair-verdict cache
 //     write a versioned, length-prefixed, SHA-256-checksummed binary
-//     stream (internal/snapcodec), and homeguardd's -snapshot-path wires
-//     them to load-on-boot and save-on-shutdown (atomic rename). A
-//     restarted daemon therefore serves a repeat install storm of its
-//     catalog with a ≥0.99 extraction-cache hit ratio and zero re-solved
-//     pair verdicts, instead of re-extracting the world. Version skew and
-//     corruption are rejected with typed errors and degrade to a cold
-//     start, never to loaded garbage.
+//     stream (internal/snapcodec), and homeguardd writes them into its
+//     checkpoint beside the home state (see Durability). A daemon
+//     restarted on its -wal-dir therefore serves a repeat install storm
+//     of its catalog with a ≥0.99 extraction-cache hit ratio and zero
+//     re-solved pair verdicts, instead of re-extracting the world.
+//     Version skew and corruption are rejected with typed errors, never
+//     loaded as garbage.
 //
 // # Durability
 //
-// Warm-start snapshots only persist on graceful shutdown; the
-// write-ahead log (internal/wal) closes the crash window. A fleet or
+// homeguardd persists through one path, the write-ahead log
+// (internal/wal) plus checkpoints, which survives a crash. A fleet or
 // store auditor given a wal.Log (Fleet.AttachWAL, Auditor.AttachWAL)
 // appends one logical operation record — install, reconfigure, threat
 // accept, store audit batch — to a segmented, CRC32C-framed,

@@ -228,7 +228,7 @@ func (a *Auditor) Restore(r io.Reader) error {
 		}
 		cfg, err := detect.UnmarshalConfig(aj.Config)
 		if err != nil {
-			return fmt.Errorf("audit: restore: app %q config: %w", aj.Name, err)
+			return fmt.Errorf("%w: app %q config: %w", snapcodec.ErrCorrupt, aj.Name, err)
 		}
 		if a.byName[aj.Name] != nil {
 			return fmt.Errorf("%w: duplicate app %q", snapcodec.ErrCorrupt, aj.Name)
@@ -251,7 +251,7 @@ func (a *Auditor) Restore(r io.Reader) error {
 		}
 		ts, err := detect.UnmarshalThreats(pj.Threats)
 		if err != nil {
-			return fmt.Errorf("audit: restore: pair (%s,%s): %w", pj.A, pj.B, err)
+			return fmt.Errorf("%w: pair (%s,%s): %w", snapcodec.ErrCorrupt, pj.A, pj.B, err)
 		}
 		setVerdict(x, y, ts)
 		a.active += len(ts)
@@ -266,19 +266,16 @@ func (a *Auditor) Restore(r io.Reader) error {
 			Stats: rj.Stats, Duration: time.Duration(rj.DurationNs),
 		}
 		if rev.Added, err = decodeFindings(rj.Added); err != nil {
-			return fmt.Errorf("audit: restore: rev %d: %w", rj.Rev, err)
+			return fmt.Errorf("%w: rev %d: %w", snapcodec.ErrCorrupt, rj.Rev, err)
 		}
 		if rev.Resolved, err = decodeFindings(rj.Resolved); err != nil {
-			return fmt.Errorf("audit: restore: rev %d: %w", rj.Rev, err)
+			return fmt.Errorf("%w: rev %d: %w", snapcodec.ErrCorrupt, rj.Rev, err)
 		}
 		a.history = append(a.history, rev)
 	}
-	// Drain the trailer so the checksum verifies and the reader stops at
+	// The section ends here: verify the trailer so the reader stops at
 	// the section boundary (sections concatenate in one file).
-	if _, err := sr.Next(); err != io.EOF {
-		if err == nil {
-			return fmt.Errorf("%w: records beyond the declared counts", snapcodec.ErrCorrupt)
-		}
+	if err := sr.End(); err != nil {
 		return fmt.Errorf("audit: restore: %w", err)
 	}
 	a.rev = meta.Rev

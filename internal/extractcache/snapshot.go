@@ -25,11 +25,6 @@ const (
 	snapshotVersion = 1
 )
 
-// SnapshotMagic identifies an extraction-cache section. Exported so the
-// daemon can sniff a legacy cache-only snapshot file (which starts with
-// this section) apart from the checkpoint format that embeds it.
-const SnapshotMagic = snapshotMagic
-
 // Re-exported so callers can match restore failures without importing the
 // codec package.
 var (

@@ -1,0 +1,208 @@
+package fleet
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"testing"
+
+	"homeguard/internal/detect"
+	"homeguard/internal/snapcodec"
+	"homeguard/internal/wal"
+)
+
+// pinnedFleet builds the fixed fleet whose homes-layout bytes are
+// pinned: two Fig. 3 homes (ComfortTV + ColdDefender) sharing one app
+// table, one accepted threat and one reconfigure in "fig3", and a third
+// home migrated away so the homes section carries a tombstone.
+func pinnedFleet(tb testing.TB) *Fleet {
+	tb.Helper()
+	ctx := context.Background()
+	f := New(Options{})
+	l, err := wal.Open(wal.Options{Dir: tb.TempDir(), Fsync: wal.FsyncOff})
+	if err != nil {
+		tb.Fatalf("wal.Open: %v", err)
+	}
+	tb.Cleanup(func() { l.Close() })
+	f.AttachWAL(l)
+	for _, home := range []string{"fig3", "fig3-b", "moved"} {
+		for _, app := range []string{"ComfortTV", "ColdDefender"} {
+			if _, err := f.Install(ctx, home, mustSource(tb, app), nil); err != nil {
+				tb.Fatalf("install %s into %s: %v", app, home, err)
+			}
+		}
+	}
+	if err := f.AcceptByIndex("fig3", 0); err != nil {
+		tb.Fatalf("accept: %v", err)
+	}
+	cfg := detect.NewConfig()
+	cfg.Devices["tv1"] = "tv-42"
+	if _, err := f.Reconfigure(ctx, "fig3", "ComfortTV", cfg); err != nil {
+		tb.Fatalf("reconfigure: %v", err)
+	}
+	if _, _, err := f.DetachHome("moved"); err != nil {
+		tb.Fatalf("detach: %v", err)
+	}
+	return f
+}
+
+// TestHomesLayoutBytesPinned pins the SHA-256 of the ExportHome blob and
+// the SnapshotHomes section for pinnedFleet: the homes-layout codec may
+// be restructured, but not one byte it writes may change without a
+// version bump.
+func TestHomesLayoutBytesPinned(t *testing.T) {
+	const (
+		wantExport   = "fba56c03a0cc44ae5354926b8c08a91d66d0f598c7f00712b6283950c585fa18"
+		wantSnapshot = "44c6be15b68b253c9a680a1cb43a8d73efa717f9389af85df558c67ccd83bc5d"
+	)
+	f := pinnedFleet(t)
+	blob, _, err := f.ExportHome("fig3")
+	if err != nil {
+		t.Fatalf("ExportHome: %v", err)
+	}
+	var snap bytes.Buffer
+	if _, err := f.SnapshotHomes(&snap); err != nil {
+		t.Fatalf("SnapshotHomes: %v", err)
+	}
+	digest := func(b []byte) string { s := sha256.Sum256(b); return hex.EncodeToString(s[:]) }
+	if got := digest(blob); got != wantExport {
+		t.Errorf("ExportHome blob sha256 = %s, want %s", got, wantExport)
+	}
+	if got := digest(snap.Bytes()); got != wantSnapshot {
+		t.Errorf("SnapshotHomes section sha256 = %s, want %s", got, wantSnapshot)
+	}
+}
+
+// craftSection seals raw records into one homes-layout section, so a
+// test can hand the reader any meta, table and home records it likes.
+func craftSection(magic string, version uint32, recs ...string) []byte {
+	var buf bytes.Buffer
+	sw, _ := snapcodec.NewWriter(&buf, magic, version)
+	for _, rec := range recs {
+		sw.Record([]byte(rec))
+	}
+	sw.Close()
+	return buf.Bytes()
+}
+
+// TestHomesLayoutRejectsDeclaredCounts: the counts in the meta record
+// are untrusted input. A negative count, or one far beyond the records
+// that follow, fails with ErrCorrupt on both readers — no panic, no
+// allocation sized from the declaration, and no home left behind.
+func TestHomesLayoutRejectsDeclaredCounts(t *testing.T) {
+	for _, meta := range []string{`{"apps":-1,"homes":1}`, `{"apps":1073741824,"homes":1}`, `{"apps":0,"homes":-1}`} {
+		f := New(Options{})
+		if _, err := f.ImportHome("fig3", craftSection(homeExportMagic, homeExportVersion, meta)); !errors.Is(err, snapcodec.ErrCorrupt) {
+			t.Errorf("ImportHome with meta %s: %v, want ErrCorrupt", meta, err)
+		}
+		if _, err := f.RestoreHomes(bytes.NewReader(craftSection(homesSnapshotMagic, homesSnapshotVersion, meta))); !errors.Is(err, snapcodec.ErrCorrupt) {
+			t.Errorf("RestoreHomes with meta %s: %v, want ErrCorrupt", meta, err)
+		}
+		if n := f.NumHomes(); n != 0 {
+			t.Errorf("meta %s left %d homes behind", meta, n)
+		}
+	}
+}
+
+// badIndexExport is a single-home export whose home record points at
+// app-table index 5 of an empty table.
+func badIndexExport() []byte {
+	return craftSection(homeExportMagic, homeExportVersion,
+		`{"apps":0,"homes":1}`, `{"id":"fig3","apps":[{"t":5}],"threats":[]}`)
+}
+
+// nullRuleExport is a single-home export whose app's rule set holds a
+// null rule (a crasher: detection compiled the rule and dereferenced
+// nil under the home lock).
+func nullRuleExport() []byte {
+	return craftSection(homeExportMagic, homeExportVersion, `{"apps":1,"homes":1}`,
+		`{"hasResult":true,"name":"X","rules":{"app":"X","rules":[null]}}`,
+		`{"id":"fig3","apps":[{"t":0}],"threats":[]}`)
+}
+
+// TestImportHomeFailureCreatesNoHome: a blob that fails validation must
+// leave no trace — no empty home in the counts, the ID list or the next
+// checkpoint.
+func TestImportHomeFailureCreatesNoHome(t *testing.T) {
+	app := `{"hasResult":true,"name":"X","rules":{"app":"X","rules":[]}}`
+	for name, blob := range map[string][]byte{
+		"bad table index": badIndexExport(),
+		"null rule":       nullRuleExport(),
+		"no rule set": craftSection(homeExportMagic, homeExportVersion, `{"apps":1,"homes":1}`,
+			`{"hasResult":true,"name":"X"}`, `{"id":"fig3","apps":[{"t":0}],"threats":[]}`),
+		"app listed twice": craftSection(homeExportMagic, homeExportVersion, `{"apps":1,"homes":1}`,
+			app, `{"id":"fig3","apps":[{"t":0},{"t":0}],"threats":[]}`),
+		"bad threat log": craftSection(homeExportMagic, homeExportVersion, `{"apps":1,"homes":1}`,
+			app, `{"id":"fig3","apps":[{"t":0}],"threats":{}}`),
+	} {
+		f := New(Options{})
+		if _, err := f.ImportHome("fig3", blob); !errors.Is(err, snapcodec.ErrCorrupt) {
+			t.Errorf("%s: import: %v, want ErrCorrupt", name, err)
+		}
+		if n, m, ids := f.NumHomes(), f.Metrics().Homes, f.HomeIDs(); n != 0 || m != 0 || len(ids) != 0 {
+			t.Errorf("%s: failed import left homes behind: NumHomes %d, Metrics().Homes %d, HomeIDs %v", name, n, m, ids)
+		}
+	}
+}
+
+// FuzzImportHome feeds arbitrary bytes to ImportHome on a fresh fleet:
+// it never panics, a rejected blob leaves no home, and an accepted one
+// survives a second export/import hop with the same threat log.
+func FuzzImportHome(f *testing.F) {
+	blob, _, err := pinnedFleet(f).ExportHome("fig3")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{
+		blob,
+		craftSection(homeExportMagic, homeExportVersion, `{"apps":-1,"homes":1}`),
+		badIndexExport(),
+		nullRuleExport(),
+		blob[:len(blob)-1],
+		blob[:len(blob)/2],
+		blob[:12],
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkImport(t, data)
+		// Random bytes almost never carry a valid SHA-256 trailer, so
+		// also try the input with its trailer recomputed: that reaches
+		// the record decoders behind the checksum.
+		if len(data) > sha256.Size {
+			body := data[:len(data)-sha256.Size]
+			sum := sha256.Sum256(body)
+			checkImport(t, append(bytes.Clone(body), sum[:]...))
+		}
+	})
+}
+
+func checkImport(t *testing.T, data []byte) {
+	f := New(Options{})
+	if _, err := f.ImportHome("fig3", data); err != nil {
+		if n := f.NumHomes(); n != 0 {
+			t.Fatalf("rejected import (%v) left %d homes", err, n)
+		}
+		return
+	}
+	want, err := f.Threats("fig3")
+	if err != nil {
+		t.Fatalf("threats after import: %v", err)
+	}
+	again, _, err := f.ExportHome("fig3")
+	if err != nil {
+		t.Fatalf("re-export: %v", err)
+	}
+	g := New(Options{})
+	if _, err := g.ImportHome("fig3", again); err != nil {
+		t.Fatalf("import of the re-export: %v", err)
+	}
+	got, _ := g.Threats("fig3")
+	wb, _ := detect.MarshalThreats(want)
+	gb, _ := detect.MarshalThreats(got)
+	if !bytes.Equal(wb, gb) {
+		t.Fatalf("threat log changed across export/import:\n got %s\nwant %s", gb, wb)
+	}
+}

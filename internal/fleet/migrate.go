@@ -21,10 +21,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 
-	"homeguard/internal/detect"
-	"homeguard/internal/extractcache"
 	"homeguard/internal/rule"
 	"homeguard/internal/snapcodec"
 	"homeguard/internal/symexec"
@@ -64,26 +61,7 @@ func (h *home) exportUnderLock() ([]byte, int, error) {
 		return nil, 0, fmt.Errorf("fleet: export home %s: %w", h.id, err)
 	}
 	var buf bytes.Buffer
-	sw, err := snapcodec.NewWriter(&buf, homeExportMagic, homeExportVersion)
-	if err != nil {
-		return nil, 0, fmt.Errorf("fleet: export home %s: %w", h.id, err)
-	}
-	meta, err := json.Marshal(homesMetaJSON{Apps: len(table), Homes: 1})
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := sw.Record(meta); err != nil {
-		return nil, 0, fmt.Errorf("fleet: export home %s: %w", h.id, err)
-	}
-	for _, trec := range table {
-		if err := sw.Record(trec); err != nil {
-			return nil, 0, fmt.Errorf("fleet: export home %s: %w", h.id, err)
-		}
-	}
-	if err := sw.Record(rec); err != nil {
-		return nil, 0, fmt.Errorf("fleet: export home %s: %w", h.id, err)
-	}
-	if err := sw.Close(); err != nil {
+	if err := writeHomes(&buf, homeExportMagic, homeExportVersion, homesMetaJSON{}, table, [][]byte{rec}); err != nil {
 		return nil, 0, fmt.Errorf("fleet: export home %s: %w", h.id, err)
 	}
 	return buf.Bytes(), len(h.det.Apps()), nil
@@ -144,15 +122,14 @@ func (f *Fleet) DetachHome(homeID string) ([]byte, int, error) {
 // ImportHome rebuilds a home exported by ExportHome/DetachHome on this
 // fleet and WAL-logs the adoption (OpFleetAdoptHome carries the whole
 // blob, so recovery replays the adopt without the exporter existing).
-// Importing onto a home ID that already has state fails ErrHomeExists.
-// Returns the number of apps the home now holds.
+// The blob is decoded and validated before any home state is created,
+// so a rejected blob leaves the fleet as it was. Importing onto a home
+// ID that already has state fails ErrHomeExists. Returns the number of
+// apps the home now holds.
 func (f *Fleet) ImportHome(homeID string, blob []byte) (int, error) {
-	hs, table, err := decodeHomeExport(blob)
+	st, err := decodeExport(homeID, blob)
 	if err != nil {
-		return 0, err
-	}
-	if hs.ID != homeID {
-		return 0, fmt.Errorf("fleet: import: snapshot is for home %q, not %q", hs.ID, homeID)
+		return 0, fmt.Errorf("fleet: import: %w", err)
 	}
 	var opRec []byte
 	if f.wal != nil {
@@ -163,8 +140,8 @@ func (f *Fleet) ImportHome(homeID string, blob []byte) (int, error) {
 	h := f.homeFor(homeID)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if err := f.adoptUnderLock(h, hs, table); err != nil {
-		return 0, err
+	if err := h.adoptUnderLock(st); err != nil {
+		return 0, fmt.Errorf("fleet: import: %w", err)
 	}
 	if f.wal != nil {
 		lsn, err := f.wal.Append(wal.OpFleetAdoptHome, opRec)
@@ -173,69 +150,24 @@ func (f *Fleet) ImportHome(homeID string, blob []byte) (int, error) {
 		}
 		h.walLSN = lsn
 	}
-	return len(hs.Apps), nil
+	return len(st.apps), nil
 }
 
-// adoptUnderLock restores an exported home into h, which must be
-// empty. A mid-restore failure (corrupt blob) resets the home to empty
-// rather than leaving it half-populated. Callers hold h.mu.
-func (f *Fleet) adoptUnderLock(h *home, hs *homeSnapJSON, table []*symexec.Result) error {
-	if len(h.det.Apps()) > 0 || len(h.threats) > 0 {
-		return fmt.Errorf("fleet: %w: %q", ErrHomeExists, h.id)
-	}
-	if err := f.restoreHomeUnderLock(h, hs, table); err != nil {
-		h.det = detect.New(f.opts.Detector)
-		h.threats, h.ledger = nil, nil
-		h.detSeen = DetectorTotals{}
+// decodeExport reads a single-home export section addressed to homeID.
+func decodeExport(homeID string, blob []byte) (*homeState, error) {
+	var st *homeState
+	meta, err := readHomes(bytes.NewReader(blob), homeExportMagic, homeExportVersion, func(hs *homeSnapJSON, table []*symexec.Result) error {
+		if hs.ID != homeID {
+			return fmt.Errorf("snapshot is for home %q, not %q", hs.ID, homeID)
+		}
+		var err error
+		st, err = decodeHome(hs, table)
 		return err
+	})
+	if err == nil && meta.Homes != 1 {
+		err = fmt.Errorf("%w: export section declares %d homes, want 1", snapcodec.ErrCorrupt, meta.Homes)
 	}
-	return nil
-}
-
-// decodeHomeExport parses a single-home export section.
-func decodeHomeExport(blob []byte) (*homeSnapJSON, []*symexec.Result, error) {
-	sr, err := snapcodec.NewReader(bytes.NewReader(blob), homeExportMagic, homeExportVersion)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fleet: import: %w", err)
-	}
-	rec, err := sr.Next()
-	if err != nil {
-		return nil, nil, fmt.Errorf("fleet: import: meta: %w", err)
-	}
-	var meta homesMetaJSON
-	if err := json.Unmarshal(rec, &meta); err != nil {
-		return nil, nil, fmt.Errorf("%w: import meta: %v", snapcodec.ErrCorrupt, err)
-	}
-	if meta.Homes != 1 {
-		return nil, nil, fmt.Errorf("%w: import section declares %d homes, want 1", snapcodec.ErrCorrupt, meta.Homes)
-	}
-	table := make([]*symexec.Result, 0, meta.Apps)
-	for i := 0; i < meta.Apps; i++ {
-		rec, err := sr.Next()
-		if err != nil {
-			return nil, nil, fmt.Errorf("fleet: import: app table %d: %w", i, err)
-		}
-		res, err := extractcache.UnmarshalResult(rec)
-		if err != nil {
-			return nil, nil, fmt.Errorf("fleet: import: app table %d: %w", i, err)
-		}
-		table = append(table, res)
-	}
-	rec, err = sr.Next()
-	if err != nil {
-		return nil, nil, fmt.Errorf("fleet: import: home record: %w", err)
-	}
-	hs := new(homeSnapJSON)
-	if err := json.Unmarshal(rec, hs); err != nil {
-		return nil, nil, fmt.Errorf("%w: import home record: %v", snapcodec.ErrCorrupt, err)
-	}
-	if _, err := sr.Next(); err != io.EOF {
-		if err == nil {
-			return nil, nil, fmt.Errorf("%w: import section has extra records", snapcodec.ErrCorrupt)
-		}
-		return nil, nil, fmt.Errorf("fleet: import: %w", err)
-	}
-	return hs, table, nil
+	return st, err
 }
 
 // ---------- tombstones ----------

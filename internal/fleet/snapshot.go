@@ -3,8 +3,13 @@
 // ledger, accepted threats and the per-home WAL watermark — through the
 // shared snapcodec framing; RestoreHomes rebuilds the homes in a fresh
 // fleet. Together with the extraction/verdict cache sections and the WAL
-// this replaces save-on-shutdown-only persistence: a checkpoint restore
-// plus a log replay reproduces the exact acknowledged state.
+// a checkpoint restore plus a log replay reproduces the exact
+// acknowledged state.
+//
+// The homes layout — a meta record, the app table, then one record per
+// home — has one writer (writeHomes) and one reader (readHomes), shared
+// by the checkpoint's homes section and the single-home migration blob
+// (migrate.go); only the magic and the meta's tombstones differ.
 //
 // Extraction results are deduplicated by rule-set pointer identity: homes
 // sharing a catalog share *symexec.Result values through the extraction
@@ -97,28 +102,8 @@ func (f *Fleet) SnapshotHomes(w io.Writer) (int, error) {
 		homeRecs = append(homeRecs, rec)
 	}
 
-	sw, err := snapcodec.NewWriter(w, homesSnapshotMagic, homesSnapshotVersion)
-	if err != nil {
-		return 0, fmt.Errorf("fleet: snapshot: %w", err)
-	}
-	meta, err := json.Marshal(homesMetaJSON{Apps: len(table), Homes: len(homeRecs), Tombstones: f.tombstoneSnapshot()})
-	if err != nil {
-		return 0, err
-	}
-	if err := sw.Record(meta); err != nil {
-		return 0, fmt.Errorf("fleet: snapshot: %w", err)
-	}
-	for _, rec := range table {
-		if err := sw.Record(rec); err != nil {
-			return 0, fmt.Errorf("fleet: snapshot: %w", err)
-		}
-	}
-	for _, rec := range homeRecs {
-		if err := sw.Record(rec); err != nil {
-			return 0, fmt.Errorf("fleet: snapshot: %w", err)
-		}
-	}
-	if err := sw.Close(); err != nil {
+	meta := homesMetaJSON{Tombstones: f.tombstoneSnapshot()}
+	if err := writeHomes(w, homesSnapshotMagic, homesSnapshotVersion, meta, table, homeRecs); err != nil {
 		return 0, fmt.Errorf("fleet: snapshot: %w", err)
 	}
 	return len(homeRecs), nil
@@ -180,6 +165,91 @@ func (h *home) encodeUnderLock(tableIdx map[*rule.RuleSet]int, table *[][]byte, 
 	return json.Marshal(hs)
 }
 
+// writeHomes writes one section in the homes layout shared by the
+// checkpoint's homes section and the single-home export: the meta
+// record (with the app and home counts filled in), the app table, then
+// one record per home.
+func writeHomes(w io.Writer, magic string, version uint32, meta homesMetaJSON, table, homes [][]byte) error {
+	sw, err := snapcodec.NewWriter(w, magic, version)
+	if err != nil {
+		return err
+	}
+	meta.Apps, meta.Homes = len(table), len(homes)
+	rec, err := json.Marshal(meta)
+	if err != nil {
+		return err
+	}
+	// Writer errors are sticky: Close reports the first failed Record.
+	sw.Record(rec)
+	for _, rec := range table {
+		sw.Record(rec)
+	}
+	for _, rec := range homes {
+		sw.Record(rec)
+	}
+	return sw.Close()
+}
+
+// readHomes reads one homes-layout section written by writeHomes,
+// calling home once per home record with the decoded app table, so a
+// caller holds one decoded home at a time. The declared counts are
+// checked against the records that actually arrive and never size an
+// allocation: a negative count, or a section that ends early, fails
+// with snapcodec.ErrCorrupt.
+func readHomes(r io.Reader, magic string, version uint32, home func(*homeSnapJSON, []*symexec.Result) error) (homesMetaJSON, error) {
+	var meta homesMetaJSON
+	sr, err := snapcodec.NewReader(r, magic, version)
+	if err != nil {
+		return meta, err
+	}
+	rec, err := sr.Next()
+	if err != nil {
+		return meta, fmt.Errorf("meta: %w", err)
+	}
+	if err := json.Unmarshal(rec, &meta); err != nil {
+		return meta, fmt.Errorf("%w: meta: %v", snapcodec.ErrCorrupt, err)
+	}
+	if meta.Apps < 0 || meta.Homes < 0 {
+		return meta, fmt.Errorf("%w: meta declares %d apps and %d homes", snapcodec.ErrCorrupt, meta.Apps, meta.Homes)
+	}
+	next := func() ([]byte, error) {
+		rec, err := sr.Next()
+		if err == io.EOF {
+			err = fmt.Errorf("%w: section ends before its declared %d apps and %d homes", snapcodec.ErrCorrupt, meta.Apps, meta.Homes)
+		}
+		return rec, err
+	}
+	var table []*symexec.Result
+	for i := 0; i < meta.Apps; i++ {
+		rec, err := next()
+		if err != nil {
+			return meta, fmt.Errorf("app table entry %d: %w", i, err)
+		}
+		res, err := extractcache.UnmarshalResult(rec)
+		if err != nil {
+			return meta, fmt.Errorf("app table entry %d: %w", i, err)
+		}
+		if res.Rules == nil {
+			return meta, fmt.Errorf("%w: app table entry %d has no rule set", snapcodec.ErrCorrupt, i)
+		}
+		table = append(table, res)
+	}
+	for i := 0; i < meta.Homes; i++ {
+		rec, err := next()
+		if err != nil {
+			return meta, fmt.Errorf("home %d: %w", i, err)
+		}
+		var hs homeSnapJSON
+		if err := json.Unmarshal(rec, &hs); err != nil {
+			return meta, fmt.Errorf("%w: home %d: %v", snapcodec.ErrCorrupt, i, err)
+		}
+		if err := home(&hs, table); err != nil {
+			return meta, err
+		}
+	}
+	return meta, sr.End()
+}
+
 // RestoreHomes rebuilds homes from a snapshot written by SnapshotHomes,
 // returning the number of homes restored. Apps are re-registered through
 // detect.RestoreInstalled — bookkeeping only, no re-detection: the
@@ -189,109 +259,91 @@ func (h *home) encodeUnderLock(tableIdx map[*rule.RuleSet]int, table *[][]byte, 
 // time. Restoring into a fleet that already has one of the snapshot's
 // homes populated is an error (restore is a boot-time operation).
 func (f *Fleet) RestoreHomes(r io.Reader) (int, error) {
-	sr, err := snapcodec.NewReader(r, homesSnapshotMagic, homesSnapshotVersion)
+	meta, err := readHomes(r, homesSnapshotMagic, homesSnapshotVersion, func(hs *homeSnapJSON, table []*symexec.Result) error {
+		st, err := decodeHome(hs, table)
+		if err != nil {
+			return err
+		}
+		h := f.homeFor(hs.ID)
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		return h.adoptUnderLock(st)
+	})
 	if err != nil {
 		return 0, fmt.Errorf("fleet: restore: %w", err)
 	}
-	rec, err := sr.Next()
-	if err != nil {
-		return 0, fmt.Errorf("fleet: restore: meta: %w", err)
+	f.tombMu.Lock()
+	for id, lsn := range meta.Tombstones {
+		if lsn > f.tombstones[id] {
+			f.tombstones[id] = lsn
+		}
 	}
-	var meta homesMetaJSON
-	if err := json.Unmarshal(rec, &meta); err != nil {
-		return 0, fmt.Errorf("%w: meta: %v", snapcodec.ErrCorrupt, err)
-	}
-	if len(meta.Tombstones) > 0 {
-		f.tombMu.Lock()
-		for id, lsn := range meta.Tombstones {
-			if lsn > f.tombstones[id] {
-				f.tombstones[id] = lsn
-			}
-		}
-		f.tombMu.Unlock()
-	}
-	table := make([]*symexec.Result, 0, meta.Apps)
-	for i := 0; i < meta.Apps; i++ {
-		rec, err := sr.Next()
-		if err != nil {
-			return 0, fmt.Errorf("fleet: restore: app table %d: %w", i, err)
-		}
-		res, err := extractcache.UnmarshalResult(rec)
-		if err != nil {
-			return 0, fmt.Errorf("fleet: restore: app table %d: %w", i, err)
-		}
-		table = append(table, res)
-	}
-	restored := 0
-	for i := 0; i < meta.Homes; i++ {
-		rec, err := sr.Next()
-		if err != nil {
-			return restored, fmt.Errorf("fleet: restore: home %d: %w", i, err)
-		}
-		var hs homeSnapJSON
-		if err := json.Unmarshal(rec, &hs); err != nil {
-			return restored, fmt.Errorf("%w: home %d: %v", snapcodec.ErrCorrupt, i, err)
-		}
-		if err := f.restoreHome(&hs, table); err != nil {
-			return restored, err
-		}
-		restored++
-	}
-	// Drain the trailer so the checksum verifies and the reader stops at
-	// the section boundary (sections concatenate in one file).
-	if _, err := sr.Next(); err != io.EOF {
-		if err == nil {
-			return restored, fmt.Errorf("%w: records beyond the declared counts", snapcodec.ErrCorrupt)
-		}
-		return restored, fmt.Errorf("fleet: restore: %w", err)
-	}
-	return restored, nil
+	f.tombMu.Unlock()
+	return meta.Homes, nil
 }
 
-func (f *Fleet) restoreHome(hs *homeSnapJSON, table []*symexec.Result) error {
-	h := f.homeFor(hs.ID)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return f.restoreHomeUnderLock(h, hs, table)
+// homeState is one home's durable state, decoded and validated but not
+// yet attached to any home: a corrupt record fails before the fleet
+// gains a home for it.
+type homeState struct {
+	apps     []*detect.InstalledApp
+	threats  []detect.Threat
+	ledger   []ledgerEntry
+	accepted []detect.Threat
+	walLSN   uint64
 }
 
-// restoreHomeUnderLock rebuilds one home's state from its snapshot
-// record. Callers hold h.mu and guarantee the home is empty.
-func (f *Fleet) restoreHomeUnderLock(h *home, hs *homeSnapJSON, table []*symexec.Result) error {
-	if len(h.det.Apps()) > 0 {
-		return fmt.Errorf("fleet: restore: home %q is not empty", hs.ID)
-	}
+// decodeHome validates one home record against the section's app table.
+func decodeHome(hs *homeSnapJSON, table []*symexec.Result) (*homeState, error) {
+	st := &homeState{walLSN: hs.WalLSN}
+	names := map[string]bool{}
 	for _, ha := range hs.Apps {
 		if ha.Table < 0 || ha.Table >= len(table) {
-			return fmt.Errorf("%w: home %q: app table index %d of %d", snapcodec.ErrCorrupt, hs.ID, ha.Table, len(table))
+			return nil, fmt.Errorf("%w: home %q: app table index %d of %d", snapcodec.ErrCorrupt, hs.ID, ha.Table, len(table))
 		}
+		res := table[ha.Table]
+		if names[res.App.Name] {
+			return nil, fmt.Errorf("%w: home %q lists app %q twice", snapcodec.ErrCorrupt, hs.ID, res.App.Name)
+		}
+		names[res.App.Name] = true
 		cfg, err := detect.UnmarshalConfig(ha.Config)
 		if err != nil {
-			return fmt.Errorf("fleet: restore: home %q: %w", hs.ID, err)
+			return nil, fmt.Errorf("%w: home %q config: %w", snapcodec.ErrCorrupt, hs.ID, err)
 		}
-		h.det.RestoreInstalled(detect.NewInstalledApp(table[ha.Table], cfg))
+		st.apps = append(st.apps, detect.NewInstalledApp(res, cfg))
 	}
 	var err error
-	if h.threats, err = detect.UnmarshalThreats(hs.Threats); err != nil {
-		return fmt.Errorf("fleet: restore: home %q threat log: %w", hs.ID, err)
+	if st.threats, err = detect.UnmarshalThreats(hs.Threats); err != nil {
+		return nil, fmt.Errorf("%w: home %q threat log: %w", snapcodec.ErrCorrupt, hs.ID, err)
 	}
 	for _, le := range hs.Ledger {
 		ts, err := detect.UnmarshalThreats(le.Threats)
 		if err != nil {
-			return fmt.Errorf("fleet: restore: home %q ledger: %w", hs.ID, err)
+			return nil, fmt.Errorf("%w: home %q ledger: %w", snapcodec.ErrCorrupt, hs.ID, err)
 		}
-		h.ledger = append(h.ledger, ledgerEntry{a: le.A, b: le.B, threats: ts})
+		st.ledger = append(st.ledger, ledgerEntry{a: le.A, b: le.B, threats: ts})
 	}
 	if len(hs.Accepted) > 0 {
-		acc, err := detect.UnmarshalThreats(hs.Accepted)
-		if err != nil {
-			return fmt.Errorf("fleet: restore: home %q accepted: %w", hs.ID, err)
-		}
-		for _, t := range acc {
-			h.det.Accept(t)
+		if st.accepted, err = detect.UnmarshalThreats(hs.Accepted); err != nil {
+			return nil, fmt.Errorf("%w: home %q accepted: %w", snapcodec.ErrCorrupt, hs.ID, err)
 		}
 	}
-	h.walLSN = hs.WalLSN
+	return st, nil
+}
+
+// adoptUnderLock attaches decoded state to h, which must hold no state
+// yet. Callers hold h.mu.
+func (h *home) adoptUnderLock(st *homeState) error {
+	if len(h.det.Apps()) > 0 || len(h.threats) > 0 {
+		return fmt.Errorf("%w: %q", ErrHomeExists, h.id)
+	}
+	for _, a := range st.apps {
+		h.det.RestoreInstalled(a)
+	}
+	for _, t := range st.accepted {
+		h.det.Accept(t)
+	}
+	h.threats, h.ledger, h.walLSN = st.threats, st.ledger, st.walLSN
 	h.detSeen = detectorTotalsOf(h.det.Stats())
 	return nil
 }

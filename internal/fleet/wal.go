@@ -158,15 +158,18 @@ func (f *Fleet) replayInstall(lsn uint64, homeID, src string, cfg *detect.Config
 		// skip does not even create an empty home.
 		return nil
 	}
-	res, err := f.cache.Extract(src, "")
-	if err != nil {
-		return fmt.Errorf("fleet: replay lsn %d: home %s: %w", lsn, homeID, err)
-	}
 	h := f.homeFor(homeID)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.walLSN >= lsn {
-		return nil // already in the checkpoint
+		// Already in the checkpoint: skipped before the extraction-cache
+		// lookup, so a warm boot's covered records leave no trace in the
+		// cache's hit ratio.
+		return nil
+	}
+	res, err := f.cache.Extract(src, "")
+	if err != nil {
+		return fmt.Errorf("fleet: replay lsn %d: home %s: %w", lsn, homeID, err)
 	}
 	for _, a := range h.det.Apps() {
 		if a.Info.Name == res.App.Name {
@@ -275,12 +278,9 @@ func (f *Fleet) replayAdoptHome(lsn uint64, homeID string, blob []byte) error {
 	if f.tombstoneCovers(homeID, lsn) {
 		return nil // adopted home was migrated away again at a later LSN
 	}
-	hs, table, err := decodeHomeExport(blob)
+	st, err := decodeExport(homeID, blob)
 	if err != nil {
-		return fmt.Errorf("fleet: replay lsn %d: %w", lsn, err)
-	}
-	if hs.ID != homeID {
-		return fmt.Errorf("fleet: replay lsn %d: adopt record for home %q carries snapshot of %q", lsn, homeID, hs.ID)
+		return fmt.Errorf("fleet: replay lsn %d: adopt record for home %q: %w", lsn, homeID, err)
 	}
 	h := f.homeFor(homeID)
 	h.mu.Lock()
@@ -288,7 +288,7 @@ func (f *Fleet) replayAdoptHome(lsn uint64, homeID string, blob []byte) error {
 	if h.walLSN >= lsn {
 		return nil // already in the checkpoint
 	}
-	if err := f.adoptUnderLock(h, hs, table); err != nil {
+	if err := h.adoptUnderLock(st); err != nil {
 		return fmt.Errorf("fleet: replay lsn %d: %w", lsn, err)
 	}
 	h.walLSN = lsn

@@ -15,6 +15,7 @@ import (
 	"homeguard/internal/corpus"
 	"homeguard/internal/fleet"
 	"homeguard/internal/obs"
+	"homeguard/internal/snapcodec"
 )
 
 // startEdge boots a fleet + service + server on a loopback listener
@@ -562,4 +563,32 @@ func requestCounts(t *testing.T, o *obs.Observer) map[string]float64 {
 		counts[method+"|"+code] = s.Value
 	}
 	return counts
+}
+
+// TestRPCAdoptHomeCraftedSnapshot sends the 73-byte AdoptHome snapshot
+// whose meta record declares -1 apps: the node must answer with an
+// error code and keep serving, not crash in the handler goroutine.
+func TestRPCAdoptHomeCraftedSnapshot(t *testing.T) {
+	_, client := startEdge(t, ServiceOptions{}, ServerOptions{})
+	ctx := context.Background()
+	var blob bytes.Buffer
+	sw, err := snapcodec.NewWriter(&blob, "HGHMSNP\x00", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw.Record([]byte(`{"apps":-1,"homes":1}`))
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var resp api.AdoptHomeResponse
+	err = client.Call(ctx, MethodAdoptHome.Name, &api.AdoptHomeRequest{Home: "h", Snapshot: blob.Bytes()}, &resp)
+	if err == nil {
+		t.Fatalf("crafted AdoptHome of %d bytes succeeded: %+v", blob.Len(), resp)
+	}
+	if code := codeOf(t, err); code == api.CodeOK {
+		t.Fatalf("crafted AdoptHome answered %s", code)
+	}
+	if _, err := client.Ping(ctx); err != nil {
+		t.Fatalf("ping after the crafted AdoptHome: %v", err)
+	}
 }

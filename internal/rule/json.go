@@ -312,5 +312,10 @@ func UnmarshalRuleSet(b []byte) (*RuleSet, error) {
 	if err := json.Unmarshal(b, &in); err != nil {
 		return nil, err
 	}
+	for i, r := range in.Rules {
+		if r == nil {
+			return nil, fmt.Errorf("rule: rule set %q: rule %d is null", in.App, i)
+		}
+	}
 	return &RuleSet{App: in.App, Rules: in.Rules}, nil
 }

@@ -1,24 +1,26 @@
-// Package snapcodec is the shared binary framing for persistent
-// warm-start snapshots: a magic+version header, a stream of
-// length-prefixed records, and a SHA-256 checksum trailer covering every
-// byte written before it. The extraction cache and the pair-verdict cache
-// both persist through it (each with its own magic and record payloads),
-// and homeguardd concatenates their sections into one snapshot file —
-// the codec never reads past its own trailer, so sections compose on a
-// plain io.Reader.
+// Package snapcodec is the shared binary framing for persistent state:
+// a magic+version header, a stream of length-prefixed records, and a
+// SHA-256 checksum trailer covering every byte written before it. The
+// extraction cache, the pair-verdict cache, the fleet homes, the store
+// auditor and homeguardd's checkpoint meta each persist through it
+// (each with its own magic and record payloads), and homeguardd
+// concatenates their sections into one checkpoint file — the codec
+// never reads past its own trailer, so sections compose on a plain
+// io.Reader.
 //
 // Layout:
 //
-//	magic   [8]byte  // per-cache identity, e.g. "HGXCSNP\x00"
+//	magic   [8]byte  // per-section identity, e.g. "HGXCSNP\x00"
 //	version uint32   // big-endian format version
 //	records           // repeated: length uint32 | payload bytes
 //	end     uint32   // sentinel length 0xFFFFFFFF
 //	sum     [32]byte // SHA-256 of everything above
 //
-// Restore fails with ErrVersion on a known magic but unknown version and
-// with ErrCorrupt on a bad magic, a truncated stream, an oversized record
-// or a checksum mismatch — a daemon booting from a damaged snapshot gets
-// a clean typed error and starts cold instead of loading garbage.
+// Reading fails with ErrVersion on a known magic but unknown version and
+// with ErrCorrupt on a bad magic, a truncated stream, an oversized record,
+// a record where the section should end (Reader.End) or a checksum
+// mismatch — a daemon booting from a damaged checkpoint gets a clean
+// typed error and refuses to serve instead of loading garbage.
 package snapcodec
 
 import (
@@ -116,24 +118,6 @@ func (sw *Writer) write(b []byte) {
 	sw.h.Write(b)
 }
 
-// Peeker is the subset of *bufio.Reader PeekMagic needs.
-type Peeker interface {
-	Peek(n int) ([]byte, error)
-}
-
-// PeekMagic returns the 8-byte section magic at the reader's current
-// position without consuming it, so a multi-section snapshot loader can
-// dispatch on what the file actually starts with (e.g. a checkpoint's
-// meta section vs. a legacy cache-only snapshot). A stream shorter than a
-// magic fails with ErrCorrupt.
-func PeekMagic(r Peeker) (string, error) {
-	b, err := r.Peek(magicLen)
-	if err != nil {
-		return "", fmt.Errorf("%w: short magic: %v", ErrCorrupt, err)
-	}
-	return string(b), nil
-}
-
 // Reader consumes one snapshot section written by Writer.
 type Reader struct {
 	r io.Reader
@@ -195,4 +179,18 @@ func (sr *Reader) Next() ([]byte, error) {
 	}
 	sr.h.Write(b)
 	return b, nil
+}
+
+// End consumes the end of the section: the sentinel and the checksum
+// trailer, which it verifies. A further record where the section should
+// end fails with ErrCorrupt, as does any damage Next reports.
+func (sr *Reader) End() error {
+	_, err := sr.Next()
+	switch err {
+	case io.EOF:
+		return nil
+	case nil:
+		return fmt.Errorf("%w: records beyond the declared counts", ErrCorrupt)
+	}
+	return err
 }

@@ -102,3 +102,31 @@ func TestOversizedRecordRejected(t *testing.T) {
 		t.Fatalf("oversized record: %v, want ErrCorrupt", err)
 	}
 }
+
+// TestEnd: End accepts exactly the end of a section — the sentinel and
+// a matching checksum — and rejects a record where the section should
+// end or a damaged trailer with ErrCorrupt.
+func TestEnd(t *testing.T) {
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf, "ENDSECT\x00", 1)
+	w.Record([]byte("only"))
+	w.Close()
+	raw := buf.Bytes()
+
+	r, _ := NewReader(bytes.NewReader(raw), "ENDSECT\x00", 1)
+	if err := r.End(); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("End before the last record: %v, want ErrCorrupt", err)
+	}
+	r, _ = NewReader(bytes.NewReader(raw), "ENDSECT\x00", 1)
+	r.Next()
+	if err := r.End(); err != nil {
+		t.Errorf("End at the end: %v", err)
+	}
+	damaged := bytes.Clone(raw)
+	damaged[len(damaged)-1] ^= 1
+	r, _ = NewReader(bytes.NewReader(damaged), "ENDSECT\x00", 1)
+	r.Next()
+	if err := r.End(); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("End over a damaged checksum: %v, want ErrCorrupt", err)
+	}
+}
