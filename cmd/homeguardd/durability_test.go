@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"homeguard/internal/api"
 	"homeguard/internal/fleet"
 	"homeguard/internal/snapcodec"
 	"homeguard/internal/wal"
@@ -121,18 +122,33 @@ func TestDaemonCheckpointRecovery(t *testing.T) {
 }
 
 // TestGateRefusesUntilReady pins the recovery gate: while boot recovery
-// runs, API traffic is refused with 503 but the probes pass through, so
-// orchestrators see an honest "starting" instead of half-replayed state.
+// runs, API traffic is refused with 503 — the UNAVAILABLE error
+// envelope with a retry hint, and Retry-After — but the probes pass
+// through, so orchestrators see an honest "starting" instead of
+// half-replayed state.
 func TestGateRefusesUntilReady(t *testing.T) {
 	srv := newServer(fleet.Options{Shards: 4})
 	h := srv.gate(srv.mux)
-	get := func(path string) int {
+	serve := func(path string) *httptest.ResponseRecorder {
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, httptest.NewRequest("GET", path, nil))
-		return w.Code
+		return w
 	}
-	if code := get("/metrics"); code != http.StatusServiceUnavailable {
-		t.Errorf("API during recovery: status %d, want 503", code)
+	get := func(path string) int { return serve(path).Code }
+	w := serve("/metrics")
+	if w.Code != http.StatusServiceUnavailable {
+		t.Errorf("API during recovery: status %d, want 503", w.Code)
+	}
+	var env struct {
+		Error *api.Error `json:"error"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || env.Error == nil {
+		t.Errorf("API during recovery: body %q is not the error envelope (%v)", w.Body.String(), err)
+	} else if env.Error.Code != api.CodeUnavailable || env.Error.RetryAfterMs != 1000 {
+		t.Errorf("API during recovery: envelope %+v, want UNAVAILABLE with retryAfterMs 1000", env.Error)
+	}
+	if got := w.Header().Get("Retry-After"); got != "1" {
+		t.Errorf("API during recovery: Retry-After %q, want 1", got)
 	}
 	if code := get("/readyz"); code != http.StatusServiceUnavailable {
 		t.Errorf("readyz during recovery: status %d, want 503 (from the probe, not the gate)", code)

@@ -21,16 +21,19 @@
 //
 // -rpc-addr (default :8081, empty disables) serves the framed RPC
 // protocol: unary Install/InstallBatch/Reconfigure/Threats/Accept/Apps
-// and the SubmitApps/Findings store methods,
-// plus the StreamInstall/StreamThreats bidirectional streams, with
+// and the SubmitApps/Findings store methods, with
 // per-RPC deadlines, gRPC status codes, and per-stage circuit breakers
 // (extraction and detection trip independently; an open breaker sheds
 // with UNAVAILABLE and a retryAfterMs hint). HTTP and RPC dispatch into
 // one shared service core from one method table (internal/rpc's
 // Methods: the HTTP routes below, the RPC dispatch and the request-body
 // decoder all come from it), so verdicts and error codes are identical
-// on either wire — see internal/rpc for the protocol and internal/api
-// for the envelope.
+// on either wire, and an HTTP response body is the RPC response body
+// plus a newline, byte for byte: compact JSON, which the HTTP edge
+// writes as the service core returned it. Every HTTP error body,
+// the recovery gate's 503 included, is the {"error":{code,message}}
+// envelope — see internal/rpc for the protocol and internal/api for
+// the envelope.
 //
 // # Event pipeline
 //
@@ -53,7 +56,7 @@
 //     exposition format 0.0.4 under stable homeguard_* names, suitable
 //     for a scrape config with no client library in the loop. RPC
 //     serving adds the homeguard_rpc_* series (requests by method and
-//     code, latency histogram, breaker states, stream gauges) and the
+//     code, latency histogram, breaker states) and the
 //     event pipeline the homeguard_events_* series.
 //   - GET /debug/requests serves the slow-request capture: the N slowest
 //     and M most recent traced request span trees as JSON, each tree
@@ -74,7 +77,8 @@
 // finished and the home shards are initialized, 200 while serving, and
 // 503 again during drain so load balancers pull the instance before
 // connections are forcibly closed. While recovering, every API route
-// except the probes answers 503 with Retry-After — the listener is up
+// except the probes answers 503 UNAVAILABLE (retryAfterMs 1000) with
+// Retry-After: 1 — the listener is up
 // (so orchestrators see the process, and readiness honestly reports
 // the recovery phase) but no request observes half-replayed state.
 //
@@ -215,6 +219,7 @@ import (
 	"syscall"
 	"time"
 
+	"homeguard/internal/api"
 	"homeguard/internal/audit"
 	"homeguard/internal/events"
 	"homeguard/internal/fleet"
@@ -490,15 +495,17 @@ func (s *server) markReady() { s.ready.Store(true) }
 // traffic while the HTTP server drains in-flight requests.
 func (s *server) startDrain() { s.draining.Store(true) }
 
-// gate refuses API traffic with 503 until boot recovery completes. The
-// probes pass through so /readyz can answer "starting" honestly; a
-// request served against half-replayed state would return answers the
-// recovered daemon contradicts moments later.
+// gate refuses API traffic until boot recovery completes, with the
+// UNAVAILABLE error envelope (503), a one-second retryAfterMs hint and
+// the matching Retry-After header. The probes pass through so /readyz
+// can answer "starting" honestly; a request served against
+// half-replayed state would return answers the recovered daemon
+// contradicts moments later.
 func (s *server) gate(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !s.ready.Load() && r.URL.Path != "/healthz" && r.URL.Path != "/readyz" {
 			w.Header().Set("Retry-After", "1")
-			http.Error(w, "recovering", http.StatusServiceUnavailable)
+			rpc.Respond(w, nil, &api.Error{Code: api.CodeUnavailable, Message: "recovering", RetryAfterMs: 1000})
 			return
 		}
 		next.ServeHTTP(w, r)

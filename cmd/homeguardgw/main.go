@@ -20,7 +20,9 @@
 // pooled HGRPC clients. The gateway reads only the routing key — the
 // path's {id} over HTTP, the body's "home" over RPC — and relays the
 // request and response bodies verbatim, with the key in the REQ header
-// so the node executes the home the gateway routed. The ring is
+// so the node executes the home the gateway routed. On either edge the
+// answer is the node's RPC response body as it arrived: the RES body
+// over RPC, and the same bytes plus a newline over HTTP. The ring is
 // versioned from the sorted membership, so gateway replicas configured
 // identically route identically with no coordination.
 //

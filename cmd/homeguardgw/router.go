@@ -277,12 +277,8 @@ func isTransport(err error) bool {
 // client, the call, then breaker and pool bookkeeping.
 func (r *router) invoke(node cluster.Node, call func(c *rpc.Client) error) error {
 	b := r.breakers[node.ID]
-	if ok, retryAfter := b.Allow(); !ok {
-		return &api.Error{
-			Code:         api.CodeUnavailable,
-			Message:      fmt.Sprintf("cluster: node %s breaker open", node.ID),
-			RetryAfterMs: retryAfter.Milliseconds(),
-		}
+	if aerr := b.Admit("cluster: node " + node.ID); aerr != nil {
+		return aerr
 	}
 	c, err := r.pool.Get(node.Addr)
 	if err != nil {

@@ -72,10 +72,9 @@
 // Alongside HTTP the daemon serves a gRPC-modeled RPC edge
 // (-rpc-addr, internal/rpc): Install, InstallBatch, Reconfigure,
 // Threats, Accept, Apps and the SubmitApps/Findings store methods as
-// unary calls plus StreamInstall and
-// StreamThreats as bidirectional streams, multiplexed over one
+// unary calls — one install request, one verdict — multiplexed over one
 // connection with per-RPC deadlines propagated from the client's
-// context. Both transports are thin shells over one shared service
+// context; InstallBatch covers in-order installs into one home. Both transports are thin shells over one shared service
 // core, driven by one method table (internal/rpc's Methods) that the
 // HTTP routes, the RPC dispatch, the client stubs and the gateway all
 // read, and one raw entry point (rpc.Handler) into which every edge
@@ -88,7 +87,8 @@
 // RESOURCE_EXHAUSTED/UNAVAILABLE responses carrying a retryAfterMs
 // hint. Each RPC frame carries its JSON body verbatim beside a small
 // JSON header, so a body is encoded once by its sender and parsed once
-// by the node, with a gateway in between reading only its routing key; a
+// by the node, with a gateway in between reading only its routing key;
+// an HTTP response body is that same compact JSON plus a newline; a
 // response too large for the 4 MiB frame cap comes back as
 // RESOURCE_EXHAUSTED. The connection preface names the frame layout
 // (HGRPC/2), and a server refuses a client speaking any other, so a
@@ -395,7 +395,6 @@
 //	audit_store_apps, audit_findings_active        store size + live findings (gauges)
 //	rpc_requests_total{method,code}                RPC calls by outcome
 //	rpc_latency_seconds (histogram)                RPC edge latency
-//	rpc_streams_active, rpc_stream_msgs_total      streaming edge
 //	rpc_breaker_open{stage}                        0 closed, 0.5 half-open, 1 open
 //	events_{published,dropped,written,sink_errors}_total, events_buffered
 //	wal_appends_total, wal_fsyncs_total, wal_bytes_total,

@@ -403,9 +403,8 @@ type InstallBatchRequest struct {
 	Items []InstallItem `json:"items"`
 }
 
-// InstallItem is one app of a batch or stream install (no home field:
-// the batch's home applies; stream items carry their own home in the
-// enclosing message).
+// InstallItem is one app of a batch install (no home field: the
+// batch's home applies).
 type InstallItem struct {
 	Source string  `json:"source,omitempty"`
 	Corpus string  `json:"corpus,omitempty"`

@@ -3,6 +3,8 @@ package rpc
 import (
 	"sync"
 	"time"
+
+	"homeguard/internal/api"
 )
 
 // Breaker states.
@@ -67,9 +69,9 @@ func NewBreaker(opts BreakerOptions) *Breaker {
 
 // Allow reports whether a request may proceed. When it returns false
 // the request must be shed with UNAVAILABLE and retryAfter as the
-// client's retry hint. An open breaker whose cooldown has elapsed
-// admits exactly one probe (half-open); further requests are shed
-// until the probe reports.
+// client's retry hint; Admit builds that envelope. An open breaker
+// whose cooldown has elapsed admits exactly one probe (half-open);
+// further requests are shed until the probe reports.
 func (b *Breaker) Allow() (ok bool, retryAfter time.Duration) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -89,6 +91,23 @@ func (b *Breaker) Allow() (ok bool, retryAfter time.Duration) {
 		}
 		b.probing = true
 		return true, 0
+	}
+}
+
+// Admit gates one request on Allow: nil when it may proceed, otherwise
+// the UNAVAILABLE envelope to shed it with. The message names what the
+// breaker guards; the retry hint is in whole milliseconds and at least
+// 1, so a cooldown with under a millisecond left still sends one
+// (RetryAfterMs is omitted from the wire when 0).
+func (b *Breaker) Admit(what string) *api.Error {
+	ok, retry := b.Allow()
+	if ok {
+		return nil
+	}
+	return &api.Error{
+		Code:         api.CodeUnavailable,
+		Message:      what + " circuit breaker open",
+		RetryAfterMs: max(retry.Milliseconds(), 1),
 	}
 }
 

@@ -3,6 +3,8 @@ package rpc
 import (
 	"testing"
 	"time"
+
+	"homeguard/internal/api"
 )
 
 // fakeClock is an injectable clock for breaker tests.
@@ -108,5 +110,29 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 	b.Success()
 	if b.State() != BreakerClosed {
 		t.Fatalf("state = %s, want closed", b.State())
+	}
+}
+
+// TestBreakerAdmitClampsRetryHint: a shed request's envelope is
+// UNAVAILABLE with a retry hint of at least 1 ms, even with half a
+// millisecond of cooldown left, where a plain Milliseconds() gives 0
+// and the wire would drop the hint.
+func TestBreakerAdmitClampsRetryHint(t *testing.T) {
+	b, clk := newTestBreaker(1, time.Second)
+	if aerr := b.Admit("test"); aerr != nil {
+		t.Fatalf("closed breaker shed a request: %v", aerr)
+	}
+	b.Failure()
+	clk.advance(time.Second - 500*time.Microsecond)
+	aerr := b.Admit("test")
+	if aerr == nil {
+		t.Fatal("open breaker admitted a request")
+	}
+	if aerr.Code != api.CodeUnavailable || aerr.RetryAfterMs < 1 {
+		t.Errorf("shed envelope = %+v, want UNAVAILABLE with RetryAfterMs >= 1", aerr)
+	}
+	clk.advance(time.Millisecond)
+	if aerr := b.Admit("test"); aerr != nil {
+		t.Errorf("breaker past its cooldown shed the half-open probe: %v", aerr)
 	}
 }

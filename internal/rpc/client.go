@@ -16,8 +16,7 @@ import (
 )
 
 // Client is a connection to an RPC server. It is safe for concurrent
-// use: unary calls and streams multiplex over the one connection by
-// stream id.
+// use: calls multiplex over the one connection by stream id.
 type Client struct {
 	conn net.Conn
 	fw   *frameWriter
@@ -102,8 +101,8 @@ func (c *Client) readLoop() {
 	}
 }
 
-// register allocates a stream id and its frame channel.
-func (c *Client) register(buf int) (uint64, chan frame, error) {
+// register allocates a stream id and the channel its RES arrives on.
+func (c *Client) register() (uint64, chan frame, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
@@ -111,7 +110,7 @@ func (c *Client) register(buf int) (uint64, chan frame, error) {
 	}
 	c.nextID++
 	id := c.nextID
-	ch := make(chan frame, buf)
+	ch := make(chan frame, 1)
 	c.calls[id] = ch
 	return id, ch, nil
 }
@@ -169,7 +168,7 @@ func (c *Client) Call(ctx context.Context, method string, req, resp any) error {
 // and binds the request to that home on the server. Errors are those
 // of Call.
 func (c *Client) CallRaw(ctx context.Context, method, key string, body []byte) ([]byte, error) {
-	id, ch, err := c.register(1)
+	id, ch, err := c.register()
 	if err != nil {
 		return nil, err
 	}
@@ -223,16 +222,6 @@ func ctxErr(ctx context.Context) error {
 		code = api.CodeDeadlineExceeded
 	}
 	return api.Wrap(code, err, "rpc: call aborted")
-}
-
-// decodeStatus unpacks a RES payload into an error and/or resp. A
-// malformed envelope is INVALID_ARGUMENT.
-func decodeStatus(payload []byte, resp any) error {
-	body, err := statusBody(payload)
-	if err != nil {
-		return err
-	}
-	return decodeResult(body, resp)
 }
 
 // statusBody unpacks a RES payload into its error or its body, which
@@ -325,139 +314,4 @@ func (c *Client) Ping(ctx context.Context) (*api.PingResponse, error) {
 // home's durable state and detaches it.
 func (c *Client) MigrateHome(ctx context.Context, req *api.MigrateHomeRequest) (*api.MigrateHomeResponse, error) {
 	return unary(ctx, c, MethodMigrateHome, req)
-}
-
-// Stream is a client-side bidirectional stream. Send requests with
-// Send, half-close with CloseSend, then drain results with Recv until
-// io.EOF (the server trailer). Per-item failures surface as the Error
-// field of each received item, not as Recv errors.
-type Stream struct {
-	c      *Client
-	ctx    context.Context
-	id     uint64
-	ch     chan frame
-	closed bool
-}
-
-// openStream starts a stream for method.
-func (c *Client) openStream(ctx context.Context, method string) (*Stream, error) {
-	id, ch, err := c.register(64)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.sendReq(ctx, id, reqHeader{Method: method}, nil); err != nil {
-		c.unregister(id)
-		return nil, err
-	}
-	return &Stream{c: c, ctx: ctx, id: id, ch: ch}, nil
-}
-
-// Send ships one request message on the stream. A message too large
-// for one frame is refused with RESOURCE_EXHAUSTED before anything is
-// sent.
-func (st *Stream) Send(req any) error {
-	b, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	return st.c.fw.write(frameMsg, st.id, b)
-}
-
-// CloseSend half-closes the stream: no more Sends will follow.
-func (st *Stream) CloseSend() error {
-	return st.c.fw.write(frameEOS, st.id, nil)
-}
-
-// Recv returns the next per-item outcome. It returns io.EOF after the
-// server's trailer (an error trailer is returned instead on its first
-// Recv), and unregisters the stream at that point.
-func (st *Stream) Recv() (*streamItem, error) {
-	if st.closed {
-		return nil, io.EOF
-	}
-	for {
-		select {
-		case f, ok := <-st.ch:
-			if !ok {
-				st.closed = true
-				return nil, st.c.transportErr()
-			}
-			switch f.typ {
-			case frameMsg:
-				item := new(streamItem)
-				body, err := decodeEnvelope(f.payload, item)
-				if err != nil {
-					return nil, errBadEnvelope("stream item", err)
-				}
-				item.Result = body
-				return item, nil
-			case frameRes:
-				st.closed = true
-				st.c.unregister(st.id)
-				if err := decodeStatus(f.payload, nil); err != nil {
-					return nil, err
-				}
-				return nil, io.EOF
-			}
-		case <-st.ctx.Done():
-			st.closed = true
-			st.c.unregister(st.id)
-			return nil, ctxErr(st.ctx)
-		}
-	}
-}
-
-// InstallStream streams install requests: each Send(*api.InstallRequest)
-// yields one RecvInstall result in order.
-type InstallStream struct{ Stream }
-
-// StreamInstall opens a bidirectional install stream.
-func (c *Client) StreamInstall(ctx context.Context) (*InstallStream, error) {
-	st, err := c.openStream(ctx, MethodInstall.Stream)
-	if err != nil {
-		return nil, err
-	}
-	return &InstallStream{Stream: *st}, nil
-}
-
-// RecvInstall returns the next install outcome: exactly one of the
-// response and the error is non-nil; io.EOF ends the stream.
-func (st *InstallStream) RecvInstall() (*api.InstallResponse, *api.Error, error) {
-	return recvResult[api.InstallResponse](&st.Stream)
-}
-
-// ThreatsStream streams threat-log reads: each Send(*api.ThreatsRequest)
-// yields one RecvThreats result in order.
-type ThreatsStream struct{ Stream }
-
-// StreamThreats opens a bidirectional threat-read stream.
-func (c *Client) StreamThreats(ctx context.Context) (*ThreatsStream, error) {
-	st, err := c.openStream(ctx, MethodThreats.Stream)
-	if err != nil {
-		return nil, err
-	}
-	return &ThreatsStream{Stream: *st}, nil
-}
-
-// RecvThreats returns the next threat-read outcome: exactly one of the
-// response and the error is non-nil; io.EOF ends the stream.
-func (st *ThreatsStream) RecvThreats() (*api.ThreatsResponse, *api.Error, error) {
-	return recvResult[api.ThreatsResponse](&st.Stream)
-}
-
-// recvResult returns the next outcome of a stream whose results are
-// Resp values.
-func recvResult[Resp any](st *Stream) (*Resp, *api.Error, error) {
-	item, err := st.Recv()
-	if err != nil {
-		return nil, nil, err
-	}
-	if item.Error != nil {
-		return nil, item.Error, nil
-	}
-	resp := new(Resp)
-	if err := json.Unmarshal(item.Result, resp); err != nil {
-		return nil, nil, fmt.Errorf("rpc: bad stream result: %w", err)
-	}
-	return resp, nil, nil
 }

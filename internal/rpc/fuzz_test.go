@@ -59,9 +59,13 @@ func fuzzApps(f *testing.F) []corpus.App {
 
 // FuzzServerFrames writes the preface and then arbitrary bytes to one
 // server connection. The connection must wind down once the input
-// ends (no panic, no hang), every frame the server writes must be a
-// well-formed envelope, and a first frame that is a REQ with a
-// malformed envelope must be answered with INVALID_ARGUMENT.
+// ends (no panic, no hang), and every frame the server writes must be
+// a well-formed RES envelope. The server answers exactly the REQ
+// frames in front of the first frame it cannot take — a MSG (2) or EOS
+// (3) of the retired streams, any other type, an oversized or a
+// truncated frame — and drops the connection there, dispatching
+// nothing after it. A first frame that is a REQ with a malformed
+// envelope must be answered with INVALID_ARGUMENT.
 //
 //	go test -run '^$' -fuzz FuzzServerFrames -fuzztime 30s ./internal/rpc
 func FuzzServerFrames(f *testing.F) {
@@ -69,16 +73,14 @@ func FuzzServerFrames(f *testing.F) {
 	install := func(id uint64, home string, app corpus.App) []byte {
 		return fuzzReq(f, id, "Install", &api.InstallRequest{Home: home, Source: app.Source})
 	}
-	msg, err := json.Marshal(&api.InstallRequest{Home: "s", Source: apps[0].Source})
-	if err != nil {
-		f.Fatal(err)
-	}
+	apps1 := func(id uint64) []byte { return fuzzReq(f, id, "Apps", &api.AppsRequest{Home: "h"}) }
 	seeds := [][]byte{
 		bytes.Join([][]byte{install(1, "h", apps[0]), install(2, "h", apps[1]), fuzzReq(f, 3, "Threats", &api.ThreatsRequest{Home: "h"})}, nil),
-		bytes.Join([][]byte{fuzzReq(f, 1, "StreamInstall", nil), rawFrame(frameMsg, 1, msg), rawFrame(frameEOS, 1, nil)}, nil),
+		bytes.Join([][]byte{install(1, "s", apps[0]), rawFrame(2, 1, []byte(`{"home":"s"}`)), apps1(2)}, nil),
 		fuzzReq(f, 1, "InstallBatch", &api.InstallBatchRequest{Home: "b", Items: []api.InstallItem{{Source: apps[0].Source}, {Source: apps[1].Source}}}),
 		rawFrame(frameReq, 1, append([]byte{0, 0, 1, 0}, `{"method":"Apps"}`...)),
 		rawFrame(frameReq, 1, []byte(`{"method":"Apps","body":{"home":"h"}}`)),
+		bytes.Join([][]byte{apps1(1), rawFrame(3, 1, nil), apps1(2)}, nil),
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -103,27 +105,22 @@ func FuzzServerFrames(f *testing.F) {
 				if err != nil {
 					return
 				}
-				switch fr.typ {
-				case frameRes:
-					var hdr resHeader
-					if _, err := decodeEnvelope(fr.payload, &hdr); err != nil {
-						t.Errorf("server wrote a malformed RES: %v", err)
-						continue
-					}
-					code := api.CodeOK
-					if hdr.Error != nil {
-						code = hdr.Error.Code
-					} else if hdr.Status != 0 {
-						t.Errorf("RES status %d without an error envelope", hdr.Status)
-					}
-					codes[fr.id] = append(codes[fr.id], code)
-				case frameMsg:
-					if _, err := decodeEnvelope(fr.payload, new(streamItem)); err != nil {
-						t.Errorf("server wrote a malformed stream item: %v", err)
-					}
-				default:
+				if fr.typ != frameRes {
 					t.Errorf("server wrote a frame of type %d", fr.typ)
+					continue
 				}
+				var hdr resHeader
+				if _, err := decodeEnvelope(fr.payload, &hdr); err != nil {
+					t.Errorf("server wrote a malformed RES: %v", err)
+					continue
+				}
+				code := api.CodeOK
+				if hdr.Error != nil {
+					code = hdr.Error.Code
+				} else if hdr.Status != 0 {
+					t.Errorf("RES status %d without an error envelope", hdr.Status)
+				}
+				codes[fr.id] = append(codes[fr.id], code)
 			}
 		}()
 		select {
@@ -132,6 +129,13 @@ func FuzzServerFrames(f *testing.F) {
 			t.Fatal("server connection still running 10s after its input ended")
 		}
 		codes := <-res
+		answered := 0
+		for _, c := range codes {
+			answered += len(c)
+		}
+		if reqs := leadingReqs(in); answered != reqs {
+			t.Errorf("server answered %d frames, want the %d REQ frames in front of the first frame it cannot take", answered, reqs)
+		}
 
 		// A complete first frame that is a REQ with a malformed envelope.
 		if len(in) < 13 || in[0] != frameReq {
@@ -154,9 +158,25 @@ func FuzzServerFrames(f *testing.F) {
 	})
 }
 
-// FuzzDecodeStatus feeds arbitrary RES payloads to the client's
-// decoder: it must not panic, and a malformed envelope must come back
-// as INVALID_ARGUMENT.
+// leadingReqs counts the complete REQ frames at the head of in, up to
+// the first frame a server drops the connection on: one of another
+// type, one over the cap, or one cut short.
+func leadingReqs(in []byte) int {
+	n := 0
+	for len(in) >= 13 && in[0] == frameReq {
+		size := binary.BigEndian.Uint32(in[9:13])
+		if size > maxFrame || uint64(len(in)-13) < uint64(size) {
+			break
+		}
+		in = in[13+size:]
+		n++
+	}
+	return n
+}
+
+// FuzzDecodeStatus feeds arbitrary RES payloads to the decoders a
+// client call runs, statusBody and then decodeResult: they must not
+// panic, and a malformed envelope must come back as INVALID_ARGUMENT.
 //
 //	go test -run '^$' -fuzz FuzzDecodeStatus -fuzztime 30s ./internal/rpc
 func FuzzDecodeStatus(f *testing.F) {
@@ -189,12 +209,14 @@ func FuzzDecodeStatus(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		err := decodeStatus(payload, new(api.InstallResponse))
+		body, err := statusBody(payload)
+		if err == nil {
+			decodeResult(body, new(api.InstallResponse)) // may reject the body, must not panic
+		}
 		if _, herr := decodeEnvelope(payload, new(resHeader)); herr != nil {
 			if got := codeOf(t, err); got != api.CodeInvalidArgument {
 				t.Errorf("malformed envelope (%v) decoded as %s, want INVALID_ARGUMENT", herr, got)
 			}
 		}
-		decodeEnvelope(payload, new(streamItem)) // the stream-item path must not panic either
 	})
 }

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"log"
@@ -14,7 +13,7 @@ import (
 // on mux, dispatching into h. A POST route hands its body to h.Serve
 // verbatim; a GET route marshals the request it binds from the path's
 // {id} and the query. Either passes {id} as the key. The response is
-// the pretty-printed body h returns, or the {"error": {...}} envelope
+// the body h returns plus a newline, or the {"error": {...}} envelope
 // under the code's HTTP status.
 func RegisterHTTP(mux *http.ServeMux, h Handler) {
 	h = handlerOf(h)
@@ -105,35 +104,33 @@ func Respond(w http.ResponseWriter, v any, aerr *api.Error) {
 	WriteJSON(w, http.StatusOK, v)
 }
 
-// respondBody writes a response body already encoded as JSON, or the
-// error envelope. The body is indented and newline-terminated exactly
-// as WriteJSON would write the value it encodes.
+// respondBody writes a response body already encoded as compact JSON,
+// or the error envelope. The body is relayed as it is plus a newline,
+// which is exactly what WriteJSON writes for the value it encodes.
 func respondBody(w http.ResponseWriter, body []byte, aerr *api.Error) {
 	if aerr != nil {
 		Respond(w, nil, aerr)
 		return
 	}
-	var buf bytes.Buffer
-	buf.Grow(2 * len(body))
-	if err := json.Indent(&buf, body, "", "  "); err != nil {
-		Respond(w, nil, api.Errorf(api.CodeInternal, "bad response body: %v", err))
-		return
-	}
-	buf.WriteByte('\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	// Two writes, not append: the body may be a slice its handler shares.
+	_, err := w.Write(body)
+	if err == nil {
+		_, err = w.Write(newline)
+	}
+	if err != nil {
 		log.Printf("rpc: write HTTP response: %v", err)
 	}
 }
 
-// WriteJSON writes v as indented JSON under status.
+var newline = []byte{'\n'}
+
+// WriteJSON writes v as compact, newline-terminated JSON under status.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		log.Printf("rpc: encode HTTP response: %v", err)
 	}
 }

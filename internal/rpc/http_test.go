@@ -148,8 +148,10 @@ func FuzzRouteKey(f *testing.F) {
 }
 
 // TestRespondBodyMatchesWriteJSON: an HTTP answer written from a body
-// already marshaled is byte for byte the one WriteJSON writes for the
-// value, HTML-escaped characters and non-ASCII text included.
+// already marshaled is that body plus a newline, byte for byte — the
+// HTTP edge relays what the RPC edge sends as its RES body — and is
+// what WriteJSON writes for the value, HTML-escaped characters and
+// non-ASCII text included.
 func TestRespondBodyMatchesWriteJSON(t *testing.T) {
 	svc := NewService(fleet.New(fleet.Options{Shards: 1}), ServiceOptions{})
 	var res *api.InstallResponse
@@ -164,12 +166,17 @@ func TestRespondBodyMatchesWriteJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, got := httptest.NewRecorder(), httptest.NewRecorder()
-		WriteJSON(want, http.StatusOK, v)
+		want := append(append([]byte{}, body...), '\n')
+		enc, got := httptest.NewRecorder(), httptest.NewRecorder()
+		WriteJSON(enc, http.StatusOK, v)
 		respondBody(got, body, nil)
-		if got.Code != want.Code || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") ||
-			!bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-			t.Errorf("respondBody wrote %d %q, WriteJSON %d %q", got.Code, got.Body.String(), want.Code, want.Body.String())
+		if got.Code != http.StatusOK || got.Header().Get("Content-Type") != "application/json" ||
+			!bytes.Equal(got.Body.Bytes(), want) {
+			t.Errorf("respondBody wrote %d %q, want 200 %q", got.Code, got.Body.String(), want)
+		}
+		if enc.Code != got.Code || enc.Header().Get("Content-Type") != got.Header().Get("Content-Type") ||
+			!bytes.Equal(enc.Body.Bytes(), got.Body.Bytes()) {
+			t.Errorf("WriteJSON wrote %d %q, respondBody %d %q", enc.Code, enc.Body.String(), got.Code, got.Body.String())
 		}
 	}
 }

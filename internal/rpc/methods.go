@@ -27,9 +27,6 @@ type Method struct {
 	// route builds its request from the query parameters. Either binds
 	// the home from the path's {id}.
 	HTTP string
-	// Stream names the method's bidirectional streaming variant, "" for
-	// none.
-	Stream string
 	// Mutating marks a method that changes node state: a gateway
 	// journals it for failover replay and never retries its timeouts (a
 	// timed-out write may have applied).
@@ -133,7 +130,7 @@ func define[Req, Resp any](s spec[Req, Resp]) Desc[Req, Resp] {
 // here once; the edges read them from these descriptors.
 var (
 	MethodInstall = define(spec[api.InstallRequest, api.InstallResponse]{
-		Method: Method{Name: "Install", HTTP: "POST /homes/{id}/install", Stream: "StreamInstall", Mutating: true},
+		Method: Method{Name: "Install", HTTP: "POST /homes/{id}/install", Mutating: true},
 		Home:   func(r *api.InstallRequest) *string { return &r.Home },
 		Call:   Backend.Install,
 	})
@@ -153,7 +150,7 @@ var (
 		Call:   Backend.Accept,
 	})
 	MethodThreats = define(spec[api.ThreatsRequest, api.ThreatsResponse]{
-		Method: Method{Name: "Threats", HTTP: "GET /homes/{id}/threats", Stream: "StreamThreats"},
+		Method: Method{Name: "Threats", HTTP: "GET /homes/{id}/threats"},
 		Home:   func(r *api.ThreatsRequest) *string { return &r.Home },
 		Query: func(r *api.ThreatsRequest, q url.Values) *api.Error {
 			v := q.Get("active")
@@ -213,15 +210,12 @@ var Methods = []*Method{
 	MethodMigrateHome.Method, MethodAdoptHome.Method,
 }
 
-// unaryMethods and streamMethods index the table by wire name for the
-// server's dispatch.
-var unaryMethods, streamMethods = map[string]*Method{}, map[string]*Method{}
+// unaryMethods indexes the table by wire name for the server's
+// dispatch.
+var unaryMethods = map[string]*Method{}
 
 func init() {
 	for _, m := range Methods {
 		unaryMethods[m.Name] = m
-		if m.Stream != "" {
-			streamMethods[m.Stream] = m
-		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 // TestMethodTableCoversBackend: every typed Backend method (those it
 // adds to Handler) has exactly one descriptor, and no descriptor names a method
 // Backend lacks, so an edge driven by the table serves the whole
-// surface. Wire names, stream names and HTTP patterns are unique.
+// surface. Wire names and HTTP patterns are unique.
 func TestMethodTableCoversBackend(t *testing.T) {
 	backend := reflect.TypeOf((*Backend)(nil)).Elem()
 	handler := reflect.TypeOf((*Handler)(nil)).Elem()
@@ -28,13 +28,9 @@ func TestMethodTableCoversBackend(t *testing.T) {
 			t.Errorf("Backend.%s has %d descriptors, want 1", name, count[name])
 		}
 	}
-	// Stream names share the wire namespace with unary names.
 	seen := map[string]bool{}
 	for _, m := range Methods {
 		keys := []string{"method " + m.Name}
-		if m.Stream != "" {
-			keys = append(keys, "method "+m.Stream)
-		}
 		if m.HTTP != "" {
 			keys = append(keys, "route "+m.HTTP)
 		}

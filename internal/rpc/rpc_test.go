@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"testing"
@@ -205,97 +204,6 @@ func TestRPCInstallBatchPerItemErrors(t *testing.T) {
 	}
 	if r := resp.Results[3]; r.Error == nil || r.Error.Code != api.CodeInvalidArgument {
 		t.Errorf("item 3 error = %+v, want INVALID_ARGUMENT", r.Error)
-	}
-}
-
-func TestRPCStreamInstall(t *testing.T) {
-	_, client := startEdge(t, ServiceOptions{}, ServerOptions{})
-	st, err := client.StreamInstall(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := []*api.InstallRequest{
-		{Home: "s1", Corpus: "ComfortTV"},
-		{Home: "s1", Corpus: "NoSuchApp"}, // per-item error mid-stream
-		{Home: "s1", Corpus: "ColdDefender"},
-	}
-	for _, r := range reqs {
-		if err := st.Send(r); err != nil {
-			t.Fatalf("send: %v", err)
-		}
-	}
-	if err := st.CloseSend(); err != nil {
-		t.Fatal(err)
-	}
-	var apps []string
-	var codes []api.Code
-	for {
-		resp, aerr, err := st.RecvInstall()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("recv: %v", err)
-		}
-		if aerr != nil {
-			codes = append(codes, aerr.Code)
-			apps = append(apps, "")
-			continue
-		}
-		apps = append(apps, resp.App)
-	}
-	if len(apps) != 3 {
-		t.Fatalf("stream returned %d results, want 3", len(apps))
-	}
-	if apps[0] != "ComfortTV" || apps[2] != "ColdDefender" {
-		t.Errorf("stream results out of order: %v", apps)
-	}
-	if len(codes) != 1 || codes[0] != api.CodeNotFound {
-		t.Errorf("mid-stream error codes = %v, want [NOT_FOUND]", codes)
-	}
-}
-
-func TestRPCStreamThreats(t *testing.T) {
-	_, client := startEdge(t, ServiceOptions{}, ServerOptions{})
-	ctx := context.Background()
-	for _, home := range []string{"h1", "h2"} {
-		for _, app := range []string{"ComfortTV", "ColdDefender"} {
-			if _, err := client.Install(ctx, &api.InstallRequest{Home: home, Corpus: app}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	st, err := client.StreamThreats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, home := range []string{"h1", "h2", "ghost"} {
-		if err := st.Send(&api.ThreatsRequest{Home: home}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st.CloseSend()
-	var got []int
-	var errCodes []api.Code
-	for {
-		resp, aerr, err := st.RecvThreats()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if aerr != nil {
-			errCodes = append(errCodes, aerr.Code)
-			continue
-		}
-		got = append(got, len(resp.Threats))
-	}
-	if len(got) != 2 || got[0] == 0 || got[0] != got[1] {
-		t.Errorf("streamed threat counts = %v, want two equal nonzero counts", got)
-	}
-	if len(errCodes) != 1 || errCodes[0] != api.CodeNotFound {
-		t.Errorf("ghost home error = %v, want [NOT_FOUND]", errCodes)
 	}
 }
 

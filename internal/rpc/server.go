@@ -9,7 +9,6 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"homeguard/internal/api"
@@ -27,15 +26,15 @@ type ServerOptions struct {
 }
 
 // Handler is the raw entry point every edge dispatches into: the RPC
-// server's unary calls and stream items and the HTTP routes all call
-// Serve with the method's descriptor, the home key the edge bound and
-// the request body, and write the response body Serve returns verbatim.
-// key is non-empty only for a method scoped to one home: the REQ
-// header's key on the RPC edge, the path's {id} on the HTTP edge, ""
-// when the edge has none (stream items, store methods, clients that
-// send no key). body is the handler's to keep; the edges never reuse
-// it. *Service serves through the method table; cmd/homeguardgw's
-// router routes by key and relays both bodies without decoding them.
+// server's calls and the HTTP routes both call Serve with the method's
+// descriptor, the home key the edge bound and the request body, and
+// write the response body Serve returns verbatim. key is non-empty only
+// for a method scoped to one home: the REQ header's key on the RPC
+// edge, the path's {id} on the HTTP edge, "" when the edge has none
+// (store methods, clients that send no key). body is the handler's to
+// keep; the edges never reuse it. *Service serves through the method
+// table; cmd/homeguardgw's router routes by key and relays both bodies
+// without decoding them.
 type Handler interface {
 	Serve(ctx context.Context, m *Method, key string, body []byte) ([]byte, *api.Error)
 	// BreakerState reports the named stage's breaker ("" for an unknown
@@ -171,15 +170,6 @@ func (s *Server) Close() error {
 	return err
 }
 
-// stream is the server-side state of one open client stream: the
-// reader loop feeds MSG payloads into inbox and closes it on EOS; done
-// closes when the stream's handler has returned, so the reader stops
-// feeding a stream nobody drains.
-type stream struct {
-	inbox chan json.RawMessage
-	done  chan struct{}
-}
-
 // handleConn runs one connection: verify the preface, then read frames
 // and dispatch. RPC handlers run in their own goroutines; responses
 // are serialized through the shared frame writer.
@@ -191,11 +181,9 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 	fw := &frameWriter{w: bufio.NewWriterSize(conn, 32<<10)}
-	streams := map[uint64]*stream{}
 	// Per-connection handler tracking: when the reader loop exits, the
-	// connection context is canceled so abandoned handlers unwind — a
-	// stream the client never half-closed included — and only then
-	// waited for.
+	// connection context is canceled so abandoned handlers unwind, and
+	// only then waited for.
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	defer func() {
@@ -208,52 +196,21 @@ func (s *Server) handleConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		switch f.typ {
-		case frameReq:
-			var hdr reqHeader
-			body, err := decodeEnvelope(f.payload, &hdr)
-			if err != nil {
-				hdr, _, _ := encodeStatus(errBadEnvelope("request header", err), nil)
-				_ = fw.writeEnvelope(frameRes, f.id, hdr, nil) // a failed write surfaces on the next read
-				continue
-			}
-			if m := streamMethods[hdr.Method]; m != nil {
-				st := &stream{inbox: make(chan json.RawMessage, 16), done: make(chan struct{})}
-				streams[f.id] = st
-				wg.Add(1)
-				go func(id uint64, hdr reqHeader, st *stream) {
-					defer wg.Done()
-					defer close(st.done)
-					s.handleStream(ctx, fw, id, hdr, m, st)
-				}(f.id, hdr, st)
-				continue
-			}
-			wg.Add(1)
-			go func(id uint64, hdr reqHeader, body []byte) {
-				defer wg.Done()
-				s.handleUnary(ctx, fw, id, hdr, body)
-			}(f.id, hdr, body)
-		case frameMsg:
-			if st, ok := streams[f.id]; ok {
-				// Blocking here applies flow control: a stream consumer
-				// that can't keep up backpressures the whole connection,
-				// exactly like an HTTP/2 window running dry. A stream
-				// whose handler has returned (deadline, write failure)
-				// drops the message and is forgotten.
-				select {
-				case st.inbox <- f.payload:
-				case <-st.done:
-					delete(streams, f.id)
-				}
-			}
-		case frameEOS:
-			if st, ok := streams[f.id]; ok {
-				close(st.inbox)
-				delete(streams, f.id)
-			}
-		default:
-			return // protocol error: drop the connection
+		if f.typ != frameReq {
+			return // protocol error, the retired MSG and EOS included: drop the connection
 		}
+		var hdr reqHeader
+		body, err := decodeEnvelope(f.payload, &hdr)
+		if err != nil {
+			hdr, _, _ := encodeStatus(errBadEnvelope("request header", err), nil)
+			_ = fw.writeEnvelope(frameRes, f.id, hdr, nil) // a failed write surfaces on the next read
+			continue
+		}
+		wg.Add(1)
+		go func(id uint64, hdr reqHeader, body []byte) {
+			defer wg.Done()
+			s.handleUnary(ctx, fw, id, hdr, body)
+		}(f.id, hdr, body)
 	}
 }
 
@@ -270,29 +227,6 @@ func (s *Server) rpcCtx(parent context.Context, deadlineMs int64) (context.Conte
 	return context.WithTimeout(parent, d)
 }
 
-// intercept runs one RPC under a span and the homeguard_rpc_* metrics,
-// then sends its RES frame. The latency ends, like the span, when fn
-// returns; the request counter records the code of the frame actually
-// sent, which differs from fn's outcome when the response is too large
-// for one frame.
-func (s *Server) intercept(fw *frameWriter, id uint64, method string, fn func(sp *obs.Span) ([]byte, *api.Error)) {
-	var sp *obs.Span
-	if s.opts.Obs != nil {
-		sp = s.opts.Obs.Tracer.Start("rpc." + method)
-		sp.SetStr("method", method)
-	}
-	start := time.Now()
-	res, aerr := fn(sp)
-	sp.SetStr("code", string(statusCode(aerr)))
-	sp.End()
-	d := time.Since(start)
-	hdr, body, aerr := encodeStatus(aerr, res)
-	s.m.observe(method, statusCode(aerr), d)
-	// A write failure means the connection died; the reader loop
-	// notices and unwinds.
-	_ = fw.writeEnvelope(frameRes, id, hdr, body)
-}
-
 // statusCode is the status code of an RPC outcome.
 func statusCode(aerr *api.Error) api.Code {
 	if aerr == nil {
@@ -301,77 +235,40 @@ func statusCode(aerr *api.Error) api.Code {
 	return aerr.Code
 }
 
-// handleUnary dispatches and responds to one unary RPC whose request
-// body is body.
+// handleUnary runs one RPC whose request body is body under a span and
+// the homeguard_rpc_* metrics, then sends its RES frame. The latency
+// ends, like the span, when the call returns; the request counter
+// records the code of the frame actually sent, which differs from the
+// call's outcome when the response is too large for one frame.
 func (s *Server) handleUnary(parent context.Context, fw *frameWriter, id uint64, hdr reqHeader, body []byte) {
 	ctx, cancel := s.rpcCtx(parent, hdr.DeadlineMs)
 	defer cancel()
-	s.intercept(fw, id, hdr.Method, func(sp *obs.Span) ([]byte, *api.Error) {
-		if sp != nil {
-			ctx = obs.ContextWithSpan(ctx, sp)
-		}
-		m := unaryMethods[hdr.Method]
-		if m == nil {
-			return nil, api.Errorf(api.CodeNotFound, "unknown method %q", hdr.Method)
-		}
+	var sp *obs.Span
+	if s.opts.Obs != nil {
+		sp = s.opts.Obs.Tracer.Start("rpc." + hdr.Method)
+		sp.SetStr("method", hdr.Method)
+		ctx = obs.ContextWithSpan(ctx, sp)
+	}
+	start := time.Now()
+	var res []byte
+	var aerr *api.Error
+	if m := unaryMethods[hdr.Method]; m == nil {
+		aerr = api.Errorf(api.CodeNotFound, "unknown method %q", hdr.Method)
+	} else {
 		key := hdr.Key
 		if m.home == nil {
 			key = ""
 		}
-		return s.svc.Serve(ctx, m, key, body)
-	})
-}
-
-// handleStream runs one bidirectional stream of method m: requests
-// arrive on the inbox in order, each produces one MSG reply (result or
-// per-item error), and a RES trailer closes the stream. Per-item
-// failures do not tear the stream down; only transport errors and
-// stream-level deadline expiry do.
-func (s *Server) handleStream(parent context.Context, fw *frameWriter, id uint64, hdr reqHeader, m *Method, st *stream) {
-	ctx, cancel := s.rpcCtx(parent, hdr.DeadlineMs)
-	defer cancel()
-	s.m.streamOpen()
-	defer s.m.streamClose()
-	s.intercept(fw, id, hdr.Method, func(sp *obs.Span) ([]byte, *api.Error) {
-		if sp != nil {
-			ctx = obs.ContextWithSpan(ctx, sp)
-		}
-		n := 0
-		defer func() { sp.SetInt("msgs", int64(n)) }()
-		for {
-			select {
-			case payload, ok := <-st.inbox:
-				if !ok {
-					return nil, nil // client half-closed: trailer follows
-				}
-				n++
-				s.m.streamMsg()
-				item := s.streamItemFor(ctx, m, payload)
-				ihdr := okItemHeader
-				if item.Error != nil {
-					ihdr, _ = json.Marshal(item) // an *api.Error always marshals
-				}
-				if err := fw.writeEnvelope(frameMsg, id, ihdr, item.Result); err != nil {
-					return nil, api.Errorf(api.CodeUnavailable, "stream write: %v", err)
-				}
-			case <-ctx.Done():
-				return nil, api.FromErr(ctx.Err())
-			}
-		}
-	})
-}
-
-// streamItemFor runs one streamed request, which carries its own home
-// in its body, and wraps its outcome.
-func (s *Server) streamItemFor(ctx context.Context, m *Method, payload []byte) streamItem {
-	res, aerr := s.svc.Serve(ctx, m, "", payload)
-	if aerr != nil {
-		return streamItem{Error: aerr}
+		res, aerr = s.svc.Serve(ctx, m, key, body)
 	}
-	if n := envelopeSize(okItemHeader, res); n > maxFrame {
-		return streamItem{Error: errFrameTooLarge("stream item", n)}
-	}
-	return streamItem{Result: res}
+	sp.SetStr("code", string(statusCode(aerr)))
+	sp.End()
+	d := time.Since(start)
+	rhdr, rbody, aerr := encodeStatus(aerr, res)
+	s.m.observe(hdr.Method, statusCode(aerr), d)
+	// A write failure means the connection died; the reader loop
+	// notices and unwinds.
+	_ = fw.writeEnvelope(frameRes, id, rhdr, rbody)
 }
 
 // encodeStatus builds the RES frame of one finished RPC: body, already
@@ -400,9 +297,6 @@ type rpcMetrics struct {
 	mu      sync.Mutex
 	byCode  map[[2]string]uint64 // (method, code) → count
 	latency *obs.Histogram
-
-	streamsActive atomic.Int64
-	streamMsgs    atomic.Uint64
 }
 
 func newRPCMetrics() *rpcMetrics {
@@ -415,10 +309,6 @@ func (m *rpcMetrics) observe(method string, code api.Code, d time.Duration) {
 	m.byCode[[2]string{method, string(code)}]++
 	m.mu.Unlock()
 }
-
-func (m *rpcMetrics) streamOpen()  { m.streamsActive.Add(1) }
-func (m *rpcMetrics) streamClose() { m.streamsActive.Add(-1) }
-func (m *rpcMetrics) streamMsg()   { m.streamMsgs.Add(1) }
 
 // register exports the catalog through a scrape-time collector.
 func (m *rpcMetrics) register(reg *obs.Registry, svc Handler) {
@@ -444,8 +334,6 @@ func (m *rpcMetrics) register(reg *obs.Registry, svc Handler) {
 				float64(counts[i]), obs.Label{Name: "method", Value: k[0]}, obs.Label{Name: "code", Value: k[1]})
 		}
 		e.Histogram("homeguard_rpc_latency_seconds", "Server-side RPC latency (all methods).", m.latency.Snapshot())
-		e.Gauge("homeguard_rpc_streams_active", "Currently open RPC streams.", float64(m.streamsActive.Load()))
-		e.Counter("homeguard_rpc_stream_msgs_total", "Messages processed on RPC streams.", float64(m.streamMsgs.Load()))
 		for _, stage := range []string{StageExtract, StageDetect} {
 			e.Gauge("homeguard_rpc_breaker_open", "Circuit breaker state by stage (0 closed, 0.5 half-open, 1 open).",
 				breakerGaugeValue(svc.BreakerState(stage)), obs.Label{Name: "stage", Value: stage})

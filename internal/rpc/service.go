@@ -118,14 +118,7 @@ func (s *Service) runStage(ctx context.Context, stage string, b *Breaker, op fun
 	if err := ctx.Err(); err != nil {
 		return api.FromErr(err)
 	}
-	ok, retry := b.Allow()
-	if !ok {
-		aerr := api.Errorf(api.CodeUnavailable, "%s stage circuit breaker open", stage)
-		if ms := retry.Milliseconds(); ms > 0 {
-			aerr.RetryAfterMs = ms
-		} else {
-			aerr.RetryAfterMs = 1
-		}
+	if aerr := b.Admit(stage + " stage"); aerr != nil {
 		return aerr
 	}
 	done := make(chan *api.Error, 1)

@@ -6,29 +6,29 @@
 // # Method table
 //
 // Methods (methods.go) holds one descriptor per Backend method: wire
-// name, HTTP route, request binding, streaming variant, read-or-mutating
-// flag and the Backend call. RegisterHTTP mounts its routes for
-// homeguardd and homeguardgw alike, the server dispatches by table
-// lookup, and the Client stubs take their names from it. Every edge —
-// RPC unary calls, RPC stream items and HTTP routes — hands the
-// descriptor, a home key and the raw request body to one Handler.Serve
-// and writes the raw response body it returns. A node's *Service
-// decodes, calls and marshals there, with one request-body decoder for
-// both edges, so they accept and reject the same bytes; the gateway
-// routes by the key (or by Method.KeyOf, a key-only read of the body)
-// and relays both bodies verbatim, never decoding them.
+// name, HTTP route, request binding, read-or-mutating flag and the
+// Backend call. RegisterHTTP mounts its routes for homeguardd and
+// homeguardgw alike, the server dispatches by table lookup, and the
+// Client stubs take their names from it. Every edge — RPC calls and
+// HTTP routes — hands the descriptor, a home key and the raw request
+// body to one Handler.Serve and writes the raw response body it
+// returns: the RPC edge as the RES body, the HTTP edge as the response
+// body plus a newline. A node's *Service decodes, calls and marshals
+// there, with one request-body decoder for both edges, so they accept
+// and reject the same bytes; the gateway routes by the key (or by
+// Method.KeyOf, a key-only read of the body) and relays both bodies
+// verbatim, never decoding them.
 //
 // # Protocol
 //
 // The wire protocol models gRPC: the status-code vocabulary, numeric
-// values and error semantics are gRPC's (api.Code.GRPC), every RPC
-// carries an optional client deadline, and the method set offers unary
-// calls plus bidirectional streams. The framing, however, is a
-// self-contained length-prefixed format rather than HTTP/2 — this
-// repository builds without third-party dependencies — so swapping in
-// google.golang.org/grpc later is a transport-only change: the service
-// core (Service), the status mapping (internal/api) and the breaker
-// semantics all carry over unchanged.
+// values and error semantics are gRPC's (api.Code.GRPC), and every RPC
+// is a unary call carrying an optional client deadline. The framing,
+// however, is a self-contained length-prefixed format rather than
+// HTTP/2 — this repository builds without third-party dependencies —
+// so swapping in google.golang.org/grpc later is a transport-only
+// change: the service core (Service), the status mapping
+// (internal/api) and the breaker semantics all carry over unchanged.
 //
 // A connection starts with the 8-byte client preface "HGRPC/2\x00".
 // A server closes a connection whose preface differs — including the
@@ -41,27 +41,23 @@
 //
 // Frame types:
 //
-//	REQ (1) — opens stream id. Envelope: header
-//	          {"method","key","deadlineMs"}; unary methods carry the
-//	          request as the body, stream methods send none.
-//	MSG (2) — one message on an open stream. Client to server: a bare
-//	          JSON request. Server to client: a per-item envelope,
-//	          header {"error"} or {}, with the item's result as the
-//	          body when it succeeded.
-//	EOS (3) — half-close: the sender is done sending MSG frames.
-//	RES (4) — terminates the stream. Envelope: header
-//	          {"status","error"}; unary responses carry the reply as the
-//	          body, streams send it bodiless as a trailer after their
-//	          MSG frames.
+//	REQ (1) — opens stream id with one call. Envelope: header
+//	          {"method","key","deadlineMs"}, the request as the body.
+//	RES (4) — answers stream id. Envelope: header {"status","error"},
+//	          the reply as the body on success, none on failure.
+//
+// Types 2 and 3 (MSG and EOS, the retired bidirectional streams) and
+// every other type are protocol errors: a server drops the connection
+// on one without dispatching it or anything after it, and a method
+// name that is not in the table is NOT_FOUND.
 //
 // A REQ header's optional key binds the request to that home: for a
 // method scoped to one home, the server overwrites the body's "home"
 // with it before the call, the way the HTTP edge binds the path's {id},
 // so the key a gateway routed by is always the key the node executes.
-// The server ignores the key of a method not scoped to a home and of a
-// stream (each stream item carries its own home). The Client's typed
-// stubs send no key, so their frames carry the body's home alone; a
-// gateway's Client.CallRaw sends the key it routed by.
+// The server ignores the key of a method not scoped to a home. The
+// Client's typed stubs send no key, so their frames carry the body's
+// home alone; a gateway's Client.CallRaw sends the key it routed by.
 //
 // An envelope is
 //
@@ -79,10 +75,10 @@
 //
 // Payloads are capped at 4 MiB (the daemon's HTTP body cap). A reader
 // drops the connection on a larger frame. A server whose encoded
-// response or stream item would exceed the cap sends
-// RESOURCE_EXHAUSTED with no body in its place — the operation itself
-// has run — and a client refuses an oversized request locally with
-// RESOURCE_EXHAUSTED, sending nothing.
+// response would exceed the cap sends RESOURCE_EXHAUSTED with no body
+// in its place — the operation itself has run — and a client refuses
+// an oversized request locally with RESOURCE_EXHAUSTED, sending
+// nothing.
 //
 // Stream ids are client-chosen, strictly increasing, and multiplex
 // concurrent RPCs over one connection; writes are serialized by a
@@ -100,12 +96,10 @@ import (
 	"homeguard/internal/api"
 )
 
-// Frame types.
+// Frame types. 2 and 3, the retired stream frames, are protocol errors.
 const (
-	frameReq = 1 // open stream: request envelope
-	frameMsg = 2 // one streamed message
-	frameEOS = 3 // half-close by the sender
-	frameRes = 4 // final status envelope (+ unary body)
+	frameReq = 1 // open stream id: request envelope
+	frameRes = 4 // answer stream id: status envelope (+ reply body)
 )
 
 // Preface is the 8-byte string a client writes immediately after
@@ -148,19 +142,6 @@ type resHeader struct {
 // successful RES frame.
 var okResHeader = []byte(`{"status":0}`)
 
-// streamItem is one per-item outcome on a response stream: exactly one
-// of Result and Error is set, so a bad item reports its error without
-// tearing down the stream. Error is the MSG envelope header; Result is
-// its body.
-type streamItem struct {
-	Result []byte     `json:"-"`
-	Error  *api.Error `json:"error,omitempty"`
-}
-
-// okItemHeader is json.Marshal(streamItem{Result: ...}), the header of
-// every successful stream item.
-var okItemHeader = []byte(`{}`)
-
 // errFrameTooLarge types an oversized frame, or a message (what) that
 // would need one: RESOURCE_EXHAUSTED, which no retry layer treats as
 // transient.
@@ -176,8 +157,8 @@ func errBadEnvelope(what string, err error) *api.Error {
 // envelopeSize is the payload length of an envelope.
 func envelopeSize(hdr, body []byte) int { return envHdrLen + len(hdr) + len(body) }
 
-// splitEnvelope cuts a REQ, RES or server MSG payload into its header
-// JSON and body. Both alias payload.
+// splitEnvelope cuts a REQ or RES payload into its header JSON and
+// body. Both alias payload.
 func splitEnvelope(payload []byte) (hdr, body []byte, err error) {
 	if len(payload) < envHdrLen {
 		return nil, nil, fmt.Errorf("envelope of %d bytes has no header length", len(payload))
@@ -229,28 +210,15 @@ type frameWriter struct {
 	w  *bufio.Writer
 }
 
-// write emits one frame with a bare payload and flushes.
-func (fw *frameWriter) write(typ byte, id uint64, payload []byte) error {
-	return fw.writeFrame(typ, id, false, nil, payload)
-}
-
 // writeEnvelope emits one frame whose payload is the envelope of the
-// header JSON hdr and body, and flushes.
+// header JSON hdr and body, and flushes. The frame header, the
+// envelope's header length and hdr go straight into the buffered
+// writer ahead of body, so an envelope is never assembled in a buffer
+// of its own; the bufio layer still coalesces a small frame into one
+// syscall. An oversized payload is refused with errFrameTooLarge
+// before anything is written.
 func (fw *frameWriter) writeEnvelope(typ byte, id uint64, hdr, body []byte) error {
-	return fw.writeFrame(typ, id, true, hdr, body)
-}
-
-// writeFrame writes the frame header (and, with env, the envelope's
-// header length and hdr) and then body straight into the buffered
-// writer, so an envelope is never assembled in a buffer of its own.
-// Flushing per frame keeps streaming interactive; the bufio layer still
-// coalesces a small frame into one syscall. An oversized payload is
-// refused with errFrameTooLarge before anything is written.
-func (fw *frameWriter) writeFrame(typ byte, id uint64, env bool, hdr, body []byte) error {
-	n := len(body)
-	if env {
-		n = envelopeSize(hdr, body)
-	}
+	n := envelopeSize(hdr, body)
 	if n > maxFrame {
 		return errFrameTooLarge("frame", n)
 	}
@@ -259,10 +227,8 @@ func (fw *frameWriter) writeFrame(typ byte, id uint64, env bool, hdr, body []byt
 	pre := append(fw.w.AvailableBuffer(), typ)
 	pre = binary.BigEndian.AppendUint64(pre, id)
 	pre = binary.BigEndian.AppendUint32(pre, uint32(n))
-	if env {
-		pre = binary.BigEndian.AppendUint32(pre, uint32(len(hdr)))
-		pre = append(pre, hdr...)
-	}
+	pre = binary.BigEndian.AppendUint32(pre, uint32(len(hdr)))
+	pre = append(pre, hdr...)
 	if _, err := fw.w.Write(pre); err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
@@ -17,7 +18,7 @@ import (
 	"homeguard/internal/obs"
 )
 
-// stubBackend answers Apps, Threats and Install with canned values and
+// stubBackend answers Apps and Install with canned values and
 // counts every call it serves. The other Backend methods belong to the
 // nil embedded interface, so a test that reaches one panics.
 type stubBackend struct {
@@ -25,17 +26,11 @@ type stubBackend struct {
 	calls   atomic.Int64
 	apps    *api.AppsResponse
 	appsErr *api.Error
-	threats *api.ThreatsResponse
 }
 
 func (b *stubBackend) Apps(ctx context.Context, home string) (*api.AppsResponse, *api.Error) {
 	b.calls.Add(1)
 	return b.apps, b.appsErr
-}
-
-func (b *stubBackend) Threats(ctx context.Context, req *api.ThreatsRequest) (*api.ThreatsResponse, *api.Error) {
-	b.calls.Add(1)
-	return b.threats, nil
 }
 
 func (b *stubBackend) BreakerState(string) string { return "" }
@@ -91,14 +86,18 @@ func pipeServer(t *testing.T, b Backend) net.Conn {
 	return cEnd
 }
 
-// rawFrame builds one frame around payload.
+// rawFrame builds one frame around payload, of any type.
 func rawFrame(typ byte, id uint64, payload []byte) []byte {
-	var buf bytes.Buffer
-	fw := &frameWriter{w: bufio.NewWriter(&buf)}
-	if err := fw.write(typ, id, payload); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
+	b := binary.BigEndian.AppendUint64([]byte{typ}, id)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(payload)))
+	return append(b, payload...)
+}
+
+// statusErr is the error a client decodes from a RES payload, nil for
+// a success.
+func statusErr(payload []byte) error {
+	_, err := statusBody(payload)
+	return err
 }
 
 // envelope builds an envelope payload from a header JSON and a body.
@@ -189,8 +188,7 @@ func TestWireOldPrefaceRefused(t *testing.T) {
 	}
 }
 
-// TestWireEmptyBodies round-trips the two bodiless envelopes: an error
-// RES and a stream-open REQ (with its bodiless OK trailer).
+// TestWireEmptyBodies round-trips the bodiless envelope: an error RES.
 func TestWireEmptyBodies(t *testing.T) {
 	t.Run("error RES", func(t *testing.T) {
 		stub := &stubBackend{appsErr: api.Errorf(api.CodeNotFound, "no home h9")}
@@ -206,62 +204,13 @@ func TestWireEmptyBodies(t *testing.T) {
 		if err != nil || f.typ != frameRes || f.id != 7 || len(body) != 0 {
 			t.Fatalf("error RES = type %d id %d header %q body %q (%v); want RES 7 with no body", f.typ, f.id, hdr, body, err)
 		}
-		if got := codeOf(t, decodeStatus(f.payload, new(api.AppsResponse))); got != api.CodeNotFound {
+		if got := codeOf(t, statusErr(f.payload)); got != api.CodeNotFound {
 			t.Errorf("decoded code %s, want NOT_FOUND", got)
 		}
 		// And through the client.
 		_, err = startStub(t, stub, ServerOptions{}).Apps(context.Background(), "h9")
 		if got := codeOf(t, err); got != api.CodeNotFound || !strings.Contains(err.Error(), "no home h9") {
 			t.Errorf("client Apps = %v, want the NOT_FOUND envelope", err)
-		}
-	})
-	t.Run("stream-open REQ", func(t *testing.T) {
-		cEnd, sEnd := net.Pipe()
-		sEnd.SetDeadline(time.Now().Add(10 * time.Second))
-		defer sEnd.Close()
-		errc := make(chan error, 1)
-		go func() { // plays the server; a failure hangs up, failing the Recv
-			err := func() error {
-				br := bufio.NewReader(sEnd)
-				if _, err := io.ReadFull(br, make([]byte, len(Preface))); err != nil {
-					return err
-				}
-				f, err := readFrame(br)
-				if err != nil {
-					return err
-				}
-				hdr, body, err := splitEnvelope(f.payload)
-				if err != nil || f.typ != frameReq || string(hdr) != `{"method":"StreamThreats"}` || len(body) != 0 {
-					return errors.New("stream-open REQ is not a bodiless StreamThreats envelope")
-				}
-				if eos, err := readFrame(br); err != nil || eos.typ != frameEOS {
-					return errors.New("no EOS after CloseSend")
-				}
-				fw := &frameWriter{w: bufio.NewWriter(sEnd)}
-				return fw.writeEnvelope(frameRes, f.id, okResHeader, nil)
-			}()
-			if err != nil {
-				sEnd.Close()
-			}
-			errc <- err
-		}()
-		client, err := NewClient(cEnd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer client.Close()
-		st, err := client.StreamThreats(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.CloseSend(); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := st.RecvThreats(); err != io.EOF {
-			t.Errorf("RecvThreats after a bodiless OK trailer = %v, want io.EOF", err)
-		}
-		if err := <-errc; err != nil {
-			t.Error(err)
 		}
 	})
 }
@@ -297,10 +246,10 @@ func TestWireMalformedEnvelope(t *testing.T) {
 		if f.typ != frameRes || f.id != id {
 			t.Fatalf("%s: got frame type %d id %d, want RES %d", name, f.typ, f.id, id)
 		}
-		if got := codeOf(t, decodeStatus(f.payload, nil)); got != api.CodeInvalidArgument {
+		if got := codeOf(t, statusErr(f.payload)); got != api.CodeInvalidArgument {
 			t.Errorf("%s: server answered %s, want INVALID_ARGUMENT", name, got)
 		}
-		if got := codeOf(t, decodeStatus(payload, nil)); got != api.CodeInvalidArgument {
+		if got := codeOf(t, statusErr(payload)); got != api.CodeInvalidArgument {
 			t.Errorf("%s: client typed the payload %s, want INVALID_ARGUMENT", name, got)
 		}
 	}
@@ -309,17 +258,14 @@ func TestWireMalformedEnvelope(t *testing.T) {
 	}
 }
 
-// TestRPCOversized: a response or stream item over the frame cap comes
-// back as RESOURCE_EXHAUSTED instead of a lost frame, and is counted as
-// the RESOURCE_EXHAUSTED it was sent as; an oversized request is
-// refused locally with RESOURCE_EXHAUSTED, sending nothing. The
-// connection survives all three.
+// TestRPCOversized: a response over the frame cap comes back as
+// RESOURCE_EXHAUSTED instead of a lost frame, and is counted as the
+// RESOURCE_EXHAUSTED it was sent as; an oversized request is refused
+// locally with RESOURCE_EXHAUSTED, sending nothing. The connection
+// survives both.
 func TestRPCOversized(t *testing.T) {
 	huge := strings.Repeat("x", maxFrame)
-	stub := &stubBackend{
-		apps:    &api.AppsResponse{HomeID: "h1", Apps: []string{huge}},
-		threats: &api.ThreatsResponse{HomeID: "h1", Threats: []api.Threat{{Text: huge}}},
-	}
+	stub := &stubBackend{apps: &api.AppsResponse{HomeID: "h1", Apps: []string{huge}}}
 	o := obs.NewObserver()
 	client := startStub(t, stub, ServerOptions{Obs: o})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -335,44 +281,11 @@ func TestRPCOversized(t *testing.T) {
 		t.Errorf("oversized Apps reply counted as %v, want Apps|RESOURCE_EXHAUSTED = 1 and no Apps|OK", counts)
 	}
 
-	// Server to client, one stream item: the stream carries on.
-	st, err := client.StreamThreats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Send(&api.ThreatsRequest{Home: "h1"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.CloseSend(); err != nil {
-		t.Fatal(err)
-	}
-	res, aerr, err := st.RecvThreats()
-	if err != nil || res != nil || aerr == nil || aerr.Code != api.CodeResourceExhausted {
-		t.Fatalf("oversized stream item = %v, %v, %v; want a RESOURCE_EXHAUSTED item", res, aerr, err)
-	}
-	if _, _, err := st.RecvThreats(); err != io.EOF {
-		t.Fatalf("stream after an oversized item ended with %v, want io.EOF", err)
-	}
-
-	// Client to server, unary and stream message.
+	// Client to server.
 	before := stub.calls.Load()
 	_, err = client.Install(ctx, &api.InstallRequest{Home: "h1", Source: huge})
 	if got := codeOf(t, err); got != api.CodeResourceExhausted {
 		t.Fatalf("oversized Install request = %v, want RESOURCE_EXHAUSTED", err)
-	}
-	ist, err := client.StreamInstall(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = ist.Send(&api.InstallRequest{Home: "h1", Source: huge})
-	if got := codeOf(t, err); got != api.CodeResourceExhausted {
-		t.Fatalf("oversized stream Send = %v, want RESOURCE_EXHAUSTED", err)
-	}
-	if err := ist.CloseSend(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ist.RecvInstall(); err != io.EOF {
-		t.Fatalf("install stream ended with %v, want io.EOF", err)
 	}
 	if n := stub.calls.Load() - before; n != 0 {
 		t.Errorf("oversized requests reached the backend %d times", n)
@@ -387,51 +300,61 @@ func TestRPCOversized(t *testing.T) {
 	}
 }
 
-// TestWireHeaderConstants pins the precomputed OK headers to what
-// json.Marshal writes for them.
+// TestWireHeaderConstants pins the precomputed OK header to what
+// json.Marshal writes for it.
 func TestWireHeaderConstants(t *testing.T) {
-	for name, c := range map[string]struct {
-		v    any
-		want []byte
-	}{
-		"okResHeader":  {resHeader{}, okResHeader},
-		"okItemHeader": {streamItem{Result: []byte(`{}`)}, okItemHeader},
-	} {
-		got, err := json.Marshal(c.v)
-		if err != nil || !bytes.Equal(got, c.want) {
-			t.Errorf("%s = %s, json.Marshal writes %s (%v)", name, c.want, got, err)
+	got, err := json.Marshal(resHeader{})
+	if err != nil || !bytes.Equal(got, okResHeader) {
+		t.Errorf("okResHeader = %s, json.Marshal writes %s (%v)", okResHeader, got, err)
+	}
+}
+
+// TestWireRetiredStreamFrames: a MSG (2) or EOS (3) frame, the frame
+// types of the retired bidirectional streams, is a protocol error. The
+// server drops the connection without dispatching it or the REQ behind
+// it.
+func TestWireRetiredStreamFrames(t *testing.T) {
+	for _, typ := range []byte{2, 3} {
+		stub := &stubBackend{apps: &api.AppsResponse{HomeID: "h1"}}
+		conn := pipeServer(t, stub)
+		in := append([]byte(Preface), rawFrame(typ, 1, []byte(`{"home":"h1"}`))...)
+		in = append(in, rawFrame(frameReq, 2, envelope(`{"method":"Apps"}`, `{"home":"h1"}`))...)
+		go conn.Write(in) // fails once the server hangs up
+		if n, err := conn.Read(make([]byte, 64)); !errors.Is(err, io.EOF) {
+			t.Fatalf("type %d: read = %d bytes, %v; want the connection closed", typ, n, err)
+		}
+		if n := stub.calls.Load(); n != 0 {
+			t.Errorf("type %d: backend served %d calls", typ, n)
 		}
 	}
 }
 
-// TestServerStreamAfterDeadline: MSG frames for a stream whose handler
-// has already returned are dropped rather than wedging the connection's
-// reader on a full inbox.
-func TestServerStreamAfterDeadline(t *testing.T) {
+// TestWireStreamMethodNotFound: the retired stream methods' names are
+// not in the method table, so a REQ naming one is NOT_FOUND and the
+// connection carries on.
+func TestWireStreamMethodNotFound(t *testing.T) {
 	stub := &stubBackend{apps: &api.AppsResponse{HomeID: "h1"}}
 	conn := pipeServer(t, stub)
 	br := bufio.NewReader(conn)
-	if _, err := conn.Write(append([]byte(Preface), rawFrame(frameReq, 1, envelope(`{"method":"StreamThreats","deadlineMs":1}`, ""))...)); err != nil {
+	if _, err := conn.Write([]byte(Preface)); err != nil {
 		t.Fatal(err)
 	}
-	f, err := readFrame(br)
-	if err != nil || f.typ != frameRes || f.id != 1 {
-		t.Fatalf("stream trailer = type %d id %d, %v; want RES 1", f.typ, f.id, err)
-	}
-	if got := codeOf(t, decodeStatus(f.payload, nil)); got != api.CodeDeadlineExceeded {
-		t.Fatalf("stream ended with %s, want DEADLINE_EXCEEDED", got)
-	}
-	msg := rawFrame(frameMsg, 1, []byte(`{"home":"h1"}`))
-	for i := 0; i < 40; i++ { // well past the inbox buffer
-		if _, err := conn.Write(msg); err != nil {
-			t.Fatalf("MSG %d after the stream ended: %v", i, err)
+	for id, method := range []string{"StreamInstall", "StreamThreats", "Apps"} {
+		if _, err := conn.Write(rawFrame(frameReq, uint64(id+1), envelope(`{"method":"`+method+`"}`, `{"home":"h1"}`))); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := conn.Write(rawFrame(frameReq, 2, envelope(`{"method":"Apps"}`, `{"home":"h1"}`))); err != nil {
-		t.Fatal(err)
-	}
-	if f, err = readFrame(br); err != nil || f.id != 2 || decodeStatus(f.payload, nil) != nil {
-		t.Fatalf("Apps after the dead stream = id %d, %v", f.id, err)
+		f, err := readFrame(br)
+		if err != nil || f.typ != frameRes || f.id != uint64(id+1) {
+			t.Fatalf("%s: got frame type %d id %d, %v; want RES %d", method, f.typ, f.id, err, id+1)
+		}
+		err = statusErr(f.payload)
+		if method == "Apps" {
+			if err != nil {
+				t.Errorf("Apps after the stream names: %v", err)
+			}
+		} else if got := codeOf(t, err); got != api.CodeNotFound {
+			t.Errorf("%s: answered %s, want NOT_FOUND", method, got)
+		}
 	}
 	if n := stub.calls.Load(); n != 1 {
 		t.Errorf("backend served %d calls, want the one Apps", n)
