@@ -1,14 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -204,6 +207,35 @@ func TestTransportParity(t *testing.T) {
 		check(s.name, s.http(), s.rpc())
 	}
 
+	// The store steps compare bytes: the HTTP body must be the RPC body
+	// plus a newline. Two batches make rev 2, so the read since rev 1 is
+	// the feed SubmitApps just encoded (relayed) and the read since 0
+	// spans both revisions (rendered for the read).
+	storeSteps := []struct {
+		name, verb, path, body string
+		method                 *rpc.Method
+	}{
+		{"submit apps", "POST", "/store/apps", `{"upserts":[{"corpus":"ComfortTV"},{"corpus":"ColdDefender"}]}`, rpc.MethodSubmitApps.Method},
+		{"submit removes", "POST", "/store/apps", `{"removes":["ColdDefender","NoSuchApp"]}`, rpc.MethodSubmitApps.Method},
+		{"findings since rev-1", "GET", "/store/findings?since=1", `{"since":1}`, rpc.MethodFindings.Method},
+		{"findings since 0", "GET", "/store/findings?since=0", `{"since":0}`, rpc.MethodFindings.Method},
+	}
+	for _, s := range storeSteps {
+		httpBody := s.body
+		if s.verb == "GET" {
+			httpBody = ""
+		}
+		w := httptest.NewRecorder()
+		httpSrv.mux.ServeHTTP(w, httptest.NewRequest(s.verb, s.path, strings.NewReader(httpBody)))
+		rpcOut, err := client.CallRaw(ctx, s.method.Name, "", []byte(s.body))
+		if err != nil || w.Code != http.StatusOK {
+			t.Fatalf("%s: HTTP %d %s, RPC error %v", s.name, w.Code, w.Body.Bytes(), err)
+		}
+		if h, r := maskDuration(w.Body.Bytes()), maskDuration(rpcOut); !bytes.Equal(h, append(r, '\n')) {
+			t.Errorf("%s: HTTP body is not the RPC body plus a newline\n  http: %q\n  rpc:  %q", s.name, h, r)
+		}
+	}
+
 	// Both fleets processed the identical sequence: their metrics agree
 	// on the load-bearing counters.
 	hm, rm := httpSrv.fleet.Metrics(), rpcBack.fleet.Metrics()
@@ -256,4 +288,13 @@ func rawRPC(t *testing.T, addr, method, body string) error {
 		return nil
 	}
 	return res.Error
+}
+
+// durationMs matches a store batch's measured duration, the one field
+// of a store answer two runs of the same batch do not share.
+var durationMs = regexp.MustCompile(`"durationMs":[-+.0-9eE]+`)
+
+// maskDuration returns body with its durationMs value zeroed.
+func maskDuration(body []byte) []byte {
+	return durationMs.ReplaceAll(body, []byte(`"durationMs":0`))
 }

@@ -8,10 +8,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 
 	"homeguard/internal/api"
+	"homeguard/internal/audit"
 	"homeguard/internal/fleet"
 	"homeguard/internal/rpc"
 )
@@ -55,7 +57,10 @@ type edgeOutcome struct {
 // either side the HTTP body must be the RPC body plus a newline, byte
 // for byte.
 func TestGatewayParity(t *testing.T) {
-	newService := func() *rpc.Service { return rpc.NewService(fleet.New(fleet.Options{Shards: 4}), rpc.ServiceOptions{}) }
+	newService := func() *rpc.Service {
+		f := fleet.New(fleet.Options{Shards: 4})
+		return rpc.NewService(f, rpc.ServiceOptions{Auditor: audit.NewAuditor(audit.AuditorOptions{Extract: f.Cache()})})
+	}
 	nodeMux := http.NewServeMux()
 	rpc.RegisterHTTP(nodeMux, newService())
 	nodeRPC := serveRPC(t, newService())
@@ -156,6 +161,52 @@ func TestGatewayParity(t *testing.T) {
 		sameAnswer(s.name, "node", nh, nr)
 		sameAnswer(s.name, "gateway", gh, gr)
 	}
+
+	// The store steps, over each side's own store. A store answer's
+	// durationMs is measured, not computed, so it is zeroed before
+	// comparing. Two batches make rev 2: the read since rev 1 is the
+	// feed SubmitApps just encoded (relayed), the read since 0 spans both
+	// revisions (rendered for the read).
+	storeSteps := []struct {
+		name, verb, path, body string
+		method                 *rpc.Method
+	}{
+		{"submit apps", "POST", "/store/apps", `{"upserts":[{"corpus":"ComfortTV"},{"corpus":"ColdDefender"}]}`, rpc.MethodSubmitApps.Method},
+		{"submit removes", "POST", "/store/apps", `{"removes":["ColdDefender","NoSuchApp"]}`, rpc.MethodSubmitApps.Method},
+		{"findings since rev-1", "GET", "/store/findings?since=1", `{"since":1}`, rpc.MethodFindings.Method},
+		{"findings since 0", "GET", "/store/findings?since=0", `{"since":0}`, rpc.MethodFindings.Method},
+	}
+	for _, s := range storeSteps {
+		httpBody := s.body
+		if s.verb == "GET" {
+			httpBody = ""
+		}
+		nh, gh := viaHTTP(nodeMux, s.verb, s.path, httpBody), viaHTTP(gwMux, s.verb, s.path, httpBody)
+		nr, gr := viaRPC(nodeRPC, s.method, s.body), viaRPC(gwRPC, s.method, s.body)
+		for _, o := range []*edgeOutcome{&nh, &gh, &nr, &gr} {
+			if o.code != api.CodeOK {
+				t.Fatalf("%s: answered %s %q", s.name, o.code, o.msg)
+			}
+			o.body = maskDuration(o.body)
+		}
+		if !bytes.Equal(gh.body, nh.body) {
+			t.Errorf("%s: gateway HTTP answered %s, node %s", s.name, gh.body, nh.body)
+		}
+		if !bytes.Equal(gr.body, nr.body) {
+			t.Errorf("%s: gateway RPC answered %s, node %s", s.name, gr.body, nr.body)
+		}
+		sameAnswer(s.name, "node", nh, nr)
+		sameAnswer(s.name, "gateway", gh, gr)
+	}
+}
+
+// durationMs matches a store batch's measured duration, the one field
+// of a store answer two runs of the same batch do not share.
+var durationMs = regexp.MustCompile(`"durationMs":[-+.0-9eE]+`)
+
+// maskDuration returns body with its durationMs value zeroed.
+func maskDuration(body []byte) []byte {
+	return durationMs.ReplaceAll(body, []byte(`"durationMs":0`))
 }
 
 // TestHeaderKeyBindsHome: a REQ whose header key differs from the

@@ -671,7 +671,7 @@ func (h *Home) InstallApp(src string, cfg *Config) (*InstallResult, error) {
 	ia := detect.NewInstalledApp(res, cfg)
 	threats := h.det.Install(ia)
 	chains := h.det.FindChains(threats, 4)
-	report := frontend.InstallDialog(res.App.Name, res.Rules.Rules, threats, chains)
+	report, _ := frontend.InstallDialog(res.App.Name, res.Rules.Rules, threats, chains)
 	return &InstallResult{
 		App:      res.App,
 		Rules:    res.Rules.Rules,

@@ -14,6 +14,20 @@
 // The package also owns the DTO ↔ domain conversions (configuration
 // parsing, threat rendering) that used to live ad hoc inside the daemon
 // handlers, so adding a transport can never fork the wire format.
+//
+// The threat-bearing responses — InstallResponse, ReconfigureResponse,
+// ThreatsResponse, SubmitAppsResponse and FindingsResponse — encode
+// themselves with AppendJSON, and the edge writes those bytes instead
+// of json.Marshal's. The contract is byte identity: for every value
+// json.Marshal accepts, AppendJSON appends exactly the bytes
+// json.Marshal returns, string escaping included (HTML's <, > and &,
+// control bytes, invalid UTF-8 as \ufffd, U+2028 and U+2029). A
+// client therefore decodes either encoding alike, and the golden wire
+// frames do not change. One exception is by design: a response built
+// by SubmitAppsResponseOf, and its Feed, carry the revision's findings
+// encoded when the response was built, so their Added and Resolved
+// elements are read-only. Assigning a new slice is seen (it encodes
+// afresh); editing an element in place is not.
 package api
 
 import (
@@ -279,6 +293,11 @@ type Threat struct {
 
 // ThreatOf renders one threat with its log index (-1 for none).
 func ThreatOf(t detect.Threat, index int) Threat {
+	return threatOf(t, index, frontend.DescribeThreat(t))
+}
+
+// threatOf is ThreatOf with the threat's text already rendered.
+func threatOf(t detect.Threat, index int, text string) Threat {
 	return Threat{
 		Index:    index,
 		Kind:     string(t.Kind),
@@ -287,20 +306,30 @@ func ThreatOf(t detect.Threat, index int) Threat {
 		Rule2:    t.R2.QualifiedID(),
 		Property: string(t.Property),
 		Note:     t.Note,
-		Text:     frontend.DescribeThreat(t),
+		Text:     text,
 	}
 }
 
 // ThreatsOf renders threats with log indices starting at logBase; pass
 // a negative logBase for responses without log positions.
 func ThreatsOf(ts []detect.Threat, logBase int) []Threat {
-	out := make([]Threat, 0, len(ts))
+	return threatsOf(ts, logBase, nil)
+}
+
+// threatsOf is ThreatsOf taking the texts already rendered: texts[i]
+// is ts[i]'s, or nil to render them here.
+func threatsOf(ts []detect.Threat, logBase int, texts []string) []Threat {
+	out := make([]Threat, len(ts))
 	for i, t := range ts {
 		idx := -1
 		if logBase >= 0 {
 			idx = logBase + i
 		}
-		out = append(out, ThreatOf(t, idx))
+		if texts != nil {
+			out[i] = threatOf(t, idx, texts[i])
+		} else {
+			out[i] = ThreatOf(t, idx)
+		}
 	}
 	return out
 }
@@ -317,22 +346,19 @@ type InstallResponse struct {
 }
 
 // InstallResponseOf converts a fleet install result to the wire form.
+// The rule, threat and chain texts are the lines of the result's
+// report, which fleet.Install rendered once.
 func InstallResponseOf(res *fleet.InstallResult) *InstallResponse {
-	out := &InstallResponse{
+	lines := res.Lines
+	return &InstallResponse{
 		HomeID:   res.HomeID,
 		App:      res.App.Name,
-		Rules:    make([]string, 0, len(res.Rules)),
-		Threats:  ThreatsOf(res.Threats, res.ThreatLogBase),
+		Rules:    lines.Rules,
+		Threats:  threatsOf(res.Threats, res.ThreatLogBase, lines.Threats),
+		Chains:   lines.Chains,
 		Report:   res.Report,
 		Warnings: res.Warnings,
 	}
-	for _, ru := range res.Rules {
-		out.Rules = append(out.Rules, frontend.DescribeRule(ru))
-	}
-	for _, c := range res.Chains {
-		out.Chains = append(out.Chains, frontend.DescribeChain(c))
-	}
-	return out
 }
 
 // ReconfigureRequest updates one installed app's configuration.
@@ -486,9 +512,15 @@ type SubmitAppsResponse struct {
 	Resolved   []Finding         `json:"resolved,omitempty"`
 	Errors     map[string]*Error `json:"errors,omitempty"`
 	DurationMs float64           `json:"durationMs"`
+
+	// delta is Added and Resolved encoded, when SubmitAppsResponseOf
+	// built the response.
+	delta *encodedDelta
 }
 
-// SubmitAppsResponseOf converts an auditor revision to the wire form.
+// SubmitAppsResponseOf converts an auditor revision to the wire form,
+// encoding the revision's findings once for the response and its Feed.
+// The findings are read-only from here on (see the package doc).
 func SubmitAppsResponseOf(rev *audit.Revision) *SubmitAppsResponse {
 	out := &SubmitAppsResponse{
 		Rev:        rev.Rev,
@@ -498,6 +530,7 @@ func SubmitAppsResponseOf(rev *audit.Revision) *SubmitAppsResponse {
 		Resolved:   FindingsOf(rev.Resolved),
 		DurationMs: float64(rev.Duration.Microseconds()) / 1000.0,
 	}
+	out.delta = encodeDelta(out.Added, out.Resolved)
 	for name, err := range rev.Errors {
 		if out.Errors == nil {
 			out.Errors = map[string]*Error{}
@@ -509,6 +542,13 @@ func SubmitAppsResponseOf(rev *audit.Revision) *SubmitAppsResponse {
 		}
 	}
 	return out
+}
+
+// Feed is the findings feed of exactly this revision: since Rev-1, its
+// Added and Resolved. The feed shares the response's findings slices
+// and their encoding, so encoding it copies bytes SubmitApps encoded.
+func (r *SubmitAppsResponse) Feed() *FindingsResponse {
+	return &FindingsResponse{Rev: r.Rev, Since: r.Rev - 1, Added: r.Added, Resolved: r.Resolved, delta: r.delta}
 }
 
 // FindingsRequest reads the store findings feed from a revision the
@@ -526,6 +566,9 @@ type FindingsResponse struct {
 	Reset    bool      `json:"reset,omitempty"`
 	Added    []Finding `json:"added,omitempty"`
 	Resolved []Finding `json:"resolved,omitempty"`
+
+	// delta is Added and Resolved encoded, for a SubmitAppsResponse.Feed.
+	delta *encodedDelta
 }
 
 // FindingsResponseOf converts an auditor feed to the wire form.

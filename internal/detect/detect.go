@@ -1062,9 +1062,12 @@ func (c Chain) String() string {
 	return strings.Join(parts, " ")
 }
 
-// FindChains searches the digraph of accepted pairs plus the given new
-// threats for interference chains of length >= 2 hops involving the new
-// threats.
+// FindChains lists the interference chains of 2 to maxLen-1 hops
+// (default maxLen 4) in the digraph whose edges are the trigger and
+// condition threats (CT, SD, LT, EC, DC) among the accepted ones plus
+// newThreats. The search starts from every rule in that graph, so a
+// chain need not pass through a new threat: every simple path of two or
+// more hops is listed once, in the order of its String form.
 func (d *Detector) FindChains(newThreats []Threat, maxLen int) []Chain {
 	if maxLen <= 0 {
 		maxLen = 4
@@ -1121,8 +1124,37 @@ func (d *Detector) FindChains(newThreats []Threat, maxLen int) []Chain {
 	for id, r := range nodes {
 		dfs(r, []*rule.Rule{r}, nil, map[string]bool{id: true})
 	}
-	sort.Slice(chains, func(i, j int) bool { return chains[i].String() < chains[j].String() })
-	return dedupeChains(chains)
+	return sortUniqueChains(chains)
+}
+
+// sortUniqueChains sorts chains by their String form and drops the
+// repeats, computing each chain's key once.
+func sortUniqueChains(chains []Chain) []Chain {
+	keys := make([]string, len(chains))
+	for i := range chains {
+		keys[i] = chains[i].String()
+	}
+	sort.Sort(chainsByKey{chains, keys})
+	out := chains[:0]
+	for i := range chains {
+		if i == 0 || keys[i] != keys[i-1] {
+			out = append(out, chains[i])
+		}
+	}
+	return out
+}
+
+// chainsByKey sorts chains and their keys together.
+type chainsByKey struct {
+	chains []Chain
+	keys   []string
+}
+
+func (c chainsByKey) Len() int           { return len(c.chains) }
+func (c chainsByKey) Less(i, j int) bool { return c.keys[i] < c.keys[j] }
+func (c chainsByKey) Swap(i, j int) {
+	c.chains[i], c.chains[j] = c.chains[j], c.chains[i]
+	c.keys[i], c.keys[j] = c.keys[j], c.keys[i]
 }
 
 func hasChainEdges(ts []Threat) bool {
@@ -1133,17 +1165,4 @@ func hasChainEdges(ts []Threat) bool {
 		}
 	}
 	return false
-}
-
-func dedupeChains(in []Chain) []Chain {
-	var out []Chain
-	seen := map[string]bool{}
-	for _, c := range in {
-		k := c.String()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, c)
-		}
-	}
-	return out
 }

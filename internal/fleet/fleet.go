@@ -432,8 +432,10 @@ type InstallResult struct {
 	// Chains are multi-hop interference chains through previously
 	// accepted threats (Sec. VI-D).
 	Chains []detect.Chain
-	// Report is the rendered installation dialog.
+	// Report is the rendered installation dialog, and Lines the texts
+	// of its rule, threat and chain lines (substrings of Report).
 	Report string
+	Lines  frontend.Lines
 	// Warnings are extraction diagnostics.
 	Warnings []string
 }
@@ -582,7 +584,7 @@ func (f *Fleet) Install(ctx context.Context, homeID, src string, cfg *detect.Con
 	}
 
 	rsp := sp.Child("report")
-	report := frontend.InstallDialog(res.App.Name, res.Rules.Rules, threats, chains)
+	report, lines := frontend.InstallDialog(res.App.Name, res.Rules.Rules, threats, chains)
 	rsp.End()
 	f.metrics.detectorDelta(det)
 	f.metrics.installDone(time.Since(start), threats)
@@ -595,6 +597,7 @@ func (f *Fleet) Install(ctx context.Context, homeID, src string, cfg *detect.Con
 		ThreatLogBase: logBase,
 		Chains:        chains,
 		Report:        report,
+		Lines:         lines,
 		Warnings:      res.Warnings,
 	}, nil
 }

@@ -353,13 +353,26 @@ func DescribeChain(c detect.Chain) string {
 // InstallReport renders the full installation dialog: the new app's rules
 // followed by every discovered threat.
 func InstallReport(appName string, rules []*rule.Rule, threats []detect.Threat) string {
-	var sb strings.Builder
-	installReportInto(&sb, appName, rules, threats)
-	return sb.String()
+	report, _ := InstallDialog(appName, rules, threats, nil)
+	return report
 }
 
-func installReportInto(sb *strings.Builder, appName string, rules []*rule.Rule, threats []detect.Threat) {
+// Lines are the item texts of one rendered installation dialog: Rules[i]
+// is DescribeRule(rules[i]), Threats[i] DescribeThreat(threats[i]) and
+// Chains[i] DescribeChain(chains[i]), each a substring of the dialog, so
+// a caller that shows both renders every text once.
+type Lines struct {
+	Rules, Threats, Chains []string
+}
+
+// InstallDialog renders the installation dialog including chained-threat
+// lines — the complete text both the library (homeguard.Home) and the
+// fleet service show at install time — and the texts of its lines.
+func InstallDialog(appName string, rules []*rule.Rule, threats []detect.Threat, chains []detect.Chain) (string, Lines) {
+	var sb strings.Builder
 	sb.Grow(256)
+	// spans holds each line text's start and end offset in the dialog.
+	spans := make([]int, 0, 2*(len(rules)+len(threats)+len(chains)))
 	sb.WriteString("HomeGuard — installing ")
 	sb.WriteString(appName)
 	sb.WriteString("\n")
@@ -367,32 +380,36 @@ func installReportInto(sb *strings.Builder, appName string, rules []*rule.Rule, 
 	sb.WriteString("This app defines:\n")
 	for _, r := range rules {
 		sb.WriteString("  • ")
+		spans = append(spans, sb.Len())
 		sb.WriteString(DescribeRule(r))
+		spans = append(spans, sb.Len())
 		sb.WriteString("\n")
 	}
 	if len(threats) == 0 {
 		sb.WriteString("No cross-app interference detected.\n")
-		return
+	} else {
+		fmt.Fprintf(&sb, "%d potential cross-app interference threat(s):\n", len(threats))
+		for _, t := range threats {
+			sb.WriteString("  ⚠ ")
+			spans = append(spans, sb.Len())
+			describeThreatInto(&sb, t)
+			spans = append(spans, sb.Len())
+			sb.WriteString("\n")
+		}
+		sb.WriteString("Keep the app, remove it, or change its configuration.\n")
 	}
-	fmt.Fprintf(sb, "%d potential cross-app interference threat(s):\n", len(threats))
-	for _, t := range threats {
-		sb.WriteString("  ⚠ ")
-		describeThreatInto(sb, t)
-		sb.WriteString("\n")
-	}
-	sb.WriteString("Keep the app, remove it, or change its configuration.\n")
-}
-
-// InstallDialog renders the installation dialog including chained-threat
-// lines — the complete text both the library (homeguard.Home) and the
-// fleet service show at install time.
-func InstallDialog(appName string, rules []*rule.Rule, threats []detect.Threat, chains []detect.Chain) string {
-	var sb strings.Builder
-	installReportInto(&sb, appName, rules, threats)
 	for _, c := range chains {
 		sb.WriteString("  ⛓ ")
+		spans = append(spans, sb.Len())
 		sb.WriteString(DescribeChain(c))
+		spans = append(spans, sb.Len())
 		sb.WriteString("\n")
 	}
-	return sb.String()
+	text := sb.String()
+	texts := make([]string, len(spans)/2)
+	for i := range texts {
+		texts[i] = text[spans[2*i]:spans[2*i+1]]
+	}
+	nr, nt := len(rules), len(rules)+len(threats)
+	return text, Lines{Rules: texts[:nr:nr], Threats: texts[nr:nt:nt], Chains: texts[nt:]}
 }

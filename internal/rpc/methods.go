@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/url"
 	"strconv"
+	"sync"
 
 	"homeguard/internal/api"
 )
@@ -75,9 +76,36 @@ func (m *Method) KeyOf(body []byte) (string, *api.Error) {
 	return m.Key(req), nil
 }
 
+// appender is a response that encodes itself: AppendJSON appends the
+// bytes json.Marshal would return (the api package's contract).
+type appender interface {
+	AppendJSON(dst []byte) []byte
+}
+
+// encodeBufs recycles the scratch buffers appenders encode into, so a
+// response costs one allocation of its exact size, as json.Marshal's
+// does. Buffers past maxPooledEncode are dropped, not kept.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledEncode = 1 << 20
+
+// encode returns a's encoding in a slice of its own.
+func encode(a appender) []byte {
+	bp := encodeBufs.Get().(*[]byte)
+	buf := a.AppendJSON((*bp)[:0])
+	out := make([]byte, len(buf))
+	copy(out, buf)
+	if cap(buf) <= maxPooledEncode {
+		*bp = buf
+		encodeBufs.Put(bp)
+	}
+	return out
+}
+
 // serve runs the method on b from a raw request body: decode it, bind
 // key (when non-empty) as the request's home the way the HTTP edge
-// binds {id}, call b, and marshal the response.
+// binds {id}, call b, and encode the response, with its own AppendJSON
+// when it has one and json.Marshal otherwise.
 func (m *Method) serve(ctx context.Context, b Backend, key string, body []byte) ([]byte, *api.Error) {
 	req := m.newRequest()
 	if aerr := decodeBody(body, req); aerr != nil {
@@ -89,6 +117,9 @@ func (m *Method) serve(ctx context.Context, b Backend, key string, body []byte) 
 	res, aerr := m.call(b, ctx, req)
 	if aerr != nil {
 		return nil, aerr
+	}
+	if a, ok := res.(appender); ok {
+		return encode(a), nil
 	}
 	out, err := json.Marshal(res)
 	if err != nil {

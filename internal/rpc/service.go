@@ -3,6 +3,7 @@ package rpc
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"homeguard/internal/api"
 	"homeguard/internal/audit"
@@ -44,6 +45,12 @@ type Service struct {
 	extract *Breaker
 	detect  *Breaker
 	node    string
+
+	// lastFeed is the feed of the newest revision SubmitApps answered,
+	// since its predecessor, with the findings encoded once for both: a
+	// Findings read of exactly that revision relays it. Only this one
+	// revision's encoding is kept; the next one replaces it.
+	lastFeed atomic.Pointer[api.FindingsResponse]
 
 	// inject, when set, runs before each guarded stage and its error
 	// (if any) replaces the stage — the test hook for breaker behavior.
@@ -375,11 +382,23 @@ func (s *Service) SubmitApps(ctx context.Context, req *api.SubmitAppsRequest) (*
 	}); aerr != nil {
 		return nil, aerr
 	}
-	return api.SubmitAppsResponseOf(rev), nil
+	resp := api.SubmitAppsResponseOf(rev)
+	feed := resp.Feed()
+	for cur := s.lastFeed.Load(); cur == nil || cur.Rev < feed.Rev; cur = s.lastFeed.Load() {
+		if s.lastFeed.CompareAndSwap(cur, feed) {
+			break
+		}
+	}
+	return resp, nil
 }
 
 // Findings reads the store findings feed from req.Since. Reads are
-// cheap and skip the breakers.
+// cheap and skip the breakers. A feed that is exactly the revision
+// SubmitApps answered last (not a Reset, since its predecessor) is
+// that answer's feed, whose findings are already encoded; any other
+// feed is rendered here. A relayed feed shares its findings slices with
+// that answer and every other reader of the revision, so callers treat
+// them as read-only.
 func (s *Service) Findings(ctx context.Context, req *api.FindingsRequest) (*api.FindingsResponse, *api.Error) {
 	if err := ctx.Err(); err != nil {
 		return nil, api.FromErr(err)
@@ -387,7 +406,12 @@ func (s *Service) Findings(ctx context.Context, req *api.FindingsRequest) (*api.
 	if s.auditor == nil {
 		return nil, api.Errorf(api.CodeFailedPrecondition, "this edge serves no app store")
 	}
-	return api.FindingsResponseOf(s.auditor.FindingsSince(req.Since)), nil
+	feed := s.auditor.FindingsSince(req.Since)
+	if last := s.lastFeed.Load(); last != nil && !feed.Reset && feed.Since+1 == feed.Rev && last.Rev == feed.Rev {
+		relay := *last
+		return &relay, nil
+	}
+	return api.FindingsResponseOf(feed), nil
 }
 
 // Ping answers the gateway heartbeat with the node's identity and home
