@@ -12,7 +12,7 @@
 //	           [-events-sink stdout|/path/to/events.jsonl]
 //	           [-pprof-addr 127.0.0.1:6060]
 //	           [-wal-dir /var/lib/homeguard/wal]
-//	           [-fsync always|interval|off]
+//	           [-fsync always|off]
 //	           [-checkpoint-interval 1m]
 //	           [-snapshot-path /var/lib/homeguard/wal/checkpoint]
 //	           [-log-format text|json] [-trace-slow-ms 250]
@@ -99,8 +99,6 @@
 //
 //   - -fsync always (the default) fsyncs the log before every ack —
 //     the zero-loss configuration the crash-recovery CI job runs.
-//   - -fsync interval batches fsyncs on a 50ms timer: acks may run
-//     ahead of the disk by one interval, bounding loss to that window.
 //   - -fsync off leaves flushing to the OS page cache (still safe
 //     against process death, not against host death).
 //   - -checkpoint-interval sets the checkpointer period (default 1m;
@@ -242,7 +240,7 @@ func main() {
 	walDir := flag.String("wal-dir", "",
 		"write-ahead-log directory: every mutation is logged before acknowledgment and replayed on boot (empty = durability off)")
 	fsyncMode := flag.String("fsync", "always",
-		`WAL fsync policy: "always" (fsync before every acknowledgment), "interval" (background fsync every 50ms; a crash may lose the last interval), "off" (no fsync; a crash may lose OS-buffered records)`)
+		`WAL fsync policy: "always" (fsync before every acknowledgment), "off" (no fsync; a crash may lose OS-buffered records)`)
 	checkpointInterval := flag.Duration("checkpoint-interval", time.Minute,
 		"how often the background checkpointer persists full state and collects covered WAL segments (0 = checkpoint only on graceful shutdown)")
 	logFormat := flag.String("log-format", "text",

@@ -265,19 +265,22 @@
 // accept, store audit batch — to a segmented, CRC32C-framed,
 // monotonically LSN-numbered log BEFORE acknowledging the operation,
 // under the same lock that applied the mutation, so the log's record
-// order IS the commit order. Three fsync policies trade latency for
+// order IS the commit order. Two fsync policies trade latency for
 // loss window: always (fsync before every ack — zero acked loss, the
-// configuration the fault-injection tests run under), interval
-// (batched fsync on a 50ms timer — bounded loss window), off (OS page
+// configuration the fault-injection tests run under; concurrent
+// appenders share fsyncs through group commit) and off (OS page
 // cache). A failed append or fsync latches the log into a crash-stop
 // state that refuses further appends rather than acking writes the
 // disk never saw.
 //
 // Records are logical and self-contained: an install record carries
 // the app's Groovy source and its resolved configuration, so recovery
-// never re-runs config resolution; replay installs the source again
-// through the content-addressed extraction cache, which answers from
-// the checkpointed extraction when there is one and re-runs symbolic
+// never re-runs config resolution. Replay runs each record through the
+// same home mutation the live operation ran (one definition of
+// install, reconfigure, accept and adopt), without its report, chains
+// or events; it installs the source again through the
+// content-addressed extraction cache, which answers from the
+// checkpointed extraction when there is one and re-runs symbolic
 // execution only when the cache is cold. Replay is idempotent through
 // per-entity LSN watermarks (each home and the auditor persist the
 // LSN of their last applied record in the checkpoint; replay skips

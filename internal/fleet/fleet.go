@@ -48,6 +48,7 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -360,6 +361,83 @@ func (h *home) takeDetectorDelta() DetectorTotals {
 	return delta
 }
 
+// installed returns the home's installed app named name, or nil. Callers
+// hold h.mu.
+func (h *home) installed(name string) *detect.InstalledApp {
+	for _, a := range h.det.Apps() {
+		if a.Info.Name == name {
+			return a
+		}
+	}
+	return nil
+}
+
+// The four home mutations — install, reconfigure, acceptByIndex and
+// adopt — are each defined once, as the methods below. Both the live ops
+// and WAL replay (wal.go) run them, under h.mu; sp, when non-nil,
+// receives their stage spans.
+
+// install adds an extracted app under cfg, runs detection against the
+// home's other apps, and appends the threats to the log and the ledger.
+// An app name the home already has fails ErrAppInstalled and changes
+// nothing.
+func (h *home) install(sp *obs.Span, res *symexec.Result, cfg *detect.Config) ([]detect.Threat, error) {
+	if h.installed(res.App.Name) != nil {
+		return nil, fmt.Errorf("%w: %q", ErrAppInstalled, res.App.Name)
+	}
+	// The detector records its stage spans (compile, candidates,
+	// verdict, solve) as children of the detect span. SetSpan is legal
+	// here because the home lock serializes the detector; the deferred
+	// reset keeps a panic from leaking the span into the next operation.
+	dsp := sp.Child("detect")
+	h.det.SetSpan(dsp)
+	defer h.det.SetSpan(nil)
+	threats := h.det.Install(detect.NewInstalledApp(res, cfg))
+	dsp.End()
+	lsp := sp.Child("ledger")
+	h.threats = append(h.threats, threats...)
+	// Every pair of an install involves the new app, so its groups are
+	// all fresh ledger entries.
+	h.ledger = append(h.ledger, h.groupRuns(threats)...)
+	lsp.End()
+	return threats, nil
+}
+
+// reconfigure re-runs detection for an installed app under cfg (the
+// resolved configuration: nil means no bindings), appends the threats
+// to the log and splices them into the ledger. An app the home lacks
+// fails and changes nothing.
+func (h *home) reconfigure(sp *obs.Span, app string, cfg *detect.Config) ([]detect.Threat, error) {
+	dsp := sp.Child("detect")
+	h.det.SetSpan(dsp)
+	defer h.det.SetSpan(nil)
+	threats, err := h.det.Reconfigure(app, cfg)
+	dsp.End()
+	if err != nil {
+		return nil, err
+	}
+	ssp := sp.Child("splice")
+	h.threats = append(h.threats, threats...)
+	h.spliceLedger(app, threats)
+	ssp.End()
+	return threats, nil
+}
+
+// acceptByIndex accepts the threats at the given threat-log indices. It
+// checks every index before accepting any, so an out-of-range index
+// fails ErrBadThreatIndex and changes nothing.
+func (h *home) acceptByIndex(indices []int) error {
+	for _, i := range indices {
+		if i < 0 || i >= len(h.threats) {
+			return fmt.Errorf("%w: %d (log has %d)", ErrBadThreatIndex, i, len(h.threats))
+		}
+	}
+	for _, i := range indices {
+		h.det.Accept(h.threats[i])
+	}
+	return nil
+}
+
 // New creates an empty fleet.
 func New(opts Options) *Fleet {
 	opts = opts.withDefaults()
@@ -495,7 +573,7 @@ func (f *Fleet) Install(ctx context.Context, homeID, src string, cfg *detect.Con
 	// in the critical section.
 	var opRec []byte
 	if f.wal != nil {
-		if opRec, err = encodeInstallOp(homeID, src, cfg); err != nil {
+		if opRec, err = encodeConfigOp(walOp{Home: homeID, Source: src}, cfg); err != nil {
 			f.metrics.installFailed()
 			return nil, fmt.Errorf("fleet: home %s: wal encode: %w", homeID, err)
 		}
@@ -511,7 +589,7 @@ func (f *Fleet) Install(ctx context.Context, homeID, src string, cfg *detect.Con
 		chains  []detect.Chain
 		logBase int
 		det     DetectorTotals
-		dup     bool
+		dupErr  error
 		gone    bool
 		walErr  error
 	)
@@ -522,45 +600,15 @@ func (f *Fleet) Install(ctx context.Context, homeID, src string, cfg *detect.Con
 			gone = true
 			return
 		}
-		for _, a := range h.det.Apps() {
-			if a.Info.Name == res.App.Name {
-				dup = true
-				return
-			}
+		logBase = len(h.threats)
+		if threats, dupErr = h.install(sp, res, cfg); dupErr != nil {
+			return
 		}
-		// The detector records its stage spans (compile, candidates,
-		// verdict, solve) as children of the detect span. SetSpan is
-		// legal here because the home lock serializes the detector; the
-		// deferred reset keeps a panic from leaking the span into the
-		// next operation.
-		dsp := sp.Child("detect")
-		h.det.SetSpan(dsp)
-		defer h.det.SetSpan(nil)
-		threats = h.det.Install(detect.NewInstalledApp(res, cfg))
-		dsp.End()
 		csp := sp.Child("chains")
 		chains = h.det.FindChains(threats, f.opts.MaxChainLen)
 		csp.End()
-		lsp := sp.Child("ledger")
-		logBase = len(h.threats)
-		h.threats = append(h.threats, threats...)
-		// Every pair of an install involves the new app, so its groups are
-		// all fresh ledger entries.
-		h.ledger = append(h.ledger, h.groupRuns(threats)...)
-		lsp.End()
 		det = h.takeDetectorDelta()
-		// Commit: the op record is appended under the same lock that made
-		// the mutations, so the home's state at any LSN watermark is
-		// exactly the prefix of its ops up to that LSN.
-		if f.wal != nil {
-			wsp := sp.Child("wal.append")
-			var lsn uint64
-			lsn, walErr = f.wal.Append(wal.OpFleetInstall, opRec)
-			wsp.End()
-			if walErr == nil {
-				h.walLSN = lsn
-			}
-		}
+		walErr = f.commit(sp, h, wal.OpFleetInstall, opRec)
 	}()
 	if gone {
 		// The home was detached (migrated away) between lookup and lock:
@@ -568,12 +616,12 @@ func (f *Fleet) Install(ctx context.Context, homeID, src string, cfg *detect.Con
 		f.metrics.installFailed()
 		return nil, fmt.Errorf("fleet: %w %q", ErrUnknownHome, homeID)
 	}
-	if dup {
+	if dupErr != nil {
 		// A retried/duplicated request, not a service failure: count it
 		// apart from extraction errors so dashboards alerting on
 		// InstallErrors don't fire on ordinary client retries.
 		f.metrics.installConflicted()
-		return nil, fmt.Errorf("fleet: home %s: %w: %q", homeID, ErrAppInstalled, res.App.Name)
+		return nil, fmt.Errorf("fleet: home %s: %w", homeID, dupErr)
 	}
 	if walErr != nil {
 		// Un-acknowledged: the caller must treat the install as failed.
@@ -731,13 +779,7 @@ func (f *Fleet) Reconfigure(ctx context.Context, homeID, appName string, cfg *de
 			gone = true
 			return
 		}
-		var target *detect.InstalledApp
-		for _, a := range h.det.Apps() {
-			if a.Info.Name == appName {
-				target = a
-				break
-			}
-		}
+		target := h.installed(appName)
 		if target == nil {
 			missing = true
 			return
@@ -748,36 +790,21 @@ func (f *Fleet) Reconfigure(ctx context.Context, homeID, appName string, cfg *de
 		// The WAL record carries the RESOLVED config — resolution above
 		// depends on the app's current bindings, which replay must not
 		// re-derive from whatever state the log has reached. Encoded
-		// under the lock because the resolution is.
+		// under the lock because the resolution is, and before the
+		// mutation so an encode failure changes nothing.
 		var opRec []byte
 		if f.wal != nil {
-			if opRec, walErr = encodeReconfigureOp(homeID, appName, cfg); walErr != nil {
+			if opRec, walErr = encodeConfigOp(walOp{Home: homeID, App: appName}, cfg); walErr != nil {
 				return
 			}
 		}
-		dsp := sp.Child("detect")
-		h.det.SetSpan(dsp)
-		defer h.det.SetSpan(nil)
-		// detect.Reconfigure errors only on an unknown app, and the app
-		// was found above under the same lock, so the error is impossible
-		// here; the missing flag above is what carries not-found out.
-		threats, _ = h.det.Reconfigure(appName, cfg)
-		dsp.End()
-		ssp := sp.Child("splice")
 		logBase = len(h.threats)
-		h.threats = append(h.threats, threats...)
-		h.spliceLedger(appName, threats)
-		ssp.End()
+		// h.reconfigure errors only on an unknown app, and the app was
+		// found above under the same lock, so the error is impossible
+		// here; the missing flag above is what carries not-found out.
+		threats, _ = h.reconfigure(sp, appName, cfg)
 		det = h.takeDetectorDelta()
-		if f.wal != nil {
-			wsp := sp.Child("wal.append")
-			var lsn uint64
-			lsn, walErr = f.wal.Append(wal.OpFleetReconfigure, opRec)
-			wsp.End()
-			if walErr == nil {
-				h.walLSN = lsn
-			}
-		}
+		walErr = f.commit(sp, h, wal.OpFleetReconfigure, opRec)
 	}()
 	if gone {
 		return nil, fmt.Errorf("fleet: %w %q", ErrUnknownHome, homeID)
@@ -799,42 +826,10 @@ func (f *Fleet) Reconfigure(ctx context.Context, homeID, appName string, cfg *de
 	}, nil
 }
 
-// Accept records user-approved threats in one home so later installs
-// report chains through them.
-func (f *Fleet) Accept(homeID string, ts ...detect.Threat) error {
-	h := f.lookup(homeID)
-	if h == nil {
-		return fmt.Errorf("fleet: %w %q", ErrUnknownHome, homeID)
-	}
-	var opRec []byte
-	if f.wal != nil {
-		var err error
-		if opRec, err = encodeAcceptThreatsOp(homeID, ts); err != nil {
-			return fmt.Errorf("fleet: home %s: wal encode: %w", homeID, err)
-		}
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.migrated {
-		return fmt.Errorf("fleet: %w %q", ErrUnknownHome, homeID)
-	}
-	for _, t := range ts {
-		h.det.Accept(t)
-	}
-	if f.wal != nil {
-		lsn, err := f.wal.Append(wal.OpFleetAccept, opRec)
-		if err != nil {
-			return fmt.Errorf("fleet: home %s: wal append: %w", homeID, err)
-		}
-		h.walLSN = lsn
-	}
-	return nil
-}
-
-// AcceptByIndex records user-approved threats addressed by their index
-// in the home's threat log (the order Threats returns). This is the
-// wire-API form of Accept: HTTP clients hold log indices, not
-// detect.Threat values.
+// AcceptByIndex records user-approved threats, addressed by their index
+// in the home's threat log (the order Threats returns), so later
+// installs report chains through them. It is all-or-nothing: an index
+// outside the log fails ErrBadThreatIndex and accepts nothing.
 func (f *Fleet) AcceptByIndex(homeID string, indices ...int) error {
 	h := f.lookup(homeID)
 	if h == nil {
@@ -843,7 +838,7 @@ func (f *Fleet) AcceptByIndex(homeID string, indices ...int) error {
 	var opRec []byte
 	if f.wal != nil {
 		var err error
-		if opRec, err = encodeAcceptIndicesOp(homeID, indices); err != nil {
+		if opRec, err = json.Marshal(walOp{Home: homeID, Indices: indices}); err != nil {
 			return fmt.Errorf("fleet: home %s: wal encode: %w", homeID, err)
 		}
 	}
@@ -852,20 +847,11 @@ func (f *Fleet) AcceptByIndex(homeID string, indices ...int) error {
 	if h.migrated {
 		return fmt.Errorf("fleet: %w %q", ErrUnknownHome, homeID)
 	}
-	for _, i := range indices {
-		if i < 0 || i >= len(h.threats) {
-			return fmt.Errorf("fleet: home %s: %w: %d (log has %d)", homeID, ErrBadThreatIndex, i, len(h.threats))
-		}
+	if err := h.acceptByIndex(indices); err != nil {
+		return fmt.Errorf("fleet: home %s: %w", homeID, err)
 	}
-	for _, i := range indices {
-		h.det.Accept(h.threats[i])
-	}
-	if f.wal != nil {
-		lsn, err := f.wal.Append(wal.OpFleetAccept, opRec)
-		if err != nil {
-			return fmt.Errorf("fleet: home %s: wal append: %w", homeID, err)
-		}
-		h.walLSN = lsn
+	if err := f.commit(nil, h, wal.OpFleetAccept, opRec); err != nil {
+		return fmt.Errorf("fleet: home %s: wal append: %w", homeID, err)
 	}
 	return nil
 }

@@ -194,8 +194,8 @@ func TestFleetUnknownHomeAndApp(t *testing.T) {
 	if _, err := f.Reconfigure(context.Background(), "nope", "App", nil); err == nil {
 		t.Error("Reconfigure(unknown home) did not fail")
 	}
-	if err := f.Accept("nope"); err == nil {
-		t.Error("Accept(unknown home) did not fail")
+	if err := f.AcceptByIndex("nope", 0); err == nil {
+		t.Error("AcceptByIndex(unknown home) did not fail")
 	}
 	if _, err := f.Install(context.Background(), "h", mustSource(t, "ComfortTV"), nil); err != nil {
 		t.Fatal(err)

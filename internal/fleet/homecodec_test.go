@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/base64"
 	"encoding/hex"
 	"errors"
 	"testing"
@@ -143,6 +144,31 @@ func TestImportHomeFailureCreatesNoHome(t *testing.T) {
 		}
 		if n, m, ids := f.NumHomes(), f.Metrics().Homes, f.HomeIDs(); n != 0 || m != 0 || len(ids) != 0 {
 			t.Errorf("%s: failed import left homes behind: NumHomes %d, Metrics().Homes %d, HomeIDs %v", name, n, m, ids)
+		}
+	}
+}
+
+// TestReplayFailureCreatesNoHome: a WAL record that fails replay — an
+// install whose source does not parse, an adopt whose blob is corrupt,
+// an update of a home that does not exist — leaves no home behind,
+// just as a rejected ImportHome does.
+func TestReplayFailureCreatesNoHome(t *testing.T) {
+	for name, rec := range map[string]struct {
+		kind    byte
+		payload string
+	}{
+		"unparsable source": {wal.OpFleetInstall, `{"home":"ghost","source":"definition(","config":null}`},
+		"bad config":        {wal.OpFleetInstall, `{"home":"ghost","source":"","config":[]}`},
+		"corrupt blob":      {wal.OpFleetAdoptHome, `{"home":"fig3","snapshot":"` + base64.StdEncoding.EncodeToString(badIndexExport()) + `"}`},
+		"reconfigure":       {wal.OpFleetReconfigure, `{"home":"ghost","app":"ComfortTV","config":null}`},
+		"accept":            {wal.OpFleetAccept, `{"home":"ghost","indices":[0]}`},
+	} {
+		f := New(Options{})
+		if err := f.ReplayWALRecord(1, rec.kind, []byte(rec.payload)); err == nil {
+			t.Errorf("%s: replay succeeded", name)
+		}
+		if n, m, ids := f.NumHomes(), f.Metrics().Homes, f.HomeIDs(); n != 0 || m != 0 || len(ids) != 0 {
+			t.Errorf("%s: failed replay left homes behind: NumHomes %d, Metrics().Homes %d, HomeIDs %v", name, n, m, ids)
 		}
 	}
 }

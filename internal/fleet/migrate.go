@@ -96,7 +96,7 @@ func (f *Fleet) DetachHome(homeID string) ([]byte, int, error) {
 	}
 	var opRec []byte
 	if f.wal != nil {
-		if opRec, err = json.Marshal(removeHomeOp{Home: homeID}); err != nil {
+		if opRec, err = json.Marshal(walOp{Home: homeID}); err != nil {
 			s.mu.Unlock()
 			return nil, 0, fmt.Errorf("fleet: detach home %s: wal encode: %w", homeID, err)
 		}
@@ -133,22 +133,18 @@ func (f *Fleet) ImportHome(homeID string, blob []byte) (int, error) {
 	}
 	var opRec []byte
 	if f.wal != nil {
-		if opRec, err = json.Marshal(adoptHomeOp{Home: homeID, Snapshot: blob}); err != nil {
+		if opRec, err = json.Marshal(walOp{Home: homeID, Snapshot: blob}); err != nil {
 			return 0, fmt.Errorf("fleet: import home %s: wal encode: %w", homeID, err)
 		}
 	}
 	h := f.homeFor(homeID)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if err := h.adoptUnderLock(st); err != nil {
+	if err := h.adopt(st); err != nil {
 		return 0, fmt.Errorf("fleet: import: %w", err)
 	}
-	if f.wal != nil {
-		lsn, err := f.wal.Append(wal.OpFleetAdoptHome, opRec)
-		if err != nil {
-			return 0, fmt.Errorf("fleet: import home %s: wal append: %w", homeID, err)
-		}
-		h.walLSN = lsn
+	if err := f.commit(nil, h, wal.OpFleetAdoptHome, opRec); err != nil {
+		return 0, fmt.Errorf("fleet: import home %s: wal append: %w", homeID, err)
 	}
 	return len(st.apps), nil
 }

@@ -267,7 +267,7 @@ func (f *Fleet) RestoreHomes(r io.Reader) (int, error) {
 		h := f.homeFor(hs.ID)
 		h.mu.Lock()
 		defer h.mu.Unlock()
-		return h.adoptUnderLock(st)
+		return h.adopt(st)
 	})
 	if err != nil {
 		return 0, fmt.Errorf("fleet: restore: %w", err)
@@ -331,9 +331,9 @@ func decodeHome(hs *homeSnapJSON, table []*symexec.Result) (*homeState, error) {
 	return st, nil
 }
 
-// adoptUnderLock attaches decoded state to h, which must hold no state
-// yet. Callers hold h.mu.
-func (h *home) adoptUnderLock(st *homeState) error {
+// adopt attaches decoded state to h, which must hold no state yet (else
+// ErrHomeExists, changing nothing). Callers hold h.mu.
+func (h *home) adopt(st *homeState) error {
 	if len(h.det.Apps()) > 0 || len(h.threats) > 0 {
 		return fmt.Errorf("%w: %q", ErrHomeExists, h.id)
 	}

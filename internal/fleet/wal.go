@@ -1,16 +1,19 @@
-// WAL integration: every fleet mutation — install, reconfigure, accept —
-// appends one logical op record inside the home lock, after the mutation
-// and before the caller is acknowledged, so a record's presence in the
-// log is exactly the operation having happened (commit-log semantics).
-// On a WAL append failure the log latches the error and the operation
-// returns it un-acknowledged; the in-memory mutation may be ahead of the
-// log at that point, but no later operation can append (or be
-// checkpointed past), so recovery never resurrects an un-acked op.
+// WAL integration: every fleet mutation — install, reconfigure, accept,
+// detach, adopt — appends one op record inside the home lock, after the
+// mutation and before the caller is acknowledged, so a record's presence
+// in the log is exactly the operation having happened (commit-log
+// semantics). On a WAL append failure the log latches the error and the
+// operation returns it un-acknowledged; the in-memory mutation may be
+// ahead of the log at that point, but no later operation can append (or
+// be checkpointed past), so recovery never resurrects an un-acked op.
 //
-// Replay applies records back through the same mutation logic minus
-// side effects (no events, no report rendering, no re-append): a home's
-// persisted walLSN watermark skips records already reflected in the
-// checkpoint it was restored from.
+// Each home mutation is defined once, as a method on home (install,
+// reconfigure, acceptByIndex, adopt). The live op wraps it in spans,
+// chains, the report, events and the append; replay calls the same
+// method and adds only its checks: a removal tombstone skips records
+// that predate a home's migration, and a home's persisted walLSN
+// watermark skips records already reflected in the checkpoint it was
+// restored from.
 
 package fleet
 
@@ -19,48 +22,40 @@ import (
 	"fmt"
 
 	"homeguard/internal/detect"
+	"homeguard/internal/obs"
 	"homeguard/internal/wal"
 )
 
-// installOp is the payload of an OpFleetInstall record.
-type installOp struct {
-	Home   string          `json:"home"`
-	Source string          `json:"source"`
-	Config json.RawMessage `json:"config,omitempty"`
+// walOp is the payload of every fleet op record; the record's kind says
+// which fields are set. The field order is the wire order:
+//   - install: home, source, config;
+//   - reconfigure: home, app and the RESOLVED config (a nil request
+//     config keeps the app's current bindings, and replay must not
+//     re-resolve against state that has since moved on);
+//   - accept: home and threat-log indices;
+//   - remove home (DetachHome): home alone;
+//   - adopt home (ImportHome): home and the full single-home export
+//     blob, so replay rebuilds the home without the exporting node.
+//
+// A log written by one build must replay on the next, so these bytes
+// are pinned (TestFleetWALRecordBytesPinned).
+type walOp struct {
+	Home     string          `json:"home"`
+	App      string          `json:"app,omitempty"`
+	Source   string          `json:"source,omitempty"`
+	Config   json.RawMessage `json:"config,omitempty"`
+	Indices  []int           `json:"indices,omitempty"`
+	Snapshot []byte          `json:"snapshot,omitempty"`
 }
 
-// reconfigureOp is the payload of an OpFleetReconfigure record. Config
-// is the RESOLVED configuration (a nil request config keeps the app's
-// current bindings, and replay must not re-resolve against state that
-// has since moved on).
-type reconfigureOp struct {
-	Home   string          `json:"home"`
-	App    string          `json:"app"`
-	Config json.RawMessage `json:"config,omitempty"`
-}
-
-// acceptOp is the payload of an OpFleetAccept record: threat-log indices
-// for AcceptByIndex, marshaled threats for Accept. Exactly one of the
-// two is set.
-type acceptOp struct {
-	Home    string          `json:"home"`
-	Indices []int           `json:"indices,omitempty"`
-	Threats json.RawMessage `json:"threats,omitempty"`
-}
-
-// removeHomeOp is the payload of an OpFleetRemoveHome record (a
-// DetachHome — home migrated away).
-type removeHomeOp struct {
-	Home string `json:"home"`
-}
-
-// adoptHomeOp is the payload of an OpFleetAdoptHome record. Snapshot is
-// the full single-home export blob: replay must rebuild the home
-// without the exporting node existing anymore, so the record carries
-// the state, not a reference to it.
-type adoptHomeOp struct {
-	Home     string `json:"home"`
-	Snapshot []byte `json:"snapshot"`
+// encodeConfigOp encodes an install or reconfigure record, whose config
+// field is always present (JSON null for a nil cfg).
+func encodeConfigOp(op walOp, cfg *detect.Config) ([]byte, error) {
+	var err error
+	if op.Config, err = detect.MarshalConfig(cfg); err != nil {
+		return nil, err
+	}
+	return json.Marshal(op)
 }
 
 // AttachWAL connects the fleet to its write-ahead log. Call it after
@@ -71,188 +66,123 @@ func (f *Fleet) AttachWAL(l *wal.Log) { f.wal = l }
 // WAL returns the attached log, or nil.
 func (f *Fleet) WAL() *wal.Log { return f.wal }
 
-func encodeInstallOp(homeID, src string, cfg *detect.Config) ([]byte, error) {
-	cb, err := detect.MarshalConfig(cfg)
-	if err != nil {
-		return nil, err
+// commit appends a live op's record under h.mu, after the mutation it
+// describes, and advances the home's watermark, so the home's state at
+// any watermark is exactly the prefix of its ops up to that LSN. It is
+// a no-op without an attached log.
+func (f *Fleet) commit(sp *obs.Span, h *home, kind byte, rec []byte) error {
+	if f.wal == nil {
+		return nil
 	}
-	return json.Marshal(installOp{Home: homeID, Source: src, Config: cb})
-}
-
-func encodeReconfigureOp(homeID, app string, cfg *detect.Config) ([]byte, error) {
-	cb, err := detect.MarshalConfig(cfg)
+	wsp := sp.Child("wal.append")
+	lsn, err := f.wal.Append(kind, rec)
+	wsp.End()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return json.Marshal(reconfigureOp{Home: homeID, App: app, Config: cb})
+	h.walLSN = lsn
+	return nil
 }
 
-func encodeAcceptIndicesOp(homeID string, indices []int) ([]byte, error) {
-	return json.Marshal(acceptOp{Home: homeID, Indices: indices})
-}
-
-func encodeAcceptThreatsOp(homeID string, ts []detect.Threat) ([]byte, error) {
-	tb, err := detect.MarshalThreats(ts)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(acceptOp{Home: homeID, Threats: tb})
-}
-
-// ReplayWALRecord applies one fleet op record during boot recovery. A
-// record at or below the target home's persisted watermark is already
-// reflected in the restored checkpoint and is skipped. The WAL must not
-// be attached yet (replayed ops are not re-appended).
+// ReplayWALRecord applies one fleet op record during boot recovery
+// through the live ops' mutation methods, minus their side effects: no
+// report, no chains, no events, no re-append, and no detector work
+// folded into fleet metrics. The WAL must not be attached yet.
+//
+// A record is validated (its source extracted, its blob decoded) before
+// the home it names is created, so a rejected record leaves no home
+// behind. A record at or below its home's watermark, or predating the
+// home's removal, is skipped.
 func (f *Fleet) ReplayWALRecord(lsn uint64, kind byte, payload []byte) error {
+	var op walOp
+	if err := json.Unmarshal(payload, &op); err != nil {
+		return fmt.Errorf("fleet: replay lsn %d: op kind %d: %w", lsn, kind, err)
+	}
+	if kind == wal.OpFleetRemoveHome {
+		f.replayRemoveHome(lsn, op.Home)
+		return nil
+	}
+	// A tombstone at a later LSN means the home was migrated away after
+	// this record: applying it would resurrect the home. A covered
+	// record is skipped before extraction, so a warm boot's covered
+	// records leave no trace in the cache's hit ratio.
+	if f.tombstoneCovers(op.Home, lsn) || f.lookup(op.Home).covers(lsn) {
+		return nil
+	}
+	var (
+		apply  func(h *home) error
+		create bool // the op may create its home (install, adopt)
+	)
 	switch kind {
 	case wal.OpFleetInstall:
-		var op installOp
-		if err := json.Unmarshal(payload, &op); err != nil {
-			return fmt.Errorf("fleet: replay lsn %d: install op: %w", lsn, err)
-		}
 		cfg, err := detect.UnmarshalConfig(op.Config)
 		if err != nil {
 			return fmt.Errorf("fleet: replay lsn %d: %w", lsn, err)
 		}
-		return f.replayInstall(lsn, op.Home, op.Source, cfg)
-	case wal.OpFleetReconfigure:
-		var op reconfigureOp
-		if err := json.Unmarshal(payload, &op); err != nil {
-			return fmt.Errorf("fleet: replay lsn %d: reconfigure op: %w", lsn, err)
-		}
-		cfg, err := detect.UnmarshalConfig(op.Config)
-		if err != nil {
-			return fmt.Errorf("fleet: replay lsn %d: %w", lsn, err)
-		}
-		return f.replayReconfigure(lsn, op.Home, op.App, cfg)
-	case wal.OpFleetAccept:
-		var op acceptOp
-		if err := json.Unmarshal(payload, &op); err != nil {
-			return fmt.Errorf("fleet: replay lsn %d: accept op: %w", lsn, err)
-		}
-		return f.replayAccept(lsn, op)
-	case wal.OpFleetRemoveHome:
-		var op removeHomeOp
-		if err := json.Unmarshal(payload, &op); err != nil {
-			return fmt.Errorf("fleet: replay lsn %d: remove-home op: %w", lsn, err)
-		}
-		return f.replayRemoveHome(lsn, op.Home)
-	case wal.OpFleetAdoptHome:
-		var op adoptHomeOp
-		if err := json.Unmarshal(payload, &op); err != nil {
-			return fmt.Errorf("fleet: replay lsn %d: adopt-home op: %w", lsn, err)
-		}
-		return f.replayAdoptHome(lsn, op.Home, op.Snapshot)
-	}
-	return fmt.Errorf("fleet: replay lsn %d: unknown op kind %d", lsn, kind)
-}
-
-// replayInstall re-applies one acknowledged install: extraction through
-// the shared cache (warm after a checkpoint restore), then the same
-// locked mutations Install performs. Chains, the rendered report and
-// events are presentation, not state — they are skipped.
-func (f *Fleet) replayInstall(lsn uint64, homeID, src string, cfg *detect.Config) error {
-	if f.tombstoneCovers(homeID, lsn) {
-		// The home was removed (migrated away) at a later LSN: applying
-		// this record would resurrect it. Checked before homeFor so the
-		// skip does not even create an empty home.
-		return nil
-	}
-	h := f.homeFor(homeID)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.walLSN >= lsn {
-		// Already in the checkpoint: skipped before the extraction-cache
-		// lookup, so a warm boot's covered records leave no trace in the
-		// cache's hit ratio.
-		return nil
-	}
-	res, err := f.cache.Extract(src, "")
-	if err != nil {
-		return fmt.Errorf("fleet: replay lsn %d: home %s: %w", lsn, homeID, err)
-	}
-	for _, a := range h.det.Apps() {
-		if a.Info.Name == res.App.Name {
-			return fmt.Errorf("fleet: replay lsn %d: home %s: app %q already installed", lsn, homeID, res.App.Name)
-		}
-	}
-	threats := h.det.Install(detect.NewInstalledApp(res, cfg))
-	h.threats = append(h.threats, threats...)
-	h.ledger = append(h.ledger, h.groupRuns(threats)...)
-	h.walLSN = lsn
-	h.detSeen = detectorTotalsOf(h.det.Stats())
-	return nil
-}
-
-func (f *Fleet) replayReconfigure(lsn uint64, homeID, appName string, cfg *detect.Config) error {
-	if f.tombstoneCovers(homeID, lsn) {
-		return nil // home removed at a later LSN; see replayInstall
-	}
-	h := f.lookup(homeID)
-	if h == nil {
-		return fmt.Errorf("fleet: replay lsn %d: %w %q", lsn, ErrUnknownHome, homeID)
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.walLSN >= lsn {
-		return nil
-	}
-	threats, err := h.det.Reconfigure(appName, cfg)
-	if err != nil {
-		return fmt.Errorf("fleet: replay lsn %d: home %s: %w", lsn, homeID, err)
-	}
-	h.threats = append(h.threats, threats...)
-	h.spliceLedger(appName, threats)
-	h.walLSN = lsn
-	h.detSeen = detectorTotalsOf(h.det.Stats())
-	return nil
-}
-
-func (f *Fleet) replayAccept(lsn uint64, op acceptOp) error {
-	if f.tombstoneCovers(op.Home, lsn) {
-		return nil // home removed at a later LSN; see replayInstall
-	}
-	h := f.lookup(op.Home)
-	if h == nil {
-		return fmt.Errorf("fleet: replay lsn %d: %w %q", lsn, ErrUnknownHome, op.Home)
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.walLSN >= lsn {
-		return nil
-	}
-	if len(op.Threats) > 0 {
-		ts, err := detect.UnmarshalThreats(op.Threats)
+		res, err := f.cache.Extract(op.Source, "")
 		if err != nil {
 			return fmt.Errorf("fleet: replay lsn %d: home %s: %w", lsn, op.Home, err)
 		}
-		for _, t := range ts {
-			h.det.Accept(t)
+		apply = func(h *home) error { _, err := h.install(nil, res, cfg); return err }
+		create = true
+	case wal.OpFleetReconfigure:
+		cfg, err := detect.UnmarshalConfig(op.Config)
+		if err != nil {
+			return fmt.Errorf("fleet: replay lsn %d: %w", lsn, err)
 		}
+		apply = func(h *home) error { _, err := h.reconfigure(nil, op.App, cfg); return err }
+	case wal.OpFleetAccept:
+		apply = func(h *home) error { return h.acceptByIndex(op.Indices) }
+	case wal.OpFleetAdoptHome:
+		st, err := decodeExport(op.Home, op.Snapshot)
+		if err != nil {
+			return fmt.Errorf("fleet: replay lsn %d: adopt record for home %q: %w", lsn, op.Home, err)
+		}
+		apply = func(h *home) error { return h.adopt(st) }
+		create = true
+	default:
+		return fmt.Errorf("fleet: replay lsn %d: unknown op kind %d", lsn, kind)
 	}
-	for _, i := range op.Indices {
-		if i < 0 || i >= len(h.threats) {
-			return fmt.Errorf("fleet: replay lsn %d: home %s: %w: %d (log has %d)",
-				lsn, op.Home, ErrBadThreatIndex, i, len(h.threats))
+	h := f.lookup(op.Home)
+	if h == nil {
+		if !create {
+			return fmt.Errorf("fleet: replay lsn %d: %w %q", lsn, ErrUnknownHome, op.Home)
 		}
-		h.det.Accept(h.threats[i])
+		h = f.homeFor(op.Home)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if err := apply(h); err != nil {
+		return fmt.Errorf("fleet: replay lsn %d: home %s: %w", lsn, op.Home, err)
 	}
 	h.walLSN = lsn
+	h.detSeen = detectorTotalsOf(h.det.Stats())
 	return nil
+}
+
+// covers reports whether the record at lsn is already reflected in the
+// home's state. Nil-safe: a missing home covers nothing.
+func (h *home) covers(lsn uint64) bool {
+	if h == nil {
+		return false
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.walLSN >= lsn
 }
 
 // replayRemoveHome re-applies a DetachHome: the home leaves the map and
 // its tombstone is (re-)recorded. The home being absent already — the
 // checkpoint captured the removal, or it was never recreated by earlier
 // records thanks to the tombstone — is the normal case, not an error.
-func (f *Fleet) replayRemoveHome(lsn uint64, homeID string) error {
+func (f *Fleet) replayRemoveHome(lsn uint64, homeID string) {
 	f.setTombstone(homeID, lsn)
 	s := f.shardFor(homeID)
 	s.mu.Lock()
 	h := s.homes[homeID]
 	if h == nil {
 		s.mu.Unlock()
-		return nil
+		return
 	}
 	h.mu.Lock()
 	if h.walLSN >= lsn {
@@ -260,37 +190,11 @@ func (f *Fleet) replayRemoveHome(lsn uint64, homeID string) error {
 		// checkpoint already captured; this stale removal must not touch it.
 		h.mu.Unlock()
 		s.mu.Unlock()
-		return nil
+		return
 	}
 	h.migrated = true
 	h.mu.Unlock()
 	delete(s.homes, homeID)
 	s.mu.Unlock()
 	f.metrics.homeRemoved()
-	return nil
-}
-
-// replayAdoptHome re-applies an ImportHome from the blob the record
-// carries. An already-populated home below the record's LSN is state
-// divergence (the checkpoint cannot contain a different home under the
-// same ID unless the log is inconsistent) and fails recovery.
-func (f *Fleet) replayAdoptHome(lsn uint64, homeID string, blob []byte) error {
-	if f.tombstoneCovers(homeID, lsn) {
-		return nil // adopted home was migrated away again at a later LSN
-	}
-	st, err := decodeExport(homeID, blob)
-	if err != nil {
-		return fmt.Errorf("fleet: replay lsn %d: adopt record for home %q: %w", lsn, homeID, err)
-	}
-	h := f.homeFor(homeID)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.walLSN >= lsn {
-		return nil // already in the checkpoint
-	}
-	if err := h.adoptUnderLock(st); err != nil {
-		return fmt.Errorf("fleet: replay lsn %d: %w", lsn, err)
-	}
-	h.walLSN = lsn
-	return nil
 }

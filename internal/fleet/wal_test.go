@@ -20,7 +20,7 @@ func openWAL(t *testing.T, dir string) *wal.Log {
 }
 
 // driveOps runs a fixed mutation storm — installs across three homes, a
-// reconfigure, accepts by value and by index — used by every recovery
+// reconfigure, an accept by index — used by every recovery
 // test as "the acknowledged history".
 func driveOps(t *testing.T, f *Fleet) {
 	t.Helper()
@@ -46,9 +46,6 @@ func driveOps(t *testing.T, f *Fleet) {
 	if len(ts) > 0 {
 		if err := f.AcceptByIndex("home-0", 0); err != nil {
 			t.Fatalf("accept by index: %v", err)
-		}
-		if err := f.Accept("home-1", ts[0]); err != nil {
-			t.Fatalf("accept: %v", err)
 		}
 	}
 }

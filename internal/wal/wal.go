@@ -127,9 +127,6 @@ const (
 	// FsyncAlways syncs every record before Append returns: an
 	// acknowledged op is a durable op. The default.
 	FsyncAlways Policy = iota
-	// FsyncInterval syncs on a background timer (Options.FsyncInterval);
-	// a crash can lose up to one interval of acknowledged ops.
-	FsyncInterval
 	// FsyncOff never syncs explicitly; durability is whatever the OS
 	// page cache provides. For tests and throwaway deployments.
 	FsyncOff
@@ -139,25 +136,21 @@ func (p Policy) String() string {
 	switch p {
 	case FsyncAlways:
 		return "always"
-	case FsyncInterval:
-		return "interval"
 	case FsyncOff:
 		return "off"
 	}
 	return fmt.Sprintf("policy(%d)", int(p))
 }
 
-// ParsePolicy parses the -fsync flag values always|interval|off.
+// ParsePolicy parses the -fsync flag values always|off.
 func ParsePolicy(s string) (Policy, error) {
 	switch s {
 	case "always", "":
 		return FsyncAlways, nil
-	case "interval":
-		return FsyncInterval, nil
 	case "off":
 		return FsyncOff, nil
 	}
-	return 0, fmt.Errorf("wal: unknown fsync policy %q (want always|interval|off)", s)
+	return 0, fmt.Errorf("wal: unknown fsync policy %q (want always|off)", s)
 }
 
 // Options configures Open.
@@ -169,9 +162,6 @@ type Options struct {
 	SegmentBytes int64
 	// Fsync selects the durability policy.
 	Fsync Policy
-	// FsyncInterval is the timer period for FsyncInterval; defaults to
-	// 50ms.
-	FsyncInterval time.Duration
 	// Registry, when set, registers homeguard_wal_* metrics.
 	Registry *obs.Registry
 	// FS overrides the write layer for fault injection; nil means the
@@ -198,7 +188,7 @@ type Log struct {
 	nextLSN    uint64
 	failed     error // latched first append/sync failure
 	closed     bool
-	dirty      bool // unsynced appends (interval policy)
+	dirty      bool // unsynced appends (FsyncOff; see Sync)
 
 	// Group-commit state (FsyncAlways), guarded by syncMu — deliberately
 	// separate from mu so followers waiting for durability never block
@@ -218,9 +208,6 @@ type Log struct {
 	syncedLSN uint64
 	syncErr   error // latched first group-commit fsync failure
 
-	stop chan struct{}
-	done chan struct{}
-
 	appends      atomic.Uint64
 	fsyncs       atomic.Uint64
 	bytes        atomic.Uint64
@@ -234,9 +221,6 @@ type Log struct {
 func Open(opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
-	}
-	if opts.FsyncInterval <= 0 {
-		opts.FsyncInterval = 50 * time.Millisecond
 	}
 	fs := opts.FS
 	if fs == nil {
@@ -316,11 +300,6 @@ func Open(opts Options) (*Log, error) {
 	l.syncedLSN = l.nextLSN - 1
 	l.syncUpTo = l.nextLSN - 1
 
-	if opts.Fsync == FsyncInterval {
-		l.stop = make(chan struct{})
-		l.done = make(chan struct{})
-		go l.syncLoop()
-	}
 	if opts.Registry != nil {
 		l.register(opts.Registry)
 	}
@@ -705,29 +684,6 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
-func (l *Log) syncLoop() {
-	defer close(l.done)
-	t := time.NewTicker(l.opts.FsyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.stop:
-			return
-		case <-t.C:
-			l.mu.Lock()
-			if l.dirty && l.failed == nil && !l.closed {
-				if err := l.active.Sync(); err != nil {
-					l.failed = err
-				} else {
-					l.fsyncs.Add(1)
-					l.dirty = false
-				}
-			}
-			l.mu.Unlock()
-		}
-	}
-}
-
 // LastLSN returns the LSN of the most recently appended (or recovered)
 // record; 0 if the log is empty.
 func (l *Log) LastLSN() uint64 { return l.lastLSN.Load() }
@@ -839,15 +795,12 @@ func (l *Log) Close() error {
 	if l.failed == nil && l.active != nil {
 		l.beginSealLocked()
 		needSync := false
-		switch l.opts.Fsync {
-		case FsyncAlways:
+		if l.opts.Fsync == FsyncAlways {
 			// Frames whose appenders are still in commit are flushed here;
 			// the watermark advance releases those waiters with success.
 			l.syncMu.Lock()
 			needSync = l.syncUpTo > l.syncedLSN
 			l.syncMu.Unlock()
-		case FsyncInterval:
-			needSync = l.dirty
 		}
 		if needSync {
 			if serr := l.active.Sync(); serr != nil {
@@ -863,13 +816,7 @@ func (l *Log) Close() error {
 		l.endSeal()
 	}
 	l.closed = true
-	stop := l.stop
-	done := l.done
 	l.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
 	return err
 }
 

@@ -274,7 +274,7 @@ func TestParsePolicy(t *testing.T) {
 	}{
 		{"always", FsyncAlways, true},
 		{"", FsyncAlways, true},
-		{"interval", FsyncInterval, true},
+		{"interval", 0, false},
 		{"off", FsyncOff, true},
 		{"sometimes", 0, false},
 	} {
