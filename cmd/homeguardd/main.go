@@ -274,6 +274,7 @@ func main() {
 	slog.SetDefault(logger)
 
 	opts := fleet.Options{Shards: *shards, Obs: obs.NewObserver()}
+	opts.Obs.Registry.RegisterGoRuntime()
 	var eventWriter *events.Writer
 	if *eventsSink != "" {
 		var sink events.Sink

@@ -117,6 +117,7 @@ func main() {
 	slog.SetDefault(logger)
 
 	o := obs.NewObserver()
+	o.Registry.RegisterGoRuntime()
 	rt := newRouter(routerOptions{
 		Ring:      ring,
 		Obs:       o,

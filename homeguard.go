@@ -90,7 +90,13 @@
 // by the node, with a gateway in between reading only its routing key;
 // an HTTP response body is that same compact JSON plus a newline; a
 // response too large for the 4 MiB frame cap comes back as
-// RESOURCE_EXHAUSTED. The connection preface names the frame layout
+// RESOURCE_EXHAUSTED. The per-request cost around that is kept small:
+// the frame headers are appended and scanned without reflection
+// (unusual headers fall back to encoding/json), the gateway's routing
+// key is scanned out of the body without decoding the app source, and
+// RPC handlers and pipeline-stage ops run on reused goroutines whose
+// stacks are already grown, so no install regrows a stack; idle
+// workers exit after ten seconds (homeguard_go_goroutines counts them). The connection preface names the frame layout
 // (HGRPC/2), and a server refuses a client speaking any other, so a
 // gateway and its nodes must run the same protocol version.
 //
@@ -416,6 +422,8 @@
 //	                                               journal replays onto a new owner
 //	cluster_migrations_total                       planned home migrations
 //	cluster_journal_homes                          homes journaled on this gateway (gauge)
+//	go_goroutines (gauge)                          goroutines, the RPC edge's parked workers included
+//	go_gc_cpu_seconds_total                        CPU time in garbage collection (runtime/metrics)
 //
 // Tracing. With the tracer enabled, each fleet operation records a span
 // tree of per-stage timings. Root spans are install, reconfigure and

@@ -18,7 +18,8 @@
 // The threat-bearing responses — InstallResponse, ReconfigureResponse,
 // ThreatsResponse, SubmitAppsResponse and FindingsResponse — encode
 // themselves with AppendJSON, and the edge writes those bytes instead
-// of json.Marshal's. The contract is byte identity: for every value
+// of json.Marshal's. The error envelope (Error.AppendJSON) and any
+// string (AppendString) encode the same way, for the RPC frame headers. The contract is byte identity: for every value
 // json.Marshal accepts, AppendJSON appends exactly the bytes
 // json.Marshal returns, string escaping included (HTML's <, > and &,
 // control bytes, invalid UTF-8 as \ufffd, U+2028 and U+2029). A

@@ -45,8 +45,8 @@ var escapes = func() (t [256]byte) {
 
 const hexDigits = "0123456789abcdef"
 
-// appendString appends s as a JSON string.
-func appendString(dst []byte, s string) []byte {
+// AppendString appends s as a JSON string.
+func AppendString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -114,7 +114,7 @@ func appendStrings(dst []byte, ss []string) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendString(dst, s)
+		dst = AppendString(dst, s)
 	}
 	return append(dst, ']')
 }
@@ -123,23 +123,23 @@ func (t *Threat) appendJSON(dst []byte) []byte {
 	dst = append(dst, `{"index":`...)
 	dst = strconv.AppendInt(dst, int64(t.Index), 10)
 	dst = append(dst, `,"kind":`...)
-	dst = appendString(dst, t.Kind)
+	dst = AppendString(dst, t.Kind)
 	dst = append(dst, `,"class":`...)
-	dst = appendString(dst, t.Class)
+	dst = AppendString(dst, t.Class)
 	dst = append(dst, `,"rule1":`...)
-	dst = appendString(dst, t.Rule1)
+	dst = AppendString(dst, t.Rule1)
 	dst = append(dst, `,"rule2":`...)
-	dst = appendString(dst, t.Rule2)
+	dst = AppendString(dst, t.Rule2)
 	if t.Property != "" {
 		dst = append(dst, `,"property":`...)
-		dst = appendString(dst, t.Property)
+		dst = AppendString(dst, t.Property)
 	}
 	if t.Note != "" {
 		dst = append(dst, `,"note":`...)
-		dst = appendString(dst, t.Note)
+		dst = AppendString(dst, t.Note)
 	}
 	dst = append(dst, `,"text":`...)
-	dst = appendString(dst, t.Text)
+	dst = AppendString(dst, t.Text)
 	return append(dst, '}')
 }
 
@@ -169,9 +169,9 @@ func appendFindings(dst []byte, fs []Finding) []byte {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, `{"app1":`...)
-		dst = appendString(dst, fs[i].App1)
+		dst = AppendString(dst, fs[i].App1)
 		dst = append(dst, `,"app2":`...)
-		dst = appendString(dst, fs[i].App2)
+		dst = AppendString(dst, fs[i].App2)
 		dst = append(dst, `,"threat":`...)
 		dst = fs[i].Threat.appendJSON(dst)
 		dst = append(dst, '}')
@@ -195,22 +195,26 @@ func appendErrors(dst []byte, errs map[string]*Error) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendString(dst, k)
+		dst = AppendString(dst, k)
 		dst = append(dst, ':')
-		e := errs[k]
-		if e == nil {
-			dst = append(dst, "null"...)
-			continue
-		}
-		dst = append(dst, `{"code":`...)
-		dst = appendString(dst, string(e.Code))
-		dst = append(dst, `,"message":`...)
-		dst = appendString(dst, e.Message)
-		if e.RetryAfterMs != 0 {
-			dst = append(dst, `,"retryAfterMs":`...)
-			dst = strconv.AppendInt(dst, e.RetryAfterMs, 10)
-		}
-		dst = append(dst, '}')
+		dst = errs[k].AppendJSON(dst)
+	}
+	return append(dst, '}')
+}
+
+// AppendJSON appends the error envelope's JSON encoding to dst (null
+// for a nil e).
+func (e *Error) AppendJSON(dst []byte) []byte {
+	if e == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, `{"code":`...)
+	dst = AppendString(dst, string(e.Code))
+	dst = append(dst, `,"message":`...)
+	dst = AppendString(dst, e.Message)
+	if e.RetryAfterMs != 0 {
+		dst = append(dst, `,"retryAfterMs":`...)
+		dst = strconv.AppendInt(dst, e.RetryAfterMs, 10)
 	}
 	return append(dst, '}')
 }
@@ -218,9 +222,9 @@ func appendErrors(dst []byte, errs map[string]*Error) []byte {
 // AppendJSON appends the response's JSON encoding to dst.
 func (r *InstallResponse) AppendJSON(dst []byte) []byte {
 	dst = append(dst, `{"homeId":`...)
-	dst = appendString(dst, r.HomeID)
+	dst = AppendString(dst, r.HomeID)
 	dst = append(dst, `,"app":`...)
-	dst = appendString(dst, r.App)
+	dst = AppendString(dst, r.App)
 	dst = append(dst, `,"rules":`...)
 	dst = appendStrings(dst, r.Rules)
 	dst = append(dst, `,"threats":`...)
@@ -230,7 +234,7 @@ func (r *InstallResponse) AppendJSON(dst []byte) []byte {
 		dst = appendStrings(dst, r.Chains)
 	}
 	dst = append(dst, `,"report":`...)
-	dst = appendString(dst, r.Report)
+	dst = AppendString(dst, r.Report)
 	if len(r.Warnings) > 0 {
 		dst = append(dst, `,"warnings":`...)
 		dst = appendStrings(dst, r.Warnings)
@@ -241,9 +245,9 @@ func (r *InstallResponse) AppendJSON(dst []byte) []byte {
 // AppendJSON appends the response's JSON encoding to dst.
 func (r *ReconfigureResponse) AppendJSON(dst []byte) []byte {
 	dst = append(dst, `{"homeId":`...)
-	dst = appendString(dst, r.HomeID)
+	dst = AppendString(dst, r.HomeID)
 	dst = append(dst, `,"app":`...)
-	dst = appendString(dst, r.App)
+	dst = AppendString(dst, r.App)
 	dst = append(dst, `,"threats":`...)
 	dst = appendThreats(dst, r.Threats)
 	return append(dst, '}')
@@ -252,7 +256,7 @@ func (r *ReconfigureResponse) AppendJSON(dst []byte) []byte {
 // AppendJSON appends the response's JSON encoding to dst.
 func (r *ThreatsResponse) AppendJSON(dst []byte) []byte {
 	dst = append(dst, `{"homeId":`...)
-	dst = appendString(dst, r.HomeID)
+	dst = AppendString(dst, r.HomeID)
 	if r.Active {
 		dst = append(dst, `,"active":true`...)
 	}

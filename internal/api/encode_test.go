@@ -48,8 +48,8 @@ func FuzzAppendJSON(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := appendString(nil, s); !bytes.Equal(got, want) {
-			t.Fatalf("appendString(%q) = %s, json.Marshal = %s", s, got, want)
+		if got := AppendString(nil, s); !bytes.Equal(got, want) {
+			t.Fatalf("AppendString(%q) = %s, json.Marshal = %s", s, got, want)
 		}
 		th := Threat{Index: len(s) - 3, Kind: s, Class: s, Rule1: s, Rule2: s, Property: s, Note: s, Text: s}
 		ths := []Threat{th, {Index: -1, Text: s}}
@@ -62,6 +62,7 @@ func FuzzAppendJSON(f *testing.F) {
 			Errors:     map[string]*Error{s: {Code: Code(s), Message: s, RetryAfterMs: int64(len(s))}, s + "x": nil},
 			DurationMs: float64(len(s)) / 7}
 		sameAsMarshal(t, "submit", sub)
+		sameAsMarshal(t, "error", &Error{Code: Code(s), Message: s, RetryAfterMs: -int64(len(s))})
 		sameAsMarshal(t, "findings", &FindingsResponse{Rev: 1, Since: uint64(len(s)), Reset: len(s)%2 == 1, Added: fs})
 	})
 }

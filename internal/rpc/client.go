@@ -198,11 +198,8 @@ func (c *Client) CallRaw(ctx context.Context, method, key string, body []byte) (
 // fine, the request is not.
 func (c *Client) sendReq(ctx context.Context, id uint64, hdr reqHeader, body []byte) error {
 	hdr.DeadlineMs = deadlineMsOf(ctx)
-	h, err := json.Marshal(hdr)
-	if err != nil {
-		return err
-	}
-	if err := c.fw.writeEnvelope(frameReq, id, h, body); err != nil {
+	var buf [128]byte
+	if err := c.fw.writeEnvelope(frameReq, id, hdr.appendJSON(buf[:0]), body); err != nil {
 		var aerr *api.Error
 		if errors.As(err, &aerr) {
 			return aerr

@@ -59,11 +59,17 @@ type routeKey struct {
 
 // KeyOf is the routing key of a raw request body, the Key its full
 // decode would give, read without decoding the rest of the request: a
-// gateway routes by it. A body the key-only decode rejects is decoded
-// in full, so the error is the one the node itself would answer.
+// gateway routes by it. The key is scanned (scanRouteKey), so the rest
+// of the body, an install's Groovy source included, is only checked,
+// never unescaped; a body the scan cannot decide goes to a key-only
+// json.Unmarshal. A body that decode rejects is decoded in full, so the
+// error is the one the node itself would answer.
 func (m *Method) KeyOf(body []byte) (string, *api.Error) {
 	if m.home == nil {
 		return StoreKey, nil
+	}
+	if home, ok := scanRouteKey(body); ok {
+		return home, nil
 	}
 	var k routeKey
 	if len(body) > 0 && json.Unmarshal(body, &k) == nil {

@@ -3,9 +3,9 @@ package rpc
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"sort"
 	"sync"
@@ -87,6 +87,9 @@ type Server struct {
 	svc  Handler
 	opts ServerOptions
 	m    *rpcMetrics
+
+	// handlers runs the RPC handlers of every connection.
+	handlers workers
 
 	mu     sync.Mutex
 	lis    net.Listener
@@ -171,8 +174,9 @@ func (s *Server) Close() error {
 }
 
 // handleConn runs one connection: verify the preface, then read frames
-// and dispatch. RPC handlers run in their own goroutines; responses
-// are serialized through the shared frame writer.
+// and dispatch. Each RPC handler runs on a reused worker goroutine
+// (workers), so it starts on a stack an earlier RPC already grew;
+// responses are serialized through the shared frame writer.
 func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 32<<10)
@@ -200,25 +204,33 @@ func (s *Server) handleConn(conn net.Conn) {
 			return // protocol error, the retired MSG and EOS included: drop the connection
 		}
 		var hdr reqHeader
-		body, err := decodeEnvelope(f.payload, &hdr)
+		h, body, err := splitEnvelope(f.payload)
+		if err == nil {
+			err = decodeReqHeader(h, &hdr)
+		}
 		if err != nil {
 			hdr, _, _ := encodeStatus(errBadEnvelope("request header", err), nil)
 			_ = fw.writeEnvelope(frameRes, f.id, hdr, nil) // a failed write surfaces on the next read
 			continue
 		}
 		wg.Add(1)
-		go func(id uint64, hdr reqHeader, body []byte) {
+		id := f.id
+		s.handlers.Go(func() {
 			defer wg.Done()
 			s.handleUnary(ctx, fw, id, hdr, body)
-		}(f.id, hdr, body)
+		})
 	}
 }
 
 // rpcCtx derives the RPC's context from the client deadline, falling
-// back to the server default.
+// back to the server default. A deadline too far out for a
+// time.Duration is the longest one.
 func (s *Server) rpcCtx(parent context.Context, deadlineMs int64) (context.Context, context.CancelFunc) {
 	d := s.opts.DefaultTimeout
-	if deadlineMs > 0 {
+	switch {
+	case deadlineMs > int64(math.MaxInt64/time.Millisecond):
+		d = math.MaxInt64
+	case deadlineMs > 0:
 		d = time.Duration(deadlineMs) * time.Millisecond
 	}
 	if d <= 0 {
@@ -283,8 +295,8 @@ func encodeStatus(aerr *api.Error, body []byte) (hdr, out []byte, sent *api.Erro
 		}
 		aerr = errFrameTooLarge("response", n)
 	}
-	hdr, _ = json.Marshal(resHeader{Status: aerr.Code.GRPC(), Error: aerr}) // an *api.Error always marshals
-	return hdr, nil, aerr
+	res := resHeader{Status: aerr.Code.GRPC(), Error: aerr}
+	return res.appendJSON(nil), nil, aerr
 }
 
 // ---------- metrics ----------

@@ -52,6 +52,9 @@ type Service struct {
 	// revision's encoding is kept; the next one replaces it.
 	lastFeed atomic.Pointer[api.FindingsResponse]
 
+	// stages runs the guarded stage ops (runStage).
+	stages workers
+
 	// inject, when set, runs before each guarded stage and its error
 	// (if any) replaces the stage — the test hook for breaker behavior.
 	inject func(stage string) error
@@ -115,12 +118,14 @@ func breakerCounts(e *api.Error) bool {
 }
 
 // runStage executes op under the stage's breaker and the RPC deadline.
-// A shed request fails fast with UNAVAILABLE and a retry hint; an op
-// that outlives ctx returns DEADLINE_EXCEEDED (the op goroutine is
-// abandoned — it completes in the background and, for extraction,
-// still warms the shared cache); a panic inside op becomes INTERNAL.
-// Timeouts, panics and internal errors feed the breaker; client errors
-// reset it.
+// The op runs on a worker of the service's pool (workers); a stalled
+// op holds only its own worker. A shed request fails fast
+// with UNAVAILABLE and a retry hint; an op that outlives ctx returns
+// DEADLINE_EXCEEDED (the op is abandoned: it completes in the
+// background on its worker, which then goes back to the pool, and an
+// extraction still warms the shared cache); a panic inside op becomes
+// INTERNAL. Timeouts, panics and internal errors feed the breaker;
+// client errors reset it.
 func (s *Service) runStage(ctx context.Context, stage string, b *Breaker, op func() error) *api.Error {
 	if err := ctx.Err(); err != nil {
 		return api.FromErr(err)
@@ -129,7 +134,7 @@ func (s *Service) runStage(ctx context.Context, stage string, b *Breaker, op fun
 		return aerr
 	}
 	done := make(chan *api.Error, 1)
-	go func() {
+	s.stages.Go(func() {
 		defer func() {
 			if r := recover(); r != nil {
 				done <- api.Errorf(api.CodeInternal, "%s stage panic: %v", stage, r)
@@ -142,7 +147,7 @@ func (s *Service) runStage(ctx context.Context, stage string, b *Breaker, op fun
 			}
 		}
 		done <- api.FromErr(op())
-	}()
+	})
 	select {
 	case aerr := <-done:
 		if breakerCounts(aerr) {

@@ -66,12 +66,18 @@
 // The small header is JSON; the body is the request or response JSON
 // exactly as one json.Marshal produced it, written verbatim and decoded
 // once by json.Unmarshal from its slice of the frame — nothing
-// re-scans it on either side, and a gateway relays it without decoding
-// it at all. The body runs to the end of the frame
-// and may be empty. A header length that overruns the frame, or a
-// header that is not valid JSON, is a malformed envelope: the server
-// answers it with INVALID_ARGUMENT, and the client reports it as an
-// INVALID_ARGUMENT error.
+// re-scans it on either side, and a gateway relays it after scanning
+// out only its routing key. The body runs to the end of the frame
+// and may be empty. The headers are written by append encoders
+// (scan.go) whose bytes are json.Marshal's. A REQ header of the
+// canonical form the Client writes — its members in order, no space,
+// plain ASCII strings — is read by a fixed-shape scanner, and the
+// success RES header by a byte comparison; any other header falls back
+// to json.Unmarshal, so the headers accepted and rejected, and the
+// error messages, are encoding/json's. A header length that overruns
+// the frame, or a header that is not valid JSON, is a malformed
+// envelope: the server answers it with INVALID_ARGUMENT, and the client
+// reports it as an INVALID_ARGUMENT error.
 //
 // Payloads are capped at 4 MiB (the daemon's HTTP body cap). A reader
 // drops the connection on a larger frame. A server whose encoded
@@ -82,7 +88,9 @@
 //
 // Stream ids are client-chosen, strictly increasing, and multiplex
 // concurrent RPCs over one connection; writes are serialized by a
-// per-connection mutex on each side.
+// per-connection mutex on each side. The server runs each RPC on a
+// reused worker goroutine, a new one only when none is idle, so a slow
+// call never holds up a later one on the same connection.
 package rpc
 
 import (
