@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -298,5 +300,100 @@ func BenchmarkFleetInstallNoCacheSharing(b *testing.B) {
 	})
 	if ferr.err != nil {
 		b.Fatal(ferr.err)
+	}
+}
+
+// restoreBenchFleet preloads homes homes of 12 apps each from the demo
+// and benign corpus, driving every home through an install:reconfigure:
+// accept mix of 8:1:1 (reconfigure keeps the app's bindings, accept
+// takes one threat-log index), the shape of perfbench's install
+// workloads.
+func restoreBenchFleet(b *testing.B, homes int) *Fleet {
+	b.Helper()
+	var pool []string
+	for _, a := range corpus.All() {
+		if a.Category == corpus.Demo || a.Category == corpus.Benign {
+			pool = append(pool, a.Source)
+		}
+	}
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(1))
+	f := New(Options{})
+	for i := 0; i < homes; i++ {
+		id := fmt.Sprintf("home-%04d", i)
+		var names []string
+		for _, app := range rng.Perm(len(pool))[:12] {
+			// Draw from the mix until it says install.
+			for len(names) > 0 {
+				k := rng.Intn(10)
+				if k < 8 {
+					break
+				}
+				if k == 8 {
+					if _, err := f.Reconfigure(ctx, id, names[rng.Intn(len(names))], nil); err != nil {
+						b.Fatal(err)
+					}
+				} else if log, _ := f.Threats(id); len(log) > 0 {
+					if err := f.AcceptByIndex(id, rng.Intn(len(log))); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			r, err := f.Install(ctx, id, pool[app], nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			names = append(names, r.App.Name)
+		}
+	}
+	return f
+}
+
+// BenchmarkRestoreHomes times RestoreHomes of a 300-home checkpoint
+// section into a fresh fleet whose extraction and verdict caches were
+// restored first, in the order the daemon's checkpoint load restores
+// them; cold-verdicts restores the extraction cache alone, so every
+// pair verdict the homes need misses. homes-B is the homes section's
+// size.
+func BenchmarkRestoreHomes(b *testing.B) {
+	src := restoreBenchFleet(b, 300)
+	var xc, vc, homes bytes.Buffer
+	if _, err := src.Cache().Snapshot(&xc); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := src.Verdicts().Snapshot(&vc); err != nil {
+		b.Fatal(err)
+	}
+	n, err := src.SnapshotHomes(&homes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name     string
+		verdicts bool
+	}{{"warm", true}, {"cold-verdicts", false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportMetric(float64(homes.Len()), "homes-B")
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				f := New(Options{})
+				if _, err := f.Cache().Restore(bytes.NewReader(xc.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+				if bc.verdicts {
+					if _, err := f.Verdicts().Restore(bytes.NewReader(vc.Bytes())); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				got, err := f.RestoreHomes(bytes.NewReader(homes.Bytes()))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got != n {
+					b.Fatalf("restored %d homes, want %d", got, n)
+				}
+			}
+		})
 	}
 }
