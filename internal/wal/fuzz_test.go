@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -29,6 +30,37 @@ func segmentBytes(first uint64, payloads ...string) []byte {
 		b = append(b, rec...)
 	}
 	return b
+}
+
+// tornClaim is a 20-byte final segment: a whole header, then a frame
+// header claiming a MaxRecordBytes record of which no byte arrived.
+func tornClaim() []byte {
+	b := binary.LittleEndian.AppendUint32(segmentBytes(fuzzFirst), MaxRecordBytes)
+	return binary.LittleEndian.AppendUint32(b, 0)
+}
+
+// TestOpenTornClaimAllocation: Open repairs a torn final frame whose
+// header claims far more bytes than the segment holds, and allocates
+// for the bytes present, not for the claim.
+func TestOpenTornClaimAllocation(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, formatSegmentName(fuzzFirst)), tornClaim(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l, err := Open(Options{Dir: dir, Fsync: FsyncOff})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer l.Close()
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("Open of a %d-byte segment allocated %d bytes, want at most 1 MiB", len(tornClaim()), got)
+	}
+	if got := l.LastLSN(); got != fuzzFirst-1 {
+		t.Errorf("LastLSN = %d after truncating the torn frame, want %d", got, fuzzFirst-1)
+	}
 }
 
 // record is one replayed record.
@@ -81,6 +113,7 @@ func FuzzWALOpen(f *testing.F) {
 		segmentBytes(1, "early"),
 		append([]byte("HGWALSEQ"), whole[len(segMagic):]...),    // bad magic
 		append(slices.Clone(whole[:len(segMagic)]), 2, 0, 0, 0), // bad version
+		tornClaim(), // a frame claiming far more bytes than follow
 	} {
 		f.Add(s)
 	}

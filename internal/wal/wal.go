@@ -67,6 +67,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -347,13 +348,8 @@ func (l *Log) scanSegment(name string, first uint64, final bool) (last uint64, g
 	head := make([]byte, headerSize)
 	if _, err := io.ReadFull(br, head); err != nil {
 		if final {
-			// Header itself is torn: the segment holds nothing yet.
-			// Rewrite it from scratch on first append by truncating to 0
-			// and treating it as empty... but simpler and safer: a torn
-			// header means no record was ever written, so truncate to 0
-			// is wrong (header must exist). Recreate it below via
-			// goodSize=0 and a header rewrite in Open's reuse path would
-			// complicate things; instead declare it empty and rebuild.
+			// A torn header means no record ever landed: the segment is
+			// truncated to empty and Open recreates it with a whole header.
 			return first - 1, 0, nil
 		}
 		return 0, 0, fmt.Errorf("%w: segment %s: short header", ErrCorrupt, name)
@@ -389,11 +385,7 @@ func (l *Log) scanSegment(name string, first uint64, final bool) (last uint64, g
 			}
 			return 0, 0, fmt.Errorf("%w: segment %s: impossible record length %d", ErrCorrupt, name, length)
 		}
-		if cap(buf) < int(length) {
-			buf = make([]byte, length)
-		}
-		buf = buf[:length]
-		if _, err := io.ReadFull(br, buf); err != nil {
+		if buf, err = readRecord(br, buf, int(length)); err != nil {
 			if final {
 				return last, off, nil
 			}
@@ -413,6 +405,28 @@ func (l *Log) scanSegment(name string, first uint64, final bool) (last uint64, g
 		want = lsn + 1
 		off += int64(frameHead) + int64(length)
 	}
+}
+
+// readChunk is the most readRecord grows its buffer ahead of the bytes
+// it has actually read.
+const readChunk = 64 << 10
+
+// readRecord reads an n-byte record into buf's storage, growing it at
+// most by max(readChunk, bytes read so far) per read: a frame header's
+// claimed length is untrusted, so the allocation follows the bytes
+// that are present, not the claim.
+func readRecord(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		step := min(n-len(buf), max(readChunk, len(buf)))
+		buf = slices.Grow(buf, step)
+		m, err := io.ReadFull(r, buf[len(buf):len(buf)+step])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // createSegmentLocked starts a fresh segment at l.nextLSN. The previous
