@@ -368,26 +368,8 @@ func (d *Detector) detectAppPair(appA, appB *InstalledApp) []Threat {
 func (d *Detector) Accept(t Threat) { d.accepted = append(d.accepted, t) }
 
 // Accepted returns the user-accepted interfering pairs in acceptance
-// order (snapshot support: a restored detector must keep chaining through
-// the pairs the user accepted before the restart). Callers must not
-// mutate the returned slice.
+// order. Callers must not mutate the returned slice.
 func (d *Detector) Accepted() []Threat { return d.accepted }
-
-// RestoreInstalled records app as installed without running any pair
-// detection — the snapshot-restore path, where the threats the install
-// produced were already detected (and persisted) by the previous process
-// and re-solving them would turn recovery time into detection time. It
-// performs exactly Install's bookkeeping: input-option noting,
-// compilation, index registration and the rule-count total.
-func (d *Detector) RestoreInstalled(app *InstalledApp) {
-	d.noteInputOptions(app)
-	d.prepare(app)
-	if d.idx != nil {
-		d.idx.Add(app.fp) // slot == len(d.apps)
-	}
-	d.apps = append(d.apps, app)
-	d.totalRules += len(app.Rules.Rules)
-}
 
 // Reconfigure replaces an installed app's configuration (the updated()
 // lifecycle path: "whenever a new app is installed or the configuration of

@@ -53,6 +53,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -244,12 +245,30 @@ type home struct {
 	// already captured by the checkpoint is never applied twice. Guarded
 	// by mu.
 	walLSN uint64
+	// ops is the home's history: every install, reconfigure and accept
+	// that built its state, in order. The state is a deterministic
+	// function of these ops, so checkpoints and export blobs persist the
+	// ops and rebuild the rest by replaying them (snapshot.go). Guarded
+	// by mu.
+	ops []homeOp
 	// migrated marks a home DetachHome has exported and removed: a
 	// goroutine that looked the home up before the detach and acquires mu
 	// after it must fail with ErrUnknownHome instead of mutating (and
 	// WAL-appending for) a home whose removal is already logged. Guarded
 	// by mu.
 	migrated bool
+}
+
+// homeOp is one op of a home's history, holding what replaying it
+// needs: kind is wal.OpFleetInstall (res, cfg), wal.OpFleetReconfigure
+// (app, cfg) or wal.OpFleetAccept (indices). cfg is the resolved
+// config the op ran with.
+type homeOp struct {
+	kind    byte
+	res     *symexec.Result
+	app     string
+	cfg     *detect.Config
+	indices []int
 }
 
 // ledgerEntry is one app pair's current threats (a == b for intra-app
@@ -373,9 +392,11 @@ func (h *home) installed(name string) *detect.InstalledApp {
 }
 
 // The four home mutations — install, reconfigure, acceptByIndex and
-// adopt — are each defined once, as the methods below. Both the live ops
-// and WAL replay (wal.go) run them, under h.mu; sp, when non-nil,
-// receives their stage spans.
+// adopt — are each defined once, as the methods below. The live ops,
+// WAL replay (wal.go) and the rebuild of a persisted home (snapshot.go)
+// all run them, under h.mu or on a home no other goroutine can reach;
+// sp, when non-nil, receives their stage spans. Each of the first three
+// appends itself to h.ops once it has succeeded.
 
 // install adds an extracted app under cfg, runs detection against the
 // home's other apps, and appends the threats to the log and the ledger.
@@ -400,6 +421,7 @@ func (h *home) install(sp *obs.Span, res *symexec.Result, cfg *detect.Config) ([
 	// all fresh ledger entries.
 	h.ledger = append(h.ledger, h.groupRuns(threats)...)
 	lsp.End()
+	h.ops = append(h.ops, homeOp{kind: wal.OpFleetInstall, res: res, cfg: cfg})
 	return threats, nil
 }
 
@@ -420,6 +442,7 @@ func (h *home) reconfigure(sp *obs.Span, app string, cfg *detect.Config) ([]dete
 	h.threats = append(h.threats, threats...)
 	h.spliceLedger(app, threats)
 	ssp.End()
+	h.ops = append(h.ops, homeOp{kind: wal.OpFleetReconfigure, app: app, cfg: cfg})
 	return threats, nil
 }
 
@@ -435,6 +458,7 @@ func (h *home) acceptByIndex(indices []int) error {
 	for _, i := range indices {
 		h.det.Accept(h.threats[i])
 	}
+	h.ops = append(h.ops, homeOp{kind: wal.OpFleetAccept, indices: slices.Clone(indices)})
 	return nil
 }
 

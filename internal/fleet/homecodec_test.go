@@ -55,8 +55,8 @@ func pinnedFleet(tb testing.TB) *Fleet {
 // version bump.
 func TestHomesLayoutBytesPinned(t *testing.T) {
 	const (
-		wantExport   = "fba56c03a0cc44ae5354926b8c08a91d66d0f598c7f00712b6283950c585fa18"
-		wantSnapshot = "44c6be15b68b253c9a680a1cb43a8d73efa717f9389af85df558c67ccd83bc5d"
+		wantExport   = "00d51d657c0357df7a6f6ddf720b4a8aa03b5bfbef4415c2540f2117fc61080e"
+		wantSnapshot = "606f68c914215e5a1000fa43b12c70964a1620199193de541d9489087a81d667"
 	)
 	f := pinnedFleet(t)
 	blob, _, err := f.ExportHome("fig3")
@@ -107,11 +107,14 @@ func TestHomesLayoutRejectsDeclaredCounts(t *testing.T) {
 	}
 }
 
-// badIndexExport is a single-home export whose home record points at
+// installX is a home record whose one op installs app-table entry 0.
+const installX = `{"id":"fig3","ops":[{"kind":1,"config":null}]}`
+
+// badIndexExport is a single-home export whose home record installs
 // app-table index 5 of an empty table.
 func badIndexExport() []byte {
 	return craftSection(homeExportMagic, homeExportVersion,
-		`{"apps":0,"homes":1}`, `{"id":"fig3","apps":[{"t":5}],"threats":[]}`)
+		`{"apps":0,"homes":1}`, `{"id":"fig3","ops":[{"kind":1,"t":5,"config":null}]}`)
 }
 
 // nullRuleExport is a single-home export whose app's rule set holds a
@@ -119,24 +122,28 @@ func badIndexExport() []byte {
 // nil under the home lock).
 func nullRuleExport() []byte {
 	return craftSection(homeExportMagic, homeExportVersion, `{"apps":1,"homes":1}`,
-		`{"hasResult":true,"name":"X","rules":{"app":"X","rules":[null]}}`,
-		`{"id":"fig3","apps":[{"t":0}],"threats":[]}`)
+		`{"hasResult":true,"name":"X","rules":{"app":"X","rules":[null]}}`, installX)
 }
 
-// TestImportHomeFailureCreatesNoHome: a blob that fails validation must
-// leave no trace — no empty home in the counts, the ID list or the next
-// checkpoint.
+// TestImportHomeFailureCreatesNoHome: a blob that fails validation, or
+// whose ops fail partway through their replay, must leave no trace — no
+// empty home in the counts, the ID list or the next checkpoint.
 func TestImportHomeFailureCreatesNoHome(t *testing.T) {
 	app := `{"hasResult":true,"name":"X","rules":{"app":"X","rules":[]}}`
+	withOps := func(ops string) []byte {
+		return craftSection(homeExportMagic, homeExportVersion, `{"apps":1,"homes":1}`,
+			app, `{"id":"fig3","ops":[{"kind":1,"config":null},`+ops+`]}`)
+	}
 	for name, blob := range map[string][]byte{
 		"bad table index": badIndexExport(),
 		"null rule":       nullRuleExport(),
 		"no rule set": craftSection(homeExportMagic, homeExportVersion, `{"apps":1,"homes":1}`,
-			`{"hasResult":true,"name":"X"}`, `{"id":"fig3","apps":[{"t":0}],"threats":[]}`),
-		"app listed twice": craftSection(homeExportMagic, homeExportVersion, `{"apps":1,"homes":1}`,
-			app, `{"id":"fig3","apps":[{"t":0},{"t":0}],"threats":[]}`),
-		"bad threat log": craftSection(homeExportMagic, homeExportVersion, `{"apps":1,"homes":1}`,
-			app, `{"id":"fig3","apps":[{"t":0}],"threats":{}}`),
+			`{"hasResult":true,"name":"X"}`, installX),
+		"app installed twice":          withOps(`{"kind":1,"config":null}`),
+		"reconfigure of a missing app": withOps(`{"kind":2,"app":"Y","config":null}`),
+		"accept past the log":          withOps(`{"kind":3,"indices":[0]}`),
+		"bad op config":                withOps(`{"kind":2,"app":"X","config":[]}`),
+		"unknown op kind":              withOps(`{"kind":5}`),
 	} {
 		f := New(Options{})
 		if _, err := f.ImportHome("fig3", blob); !errors.Is(err, snapcodec.ErrCorrupt) {

@@ -1,11 +1,12 @@
 // Planned home migration: ExportHome serializes one home's durable
-// state — apps with resolved configs, the threat log, the ledger,
-// accepted threats — as a self-contained snapcodec section; DetachHome
+// state — its op history with the app table its installs reference
+// (snapshot.go) — as a self-contained snapcodec section; DetachHome
 // exports and then removes the home (WAL-logging the removal before it
 // returns, so a crash between migrate and adopt never resurrects it
-// here); ImportHome rebuilds the home on the adopting fleet and logs
-// the adopt record carrying the full blob, so recovery on the new
-// owner replays the adoption without the old owner existing anymore.
+// here); ImportHome rebuilds the home on the adopting fleet by replaying
+// those ops and logs the adopt record carrying the full blob, so
+// recovery on the new owner replays the adoption without the old owner
+// existing anymore.
 //
 // The export zeroes the per-home WAL watermark: LSNs are meaningful
 // only within one log, and the adopting fleet's log assigns the home a
@@ -31,7 +32,7 @@ import (
 // Export format identity for the single-home section.
 const (
 	homeExportMagic   = "HGHMSNP\x00"
-	homeExportVersion = 1
+	homeExportVersion = 2
 )
 
 // ExportHome serializes one home's durable state without removing it
@@ -122,12 +123,12 @@ func (f *Fleet) DetachHome(homeID string) ([]byte, int, error) {
 // ImportHome rebuilds a home exported by ExportHome/DetachHome on this
 // fleet and WAL-logs the adoption (OpFleetAdoptHome carries the whole
 // blob, so recovery replays the adopt without the exporter existing).
-// The blob is decoded and validated before any home state is created,
-// so a rejected blob leaves the fleet as it was. Importing onto a home
-// ID that already has state fails ErrHomeExists. Returns the number of
-// apps the home now holds.
+// The blob is decoded and its ops replayed into a home outside the
+// shard map before the target home exists, so a rejected blob leaves
+// the fleet as it was. Importing onto a home ID that already has state
+// fails ErrHomeExists. Returns the number of apps the home now holds.
 func (f *Fleet) ImportHome(homeID string, blob []byte) (int, error) {
-	st, err := decodeExport(homeID, blob)
+	src, err := f.decodeExport(homeID, blob)
 	if err != nil {
 		return 0, fmt.Errorf("fleet: import: %w", err)
 	}
@@ -140,30 +141,31 @@ func (f *Fleet) ImportHome(homeID string, blob []byte) (int, error) {
 	h := f.homeFor(homeID)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if err := h.adopt(st); err != nil {
+	if err := h.adopt(src); err != nil {
 		return 0, fmt.Errorf("fleet: import: %w", err)
 	}
 	if err := f.commit(nil, h, wal.OpFleetAdoptHome, opRec); err != nil {
 		return 0, fmt.Errorf("fleet: import home %s: wal append: %w", homeID, err)
 	}
-	return len(st.apps), nil
+	return len(h.det.Apps()), nil
 }
 
-// decodeExport reads a single-home export section addressed to homeID.
-func decodeExport(homeID string, blob []byte) (*homeState, error) {
-	var st *homeState
+// decodeExport reads a single-home export section addressed to homeID
+// and rebuilds the home it holds, outside the shard map.
+func (f *Fleet) decodeExport(homeID string, blob []byte) (*home, error) {
+	var src *home
 	meta, err := readHomes(bytes.NewReader(blob), homeExportMagic, homeExportVersion, func(hs *homeSnapJSON, table []*symexec.Result) error {
 		if hs.ID != homeID {
 			return fmt.Errorf("snapshot is for home %q, not %q", hs.ID, homeID)
 		}
 		var err error
-		st, err = decodeHome(hs, table)
+		src, err = f.rebuildHome(hs, table)
 		return err
 	})
 	if err == nil && meta.Homes != 1 {
 		err = fmt.Errorf("%w: export section declares %d homes, want 1", snapcodec.ErrCorrupt, meta.Homes)
 	}
-	return st, err
+	return src, err
 }
 
 // ---------- tombstones ----------

@@ -1,23 +1,27 @@
-// Persistent home state: SnapshotHomes serializes every home — installed
-// apps with their configurations, the append-only threat log, the active
-// ledger, accepted threats and the per-home WAL watermark — through the
-// shared snapcodec framing; RestoreHomes rebuilds the homes in a fresh
-// fleet. Together with the extraction/verdict cache sections and the WAL
-// a checkpoint restore plus a log replay reproduces the exact
+// Persistent home state: SnapshotHomes serializes every home as its op
+// history — the installs, reconfigures and accepts that built it, each
+// with the resolved config it ran with — plus its WAL watermark, through
+// the shared snapcodec framing; RestoreHomes rebuilds each home by
+// replaying those ops. A home's threat log, ledger and accepted set are
+// a deterministic function of its ops, so they are derived again, never
+// stored. Together with the extraction/verdict cache sections and the
+// WAL, a checkpoint restore plus a log replay reproduces the exact
 // acknowledged state.
 //
 // The homes layout — a meta record, the app table, then one record per
 // home — has one writer (writeHomes) and one reader (readHomes), shared
 // by the checkpoint's homes section and the single-home migration blob
-// (migrate.go); only the magic and the meta's tombstones differ.
+// (migrate.go); only the magic and the meta's tombstones differ. Every
+// home record, from either, is rebuilt by rebuildHome, which the
+// checkpoint restore, ImportHome and the WAL adopt record all run.
 //
 // Extraction results are deduplicated by rule-set pointer identity: homes
 // sharing a catalog share *symexec.Result values through the extraction
-// cache, so a hot app is serialized once into an app table and homes
-// reference it by index. On restore each home gets its own InstalledApp
-// (the compiled fields are unsynchronized writes) around the shared
-// table entry; the fleet-wide compile cache deduplicates the compilation
-// work just as it does for live installs.
+// cache, so a hot app is serialized once into an app table and install
+// ops reference it by index. A rebuilt home installs the table entry
+// itself — nothing is extracted — and the fleet-wide compile and verdict
+// caches deduplicate compilation and solving as they do for live
+// installs.
 
 package fleet
 
@@ -32,12 +36,13 @@ import (
 	"homeguard/internal/rule"
 	"homeguard/internal/snapcodec"
 	"homeguard/internal/symexec"
+	"homeguard/internal/wal"
 )
 
 // Snapshot format identity for the fleet-homes section.
 const (
 	homesSnapshotMagic   = "HGFLSNP\x00"
-	homesSnapshotVersion = 1
+	homesSnapshotVersion = 2
 )
 
 type homesMetaJSON struct {
@@ -46,30 +51,17 @@ type homesMetaJSON struct {
 	// Tombstones maps removed (migrated-away) home IDs to the LSN of
 	// their removal record, so replay after this checkpoint never lets an
 	// older install record resurrect a removed home. Absent in snapshots
-	// from fleets that never migrated (and in pre-migration snapshots —
-	// the field rides format v1 compatibly).
+	// from fleets that never migrated.
 	Tombstones map[string]uint64 `json:"tombstones,omitempty"`
 }
 
-type homeAppJSON struct {
-	// Table is the app's index into the snapshot's app table.
-	Table  int             `json:"t"`
-	Config json.RawMessage `json:"config,omitempty"`
-}
-
-type ledgerJSON struct {
-	A       string          `json:"a"`
-	B       string          `json:"b"`
-	Threats json.RawMessage `json:"threats"`
-}
-
+// homeSnapJSON is one home record: the home's ops as walOp records
+// whose kind is set and whose install ops name an app-table index in
+// place of the source.
 type homeSnapJSON struct {
-	ID       string          `json:"id"`
-	WalLSN   uint64          `json:"walLSN,omitempty"`
-	Apps     []homeAppJSON   `json:"apps,omitempty"`
-	Threats  json.RawMessage `json:"threats,omitempty"`
-	Ledger   []ledgerJSON    `json:"ledger,omitempty"`
-	Accepted json.RawMessage `json:"accepted,omitempty"`
+	ID     string  `json:"id"`
+	WalLSN uint64  `json:"walLSN,omitempty"`
+	Ops    []walOp `json:"ops,omitempty"`
 }
 
 // SnapshotHomes writes every home's durable state to w, returning the
@@ -110,10 +102,10 @@ func (f *Fleet) SnapshotHomes(w io.Writer) (int, error) {
 }
 
 // snapshotLocked serializes one home under its lock, interning each
-// app's extraction result into the shared app table. It returns a nil
-// record (no error) for a home that was detached after the caller
-// collected its pointer — a removed home must not reappear in a
-// checkpoint.
+// installed app's extraction result into the shared app table. It
+// returns a nil record (no error) for a home that was detached after
+// the caller collected its pointer — a removed home must not reappear
+// in a checkpoint.
 func (h *home) snapshotLocked(tableIdx map[*rule.RuleSet]int, table *[][]byte) ([]byte, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -123,44 +115,38 @@ func (h *home) snapshotLocked(tableIdx map[*rule.RuleSet]int, table *[][]byte) (
 	return h.encodeUnderLock(tableIdx, table, h.walLSN)
 }
 
-// encodeUnderLock serializes the home's durable state with the given
-// WAL watermark. Callers hold h.mu. Export paths pass watermark 0: the
+// encodeUnderLock serializes the home's ops with the given WAL
+// watermark. Callers hold h.mu. Export paths pass watermark 0: the
 // importing fleet's log assigns the adopted home a fresh LSN story.
 func (h *home) encodeUnderLock(tableIdx map[*rule.RuleSet]int, table *[][]byte, walLSN uint64) ([]byte, error) {
-	hs := homeSnapJSON{ID: h.id, WalLSN: walLSN}
-	for _, a := range h.det.Apps() {
-		idx, ok := tableIdx[a.Rules]
-		if !ok {
-			// The synthetic Result carries exactly what detection needs:
-			// the app metadata and its rules. Warnings and path counts are
-			// extraction diagnostics, reported at install time and gone.
-			rec, err := extractcache.MarshalResult(&symexec.Result{App: a.Info, Rules: a.Rules})
-			if err != nil {
-				return nil, fmt.Errorf("app %q: %w", a.Info.Name, err)
+	hs := homeSnapJSON{ID: h.id, WalLSN: walLSN, Ops: make([]walOp, len(h.ops))}
+	for i, op := range h.ops {
+		rec := &hs.Ops[i]
+		rec.Kind, rec.App, rec.Indices = op.kind, op.app, op.indices
+		if op.kind == wal.OpFleetAccept {
+			continue
+		}
+		if op.kind == wal.OpFleetInstall {
+			idx, ok := tableIdx[op.res.Rules]
+			if !ok {
+				// The synthetic Result carries exactly what detection
+				// needs: the app metadata and its rules. Warnings and path
+				// counts are extraction diagnostics, reported at install
+				// time and gone.
+				b, err := extractcache.MarshalResult(&symexec.Result{App: op.res.App, Rules: op.res.Rules})
+				if err != nil {
+					return nil, fmt.Errorf("app %q: %w", op.res.App.Name, err)
+				}
+				idx = len(*table)
+				*table = append(*table, b)
+				tableIdx[op.res.Rules] = idx
 			}
-			idx = len(*table)
-			*table = append(*table, rec)
-			tableIdx[a.Rules] = idx
+			rec.Table = idx
 		}
-		cb, err := detect.MarshalConfig(a.Config)
-		if err != nil {
-			return nil, fmt.Errorf("app %q config: %w", a.Info.Name, err)
+		var err error
+		if rec.Config, err = detect.MarshalConfig(op.cfg); err != nil {
+			return nil, fmt.Errorf("op %d config: %w", i, err)
 		}
-		hs.Apps = append(hs.Apps, homeAppJSON{Table: idx, Config: cb})
-	}
-	var err error
-	if hs.Threats, err = detect.MarshalThreats(h.threats); err != nil {
-		return nil, fmt.Errorf("threat log: %w", err)
-	}
-	for _, e := range h.ledger {
-		tb, err := detect.MarshalThreats(e.threats)
-		if err != nil {
-			return nil, fmt.Errorf("ledger pair (%s,%s): %w", e.a, e.b, err)
-		}
-		hs.Ledger = append(hs.Ledger, ledgerJSON{A: e.a, B: e.b, Threats: tb})
-	}
-	if hs.Accepted, err = detect.MarshalThreats(h.det.Accepted()); err != nil {
-		return nil, fmt.Errorf("accepted: %w", err)
 	}
 	return json.Marshal(hs)
 }
@@ -251,23 +237,22 @@ func readHomes(r io.Reader, magic string, version uint32, home func(*homeSnapJSO
 }
 
 // RestoreHomes rebuilds homes from a snapshot written by SnapshotHomes,
-// returning the number of homes restored. Apps are re-registered through
-// detect.RestoreInstalled — bookkeeping only, no re-detection: the
-// threats the original installs produced are restored verbatim, so
-// recovery time is deserialization plus compilation (deduplicated
-// fleet-wide), not a re-run of every solver call since the beginning of
-// time. Restoring into a fleet that already has one of the snapshot's
-// homes populated is an error (restore is a boot-time operation).
+// returning the number of homes restored. Each home's ops are replayed
+// through the live mutations (rebuildHome): the threat log, ledger and
+// accepted set are derived again, each pair verdict served by the
+// verdict cache where the checkpoint restored it and solved otherwise.
+// Restoring into a fleet that already has one of the snapshot's homes
+// populated is an error (restore is a boot-time operation).
 func (f *Fleet) RestoreHomes(r io.Reader) (int, error) {
 	meta, err := readHomes(r, homesSnapshotMagic, homesSnapshotVersion, func(hs *homeSnapJSON, table []*symexec.Result) error {
-		st, err := decodeHome(hs, table)
+		src, err := f.rebuildHome(hs, table)
 		if err != nil {
 			return err
 		}
 		h := f.homeFor(hs.ID)
 		h.mu.Lock()
 		defer h.mu.Unlock()
-		return h.adopt(st)
+		return h.adopt(src)
 	})
 	if err != nil {
 		return 0, fmt.Errorf("fleet: restore: %w", err)
@@ -282,68 +267,52 @@ func (f *Fleet) RestoreHomes(r io.Reader) (int, error) {
 	return meta.Homes, nil
 }
 
-// homeState is one home's durable state, decoded and validated but not
-// yet attached to any home: a corrupt record fails before the fleet
-// gains a home for it.
-type homeState struct {
-	apps     []*detect.InstalledApp
-	threats  []detect.Threat
-	ledger   []ledgerEntry
-	accepted []detect.Threat
-	walLSN   uint64
+// rebuildHome replays one home record's ops, against its section's app
+// table, into a new home outside the shard map, so a record that fails
+// at any op leaves the fleet as it was. The ops run through the live
+// mutations (install, reconfigure, acceptByIndex); nothing is
+// extracted, since the table holds the extraction results.
+func (f *Fleet) rebuildHome(hs *homeSnapJSON, table []*symexec.Result) (*home, error) {
+	h := &home{id: hs.ID, det: detect.New(f.opts.Detector), walLSN: hs.WalLSN}
+	for i := range hs.Ops {
+		if err := h.replayOp(&hs.Ops[i], table); err != nil {
+			return nil, fmt.Errorf("%w: home %q op %d: %w", snapcodec.ErrCorrupt, hs.ID, i, err)
+		}
+	}
+	return h, nil
 }
 
-// decodeHome validates one home record against the section's app table.
-func decodeHome(hs *homeSnapJSON, table []*symexec.Result) (*homeState, error) {
-	st := &homeState{walLSN: hs.WalLSN}
-	names := map[string]bool{}
-	for _, ha := range hs.Apps {
-		if ha.Table < 0 || ha.Table >= len(table) {
-			return nil, fmt.Errorf("%w: home %q: app table index %d of %d", snapcodec.ErrCorrupt, hs.ID, ha.Table, len(table))
-		}
-		res := table[ha.Table]
-		if names[res.App.Name] {
-			return nil, fmt.Errorf("%w: home %q lists app %q twice", snapcodec.ErrCorrupt, hs.ID, res.App.Name)
-		}
-		names[res.App.Name] = true
-		cfg, err := detect.UnmarshalConfig(ha.Config)
-		if err != nil {
-			return nil, fmt.Errorf("%w: home %q config: %w", snapcodec.ErrCorrupt, hs.ID, err)
-		}
-		st.apps = append(st.apps, detect.NewInstalledApp(res, cfg))
+// replayOp applies one persisted op to h.
+func (h *home) replayOp(op *walOp, table []*symexec.Result) error {
+	if op.Kind == wal.OpFleetAccept {
+		return h.acceptByIndex(op.Indices)
 	}
-	var err error
-	if st.threats, err = detect.UnmarshalThreats(hs.Threats); err != nil {
-		return nil, fmt.Errorf("%w: home %q threat log: %w", snapcodec.ErrCorrupt, hs.ID, err)
+	cfg, err := detect.UnmarshalConfig(op.Config)
+	if err != nil {
+		return err
 	}
-	for _, le := range hs.Ledger {
-		ts, err := detect.UnmarshalThreats(le.Threats)
-		if err != nil {
-			return nil, fmt.Errorf("%w: home %q ledger: %w", snapcodec.ErrCorrupt, hs.ID, err)
+	switch op.Kind {
+	case wal.OpFleetInstall:
+		if op.Table < 0 || op.Table >= len(table) {
+			return fmt.Errorf("app table index %d of %d", op.Table, len(table))
 		}
-		st.ledger = append(st.ledger, ledgerEntry{a: le.A, b: le.B, threats: ts})
+		_, err = h.install(nil, table[op.Table], cfg)
+	case wal.OpFleetReconfigure:
+		_, err = h.reconfigure(nil, op.App, cfg)
+	default:
+		err = fmt.Errorf("unknown op kind %d", op.Kind)
 	}
-	if len(hs.Accepted) > 0 {
-		if st.accepted, err = detect.UnmarshalThreats(hs.Accepted); err != nil {
-			return nil, fmt.Errorf("%w: home %q accepted: %w", snapcodec.ErrCorrupt, hs.ID, err)
-		}
-	}
-	return st, nil
+	return err
 }
 
-// adopt attaches decoded state to h, which must hold no state yet (else
-// ErrHomeExists, changing nothing). Callers hold h.mu.
-func (h *home) adopt(st *homeState) error {
-	if len(h.det.Apps()) > 0 || len(h.threats) > 0 {
+// adopt moves the state of src, a home rebuilt outside the shard map,
+// into h, which must hold no state yet (else ErrHomeExists, changing
+// nothing). Callers hold h.mu.
+func (h *home) adopt(src *home) error {
+	if len(h.ops) > 0 {
 		return fmt.Errorf("%w: %q", ErrHomeExists, h.id)
 	}
-	for _, a := range st.apps {
-		h.det.RestoreInstalled(a)
-	}
-	for _, t := range st.accepted {
-		h.det.Accept(t)
-	}
-	h.threats, h.ledger, h.walLSN = st.threats, st.ledger, st.walLSN
+	h.det, h.threats, h.ledger, h.ops, h.walLSN = src.det, src.threats, src.ledger, src.ops, src.walLSN
 	h.detSeen = detectorTotalsOf(h.det.Stats())
 	return nil
 }

@@ -39,10 +39,16 @@ import (
 //
 // A log written by one build must replay on the next, so these bytes
 // are pinned (TestFleetWALRecordBytesPinned).
+//
+// The same type is one op of a home's persisted history (homeSnapJSON):
+// there the record kind rides in kind, the home is implied, and an
+// install names its app-table index t in place of the source.
 type walOp struct {
-	Home     string          `json:"home"`
+	Kind     byte            `json:"kind,omitempty"`
+	Home     string          `json:"home,omitempty"`
 	App      string          `json:"app,omitempty"`
 	Source   string          `json:"source,omitempty"`
+	Table    int             `json:"t,omitempty"`
 	Config   json.RawMessage `json:"config,omitempty"`
 	Indices  []int           `json:"indices,omitempty"`
 	Snapshot []byte          `json:"snapshot,omitempty"`
@@ -89,9 +95,9 @@ func (f *Fleet) commit(sp *obs.Span, h *home, kind byte, rec []byte) error {
 // report, no chains, no events, no re-append, and no detector work
 // folded into fleet metrics. The WAL must not be attached yet.
 //
-// A record is validated (its source extracted, its blob decoded) before
-// the home it names is created, so a rejected record leaves no home
-// behind. A record at or below its home's watermark, or predating the
+// A record is validated (its source extracted, its blob decoded and
+// its home rebuilt) before the home it names is created, so a rejected
+// record leaves no home behind. A record at or below its home's watermark, or predating the
 // home's removal, is skipped.
 func (f *Fleet) ReplayWALRecord(lsn uint64, kind byte, payload []byte) error {
 	var op walOp
@@ -134,11 +140,11 @@ func (f *Fleet) ReplayWALRecord(lsn uint64, kind byte, payload []byte) error {
 	case wal.OpFleetAccept:
 		apply = func(h *home) error { return h.acceptByIndex(op.Indices) }
 	case wal.OpFleetAdoptHome:
-		st, err := decodeExport(op.Home, op.Snapshot)
+		src, err := f.decodeExport(op.Home, op.Snapshot)
 		if err != nil {
 			return fmt.Errorf("fleet: replay lsn %d: adopt record for home %q: %w", lsn, op.Home, err)
 		}
-		apply = func(h *home) error { return h.adopt(st) }
+		apply = func(h *home) error { return h.adopt(src) }
 		create = true
 	default:
 		return fmt.Errorf("fleet: replay lsn %d: unknown op kind %d", lsn, kind)

@@ -72,12 +72,13 @@ func pinnedWALRecords(tb testing.TB) []walRecord {
 
 // TestFleetWALRecordBytesPinned pins every fleet op record's kind and
 // payload bytes: the record type may be restructured, but a log written
-// by one build must replay on the next, so not one byte may change
-// without a new op kind. The adopt payload embeds the whole export blob
-// and is pinned by its SHA-256, as TestHomesLayoutBytesPinned pins the
-// blob itself.
+// by one build must replay on the next. The five op payloads may not
+// change by one byte without a new op kind. The adopt payload embeds the
+// whole export blob and is pinned by its SHA-256, as
+// TestHomesLayoutBytesPinned pins the blob itself, so it changes only
+// with a homes-layout version bump.
 func TestFleetWALRecordBytesPinned(t *testing.T) {
-	const wantAdopt = "1ec2d485f0c57ff356bcf69855553df7e44cead0efa7fa9ed12d933285f5e33b"
+	const wantAdopt = "3fd02d2232b4fc3a28605d71a915c918240cc4f51dd0d857186ed77602461a33"
 	quote := func(s string) string {
 		b, err := json.Marshal(s)
 		if err != nil {
