@@ -223,13 +223,13 @@ type home struct {
 	det     *detect.Detector
 	threats []detect.Threat // every threat reported for this home, in order
 	// ledger is the home's incremental threat ledger: the CURRENT threat
-	// set, grouped by app pair in first-report order. Installs append the
-	// new app's pair groups; Reconfigure splices — only the entries whose
-	// pair involves the changed app are replaced (or dropped when the new
-	// config resolves them), everything else is retained verbatim, so the
-	// home's live view is maintained without ever recomputing unaffected
-	// pairs. The threats log above stays the append-only history.
-	// Guarded by mu.
+	// set, grouped by app pair in first-report order, each entry a range
+	// of the threats log above. Installs append the new app's pair
+	// groups; Reconfigure splices — only the entries whose pair involves
+	// the changed app are replaced (or dropped when the new config
+	// resolves them), everything else is retained verbatim, so the home's
+	// live view is maintained without ever recomputing unaffected pairs.
+	// The threats log stays the append-only history. Guarded by mu.
 	ledger []ledgerEntry
 	// detSeen is the detector-counter high-water mark already folded into
 	// fleet metrics (see takeDetectorDelta). Guarded by mu.
@@ -271,11 +271,11 @@ type homeOp struct {
 	indices []int
 }
 
-// ledgerEntry is one app pair's current threats (a == b for intra-app
-// pairs; a <= b otherwise).
+// ledgerEntry is one app pair's current threats, h.threats[lo:hi]
+// (a == b for intra-app pairs; a <= b otherwise).
 type ledgerEntry struct {
-	a, b    string
-	threats []detect.Threat
+	a, b   string
+	lo, hi int
 }
 
 // pairNames returns a threat's participant apps in canonical order.
@@ -287,38 +287,36 @@ func pairNames(t detect.Threat) (string, string) {
 	return a, b
 }
 
-// groupRuns folds a detection result into ledger entries, one per app
-// pair, in first-report order. It exploits the detector's output order —
-// the intra pair first, then each candidate counterpart's threats as one
-// contiguous run (candidates pair in ascending slot order and each pair
-// runs exactly once) — so grouping is a single boundary-detecting walk:
-// no per-pair map, no per-group slice. The entries subslice one defensive
-// copy of threats (the caller owns the original and may mutate it), and
-// land in h.groupBuf, which is reused across operations; callers must
-// copy the entry values out (appending to h.ledger does) before the next
-// call. Callers hold h.mu.
-func (h *home) groupRuns(threats []detect.Threat) []ledgerEntry {
+// groupRuns folds one detection result, the threat-log tail
+// h.threats[lo:], into ledger entries, one per app pair, in first-report
+// order. It exploits the detector's output order — the intra pair first,
+// then each candidate counterpart's threats as one contiguous run
+// (candidates pair in ascending slot order and each pair runs exactly
+// once) — so grouping is a single boundary-detecting walk: no per-pair
+// map, no per-group slice. The entries land in h.groupBuf, which is
+// reused across operations; callers must copy the entry values out
+// (appending to h.ledger does) before the next call. Callers hold h.mu.
+func (h *home) groupRuns(lo int) []ledgerEntry {
 	out := h.groupBuf[:0]
 	defer func() { h.groupBuf = out }()
-	if len(threats) == 0 {
+	if lo == len(h.threats) {
 		return out
 	}
-	own := append([]detect.Threat(nil), threats...)
-	start := 0
-	a0, b0 := pairNames(own[0])
-	for i := 1; i < len(own); i++ {
-		a, b := pairNames(own[i])
+	start := lo
+	a0, b0 := pairNames(h.threats[lo])
+	for i := lo + 1; i < len(h.threats); i++ {
+		a, b := pairNames(h.threats[i])
 		if a == a0 && b == b0 {
 			continue
 		}
-		out = append(out, ledgerEntry{a: a0, b: b0, threats: own[start:i:i]})
+		out = append(out, ledgerEntry{a: a0, b: b0, lo: start, hi: i})
 		start, a0, b0 = i, a, b
 	}
-	out = append(out, ledgerEntry{a: a0, b: b0, threats: own[start:len(own):len(own)]})
-	return out
+	return append(out, ledgerEntry{a: a0, b: b0, lo: start, hi: len(h.threats)})
 }
 
-// spliceLedger applies a reconfigure's re-detection result: entries
+// spliceLedger applies a reconfigure's re-detection result, the
+// threat-log tail h.threats[lo:]: entries
 // involving appName are replaced in place by the pair's new threats (or
 // dropped when the pair is now clean), untouched entries keep their
 // position, and newly threatening pairs append at the end. The rewrite is
@@ -328,8 +326,8 @@ func (h *home) groupRuns(threats []detect.Threat) []ledgerEntry {
 // always the cursor position and the scan fallback is a rare
 // near-miss), replacing the map rebuild that made dense-home
 // reconfigures allocate per pair. Callers hold h.mu.
-func (h *home) spliceLedger(appName string, threats []detect.Threat) {
-	groups := h.groupRuns(threats)
+func (h *home) spliceLedger(appName string, lo int) {
+	groups := h.groupRuns(lo)
 	used := h.usedBuf[:0]
 	for range groups {
 		used = append(used, false)
@@ -416,10 +414,11 @@ func (h *home) install(sp *obs.Span, res *symexec.Result, cfg *detect.Config) ([
 	threats := h.det.Install(detect.NewInstalledApp(res, cfg))
 	dsp.End()
 	lsp := sp.Child("ledger")
+	lo := len(h.threats)
 	h.threats = append(h.threats, threats...)
 	// Every pair of an install involves the new app, so its groups are
 	// all fresh ledger entries.
-	h.ledger = append(h.ledger, h.groupRuns(threats)...)
+	h.ledger = append(h.ledger, h.groupRuns(lo)...)
 	lsp.End()
 	h.ops = append(h.ops, homeOp{kind: wal.OpFleetInstall, res: res, cfg: cfg})
 	return threats, nil
@@ -439,8 +438,9 @@ func (h *home) reconfigure(sp *obs.Span, app string, cfg *detect.Config) ([]dete
 		return nil, err
 	}
 	ssp := sp.Child("splice")
+	lo := len(h.threats)
 	h.threats = append(h.threats, threats...)
-	h.spliceLedger(app, threats)
+	h.spliceLedger(app, lo)
 	ssp.End()
 	h.ops = append(h.ops, homeOp{kind: wal.OpFleetReconfigure, app: app, cfg: cfg})
 	return threats, nil
@@ -913,7 +913,7 @@ func (f *Fleet) ActiveThreats(homeID string) ([]detect.Threat, error) {
 	}
 	var out []detect.Threat
 	for _, e := range h.ledger {
-		out = append(out, e.threats...)
+		out = append(out, h.threats[e.lo:e.hi]...)
 	}
 	return out, nil
 }
