@@ -138,6 +138,10 @@ func decodeResult(e *resultJSON) (*symexec.Result, error) {
 		}
 		res.Rules = rs
 	}
+	// Extraction always yields a rule set, and detection dereferences it.
+	if res.Rules == nil {
+		return nil, fmt.Errorf("%w: result without a rule set", ErrSnapshotCorrupt)
+	}
 	return res, nil
 }
 

@@ -2,11 +2,14 @@ package extractcache
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"io"
 	"sync"
 	"testing"
 
 	"homeguard/internal/corpus"
+	"homeguard/internal/detect"
 	"homeguard/internal/rule"
 	"homeguard/internal/symexec"
 )
@@ -192,5 +195,58 @@ func TestSnapshotConcurrent(t *testing.T) {
 	fresh := New()
 	if added, err := fresh.Restore(&buf); err != nil || added != n {
 		t.Fatalf("final restore: added=%d err=%v", added, err)
+	}
+}
+
+// FuzzExtractCacheRestore feeds arbitrary bytes to Restore on an empty
+// cache: it never panics, bad input fails with ErrSnapshotVersion or
+// ErrSnapshotCorrupt, and every entry it merged snapshots again and
+// installs into a detector, the use a live install makes of it. Seeded
+// from a real snapshot.
+//
+//	go test -run '^$' -fuzz FuzzExtractCacheRestore -fuzztime 30s -fuzzminimizetime 1x ./internal/extractcache
+func FuzzExtractCacheRestore(f *testing.F) {
+	warm := New()
+	for _, a := range corpus.StoreAudit()[:2] {
+		if _, err := warm.Extract(a.Source, ""); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if _, err := warm.Extract("def broken( {", ""); err == nil {
+		f.Fatal("broken source must fail")
+	}
+	var buf bytes.Buffer
+	if _, err := warm.Snapshot(&buf); err != nil {
+		f.Fatal(err)
+	}
+	snap := buf.Bytes()
+	for _, seed := range [][]byte{snap, snap[:len(snap)-1], snap[:len(snap)/2], snap[:12]} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkRestore(t, data)
+		// Random bytes almost never carry a valid SHA-256 trailer, so
+		// also try the input with its trailer recomputed: that reaches
+		// the record decoders behind the checksum.
+		if len(data) > sha256.Size {
+			body := data[:len(data)-sha256.Size]
+			sum := sha256.Sum256(body)
+			checkRestore(t, append(bytes.Clone(body), sum[:]...))
+		}
+	})
+}
+
+func checkRestore(t *testing.T, data []byte) {
+	c := New()
+	if _, err := c.Restore(bytes.NewReader(data)); err != nil && !errors.Is(err, ErrSnapshotVersion) && !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("Restore failed with an untyped error: %v", err)
+	}
+	if _, err := c.Snapshot(io.Discard); err != nil {
+		t.Fatalf("restored entries do not snapshot again: %v", err)
+	}
+	for _, e := range c.entries {
+		if e.res != nil {
+			detect.New(detect.Options{}).Install(detect.NewInstalledApp(e.res, nil))
+		}
 	}
 }

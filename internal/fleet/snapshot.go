@@ -215,9 +215,6 @@ func readHomes(r io.Reader, magic string, version uint32, home func(*homeSnapJSO
 		if err != nil {
 			return meta, fmt.Errorf("app table entry %d: %w", i, err)
 		}
-		if res.Rules == nil {
-			return meta, fmt.Errorf("%w: app table entry %d has no rule set", snapcodec.ErrCorrupt, i)
-		}
 		table = append(table, res)
 	}
 	for i := 0; i < meta.Homes; i++ {

@@ -2,8 +2,10 @@ package pairverdict
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
@@ -159,5 +161,54 @@ func TestVerdictSnapshotConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.Len() != 32 {
 		t.Errorf("cache ended with %d verdicts, want 32", c.Len())
+	}
+}
+
+// FuzzVerdictRestore feeds arbitrary bytes to Restore on an empty
+// cache: it never panics, bad input fails with ErrSnapshotVersion or
+// ErrSnapshotCorrupt, and every verdict it merged snapshots again and
+// renders, the use a verdict hit makes of it. Seeded from a real
+// snapshot.
+//
+//	go test -run '^$' -fuzz FuzzVerdictRestore -fuzztime 30s -fuzzminimizetime 1x ./internal/pairverdict
+func FuzzVerdictRestore(f *testing.F) {
+	warm := New()
+	for i := 0; i < 2; i++ {
+		warm.Detect(keyN(byte(i)), func() []detect.Threat { return verdictFor(i) })
+	}
+	warm.Detect(keyN(200), func() []detect.Threat { return nil })
+	var buf bytes.Buffer
+	if _, err := warm.Snapshot(&buf); err != nil {
+		f.Fatal(err)
+	}
+	snap := buf.Bytes()
+	for _, seed := range [][]byte{snap, snap[:len(snap)-1], snap[:len(snap)/2], snap[:12]} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkRestore(t, data)
+		// Random bytes almost never carry a valid SHA-256 trailer, so
+		// also try the input with its trailer recomputed: that reaches
+		// the record decoders behind the checksum.
+		if len(data) > sha256.Size {
+			body := data[:len(data)-sha256.Size]
+			sum := sha256.Sum256(body)
+			checkRestore(t, append(bytes.Clone(body), sum[:]...))
+		}
+	})
+}
+
+func checkRestore(t *testing.T, data []byte) {
+	c := New()
+	if _, err := c.Restore(bytes.NewReader(data)); err != nil && !errors.Is(err, ErrSnapshotVersion) && !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("Restore failed with an untyped error: %v", err)
+	}
+	if _, err := c.Snapshot(io.Discard); err != nil {
+		t.Fatalf("restored verdicts do not snapshot again: %v", err)
+	}
+	for _, e := range c.entries {
+		for _, th := range e.threats {
+			_ = th.String()
+		}
 	}
 }
