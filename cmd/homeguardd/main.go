@@ -89,10 +89,11 @@
 // reconfigure, threat accept, store audit batch) is appended to a
 // segmented write-ahead log in that directory BEFORE the client sees
 // success, and a background checkpointer periodically persists the full
-// state — both caches, every home (apps, resolved configs, accepted
-// threats, ledger), and the store auditor including its revision
-// history — then garbage-collects the log segments the checkpoint
-// covers. On boot the daemon loads the newest checkpoint and replays
+// state — both caches, every home as its op history (installs,
+// reconfigures and accepts with their resolved configs, replayed on
+// restore to derive the threat log, ledger and accepted threats), and
+// the store auditor including its revision history — then
+// garbage-collects the log segments the checkpoint covers. On boot the daemon loads the newest checkpoint and replays
 // the log tail, so a kill -9 (or kernel panic) loses nothing that was
 // acknowledged: recovery converges to an exact prefix of the acked
 // operation sequence, with at most one durable-but-unacked trailing op.

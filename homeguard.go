@@ -302,9 +302,11 @@
 //
 // A background checkpointer (homeguardd -checkpoint-interval) bounds
 // replay time and log growth: it captures the log position, writes the
-// full state — both caches, every home with its ledger and accepted
-// threats, the store auditor with its revision history — to a temp
-// file, atomically renames it into place (parent directory fsynced so
+// full state — both caches, every home as its op history (the
+// installs, reconfigures and accepts that built it, which restore
+// replays through the same home mutations to derive the threat log,
+// ledger and accepted threats again), the store auditor with its
+// revision history — to a temp file, atomically renames it into place (parent directory fsynced so
 // the rename itself is durable), then garbage-collects the segments
 // the checkpoint covers. A restarted store daemon therefore resumes at
 // its last revision and serves FindingsSince deltas across the

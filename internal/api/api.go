@@ -612,8 +612,10 @@ type MigrateHomeResponse struct {
 	// Apps is the number of apps the exported home held.
 	Apps int `json:"apps"`
 	// Snapshot is the snapcodec-encoded single-home section
-	// (fleet.ExportHome): apps with resolved configs, threat log,
-	// ledger, accepted threats.
+	// (fleet.ExportHome): the home's op history — installs, with the
+	// app table they reference, reconfigures and accepts, each with its
+	// resolved config — from which the adopting node rebuilds the
+	// threat log, ledger and accepted threats.
 	Snapshot []byte `json:"snapshot"`
 }
 
