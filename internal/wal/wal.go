@@ -60,6 +60,7 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -67,7 +68,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -364,7 +364,9 @@ func (l *Log) scanSegment(name string, first uint64, final bool) (last uint64, g
 	last = first - 1
 	off := int64(headerSize)
 	frame := make([]byte, frameHead)
-	var buf []byte
+	// Records are read through a buffer that grows with the bytes that
+	// arrive, so a frame's untrusted claimed length sizes no allocation.
+	var rec bytes.Buffer
 	want := first
 	for {
 		if _, err := io.ReadFull(br, frame); err != nil {
@@ -385,19 +387,20 @@ func (l *Log) scanSegment(name string, first uint64, final bool) (last uint64, g
 			}
 			return 0, 0, fmt.Errorf("%w: segment %s: impossible record length %d", ErrCorrupt, name, length)
 		}
-		if buf, err = readRecord(br, buf, int(length)); err != nil {
+		rec.Reset()
+		if n, _ := rec.ReadFrom(io.LimitReader(br, int64(length))); n < int64(length) {
 			if final {
 				return last, off, nil
 			}
 			return 0, 0, fmt.Errorf("%w: segment %s: torn record in non-final segment", ErrCorrupt, name)
 		}
-		if crc32.Checksum(buf, castagnoli) != crc {
+		if crc32.Checksum(rec.Bytes(), castagnoli) != crc {
 			if final {
 				return last, off, nil
 			}
 			return 0, 0, fmt.Errorf("%w: segment %s: crc mismatch at offset %d", ErrCorrupt, name, off)
 		}
-		lsn := binary.LittleEndian.Uint64(buf[0:8])
+		lsn := binary.LittleEndian.Uint64(rec.Bytes()[0:8])
 		if lsn != want {
 			return 0, 0, fmt.Errorf("%w: segment %s: lsn %d, want %d", ErrCorrupt, name, lsn, want)
 		}
@@ -405,28 +408,6 @@ func (l *Log) scanSegment(name string, first uint64, final bool) (last uint64, g
 		want = lsn + 1
 		off += int64(frameHead) + int64(length)
 	}
-}
-
-// readChunk is the most readRecord grows its buffer ahead of the bytes
-// it has actually read.
-const readChunk = 64 << 10
-
-// readRecord reads an n-byte record into buf's storage, growing it at
-// most by max(readChunk, bytes read so far) per read: a frame header's
-// claimed length is untrusted, so the allocation follows the bytes
-// that are present, not the claim.
-func readRecord(r io.Reader, buf []byte, n int) ([]byte, error) {
-	buf = buf[:0]
-	for len(buf) < n {
-		step := min(n-len(buf), max(readChunk, len(buf)))
-		buf = slices.Grow(buf, step)
-		m, err := io.ReadFull(r, buf[len(buf):len(buf)+step])
-		buf = buf[:len(buf)+m]
-		if err != nil {
-			return buf, err
-		}
-	}
-	return buf, nil
 }
 
 // createSegmentLocked starts a fresh segment at l.nextLSN. The previous
