@@ -97,8 +97,8 @@ func (f *Fleet) commit(sp *obs.Span, h *home, kind byte, rec []byte) error {
 //
 // A record is validated (its source extracted, its blob decoded and
 // its home rebuilt) before the home it names is created, so a rejected
-// record leaves no home behind. A record at or below its home's watermark, or predating the
-// home's removal, is skipped.
+// record leaves no home behind. A record at or below its home's
+// watermark, or predating the home's removal, is skipped.
 func (f *Fleet) ReplayWALRecord(lsn uint64, kind byte, payload []byte) error {
 	var op walOp
 	if err := json.Unmarshal(payload, &op); err != nil {
