@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"slices"
+	"sync"
 	"testing"
 
 	"homeguard/internal/corpus"
@@ -201,5 +202,57 @@ func TestHomesLayoutV1Rejected(t *testing.T) {
 	}
 	if n := f.NumHomes(); n != 0 {
 		t.Errorf("rejected v1 bytes left %d homes", n)
+	}
+}
+
+// TestSnapshotDuringTraffic takes checkpoints while homes take ops on
+// other goroutines (meaningful under -race): every checkpoint restores,
+// and the one taken after the traffic stops restores the live fleet.
+func TestSnapshotDuringTraffic(t *testing.T) {
+	f := New(Options{})
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for h := 0; h < 3; h++ {
+		wg.Add(1)
+		go func(h int) {
+			defer wg.Done()
+			ctx := context.Background()
+			id := fmt.Sprintf("home-%d", h)
+			for _, app := range corpus.ByCategory(corpus.Demo) {
+				if _, err := f.Install(ctx, id, app.Source, nil); err != nil {
+					t.Errorf("install %s into %s: %v", app.Name, id, err)
+					return
+				}
+				if _, err := f.Reconfigure(ctx, id, "ComfortTV", nil); err != nil && !errors.Is(err, ErrAppNotInstalled) {
+					t.Errorf("reconfigure in %s: %v", id, err)
+					return
+				}
+				if log, _ := f.Threats(id); len(log) > 0 {
+					if err := f.AcceptByIndex(id, len(log)-1); err != nil {
+						t.Errorf("accept in %s: %v", id, err)
+						return
+					}
+				}
+			}
+		}(h)
+	}
+	go func() { wg.Wait(); close(done) }()
+	for stop := false; !stop; {
+		select {
+		case <-done:
+			stop = true
+		default:
+		}
+		var buf bytes.Buffer
+		if _, err := f.SnapshotHomes(&buf); err != nil {
+			t.Fatalf("SnapshotHomes: %v", err)
+		}
+		g := New(Options{})
+		if _, err := g.RestoreHomes(&buf); err != nil {
+			t.Fatalf("RestoreHomes of a checkpoint taken under traffic: %v", err)
+		}
+		if stop {
+			assertFleetsEqual(t, f, g)
+		}
 	}
 }
