@@ -1,21 +1,22 @@
 // Crash-safe durability for the daemon: with -wal-dir set, every fleet
 // and store mutation is appended to a segmented write-ahead log before
 // the client is acknowledged, and a background checkpointer periodically
-// writes the full daemon state — extraction cache, pair verdicts, fleet
-// homes, audited store — to one checkpoint file, then garbage-collects
-// the log segments the checkpoint covers. Boot recovery restores the
-// last checkpoint and replays the log's tail on top; per-entity LSN
-// watermarks persisted in the checkpoint make the replay exactly-once.
-// /readyz answers 503 for the whole recovery and flips to 200 only when
-// the replayed state is serving.
+// writes the full daemon state — pair verdicts, fleet homes with the
+// extraction of every installed app, audited store — to one checkpoint
+// file, then garbage-collects the log segments the checkpoint covers.
+// Boot recovery restores the last checkpoint and replays the log's tail
+// on top; per-entity LSN watermarks persisted in the checkpoint make the
+// replay exactly-once. /readyz answers 503 for the whole recovery and
+// flips to 200 only when the replayed state is serving.
 //
-// The checkpoint file is five snapcodec sections back to back: a meta
-// section ("HGCKSNP\x00" v1, one JSON record naming the checkpoint LSN
-// and which optional sections follow), then the extraction cache
-// ("HGXCSNP\x00"), the pair-verdict cache ("HGPVSNP\x00"), the fleet
-// homes ("HGFLSNP\x00") and the audited store ("HGAUSNP\x00"). It is
-// the daemon's one persistence format: a file that does not start with
-// the meta section fails boot with snapcodec.ErrCorrupt.
+// The checkpoint file is four snapcodec sections back to back: a meta
+// section ("HGCKSNP\x00" v2, one JSON record naming the checkpoint LSN
+// and whether the verdict section follows), then the pair-verdict cache
+// ("HGPVSNP\x00"), the fleet homes ("HGFLSNP\x00", whose app table
+// restores into the extraction cache) and the audited store
+// ("HGAUSNP\x00"). It is the daemon's one persistence format: a file
+// that does not start with the meta section fails boot with
+// snapcodec.ErrCorrupt, and a v1 file fails snapcodec.ErrVersion.
 
 package main
 
@@ -39,7 +40,7 @@ import (
 // Checkpoint-file meta section identity.
 const (
 	ckptMagic   = "HGCKSNP\x00"
-	ckptVersion = 1
+	ckptVersion = 2
 )
 
 // ckptMetaJSON is the meta section's single record.
@@ -48,8 +49,8 @@ type ckptMetaJSON struct {
 	// reflected in the sections that follow, so segments whose records
 	// are all <= LSN are garbage.
 	LSN uint64 `json:"lsn"`
-	// Verdicts reports whether a pair-verdict section follows the
-	// extraction-cache section (absent when the cache is disabled).
+	// Verdicts reports whether a pair-verdict section follows the meta
+	// section (absent when the cache is disabled).
 	Verdicts bool `json:"verdicts"`
 }
 
@@ -86,9 +87,6 @@ func saveCheckpoint(path string, l *wal.Log, f *fleet.Fleet, aud *audit.Auditor)
 	}
 	sw.Record(rec) // a failed Record is sticky: Close reports it
 	if err := sw.Close(); err != nil {
-		return fail(err)
-	}
-	if _, err := f.Cache().Snapshot(w); err != nil {
 		return fail(err)
 	}
 	if v := f.Verdicts(); v != nil {
@@ -158,10 +156,6 @@ func loadCheckpoint(path string, f *fleet.Fleet, aud *audit.Auditor) (uint64, er
 	if err := sr.End(); err != nil {
 		return 0, fmt.Errorf("meta: %w", err)
 	}
-	nx, err := f.Cache().Restore(r)
-	if err != nil {
-		return 0, fmt.Errorf("extraction cache: %w", err)
-	}
 	nv := 0
 	if meta.Verdicts {
 		v := f.Verdicts()
@@ -179,8 +173,8 @@ func loadCheckpoint(path string, f *fleet.Fleet, aud *audit.Auditor) (uint64, er
 	if err := aud.Restore(r); err != nil {
 		return 0, fmt.Errorf("audit store: %w", err)
 	}
-	log.Printf("homeguardd: checkpoint restored from %s (lsn %d, %d extractions, %d pair verdicts, %d homes, store rev %d)",
-		path, meta.LSN, nx, nv, nh, aud.Rev())
+	log.Printf("homeguardd: checkpoint restored from %s (lsn %d, %d pair verdicts, %d homes, %d cached extractions, store rev %d)",
+		path, meta.LSN, nv, nh, f.Cache().Len(), aud.Rev())
 	return meta.LSN, nil
 }
 

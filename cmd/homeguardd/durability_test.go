@@ -392,6 +392,11 @@ func TestLoadCheckpointErrors(t *testing.T) {
 	if _, err := load(skewed); !errors.Is(err, snapcodec.ErrVersion) {
 		t.Errorf("version-skewed meta: %v, want ErrVersion", err)
 	}
+	// A v1 checkpoint carried an extraction-cache section after the meta.
+	binary.BigEndian.PutUint32(skewed[8:12], 1)
+	if _, err := load(skewed); !errors.Is(err, snapcodec.ErrVersion) {
+		t.Errorf("v1 meta: %v, want ErrVersion", err)
+	}
 
 	var legacy bytes.Buffer
 	if _, err := srv.fleet.Cache().Snapshot(&legacy); err != nil {

@@ -85,18 +85,18 @@
 // # Durability (write-ahead log + background checkpoints)
 //
 // -wal-dir, when set, makes the daemon crash-safe and warm-starting:
-// every state-changing operation (home install,
-// reconfigure, threat accept, store audit batch) is appended to a
-// segmented write-ahead log in that directory BEFORE the client sees
-// success, and a background checkpointer periodically persists the full
-// state — both caches, every home as its op history (installs,
-// reconfigures and accepts with their resolved configs, replayed on
-// restore to derive the threat log, ledger and accepted threats), and
-// the store auditor including its revision history — then
-// garbage-collects the log segments the checkpoint covers. On boot the daemon loads the newest checkpoint and replays
-// the log tail, so a kill -9 (or kernel panic) loses nothing that was
-// acknowledged: recovery converges to an exact prefix of the acked
-// operation sequence, with at most one durable-but-unacked trailing op.
+// every state-changing operation (home install, reconfigure, threat
+// accept, store audit batch) is appended to a segmented write-ahead log
+// in that directory BEFORE the client sees success, and a background
+// checkpointer periodically persists the full state — the pair-verdict
+// cache, every home as its op history (installs, reconfigures and
+// accepts with their resolved configs, replayed on restore to derive its
+// threats) with its apps' extractions, and the store auditor — then
+// garbage-collects the log segments the checkpoint covers. On boot the
+// daemon loads the newest checkpoint and replays the log tail, so a kill
+// -9 (or kernel panic) loses nothing that was acknowledged: recovery
+// converges to an exact prefix of the acked operation sequence, with at
+// most one durable-but-unacked trailing op.
 //
 //   - -fsync always (the default) fsyncs the log before every ack —
 //     the zero-loss configuration the crash-recovery CI job runs.
@@ -109,30 +109,29 @@
 //
 // Without -wal-dir the daemon persists nothing. -wal-dir with -fsync off
 // is the cheap warm start: a restart gets its caches and homes back
-// from the checkpoint, so a checkpointed catalog never re-extracts.
+// from the checkpoint, so an app a checkpointed home installed never
+// re-extracts (a source no home installed is extracted again).
 //
 // Log records are logical, not physical: an install record carries the
 // app's Groovy source and its resolved config, and replay installs the
-// source again through the extraction cache — a hit when the restored
-// checkpoint holds that source's extraction, a fresh symbolic execution
-// when the cache is cold — without re-running config resolution.
-// Replay is idempotent via per-entity LSN watermarks
-// persisted in the checkpoint (a record at or below an entity's
-// watermark is skipped), so a checkpoint plus an overlapping tail
-// recovers exactly once. A torn final record (the crash landed mid
+// source again through the extraction cache — a hit when a restored home
+// installed that source, a fresh symbolic execution otherwise — without
+// re-running config resolution. Replay is idempotent via per-entity LSN
+// watermarks persisted in the checkpoint (a record at or below an
+// entity's watermark is skipped), so a checkpoint plus an overlapping
+// tail recovers exactly once. A torn final record (the crash landed mid
 // write) is truncated on open; corruption anywhere earlier refuses the
-// log rather than replaying garbage, and a corrupt checkpoint is
-// fatal — covered segments may already be GC'd, so serving a partial
-// restore would silently drop acked state.
+// log rather than replaying garbage, and a corrupt checkpoint is fatal —
+// covered segments may already be GC'd, so serving a partial restore
+// would silently drop acked state.
 //
 // The checkpoint file is one "HGCKSNP\x00" meta section (the log
-// position the checkpoint covers) followed by the extraction-cache,
-// pair-verdict, fleet-homes and auditor sections back to back, each in
-// the internal/snapcodec framing (8-byte magic, big-endian uint32
-// version, length-prefixed records, end sentinel, SHA-256 trailer) and
-// each rejecting version skew and damage with typed errors. A file that
-// does not start with the meta section fails boot like any other
-// damage.
+// position the checkpoint covers) followed by the pair-verdict,
+// fleet-homes and auditor sections back to back, each in the
+// internal/snapcodec framing (8-byte magic, big-endian uint32 version,
+// length-prefixed records, end sentinel, SHA-256 trailer) and each
+// rejecting version skew and damage with typed errors. A file that does
+// not start with the meta section fails boot like any other damage.
 //
 // # Profiling
 //

@@ -251,14 +251,13 @@
 //     /homes/{id}/threats?active=true) serves that live view, while
 //     Threats remains the append-only history.
 //
-//   - Persistent warm starts. Both fleet-level caches persist:
-//     Snapshot/Restore on the extraction cache and the pair-verdict cache
-//     write a versioned, length-prefixed, SHA-256-checksummed binary
-//     stream (internal/snapcodec), and homeguardd writes them into its
-//     checkpoint beside the home state (see Durability). A daemon
-//     restarted on its -wal-dir therefore serves a repeat install storm
-//     of its catalog with a ≥0.99 extraction-cache hit ratio and zero
-//     re-solved pair verdicts, instead of re-extracting the world.
+//   - Persistent warm starts. Both fleet-level caches persist in
+//     homeguardd's checkpoint (internal/snapcodec; see Durability): the
+//     pair-verdict cache as its own section, the extraction cache as the
+//     homes section's app table, one entry per installed app, merged
+//     back into the cache on restore. A daemon restarted on its -wal-dir
+//     therefore serves a repeat install storm of its catalog with a
+//     ≥0.99 extraction-cache hit ratio and zero re-solved pair verdicts.
 //     Version skew and corruption are rejected with typed errors, never
 //     loaded as garbage.
 //
@@ -279,22 +278,21 @@
 // state that refuses further appends rather than acking writes the
 // disk never saw.
 //
-// Records are logical and self-contained: an install record carries
-// the app's Groovy source and its resolved configuration, so recovery
-// never re-runs config resolution. Replay runs each record through the
-// same home mutation the live operation ran (one definition of
-// install, reconfigure, accept and adopt), without its report, chains
-// or events; it installs the source again through the
-// content-addressed extraction cache, which answers from the
-// checkpointed extraction when there is one and re-runs symbolic
-// execution only when the cache is cold. Replay is idempotent through
-// per-entity LSN watermarks (each home and the auditor persist the
-// LSN of their last applied record in the checkpoint; replay skips
-// records at or below the watermark), so a checkpoint plus an
-// overlapping log tail applies exactly once. On open, a torn final
-// record — the crash landed mid-write — is truncated away; corruption
-// anywhere earlier refuses the log with a typed error instead of
-// replaying garbage. A crash-point property test walks EVERY torn
+// Records are logical and self-contained: an install record carries the
+// app's Groovy source and its resolved configuration, so recovery never
+// re-runs config resolution. Replay runs each record through the same
+// home mutation the live operation ran (one definition of install,
+// reconfigure, accept and adopt), without its report, chains or events;
+// it installs the source again through the content-addressed extraction
+// cache, which answers from a restored home's app table when it can and
+// re-runs symbolic execution only when the cache is cold. Replay is
+// idempotent through per-entity LSN watermarks (each home and the
+// auditor persist the LSN of their last applied record in the
+// checkpoint; replay skips records at or below the watermark), so a
+// checkpoint plus an overlapping log tail applies exactly once. On open,
+// a torn final record — the crash landed mid-write — is truncated away;
+// corruption anywhere earlier refuses the log with a typed error instead
+// of replaying garbage. A crash-point property test walks EVERY torn
 // prefix of a multi-segment log and requires the recovered state to
 // equal an exact prefix of the acked operation sequence, and a
 // daemon-level test SIGKILLs a live homeguardd mid install storm and
@@ -302,19 +300,19 @@
 //
 // A background checkpointer (homeguardd -checkpoint-interval) bounds
 // replay time and log growth: it captures the log position, writes the
-// full state — both caches, every home as its op history (the
+// full state — the pair-verdict cache, every home as its op history (the
 // installs, reconfigures and accepts that built it, which restore
 // replays through the same home mutations to derive the threat log,
-// ledger and accepted threats again), the store auditor with its
-// revision history — to a temp file, atomically renames it into place (parent directory fsynced so
-// the rename itself is durable), then garbage-collects the segments
-// the checkpoint covers. A restarted store daemon therefore resumes at
-// its last revision and serves FindingsSince deltas across the
-// restart instead of resetting its feed. The recovery path is gated:
-// homeguardd brings its listener up first, answers 503 on every API
-// route while the checkpoint loads and the tail replays (health
-// probes stay live so orchestrators see an honest readiness flip),
-// and marks ready only when recovery completes.
+// ledger and accepted threats again) beside its apps' extractions, the
+// store auditor with its revision history — to a temp file, atomically
+// renames it into place (parent directory fsynced so the rename itself
+// is durable), then garbage-collects the segments the checkpoint covers.
+// A restarted store daemon therefore resumes at its last revision and
+// serves FindingsSince deltas across the restart instead of resetting
+// its feed. The recovery path is gated: homeguardd brings its listener
+// up first, answers 503 on every API route while the checkpoint loads
+// and the tail replays (health probes stay live so orchestrators see an
+// honest readiness flip), and marks ready only when recovery completes.
 //
 // # Cluster deployment
 //

@@ -23,7 +23,7 @@ func openAuditWAL(t *testing.T, dir string) *wal.Log {
 // remove, and a batch whose only op fails — used by every recovery test
 // as "the acknowledged history". The all-errors batch matters: it still
 // produced a revision, and recovery must reproduce the numbering.
-func driveBatches(t *testing.T, aud *audit.Auditor) {
+func driveBatches(t testing.TB, aud *audit.Auditor) {
 	t.Helper()
 	src := func(name string) string {
 		t.Helper()

@@ -203,6 +203,9 @@ func (a *Auditor) Restore(r io.Reader) error {
 	}
 	read := func(what string, v any) error {
 		rec, err := sr.Next()
+		if err == io.EOF {
+			err = fmt.Errorf("%w: section ends before its declared records", snapcodec.ErrCorrupt)
+		}
 		if err != nil {
 			return fmt.Errorf("audit: restore: %s: %w", what, err)
 		}

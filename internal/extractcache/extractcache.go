@@ -124,6 +124,12 @@ func (c *Cache) SetLimit(limit int) {
 // goroutines ask concurrently. Errors are cached too: extraction is
 // deterministic, so a source that fails to parse fails for every home.
 func (c *Cache) Extract(src, appName string) (*symexec.Result, error) {
+	_, res, err := c.ExtractKeyed(src, appName)
+	return res, err
+}
+
+// ExtractKeyed is Extract that also returns the key, KeyOf(src, appName).
+func (c *Cache) ExtractKeyed(src, appName string) (Key, *symexec.Result, error) {
 	k := KeyOf(src, appName)
 
 	c.mu.Lock()
@@ -132,7 +138,7 @@ func (c *Cache) Extract(src, appName string) (*symexec.Result, error) {
 		c.hits++
 		c.mu.Unlock()
 		<-e.done
-		return e.res, e.err
+		return k, e.res, e.err
 	}
 	e := &entry{done: make(chan struct{})}
 	c.entries[k] = e
@@ -155,7 +161,7 @@ func (c *Cache) Extract(src, appName string) (*symexec.Result, error) {
 		}()
 		e.res, e.err = c.extract(src, appName)
 	}()
-	return e.res, e.err
+	return k, e.res, e.err
 }
 
 // evictOverflowLocked drops arbitrary completed entries until the cache

@@ -1,9 +1,8 @@
 // Persistent warm-start for the extraction cache: Snapshot serializes
 // every completed entry (results and cached errors) through the shared
-// snapcodec framing, Restore merges a snapshot back in. A restarted
-// daemon that restores its snapshot serves the first install storm of a
-// hot catalog at warm-cache latency instead of re-running symbolic
-// execution for the whole world.
+// snapcodec framing, Restore merges a snapshot back in. The fleet's
+// homes layout persists each installed app as the same entry record
+// (EncodeEntry) and restores it through the same merge (Merge).
 
 package extractcache
 
@@ -47,10 +46,8 @@ type inputDeclJSON struct {
 }
 
 // resultJSON is the wire form of one *symexec.Result (an AppInfo, its
-// rule set and the extraction diagnostics). It is embedded in entryJSON,
-// so encoding/json promotes its fields into the entry payload — the wire
-// format is byte-identical to when these fields lived on entryJSON
-// directly, which is why the split needs no snapshot version bump.
+// rule set and the extraction diagnostics), embedded in entryJSON so
+// its fields are promoted into the entry payload.
 type resultJSON struct {
 	HasResult   bool            `json:"hasResult,omitempty"`
 	Name        string          `json:"name,omitempty"`
@@ -146,8 +143,8 @@ func decodeResult(e *resultJSON) (*symexec.Result, error) {
 }
 
 // MarshalResult serializes one extraction result in the snapshot wire
-// form, for other sections (fleet homes, auditor store, WAL op records)
-// that persist results outside the extraction cache. res must be non-nil.
+// form, for the auditor's store section and WAL records, which persist
+// results outside the extraction cache. res must be non-nil.
 func MarshalResult(res *symexec.Result) ([]byte, error) {
 	e, err := encodeResult(res)
 	if err != nil {
@@ -172,7 +169,9 @@ func UnmarshalResult(b []byte) (*symexec.Result, error) {
 	return res, nil
 }
 
-func encodeEntry(k Key, res *symexec.Result, cacheErr error) ([]byte, error) {
+// EncodeEntry serializes one cache entry as a snapshot record: the
+// 32-byte key, then the entry JSON.
+func EncodeEntry(k Key, res *symexec.Result, cacheErr error) ([]byte, error) {
 	e := entryJSON{}
 	if cacheErr != nil {
 		e.Err = cacheErr.Error()
@@ -194,7 +193,9 @@ func encodeEntry(k Key, res *symexec.Result, cacheErr error) ([]byte, error) {
 	return rec, nil
 }
 
-func decodeEntry(rec []byte) (Key, *symexec.Result, error, error) {
+// DecodeEntry reverses EncodeEntry: the key, the result (or nil), the
+// cached error, and a decode error.
+func DecodeEntry(rec []byte) (Key, *symexec.Result, error, error) {
 	var k Key
 	if len(rec) < len(k) {
 		return k, nil, nil, fmt.Errorf("%w: record shorter than a key", ErrSnapshotCorrupt)
@@ -242,7 +243,7 @@ func (c *Cache) Snapshot(w io.Writer) (int, error) {
 		return 0, fmt.Errorf("extractcache: snapshot: %w", err)
 	}
 	for _, it := range done {
-		rec, err := encodeEntry(it.k, it.e.res, it.e.err)
+		rec, err := EncodeEntry(it.k, it.e.res, it.e.err)
 		if err != nil {
 			return 0, fmt.Errorf("extractcache: snapshot entry: %w", err)
 		}
@@ -278,27 +279,36 @@ func (c *Cache) Restore(r io.Reader) (int, error) {
 		if err != nil {
 			return added, fmt.Errorf("extractcache: restore: %w", err)
 		}
-		k, res, cacheErr, err := decodeEntry(rec)
+		k, res, cacheErr, err := DecodeEntry(rec)
 		if err != nil {
 			return added, fmt.Errorf("extractcache: restore: %w", err)
 		}
-		e := &entry{done: closedChan(), res: res, err: cacheErr}
-		c.mu.Lock()
-		if _, exists := c.entries[k]; !exists {
-			c.entries[k] = e
+		if _, ok := c.Merge(k, res, cacheErr); ok {
 			added++
-			c.evictOverflowLocked()
 		}
-		c.mu.Unlock()
 	}
 }
 
-// closedChan returns a pre-closed done channel for restored entries
-// (waiters must never block on them).
-var closedDone = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
-func closedChan() chan struct{} { return closedDone }
+// Merge inserts a restored entry for k unless k is present (completed
+// or in flight), and returns the result the cache serves for k — the
+// cached one when k has completed with a result, else res — and whether
+// it inserted. It never blocks on an in-flight entry and counts no lookup.
+func (c *Cache) Merge(k Key, res *symexec.Result, cacheErr error) (canonical *symexec.Result, added bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[k]; ok {
+		select {
+		case <-e.done:
+			if e.res != nil {
+				return e.res, false
+			}
+		default: // in flight
+		}
+		return res, false
+	}
+	e := &entry{done: make(chan struct{}), res: res, err: cacheErr}
+	close(e.done) // a restored entry is complete: waiters never block
+	c.entries[k] = e
+	c.evictOverflowLocked()
+	return res, true
+}

@@ -303,19 +303,26 @@ func BenchmarkFleetInstallNoCacheSharing(b *testing.B) {
 	}
 }
 
-// restoreBenchFleet preloads homes homes of 12 apps each from the demo
-// and benign corpus, driving every home through an install:reconfigure:
-// accept mix of 8:1:1 (reconfigure keeps the app's bindings, accept
-// takes one threat-log index), the shape of perfbench's install
-// workloads.
-func restoreBenchFleet(b *testing.B, homes int) *Fleet {
-	b.Helper()
+// restorePool is the sources restoreBenchFleet draws from: the demo and
+// benign corpus.
+func restorePool() []string {
 	var pool []string
 	for _, a := range corpus.All() {
 		if a.Category == corpus.Demo || a.Category == corpus.Benign {
 			pool = append(pool, a.Source)
 		}
 	}
+	return pool
+}
+
+// restoreBenchFleet preloads homes homes of 12 apps each from the demo
+// and benign corpus, driving every home through an install:reconfigure:
+// accept mix of 8:1:1 (reconfigure keeps the app's bindings, accept
+// takes one threat-log index), the shape of perfbench's install
+// workloads.
+func restoreBenchFleet(b testing.TB, homes int) *Fleet {
+	b.Helper()
+	pool := restorePool()
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(1))
 	f := New(Options{})
@@ -350,17 +357,15 @@ func restoreBenchFleet(b *testing.B, homes int) *Fleet {
 }
 
 // BenchmarkRestoreHomes times RestoreHomes of a 300-home checkpoint
-// section into a fresh fleet whose extraction and verdict caches were
-// restored first, in the order the daemon's checkpoint load restores
-// them; cold-verdicts restores the extraction cache alone, so every
-// pair verdict the homes need misses. homes-B is the homes section's
-// size.
+// section into a fresh fleet, which includes merging the section's app
+// table into the extraction cache. warm restores the verdict cache
+// first, untimed, as the daemon's checkpoint load does; cold-verdicts
+// does not, so every pair verdict the homes need misses. homes-B is the
+// homes section's size and ckpt-B the bytes of the sections homeguardd
+// writes for this fleet: the verdict and homes sections.
 func BenchmarkRestoreHomes(b *testing.B) {
 	src := restoreBenchFleet(b, 300)
-	var xc, vc, homes bytes.Buffer
-	if _, err := src.Cache().Snapshot(&xc); err != nil {
-		b.Fatal(err)
-	}
+	var vc, homes bytes.Buffer
 	if _, err := src.Verdicts().Snapshot(&vc); err != nil {
 		b.Fatal(err)
 	}
@@ -374,12 +379,10 @@ func BenchmarkRestoreHomes(b *testing.B) {
 	}{{"warm", true}, {"cold-verdicts", false}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportMetric(float64(homes.Len()), "homes-B")
+			b.ReportMetric(float64(vc.Len()+homes.Len()), "ckpt-B")
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				f := New(Options{})
-				if _, err := f.Cache().Restore(bytes.NewReader(xc.Bytes())); err != nil {
-					b.Fatal(err)
-				}
 				if bc.verdicts {
 					if _, err := f.Verdicts().Restore(bytes.NewReader(vc.Bytes())); err != nil {
 						b.Fatal(err)

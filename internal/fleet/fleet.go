@@ -260,11 +260,12 @@ type home struct {
 }
 
 // homeOp is one op of a home's history, holding what replaying it
-// needs: kind is wal.OpFleetInstall (res, cfg), wal.OpFleetReconfigure
-// (app, cfg) or wal.OpFleetAccept (indices). cfg is the resolved
-// config the op ran with.
+// needs: kind is wal.OpFleetInstall (key, res, cfg — key is res's
+// extraction-cache key), wal.OpFleetReconfigure (app, cfg) or
+// wal.OpFleetAccept (indices). cfg is the resolved config.
 type homeOp struct {
 	kind    byte
+	key     extractcache.Key
 	res     *symexec.Result
 	app     string
 	cfg     *detect.Config
@@ -396,11 +397,11 @@ func (h *home) installed(name string) *detect.InstalledApp {
 // sp, when non-nil, receives their stage spans. Each of the first three
 // appends itself to h.ops once it has succeeded.
 
-// install adds an extracted app under cfg, runs detection against the
-// home's other apps, and appends the threats to the log and the ledger.
-// An app name the home already has fails ErrAppInstalled and changes
-// nothing.
-func (h *home) install(sp *obs.Span, res *symexec.Result, cfg *detect.Config) ([]detect.Threat, error) {
+// install adds res, extracted under cache key k, under cfg, runs
+// detection against the home's other apps, and appends the threats to
+// the log and the ledger. An app name the home already has fails
+// ErrAppInstalled and changes nothing.
+func (h *home) install(sp *obs.Span, k extractcache.Key, res *symexec.Result, cfg *detect.Config) ([]detect.Threat, error) {
 	if h.installed(res.App.Name) != nil {
 		return nil, fmt.Errorf("%w: %q", ErrAppInstalled, res.App.Name)
 	}
@@ -420,7 +421,7 @@ func (h *home) install(sp *obs.Span, res *symexec.Result, cfg *detect.Config) ([
 	// all fresh ledger entries.
 	h.ledger = append(h.ledger, h.groupRuns(lo)...)
 	lsp.End()
-	h.ops = append(h.ops, homeOp{kind: wal.OpFleetInstall, res: res, cfg: cfg})
+	h.ops = append(h.ops, homeOp{kind: wal.OpFleetInstall, key: k, res: res, cfg: cfg})
 	return threats, nil
 }
 
@@ -577,7 +578,7 @@ func (f *Fleet) Install(ctx context.Context, homeID, src string, cfg *detect.Con
 	sp.SetStr("home", homeID)
 
 	esp := sp.Child("extract")
-	res, err := f.cache.Extract(src, "")
+	key, res, err := f.cache.ExtractKeyed(src, "")
 	esp.End()
 	if err != nil {
 		f.metrics.installFailed()
@@ -625,7 +626,7 @@ func (f *Fleet) Install(ctx context.Context, homeID, src string, cfg *detect.Con
 			return
 		}
 		logBase = len(h.threats)
-		if threats, dupErr = h.install(sp, res, cfg); dupErr != nil {
+		if threats, dupErr = h.install(sp, key, res, cfg); dupErr != nil {
 			return
 		}
 		csp := sp.Child("chains")

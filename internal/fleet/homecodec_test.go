@@ -5,11 +5,14 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"runtime"
 	"testing"
 
 	"homeguard/internal/detect"
+	"homeguard/internal/extractcache"
 	"homeguard/internal/snapcodec"
 	"homeguard/internal/wal"
 )
@@ -55,8 +58,8 @@ func pinnedFleet(tb testing.TB) *Fleet {
 // version bump.
 func TestHomesLayoutBytesPinned(t *testing.T) {
 	const (
-		wantExport   = "00d51d657c0357df7a6f6ddf720b4a8aa03b5bfbef4415c2540f2117fc61080e"
-		wantSnapshot = "606f68c914215e5a1000fa43b12c70964a1620199193de541d9489087a81d667"
+		wantExport   = "59ef5936f9b9041d7d89bb07367a82cf6a83f5873aa006c2bd2c8c16e365fb61"
+		wantSnapshot = "7c2984747cdca18ad388ff0de2bedfc0cd5578cd991228f3b1509c4e8fd91d2e"
 	)
 	f := pinnedFleet(t)
 	blob, _, err := f.ExportHome("fig3")
@@ -110,6 +113,13 @@ func TestHomesLayoutRejectsDeclaredCounts(t *testing.T) {
 // installX is a home record whose one op installs app-table entry 0.
 const installX = `{"id":"fig3","ops":[{"kind":1,"config":null}]}`
 
+// tableEntry is an app-table record holding payload as the entry JSON
+// under the extraction key of the source "X".
+func tableEntry(payload string) string {
+	k := extractcache.KeyOf("X", "")
+	return string(k[:]) + payload
+}
+
 // badIndexExport is a single-home export whose home record installs
 // app-table index 5 of an empty table.
 func badIndexExport() []byte {
@@ -122,14 +132,14 @@ func badIndexExport() []byte {
 // nil under the home lock).
 func nullRuleExport() []byte {
 	return craftSection(homeExportMagic, homeExportVersion, `{"apps":1,"homes":1}`,
-		`{"hasResult":true,"name":"X","rules":{"app":"X","rules":[null]}}`, installX)
+		tableEntry(`{"hasResult":true,"name":"X","rules":{"app":"X","rules":[null]}}`), installX)
 }
 
 // TestImportHomeFailureCreatesNoHome: a blob that fails validation, or
 // whose ops fail partway through their replay, must leave no trace — no
 // empty home in the counts, the ID list or the next checkpoint.
 func TestImportHomeFailureCreatesNoHome(t *testing.T) {
-	app := `{"hasResult":true,"name":"X","rules":{"app":"X","rules":[]}}`
+	app := tableEntry(`{"hasResult":true,"name":"X","rules":{"app":"X","rules":[]}}`)
 	withOps := func(ops string) []byte {
 		return craftSection(homeExportMagic, homeExportVersion, `{"apps":1,"homes":1}`,
 			app, `{"id":"fig3","ops":[{"kind":1,"config":null},`+ops+`]}`)
@@ -138,7 +148,7 @@ func TestImportHomeFailureCreatesNoHome(t *testing.T) {
 		"bad table index": badIndexExport(),
 		"null rule":       nullRuleExport(),
 		"no rule set": craftSection(homeExportMagic, homeExportVersion, `{"apps":1,"homes":1}`,
-			`{"hasResult":true,"name":"X"}`, installX),
+			tableEntry(`{"hasResult":true,"name":"X"}`), installX),
 		"app installed twice":          withOps(`{"kind":1,"config":null}`),
 		"reconfigure of a missing app": withOps(`{"kind":2,"app":"Y","config":null}`),
 		"accept past the log":          withOps(`{"kind":3,"indices":[0]}`),
@@ -152,6 +162,53 @@ func TestImportHomeFailureCreatesNoHome(t *testing.T) {
 		if n, m, ids := f.NumHomes(), f.Metrics().Homes, f.HomeIDs(); n != 0 || m != 0 || len(ids) != 0 {
 			t.Errorf("%s: failed import left homes behind: NumHomes %d, Metrics().Homes %d, HomeIDs %v", name, n, m, ids)
 		}
+	}
+}
+
+// TestHomesTableRejectsNonResults: an app-table entry must hold an
+// extraction result under a whole key. An entry with a cached error,
+// with no result, or shorter than a key fails ErrCorrupt on both
+// readers and leaves no home.
+func TestHomesTableRejectsNonResults(t *testing.T) {
+	for name, entry := range map[string]string{
+		"no result":    tableEntry(`{}`),
+		"cached error": tableEntry(`{"err":"parse error","hasResult":true,"name":"X","rules":{"app":"X","rules":[]}}`),
+		"short key":    `{}`,
+	} {
+		f := New(Options{})
+		if _, err := f.ImportHome("fig3", craftSection(homeExportMagic, homeExportVersion, `{"apps":1,"homes":1}`, entry, installX)); !errors.Is(err, snapcodec.ErrCorrupt) {
+			t.Errorf("%s: import: %v, want ErrCorrupt", name, err)
+		}
+		if _, err := f.RestoreHomes(bytes.NewReader(craftSection(homesSnapshotMagic, homesSnapshotVersion, `{"apps":1,"homes":1}`, entry, installX))); !errors.Is(err, snapcodec.ErrCorrupt) {
+			t.Errorf("%s: restore: %v, want ErrCorrupt", name, err)
+		}
+		if n := f.NumHomes(); n != 0 {
+			t.Errorf("%s: rejected table left %d homes", name, n)
+		}
+	}
+}
+
+// claimExport is a 16-byte export blob: the section header, then a
+// record length claiming snapcodec.MaxRecordBytes and no record bytes.
+func claimExport() []byte {
+	raw := binary.BigEndian.AppendUint32([]byte(homeExportMagic), homeExportVersion)
+	return binary.BigEndian.AppendUint32(raw, snapcodec.MaxRecordBytes)
+}
+
+// TestImportHomeClaimAllocation: an AdoptHome blob's record lengths are
+// untrusted, so a 16-byte blob claiming a 64 MiB record fails ErrCorrupt
+// without allocating the claim.
+func TestImportHomeClaimAllocation(t *testing.T) {
+	f := New(Options{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := f.ImportHome("fig3", claimExport())
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, snapcodec.ErrCorrupt) {
+		t.Fatalf("import: %v, want ErrCorrupt", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("ImportHome of a %d-byte blob allocated %d bytes, want at most 1 MiB", len(claimExport()), got)
 	}
 }
 
@@ -196,6 +253,7 @@ func FuzzImportHome(f *testing.F) {
 		blob[:len(blob)-1],
 		blob[:len(blob)/2],
 		blob[:12],
+		claimExport(),
 	} {
 		f.Add(seed)
 	}

@@ -23,16 +23,15 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"homeguard/internal/rule"
+	"homeguard/internal/extractcache"
 	"homeguard/internal/snapcodec"
-	"homeguard/internal/symexec"
 	"homeguard/internal/wal"
 )
 
 // Export format identity for the single-home section.
 const (
 	homeExportMagic   = "HGHMSNP\x00"
-	homeExportVersion = 2
+	homeExportVersion = 3
 )
 
 // ExportHome serializes one home's durable state without removing it
@@ -55,7 +54,7 @@ func (f *Fleet) ExportHome(homeID string) ([]byte, int, error) {
 // exportUnderLock encodes the home as a single-home section. Callers
 // hold h.mu.
 func (h *home) exportUnderLock() ([]byte, int, error) {
-	tableIdx := map[*rule.RuleSet]int{}
+	tableIdx := map[extractcache.Key]int{}
 	var table [][]byte
 	rec, err := h.encodeUnderLock(tableIdx, &table, 0)
 	if err != nil {
@@ -154,7 +153,7 @@ func (f *Fleet) ImportHome(homeID string, blob []byte) (int, error) {
 // and rebuilds the home it holds, outside the shard map.
 func (f *Fleet) decodeExport(homeID string, blob []byte) (*home, error) {
 	var src *home
-	meta, err := readHomes(bytes.NewReader(blob), homeExportMagic, homeExportVersion, func(hs *homeSnapJSON, table []*symexec.Result) error {
+	meta, err := f.readHomes(bytes.NewReader(blob), homeExportMagic, homeExportVersion, func(hs *homeSnapJSON, table []appEntry) error {
 		if hs.ID != homeID {
 			return fmt.Errorf("snapshot is for home %q, not %q", hs.ID, homeID)
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -16,6 +17,8 @@ import (
 	"homeguard/internal/corpus"
 	"homeguard/internal/detect"
 	"homeguard/internal/snapcodec"
+	"homeguard/internal/symexec"
+	"homeguard/internal/wal"
 )
 
 // randomConfig binds each device input of the app src extracts to to
@@ -88,14 +91,11 @@ func randomOps(t *testing.T, f *Fleet, seed int64) {
 }
 
 // restoreCopy restores f's checkpoint sections into a new fleet built
-// with opts, in the daemon's order: the extraction cache, the verdict
-// cache when opts keeps one, then the homes.
+// with opts, in the daemon's order: the verdict cache when opts keeps
+// one, then the homes, whose app table restores the extraction cache.
 func restoreCopy(t *testing.T, f *Fleet, opts Options) *Fleet {
 	t.Helper()
-	var xc, vc, homes bytes.Buffer
-	if _, err := f.Cache().Snapshot(&xc); err != nil {
-		t.Fatal(err)
-	}
+	var vc, homes bytes.Buffer
 	if _, err := f.Verdicts().Snapshot(&vc); err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +103,6 @@ func restoreCopy(t *testing.T, f *Fleet, opts Options) *Fleet {
 		t.Fatal(err)
 	}
 	g := New(opts)
-	if _, err := g.Cache().Restore(&xc); err != nil {
-		t.Fatal(err)
-	}
 	if g.Verdicts() != nil {
 		if _, err := g.Verdicts().Restore(&vc); err != nil {
 			t.Fatal(err)
@@ -176,10 +173,12 @@ func TestRestoreEquivalence(t *testing.T) {
 }
 
 // TestHomesLayoutV1Rejected: the version-1 homes layout, which stored
-// each home's threat log, ledger and accepted set by value, fails with
-// snapcodec.ErrVersion and leaves no home, as an export blob and as a
-// checkpoint section. The fixtures are pinnedFleet's bytes as the v1
-// writer produced them (the digests TestHomesLayoutBytesPinned pinned).
+// each home's threat log, ledger and accepted set by value, and the
+// version-2 layout, whose app table held keyless results beside a
+// separate extraction-cache section, fail with snapcodec.ErrVersion and
+// leave no home, as an export blob and as a checkpoint section. The
+// fixtures are pinnedFleet's bytes as the v1 and v2 writers produced
+// them (the digests TestHomesLayoutBytesPinned pinned).
 func TestHomesLayoutV1Rejected(t *testing.T) {
 	read := func(name, wantDigest string) []byte {
 		b, err := os.ReadFile("testdata/" + name)
@@ -187,21 +186,26 @@ func TestHomesLayoutV1Rejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != wantDigest {
-			t.Fatalf("testdata/%s is not the pinned v1 bytes", name)
+			t.Fatalf("testdata/%s is not the pinned bytes", name)
 		}
 		return b
 	}
-	blob := read("home-export-v1.bin", "fba56c03a0cc44ae5354926b8c08a91d66d0f598c7f00712b6283950c585fa18")
-	section := read("homes-v1.bin", "44c6be15b68b253c9a680a1cb43a8d73efa717f9389af85df558c67ccd83bc5d")
-	f := New(Options{})
-	if _, err := f.ImportHome("fig3", blob); !errors.Is(err, snapcodec.ErrVersion) {
-		t.Errorf("ImportHome of a v1 blob: %v, want ErrVersion", err)
-	}
-	if _, err := f.RestoreHomes(bytes.NewReader(section)); !errors.Is(err, snapcodec.ErrVersion) {
-		t.Errorf("RestoreHomes of a v1 section: %v, want ErrVersion", err)
-	}
-	if n := f.NumHomes(); n != 0 {
-		t.Errorf("rejected v1 bytes left %d homes", n)
+	for _, v := range []struct{ name, blob, section string }{
+		{"v1", "fba56c03a0cc44ae5354926b8c08a91d66d0f598c7f00712b6283950c585fa18", "44c6be15b68b253c9a680a1cb43a8d73efa717f9389af85df558c67ccd83bc5d"},
+		{"v2", "00d51d657c0357df7a6f6ddf720b4a8aa03b5bfbef4415c2540f2117fc61080e", "606f68c914215e5a1000fa43b12c70964a1620199193de541d9489087a81d667"},
+	} {
+		blob := read("home-export-"+v.name+".bin", v.blob)
+		section := read("homes-"+v.name+".bin", v.section)
+		f := New(Options{})
+		if _, err := f.ImportHome("fig3", blob); !errors.Is(err, snapcodec.ErrVersion) {
+			t.Errorf("ImportHome of a %s blob: %v, want ErrVersion", v.name, err)
+		}
+		if _, err := f.RestoreHomes(bytes.NewReader(section)); !errors.Is(err, snapcodec.ErrVersion) {
+			t.Errorf("RestoreHomes of a %s section: %v, want ErrVersion", v.name, err)
+		}
+		if n := f.NumHomes(); n != 0 {
+			t.Errorf("rejected %s bytes left %d homes", v.name, n)
+		}
 	}
 }
 
@@ -254,5 +258,136 @@ func TestSnapshotDuringTraffic(t *testing.T) {
 		if stop {
 			assertFleetsEqual(t, f, g)
 		}
+	}
+}
+
+// installedResults returns the extraction result of every install op in
+// home id's history.
+func installedResults(t *testing.T, f *Fleet, id string) []*symexec.Result {
+	t.Helper()
+	h := f.lookup(id)
+	if h == nil {
+		t.Fatalf("no home %q", id)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var out []*symexec.Result
+	for _, op := range h.ops {
+		if op.kind == wal.OpFleetInstall {
+			out = append(out, op.res)
+		}
+	}
+	return out
+}
+
+// tableLen returns the app count a homes section's meta record declares.
+func tableLen(t *testing.T, section []byte) int {
+	t.Helper()
+	sr, err := snapcodec.NewReader(bytes.NewReader(section), homesSnapshotMagic, homesSnapshotVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := sr.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta homesMetaJSON
+	if err := json.Unmarshal(rec, &meta); err != nil {
+		t.Fatal(err)
+	}
+	return meta.Apps
+}
+
+// TestRestoreSharesExtractions: a checkpoint restore, with no
+// extraction-cache section, puts each app-table entry into the
+// extraction cache, so every rebuilt home installs the very result a
+// live install of that source gets, and installing the whole pool into
+// a new home after the restore interns each app once in the next
+// checkpoint's app table.
+func TestRestoreSharesExtractions(t *testing.T) {
+	live := restoreBenchFleet(t, 300)
+	var vc, homes bytes.Buffer
+	if _, err := live.Verdicts().Snapshot(&vc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := live.SnapshotHomes(&homes); err != nil {
+		t.Fatal(err)
+	}
+	f := New(Options{})
+	if _, err := f.Verdicts().Restore(&vc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.RestoreHomes(&homes); err != nil {
+		t.Fatal(err)
+	}
+	pool := restorePool()
+	canonical := map[string]*symexec.Result{}
+	for _, src := range pool {
+		res, err := f.Cache().Extract(src, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		canonical[res.App.Name] = res
+	}
+	if m := f.Cache().Stats().Misses; m != 0 {
+		t.Errorf("extracting the pool after the restore ran %d extractions, want 0", m)
+	}
+	copies := 0
+	for _, id := range f.HomeIDs() {
+		for _, res := range installedResults(t, f, id) {
+			if res != canonical[res.App.Name] {
+				copies++
+			}
+		}
+	}
+	if copies > 0 {
+		t.Errorf("%d restored installs hold a result that is not the extraction cache's", copies)
+	}
+	ctx := context.Background()
+	for _, src := range pool {
+		if _, err := f.Install(ctx, "new-home", src, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var again bytes.Buffer
+	if _, err := f.SnapshotHomes(&again); err != nil {
+		t.Fatal(err)
+	}
+	if n := tableLen(t, again.Bytes()); n != len(pool) {
+		t.Errorf("app table after restore plus reinstall holds %d entries, want %d (one per app)", n, len(pool))
+	}
+}
+
+// TestImportHomeSharesExtractions: a home imported into a fleet that
+// already caches its apps installs the cache's results, not copies
+// decoded from the blob.
+func TestImportHomeSharesExtractions(t *testing.T) {
+	blob, _, err := pinnedFleet(t).ExportHome("fig3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := New(Options{})
+	canonical := map[string]*symexec.Result{}
+	for _, app := range []string{"ComfortTV", "ColdDefender"} {
+		res, err := f.Cache().Extract(mustSource(t, app), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		canonical[app] = res
+	}
+	if _, err := f.ImportHome("fig3", blob); err != nil {
+		t.Fatal(err)
+	}
+	got := installedResults(t, f, "fig3")
+	if len(got) != 2 {
+		t.Fatalf("imported home has %d installs, want 2", len(got))
+	}
+	for _, res := range got {
+		if res != canonical[res.App.Name] {
+			t.Errorf("imported %s is not the extraction cache's result", res.App.Name)
+		}
+	}
+	if n := f.Cache().Len(); n != 2 {
+		t.Errorf("extraction cache holds %d entries after the import, want 2", n)
 	}
 }

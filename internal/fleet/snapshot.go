@@ -4,8 +4,8 @@
 // the shared snapcodec framing; RestoreHomes rebuilds each home by
 // replaying those ops. A home's threat log, ledger and accepted set are
 // a deterministic function of its ops, so they are derived again, never
-// stored. Together with the extraction/verdict cache sections and the
-// WAL, a checkpoint restore plus a log replay reproduces the exact
+// stored. Together with the verdict-cache section and the WAL, a
+// checkpoint restore plus a log replay reproduces the exact
 // acknowledged state.
 //
 // The homes layout — a meta record, the app table, then one record per
@@ -15,13 +15,12 @@
 // home record, from either, is rebuilt by rebuildHome, which the
 // checkpoint restore, ImportHome and the WAL adopt record all run.
 //
-// Extraction results are deduplicated by rule-set pointer identity: homes
-// sharing a catalog share *symexec.Result values through the extraction
-// cache, so a hot app is serialized once into an app table and install
-// ops reference it by index. A rebuilt home installs the table entry
-// itself — nothing is extracted — and the fleet-wide compile and verdict
-// caches deduplicate compilation and solving as they do for live
-// installs.
+// The app table holds each installed app once, as the extraction-cache
+// entry of the key its install op ran under; install ops reference it
+// by index. readHomes merges the table into the fleet's extraction
+// cache, so a rebuilt home installs the very *symexec.Result a live
+// install of that source gets: nothing is extracted, and the compile
+// and verdict caches deduplicate as they do for live installs.
 
 package fleet
 
@@ -33,7 +32,6 @@ import (
 
 	"homeguard/internal/detect"
 	"homeguard/internal/extractcache"
-	"homeguard/internal/rule"
 	"homeguard/internal/snapcodec"
 	"homeguard/internal/symexec"
 	"homeguard/internal/wal"
@@ -42,7 +40,7 @@ import (
 // Snapshot format identity for the fleet-homes section.
 const (
 	homesSnapshotMagic   = "HGFLSNP\x00"
-	homesSnapshotVersion = 2
+	homesSnapshotVersion = 3
 )
 
 type homesMetaJSON struct {
@@ -64,6 +62,12 @@ type homeSnapJSON struct {
 	Ops    []walOp `json:"ops,omitempty"`
 }
 
+// appEntry is one decoded app-table entry.
+type appEntry struct {
+	key extractcache.Key
+	res *symexec.Result
+}
+
 // SnapshotHomes writes every home's durable state to w, returning the
 // number of homes written. Each home is serialized under its own lock
 // (briefly — one home at a time), so concurrent traffic to other homes
@@ -80,7 +84,7 @@ func (f *Fleet) SnapshotHomes(w io.Writer) (int, error) {
 	}
 	sort.Slice(homes, func(i, j int) bool { return homes[i].id < homes[j].id })
 
-	tableIdx := map[*rule.RuleSet]int{}
+	tableIdx := map[extractcache.Key]int{}
 	var table [][]byte
 	var homeRecs [][]byte
 	for _, h := range homes {
@@ -102,11 +106,11 @@ func (f *Fleet) SnapshotHomes(w io.Writer) (int, error) {
 }
 
 // snapshotLocked serializes one home under its lock, interning each
-// installed app's extraction result into the shared app table. It
+// installed app's extraction-cache entry into the shared app table. It
 // returns a nil record (no error) for a home that was detached after
 // the caller collected its pointer — a removed home must not reappear
 // in a checkpoint.
-func (h *home) snapshotLocked(tableIdx map[*rule.RuleSet]int, table *[][]byte) ([]byte, error) {
+func (h *home) snapshotLocked(tableIdx map[extractcache.Key]int, table *[][]byte) ([]byte, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.migrated {
@@ -118,7 +122,7 @@ func (h *home) snapshotLocked(tableIdx map[*rule.RuleSet]int, table *[][]byte) (
 // encodeUnderLock serializes the home's ops with the given WAL
 // watermark. Callers hold h.mu. Export paths pass watermark 0: the
 // importing fleet's log assigns the adopted home a fresh LSN story.
-func (h *home) encodeUnderLock(tableIdx map[*rule.RuleSet]int, table *[][]byte, walLSN uint64) ([]byte, error) {
+func (h *home) encodeUnderLock(tableIdx map[extractcache.Key]int, table *[][]byte, walLSN uint64) ([]byte, error) {
 	hs := homeSnapJSON{ID: h.id, WalLSN: walLSN, Ops: make([]walOp, len(h.ops))}
 	for i, op := range h.ops {
 		rec := &hs.Ops[i]
@@ -127,19 +131,15 @@ func (h *home) encodeUnderLock(tableIdx map[*rule.RuleSet]int, table *[][]byte, 
 			continue
 		}
 		if op.kind == wal.OpFleetInstall {
-			idx, ok := tableIdx[op.res.Rules]
+			idx, ok := tableIdx[op.key]
 			if !ok {
-				// The synthetic Result carries exactly what detection
-				// needs: the app metadata and its rules. Warnings and path
-				// counts are extraction diagnostics, reported at install
-				// time and gone.
-				b, err := extractcache.MarshalResult(&symexec.Result{App: op.res.App, Rules: op.res.Rules})
+				b, err := extractcache.EncodeEntry(op.key, op.res, nil)
 				if err != nil {
 					return nil, fmt.Errorf("app %q: %w", op.res.App.Name, err)
 				}
 				idx = len(*table)
 				*table = append(*table, b)
-				tableIdx[op.res.Rules] = idx
+				tableIdx[op.key] = idx
 			}
 			rec.Table = idx
 		}
@@ -178,11 +178,11 @@ func writeHomes(w io.Writer, magic string, version uint32, meta homesMetaJSON, t
 
 // readHomes reads one homes-layout section written by writeHomes,
 // calling home once per home record with the decoded app table, so a
-// caller holds one decoded home at a time. The declared counts are
-// checked against the records that actually arrive and never size an
-// allocation: a negative count, or a section that ends early, fails
-// with snapcodec.ErrCorrupt.
-func readHomes(r io.Reader, magic string, version uint32, home func(*homeSnapJSON, []*symexec.Result) error) (homesMetaJSON, error) {
+// caller holds one decoded home at a time; each table entry is merged
+// into the extraction cache first. The declared counts never size an
+// allocation: a negative count, a section that ends early, or a table
+// entry without a result fails with snapcodec.ErrCorrupt.
+func (f *Fleet) readHomes(r io.Reader, magic string, version uint32, home func(*homeSnapJSON, []appEntry) error) (homesMetaJSON, error) {
 	var meta homesMetaJSON
 	sr, err := snapcodec.NewReader(r, magic, version)
 	if err != nil {
@@ -205,17 +205,21 @@ func readHomes(r io.Reader, magic string, version uint32, home func(*homeSnapJSO
 		}
 		return rec, err
 	}
-	var table []*symexec.Result
+	var table []appEntry
 	for i := 0; i < meta.Apps; i++ {
 		rec, err := next()
 		if err != nil {
 			return meta, fmt.Errorf("app table entry %d: %w", i, err)
 		}
-		res, err := extractcache.UnmarshalResult(rec)
+		k, res, cacheErr, err := extractcache.DecodeEntry(rec)
+		if err == nil && (cacheErr != nil || res == nil) {
+			err = fmt.Errorf("%w: entry holds no result or a cached error", snapcodec.ErrCorrupt)
+		}
 		if err != nil {
 			return meta, fmt.Errorf("app table entry %d: %w", i, err)
 		}
-		table = append(table, res)
+		res, _ = f.cache.Merge(k, res, nil)
+		table = append(table, appEntry{k, res})
 	}
 	for i := 0; i < meta.Homes; i++ {
 		rec, err := next()
@@ -241,7 +245,7 @@ func readHomes(r io.Reader, magic string, version uint32, home func(*homeSnapJSO
 // Restoring into a fleet that already has one of the snapshot's homes
 // populated is an error (restore is a boot-time operation).
 func (f *Fleet) RestoreHomes(r io.Reader) (int, error) {
-	meta, err := readHomes(r, homesSnapshotMagic, homesSnapshotVersion, func(hs *homeSnapJSON, table []*symexec.Result) error {
+	meta, err := f.readHomes(r, homesSnapshotMagic, homesSnapshotVersion, func(hs *homeSnapJSON, table []appEntry) error {
 		src, err := f.rebuildHome(hs, table)
 		if err != nil {
 			return err
@@ -268,8 +272,8 @@ func (f *Fleet) RestoreHomes(r io.Reader) (int, error) {
 // table, into a new home outside the shard map, so a record that fails
 // at any op leaves the fleet as it was. The ops run through the live
 // mutations (install, reconfigure, acceptByIndex); nothing is
-// extracted, since the table holds the extraction results.
-func (f *Fleet) rebuildHome(hs *homeSnapJSON, table []*symexec.Result) (*home, error) {
+// extracted, since the table holds the extraction results and keys.
+func (f *Fleet) rebuildHome(hs *homeSnapJSON, table []appEntry) (*home, error) {
 	h := &home{id: hs.ID, det: detect.New(f.opts.Detector), walLSN: hs.WalLSN}
 	for i := range hs.Ops {
 		if err := h.replayOp(&hs.Ops[i], table); err != nil {
@@ -280,7 +284,7 @@ func (f *Fleet) rebuildHome(hs *homeSnapJSON, table []*symexec.Result) (*home, e
 }
 
 // replayOp applies one persisted op to h.
-func (h *home) replayOp(op *walOp, table []*symexec.Result) error {
+func (h *home) replayOp(op *walOp, table []appEntry) error {
 	if op.Kind == wal.OpFleetAccept {
 		return h.acceptByIndex(op.Indices)
 	}
@@ -293,7 +297,8 @@ func (h *home) replayOp(op *walOp, table []*symexec.Result) error {
 		if op.Table < 0 || op.Table >= len(table) {
 			return fmt.Errorf("app table index %d of %d", op.Table, len(table))
 		}
-		_, err = h.install(nil, table[op.Table], cfg)
+		e := table[op.Table]
+		_, err = h.install(nil, e.key, e.res, cfg)
 	case wal.OpFleetReconfigure:
 		_, err = h.reconfigure(nil, op.App, cfg)
 	default:

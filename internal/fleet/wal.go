@@ -42,7 +42,8 @@ import (
 //
 // The same type is one op of a home's persisted history (homeSnapJSON):
 // there the record kind rides in kind, the home is implied, and an
-// install names its app-table index t in place of the source.
+// install names, in t, the index of its app-table entry (the app's
+// extraction-cache key and result) in place of the source.
 type walOp struct {
 	Kind     byte            `json:"kind,omitempty"`
 	Home     string          `json:"home,omitempty"`
@@ -68,9 +69,6 @@ func encodeConfigOp(op walOp, cfg *detect.Config) ([]byte, error) {
 // construction and recovery, before serving traffic: replay must run
 // with the WAL detached so replayed operations are not re-appended.
 func (f *Fleet) AttachWAL(l *wal.Log) { f.wal = l }
-
-// WAL returns the attached log, or nil.
-func (f *Fleet) WAL() *wal.Log { return f.wal }
 
 // commit appends a live op's record under h.mu, after the mutation it
 // describes, and advances the home's watermark, so the home's state at
@@ -125,11 +123,11 @@ func (f *Fleet) ReplayWALRecord(lsn uint64, kind byte, payload []byte) error {
 		if err != nil {
 			return fmt.Errorf("fleet: replay lsn %d: %w", lsn, err)
 		}
-		res, err := f.cache.Extract(op.Source, "")
+		key, res, err := f.cache.ExtractKeyed(op.Source, "")
 		if err != nil {
 			return fmt.Errorf("fleet: replay lsn %d: home %s: %w", lsn, op.Home, err)
 		}
-		apply = func(h *home) error { _, err := h.install(nil, res, cfg); return err }
+		apply = func(h *home) error { _, err := h.install(nil, key, res, cfg); return err }
 		create = true
 	case wal.OpFleetReconfigure:
 		cfg, err := detect.UnmarshalConfig(op.Config)

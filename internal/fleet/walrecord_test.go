@@ -78,7 +78,7 @@ func pinnedWALRecords(tb testing.TB) []walRecord {
 // TestHomesLayoutBytesPinned pins the blob itself, so it changes only
 // with a homes-layout version bump.
 func TestFleetWALRecordBytesPinned(t *testing.T) {
-	const wantAdopt = "3fd02d2232b4fc3a28605d71a915c918240cc4f51dd0d857186ed77602461a33"
+	const wantAdopt = "e4aaadeba67044df369f0e7e312b3d23d340f4412d4d6562c85c1e03904c915e"
 	quote := func(s string) string {
 		b, err := json.Marshal(s)
 		if err != nil {

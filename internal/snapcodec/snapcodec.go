@@ -4,9 +4,9 @@
 // extraction cache, the pair-verdict cache, the fleet homes, the store
 // auditor and homeguardd's checkpoint meta each persist through it
 // (each with its own magic and record payloads), and homeguardd
-// concatenates their sections into one checkpoint file — the codec
-// never reads past its own trailer, so sections compose on a plain
-// io.Reader.
+// concatenates the meta, verdict, homes and auditor sections into one
+// checkpoint file — the codec never reads past its own trailer, so
+// sections compose on a plain io.Reader.
 //
 // Layout:
 //
@@ -24,6 +24,7 @@
 package snapcodec
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -162,10 +163,8 @@ func (sr *Reader) Next() ([]byte, error) {
 		if _, err := io.ReadFull(sr.r, got); err != nil {
 			return nil, fmt.Errorf("%w: short checksum: %v", ErrCorrupt, err)
 		}
-		for i := range want {
-			if want[i] != got[i] {
-				return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-			}
+		if !bytes.Equal(want, got) {
+			return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 		}
 		return nil, io.EOF
 	}
@@ -173,12 +172,15 @@ func (sr *Reader) Next() ([]byte, error) {
 		return nil, fmt.Errorf("%w: record length %d exceeds the %d-byte bound", ErrCorrupt, ln, MaxRecordBytes)
 	}
 	sr.h.Write(n[:])
-	b := make([]byte, ln)
-	if _, err := io.ReadFull(sr.r, b); err != nil {
-		return nil, fmt.Errorf("%w: short record: %v", ErrCorrupt, err)
+	// The length is untrusted: the buffer starts at most 64 KiB long and
+	// grows with the bytes that arrive (MinRead spares a regrow at EOF).
+	var buf bytes.Buffer
+	buf.Grow(min(int(ln), 64<<10) + bytes.MinRead)
+	if m, _ := buf.ReadFrom(io.LimitReader(sr.r, int64(ln))); m < int64(ln) {
+		return nil, fmt.Errorf("%w: short record", ErrCorrupt)
 	}
-	sr.h.Write(b)
-	return b, nil
+	sr.h.Write(buf.Bytes())
+	return buf.Bytes(), nil
 }
 
 // End consumes the end of the section: the sentinel and the checksum

@@ -2,8 +2,10 @@ package snapcodec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -128,5 +130,56 @@ func TestEnd(t *testing.T) {
 	r.Next()
 	if err := r.End(); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("End over a damaged checksum: %v, want ErrCorrupt", err)
+	}
+}
+
+// claimOnly is a section header followed by one record length claiming
+// MaxRecordBytes and no record bytes.
+func claimOnly() []byte {
+	raw := append([]byte("CLAIMSEC"), 0, 0, 0, 1)
+	return binary.BigEndian.AppendUint32(raw, MaxRecordBytes)
+}
+
+// TestNextClaimAllocation: a record's claimed length is untrusted, so a
+// section that claims MaxRecordBytes and then ends fails ErrCorrupt
+// without allocating the claim.
+func TestNextClaimAllocation(t *testing.T) {
+	r, err := NewReader(bytes.NewReader(claimOnly()), "CLAIMSEC", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = r.Next()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("truncated record: %v, want ErrCorrupt", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("Next over a %d-byte section allocated %d bytes, want at most 1 MiB", len(claimOnly()), got)
+	}
+}
+
+// TestNextLargeRecord: a record larger than the reader's first buffer
+// arrives whole.
+func TestNextLargeRecord(t *testing.T) {
+	want := bytes.Repeat([]byte("0123456789abcdef"), 3*(64<<10)/16+5)
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf, "LARGESEC", 1)
+	w.Record(want)
+	w.Record(nil)
+	w.Close()
+	r, err := NewReader(&buf, "LARGESEC", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := r.Next(); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("large record: %d bytes, %v; want %d bytes", len(got), err, len(want))
+	}
+	if got, err := r.Next(); err != nil || len(got) != 0 {
+		t.Fatalf("empty record: %q, %v", got, err)
+	}
+	if err := r.End(); err != nil {
+		t.Fatalf("End: %v", err)
 	}
 }
