@@ -2,7 +2,8 @@
 // every completed entry (results and cached errors) through the shared
 // snapcodec framing, Restore merges a snapshot back in. The fleet's
 // homes layout persists each installed app as the same entry record
-// (EncodeEntry) and restores it through the same merge (Merge).
+// (EncodeEntry), and a checkpoint restores it through the same merge
+// (Merge).
 
 package extractcache
 
@@ -46,8 +47,10 @@ type inputDeclJSON struct {
 }
 
 // resultJSON is the wire form of one *symexec.Result (an AppInfo, its
-// rule set and the extraction diagnostics), embedded in entryJSON so
-// its fields are promoted into the entry payload.
+// rule set and the extraction diagnostics). It is embedded in entryJSON,
+// so encoding/json promotes its fields into the entry payload — the wire
+// format is byte-identical to when these fields lived on entryJSON
+// directly, which is why the split needs no snapshot version bump.
 type resultJSON struct {
 	HasResult   bool            `json:"hasResult,omitempty"`
 	Name        string          `json:"name,omitempty"`
@@ -296,13 +299,9 @@ func (c *Cache) Restore(r io.Reader) (int, error) {
 func (c *Cache) Merge(k Key, res *symexec.Result, cacheErr error) (canonical *symexec.Result, added bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[k]; ok {
-		select {
-		case <-e.done:
-			if e.res != nil {
-				return e.res, false
-			}
-		default: // in flight
+	if _, ok := c.entries[k]; ok {
+		if got := c.cachedLocked(k); got != nil {
+			res = got
 		}
 		return res, false
 	}
@@ -311,4 +310,25 @@ func (c *Cache) Merge(k Key, res *symexec.Result, cacheErr error) (canonical *sy
 	c.entries[k] = e
 	c.evictOverflowLocked()
 	return res, true
+}
+
+// Cached returns the result k has completed with, or nil when k is
+// absent, in flight or a cached error. Like Merge, it counts no lookup.
+func (c *Cache) Cached(k Key) *symexec.Result {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.cachedLocked(k)
+}
+
+func (c *Cache) cachedLocked(k Key) *symexec.Result {
+	if e, ok := c.entries[k]; ok {
+		select {
+		case <-e.done:
+			if e.err == nil {
+				return e.res
+			}
+		default: // in flight
+		}
+	}
+	return nil
 }

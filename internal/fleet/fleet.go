@@ -261,8 +261,9 @@ type home struct {
 
 // homeOp is one op of a home's history, holding what replaying it
 // needs: kind is wal.OpFleetInstall (key, res, cfg — key is res's
-// extraction-cache key), wal.OpFleetReconfigure (app, cfg) or
-// wal.OpFleetAccept (indices). cfg is the resolved config.
+// extraction-cache key, zero for an imported app the cache could not
+// vouch for), wal.OpFleetReconfigure (app, cfg) or wal.OpFleetAccept
+// (indices). cfg is the resolved config.
 type homeOp struct {
 	kind    byte
 	key     extractcache.Key

@@ -188,6 +188,58 @@ func TestHomesTableRejectsNonResults(t *testing.T) {
 	}
 }
 
+// TestImportHomeMislabelledKey: an export blob carries no sources, so
+// it cannot file a result under a key. A blob whose one entry holds an
+// app "Evil" under the extraction key of a real source must leave that
+// key's extraction alone — after the import, and after a checkpoint of
+// the importing fleet is restored — whether the importer has the key
+// cached, has not seen it, or caches an error for it.
+func TestImportHomeMislabelledKey(t *testing.T) {
+	real, bad := mustSource(t, "ComfortTV"), "definition(name: broken"
+	for name, tc := range map[string]struct {
+		src     string
+		warm    bool   // extract src before the import
+		install string // app name the imported home installs
+	}{
+		"cached":       {real, true, "ComfortTV"},
+		"not cached":   {real, false, "Evil"},
+		"cached error": {bad, true, "Evil"},
+	} {
+		k := extractcache.KeyOf(tc.src, "")
+		blob := craftSection(homeExportMagic, homeExportVersion, `{"apps":1,"homes":1}`,
+			string(k[:])+`{"hasResult":true,"name":"Evil","rules":{"app":"Evil","rules":[]}}`, installX)
+		f := New(Options{})
+		if tc.warm {
+			f.Cache().Extract(tc.src, "")
+		}
+		if _, err := f.ImportHome("fig3", blob); err != nil {
+			t.Fatalf("%s: import: %v", name, err)
+		}
+		if got := installedResults(t, f, "fig3"); len(got) != 1 || got[0].App.Name != tc.install {
+			t.Errorf("%s: imported home installs %v, want %s", name, got, tc.install)
+		}
+		// A live install in a home sorted after fig3 makes the
+		// checkpoint meet the imported entry first.
+		if tc.src == real {
+			if _, err := f.Install(context.Background(), "h2", real, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, g := range []*Fleet{f, restoreCopy(t, f, Options{})} {
+			res, err := g.Cache().Extract(tc.src, "")
+			if tc.src == bad {
+				if err == nil {
+					t.Errorf("%s: the unparsable source now extracts to %s", name, res.App.Name)
+				}
+				continue
+			}
+			if err != nil || res.App.Name != "ComfortTV" {
+				t.Errorf("%s: Extract of the ComfortTV source gives %v, %v", name, res, err)
+			}
+		}
+	}
+}
+
 // claimExport is a 16-byte export blob: the section header, then a
 // record length claiming snapcodec.MaxRecordBytes and no record bytes.
 func claimExport() []byte {

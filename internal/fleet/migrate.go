@@ -153,7 +153,7 @@ func (f *Fleet) ImportHome(homeID string, blob []byte) (int, error) {
 // and rebuilds the home it holds, outside the shard map.
 func (f *Fleet) decodeExport(homeID string, blob []byte) (*home, error) {
 	var src *home
-	meta, err := f.readHomes(bytes.NewReader(blob), homeExportMagic, homeExportVersion, func(hs *homeSnapJSON, table []appEntry) error {
+	meta, err := f.readHomes(bytes.NewReader(blob), homeExportMagic, homeExportVersion, false, func(hs *homeSnapJSON, table []appEntry) error {
 		if hs.ID != homeID {
 			return fmt.Errorf("snapshot is for home %q, not %q", hs.ID, homeID)
 		}

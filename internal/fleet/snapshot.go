@@ -17,10 +17,13 @@
 //
 // The app table holds each installed app once, as the extraction-cache
 // entry of the key its install op ran under; install ops reference it
-// by index. readHomes merges the table into the fleet's extraction
-// cache, so a rebuilt home installs the very *symexec.Result a live
-// install of that source gets: nothing is extracted, and the compile
-// and verdict caches deduplicate as they do for live installs.
+// by index. RestoreHomes merges a checkpoint's table into the fleet's
+// extraction cache, so a rebuilt home installs the very *symexec.Result
+// a live install of that source gets: nothing is extracted, and the
+// compile and verdict caches deduplicate as for live installs. An
+// export blob carries no sources, so its keys are unproven: an entry
+// installs the cache's result for its key, or, when the cache has none,
+// its own result under the zero key, which is never cached or interned.
 
 package fleet
 
@@ -132,7 +135,7 @@ func (h *home) encodeUnderLock(tableIdx map[extractcache.Key]int, table *[][]byt
 		}
 		if op.kind == wal.OpFleetInstall {
 			idx, ok := tableIdx[op.key]
-			if !ok {
+			if !ok || op.key == (extractcache.Key{}) {
 				b, err := extractcache.EncodeEntry(op.key, op.res, nil)
 				if err != nil {
 					return nil, fmt.Errorf("app %q: %w", op.res.App.Name, err)
@@ -178,11 +181,12 @@ func writeHomes(w io.Writer, magic string, version uint32, meta homesMetaJSON, t
 
 // readHomes reads one homes-layout section written by writeHomes,
 // calling home once per home record with the decoded app table, so a
-// caller holds one decoded home at a time; each table entry is merged
-// into the extraction cache first. The declared counts never size an
-// allocation: a negative count, a section that ends early, or a table
-// entry without a result fails with snapcodec.ErrCorrupt.
-func (f *Fleet) readHomes(r io.Reader, magic string, version uint32, home func(*homeSnapJSON, []appEntry) error) (homesMetaJSON, error) {
+// caller holds one decoded home at a time; only a trusted section's
+// table is merged into the extraction cache (see the file comment). The
+// declared counts never size an allocation: a negative count, a section
+// that ends early, or a table entry without a result fails with
+// snapcodec.ErrCorrupt.
+func (f *Fleet) readHomes(r io.Reader, magic string, version uint32, trusted bool, home func(*homeSnapJSON, []appEntry) error) (homesMetaJSON, error) {
 	var meta homesMetaJSON
 	sr, err := snapcodec.NewReader(r, magic, version)
 	if err != nil {
@@ -218,7 +222,17 @@ func (f *Fleet) readHomes(r io.Reader, magic string, version uint32, home func(*
 		if err != nil {
 			return meta, fmt.Errorf("app table entry %d: %w", i, err)
 		}
-		res, _ = f.cache.Merge(k, res, nil)
+		switch {
+		case k == (extractcache.Key{}): // private: never filed under a key
+		case trusted:
+			res, _ = f.cache.Merge(k, res, nil)
+		default:
+			if c := f.cache.Cached(k); c != nil {
+				res = c
+			} else {
+				k = extractcache.Key{}
+			}
+		}
 		table = append(table, appEntry{k, res})
 	}
 	for i := 0; i < meta.Homes; i++ {
@@ -245,7 +259,7 @@ func (f *Fleet) readHomes(r io.Reader, magic string, version uint32, home func(*
 // Restoring into a fleet that already has one of the snapshot's homes
 // populated is an error (restore is a boot-time operation).
 func (f *Fleet) RestoreHomes(r io.Reader) (int, error) {
-	meta, err := f.readHomes(r, homesSnapshotMagic, homesSnapshotVersion, func(hs *homeSnapJSON, table []appEntry) error {
+	meta, err := f.readHomes(r, homesSnapshotMagic, homesSnapshotVersion, true, func(hs *homeSnapJSON, table []appEntry) error {
 		src, err := f.rebuildHome(hs, table)
 		if err != nil {
 			return err

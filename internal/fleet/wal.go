@@ -70,6 +70,9 @@ func encodeConfigOp(op walOp, cfg *detect.Config) ([]byte, error) {
 // with the WAL detached so replayed operations are not re-appended.
 func (f *Fleet) AttachWAL(l *wal.Log) { f.wal = l }
 
+// WAL returns the attached log, or nil.
+func (f *Fleet) WAL() *wal.Log { return f.wal }
+
 // commit appends a live op's record under h.mu, after the mutation it
 // describes, and advances the home's watermark, so the home's state at
 // any watermark is exactly the prefix of its ops up to that LSN. It is

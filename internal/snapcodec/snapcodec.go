@@ -163,8 +163,10 @@ func (sr *Reader) Next() ([]byte, error) {
 		if _, err := io.ReadFull(sr.r, got); err != nil {
 			return nil, fmt.Errorf("%w: short checksum: %v", ErrCorrupt, err)
 		}
-		if !bytes.Equal(want, got) {
-			return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+		for i := range want {
+			if want[i] != got[i] {
+				return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+			}
 		}
 		return nil, io.EOF
 	}

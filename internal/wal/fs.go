@@ -137,6 +137,13 @@ func (c *CrashFS) Written() int64 {
 	return c.written
 }
 
+// Crashed reports whether the injected crash has fired.
+func (c *CrashFS) Crashed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.crashed
+}
+
 // crash fires the injected failure: every open file is cut back to its
 // synced size plus the retained unsynced tail. Callers hold c.mu.
 func (c *CrashFS) crash() {
