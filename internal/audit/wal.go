@@ -51,13 +51,6 @@ func (a *Auditor) AttachWAL(l *wal.Log) {
 	a.mu.Unlock()
 }
 
-// WAL returns the attached log, or nil.
-func (a *Auditor) WAL() *wal.Log {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.wal
-}
-
 // WALWatermark returns the LSN of the last batch reflected in the
 // auditor's state (restored from a checkpoint or set by Apply/replay).
 func (a *Auditor) WALWatermark() uint64 {

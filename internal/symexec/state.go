@@ -297,12 +297,6 @@ func (st *state) assume(c rule.Constraint) {
 	st.preds = append(st.preds, c)
 }
 
-// bind records a data constraint var := term and updates the environment.
-func (st *state) bind(name string, t rule.Term) {
-	st.data = append(st.data, rule.DataConstraint{Var: name, Term: t})
-	st.setVar(name, termVal{t: t})
-}
-
 // sameFork reports whether two states are indistinguishable by
 // construction: they share the environment chain (no write since their
 // common fork), the same constraint-slice backing at the same length, and
