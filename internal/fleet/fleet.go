@@ -572,20 +572,65 @@ func (f *Fleet) opSpan(ctx context.Context, name string) *obs.Span {
 // stage boundary aborts the install with ctx.Err() before detection
 // mutates the home. Callers without a request context pass
 // context.Background().
+//
+// Install is Extract then InstallExtracted.
 func (f *Fleet) Install(ctx context.Context, homeID, src string, cfg *detect.Config) (*InstallResult, error) {
-	start := time.Now()
-	sp := f.opSpan(ctx, "install")
-	defer sp.End()
-	sp.SetStr("home", homeID)
+	x, err := f.Extract(ctx, homeID, src)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: home %s: %w", homeID, err)
+	}
+	return f.InstallExtracted(ctx, x, cfg)
+}
 
-	esp := sp.Child("extract")
+// Extraction is an install whose extract stage has run (Extract);
+// InstallExtracted runs the rest. A caller that guards the two stages
+// apart (internal/rpc's circuit breakers) calls them in turn, so the
+// source is hashed and looked up in the extraction cache once. An
+// Extraction never passed to InstallExtracted records nothing: its span
+// is never ended, so it is not captured.
+type Extraction struct {
+	homeID, src string
+	key         extractcache.Key
+	res         *symexec.Result
+	start       time.Time
+	sp          *obs.Span
+}
+
+// Extract runs the extract stage of installing src into homeID: it
+// opens the install's span and extracts src through the shared cache.
+// A failed extraction counts as a failed install and returns the
+// extraction error unwrapped.
+func (f *Fleet) Extract(ctx context.Context, homeID, src string) (*Extraction, error) {
+	x := f.beginInstall(ctx, homeID, src)
+	esp := x.sp.Child("extract")
 	key, res, err := f.cache.ExtractKeyed(src, "")
 	esp.End()
 	if err != nil {
-		f.metrics.installFailed()
-		f.events.Publish(events.Event{Type: events.TypeInstall, Home: homeID, Err: err.Error()})
-		return nil, fmt.Errorf("fleet: home %s: %w", homeID, err)
+		f.extractFailed(x, err)
+		return nil, err
 	}
+	x.key, x.res = key, res
+	return x, nil
+}
+
+func (f *Fleet) beginInstall(ctx context.Context, homeID, src string) *Extraction {
+	x := &Extraction{homeID: homeID, src: src, start: time.Now(), sp: f.opSpan(ctx, "install")}
+	x.sp.SetStr("home", homeID)
+	return x
+}
+
+func (f *Fleet) extractFailed(x *Extraction, err error) {
+	x.sp.End()
+	f.metrics.installFailed()
+	f.events.Publish(events.Event{Type: events.TypeInstall, Home: x.homeID, Err: err.Error()})
+}
+
+// InstallExtracted finishes an install Extract began: detection against
+// the home's apps, the threat log and the WAL record, as Install
+// documents.
+func (f *Fleet) InstallExtracted(ctx context.Context, x *Extraction, cfg *detect.Config) (*InstallResult, error) {
+	sp, homeID, res := x.sp, x.homeID, x.res
+	defer sp.End()
 	// Deadline check at the extract/detect boundary: an expired request
 	// must not take the home lock and mutate the threat log for a caller
 	// that has already given up.
@@ -599,7 +644,8 @@ func (f *Fleet) Install(ctx context.Context, homeID, src string, cfg *detect.Con
 	// in the critical section.
 	var opRec []byte
 	if f.wal != nil {
-		if opRec, err = encodeConfigOp(walOp{Home: homeID, Source: src}, cfg); err != nil {
+		var err error
+		if opRec, err = encodeConfigOp(walOp{Home: homeID, Source: x.src}, cfg); err != nil {
 			f.metrics.installFailed()
 			return nil, fmt.Errorf("fleet: home %s: wal encode: %w", homeID, err)
 		}
@@ -627,7 +673,7 @@ func (f *Fleet) Install(ctx context.Context, homeID, src string, cfg *detect.Con
 			return
 		}
 		logBase = len(h.threats)
-		if threats, dupErr = h.install(sp, key, res, cfg); dupErr != nil {
+		if threats, dupErr = h.install(sp, x.key, res, cfg); dupErr != nil {
 			return
 		}
 		csp := sp.Child("chains")
@@ -661,8 +707,8 @@ func (f *Fleet) Install(ctx context.Context, homeID, src string, cfg *detect.Con
 	report, lines := frontend.InstallDialog(res.App.Name, res.Rules.Rules, threats, chains)
 	rsp.End()
 	f.metrics.detectorDelta(det)
-	f.metrics.installDone(time.Since(start), threats)
-	f.publishOpEvents(events.TypeInstall, homeID, res.App.Name, threats, time.Since(start))
+	f.metrics.installDone(time.Since(x.start), threats)
+	f.publishOpEvents(events.TypeInstall, homeID, res.App.Name, threats, time.Since(x.start))
 	return &InstallResult{
 		HomeID:        homeID,
 		App:           res.App,
@@ -713,9 +759,10 @@ type BatchResult struct {
 // run in input order under the home lock. Per-home detection stays serial
 // — the detector's contract — but the dominant cold-start cost, symbolic
 // execution of each app, uses every core, so provisioning a home with a
-// catalog of N apps no longer pays N sequential extractions. An item that
-// fails records its error and does not stop the rest (extraction errors
-// are cached, so the failed pre-extraction and the install agree).
+// catalog of N apps no longer pays N sequential extractions. Each install
+// takes its item's prewarmed extraction, so a source is hashed and looked
+// up once. An item that fails records its error and does not stop the
+// rest.
 //
 // The whole batch is one span ("install_batch") with a "prewarm" child
 // covering the parallel extraction phase and one "install" child per
@@ -726,7 +773,12 @@ func (f *Fleet) InstallBatch(ctx context.Context, homeID string, items []BatchIt
 	sp.SetStr("home", homeID)
 	sp.SetInt("items", int64(len(items)))
 
-	out := make([]BatchResult, len(items))
+	type extracted struct {
+		key extractcache.Key
+		res *symexec.Result
+		err error
+	}
+	pre := make([]extracted, len(items))
 	// One span covers the whole parallel phase: spans are single-owner,
 	// so the warm goroutines never touch it.
 	wsp := sp.Child("prewarm")
@@ -735,20 +787,25 @@ func (f *Fleet) InstallBatch(ctx context.Context, homeID string, items []BatchIt
 	for i := range items {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(src string) {
+		go func(p *extracted, src string) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			// Warm the shared cache; Install below joins the entry. The
-			// error, if any, is cached and surfaces through Install.
-			_, _ = f.cache.Extract(src, "")
-		}(items[i].Source)
+			p.key, p.res, p.err = f.cache.ExtractKeyed(src, "")
+		}(&pre[i], items[i].Source)
 	}
 	wg.Wait()
 	wsp.End()
 	ctx = obs.ContextWithSpan(ctx, sp)
-	for i := range items {
-		r, err := f.Install(ctx, homeID, items[i].Source, items[i].Config)
-		out[i] = BatchResult{Result: r, Err: err}
+	out := make([]BatchResult, len(items))
+	for i, p := range pre {
+		x := f.beginInstall(ctx, homeID, items[i].Source)
+		if p.err != nil {
+			f.extractFailed(x, p.err)
+			out[i].Err = fmt.Errorf("fleet: home %s: %w", homeID, p.err)
+			continue
+		}
+		x.key, x.res = p.key, p.res
+		out[i].Result, out[i].Err = f.InstallExtracted(ctx, x, items[i].Config)
 	}
 	return out
 }

@@ -207,6 +207,33 @@ func TestRPCInstallBatchPerItemErrors(t *testing.T) {
 	}
 }
 
+// TestRPCInstallLooksUpOnce: an install hashes its source and looks it
+// up in the extraction cache once across its extract and detect
+// stages, and a batch once per item.
+func TestRPCInstallLooksUpOnce(t *testing.T) {
+	svc, client := startEdge(t, ServiceOptions{}, ServerOptions{})
+	ctx := context.Background()
+	if _, err := client.Install(ctx, &api.InstallRequest{Home: "h1", Corpus: "ComfortTV"}); err != nil {
+		t.Fatal(err)
+	}
+	if st := svc.Fleet().Cache().Stats(); st.Lookups != 1 || st.Misses != 1 {
+		t.Errorf("one install: %d lookups, %d misses; want 1 and 1", st.Lookups, st.Misses)
+	}
+	items := []api.InstallItem{{Corpus: "ColdDefender"}, {Corpus: "MakeItSo"}, {Corpus: "AutoLockDoor"}}
+	resp, err := client.InstallBatch(ctx, &api.InstallBatchRequest{Home: "h2", Items: items})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range resp.Results {
+		if r.Error != nil {
+			t.Fatalf("batch item %d: %v", i, r.Error)
+		}
+	}
+	if st := svc.Fleet().Cache().Stats(); st.Lookups != uint64(1+len(items)) {
+		t.Errorf("a %d-item batch after one install: %d lookups, want %d", len(items), st.Lookups, 1+len(items))
+	}
+}
+
 // TestServiceDeadline pins the deadline watch: an op that outlives its
 // ctx returns DEADLINE_EXCEEDED without waiting for the op.
 func TestServiceDeadline(t *testing.T) {

@@ -164,9 +164,9 @@ func (s *Service) runStage(ctx context.Context, stage string, b *Breaker, op fun
 
 // Install extracts and installs one app into one home, returning the
 // detection verdict. Extraction runs first under the extract breaker
-// (through the fleet's shared content-addressed cache), then the
-// install — which joins the warm cache entry — runs under the detect
-// breaker.
+// (Fleet.Extract, through the fleet's shared content-addressed cache),
+// then the rest of the install runs on its result under the detect
+// breaker (Fleet.InstallExtracted).
 func (s *Service) Install(ctx context.Context, req *api.InstallRequest) (*api.InstallResponse, *api.Error) {
 	if req.Home == "" {
 		return nil, api.Errorf(api.CodeInvalidArgument, "home is required")
@@ -179,9 +179,10 @@ func (s *Service) Install(ctx context.Context, req *api.InstallRequest) (*api.In
 	if aerr != nil {
 		return nil, aerr
 	}
+	var x *fleet.Extraction
 	if aerr := s.runStage(ctx, StageExtract, s.extract, func() error {
-		_, err := s.fleet.Cache().Extract(src, "")
-		if err != nil {
+		var err error
+		if x, err = s.fleet.Extract(ctx, req.Home, src); err != nil {
 			return fmt.Errorf("extraction failed: %w", err)
 		}
 		return nil
@@ -190,7 +191,7 @@ func (s *Service) Install(ctx context.Context, req *api.InstallRequest) (*api.In
 	}
 	var res *fleet.InstallResult
 	if aerr := s.runStage(ctx, StageDetect, s.detect, func() error {
-		r, err := s.fleet.Install(ctx, req.Home, src, cfg)
+		r, err := s.fleet.InstallExtracted(ctx, x, cfg)
 		if err != nil {
 			return err
 		}
