@@ -1,22 +1,24 @@
 // Crash-safe durability for the daemon: with -wal-dir set, every fleet
 // and store mutation is appended to a segmented write-ahead log before
 // the client is acknowledged, and a background checkpointer periodically
-// writes the full daemon state — pair verdicts, fleet homes with the
-// extraction of every installed app, audited store — to one checkpoint
-// file, then garbage-collects the log segments the checkpoint covers.
+// writes the full daemon state — fleet homes with the extraction of
+// every installed app, audited store — to one checkpoint file, then
+// garbage-collects the log segments the checkpoint covers.
 // Boot recovery restores the last checkpoint and replays the log's tail
 // on top; per-entity LSN watermarks persisted in the checkpoint make the
 // replay exactly-once. /readyz answers 503 for the whole recovery and
 // flips to 200 only when the replayed state is serving.
 //
-// The checkpoint file is four snapcodec sections back to back: a meta
-// section ("HGCKSNP\x00" v2, one JSON record naming the checkpoint LSN
-// and whether the verdict section follows), then the pair-verdict cache
-// ("HGPVSNP\x00"), the fleet homes ("HGFLSNP\x00", whose app table
-// restores into the extraction cache) and the audited store
-// ("HGAUSNP\x00"). It is the daemon's one persistence format: a file
-// that does not start with the meta section fails boot with
-// snapcodec.ErrCorrupt, and a v1 file fails snapcodec.ErrVersion.
+// The checkpoint file is three snapcodec sections back to back: a meta
+// section ("HGCKSNP\x00" v3, one JSON record naming the checkpoint
+// LSN), then the fleet homes ("HGFLSNP\x00", whose app table restores
+// into the extraction cache) and the audited store ("HGAUSNP\x00").
+// No cache is a section of its own: restoring the homes replays their
+// ops through the live install path, which solves each app pair the
+// homes hold once and so refills the pair-verdict cache. It is the
+// daemon's one persistence format: a file that does not start with the
+// meta section fails boot with snapcodec.ErrCorrupt, and a v1 or v2
+// file fails snapcodec.ErrVersion.
 
 package main
 
@@ -24,7 +26,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log"
 	"os"
@@ -40,7 +41,7 @@ import (
 // Checkpoint-file meta section identity.
 const (
 	ckptMagic   = "HGCKSNP\x00"
-	ckptVersion = 2
+	ckptVersion = 3
 )
 
 // ckptMetaJSON is the meta section's single record.
@@ -49,9 +50,6 @@ type ckptMetaJSON struct {
 	// reflected in the sections that follow, so segments whose records
 	// are all <= LSN are garbage.
 	LSN uint64 `json:"lsn"`
-	// Verdicts reports whether a pair-verdict section follows the meta
-	// section (absent when the cache is disabled).
-	Verdicts bool `json:"verdicts"`
 }
 
 // saveCheckpoint writes the full daemon state to a temp file and
@@ -76,7 +74,7 @@ func saveCheckpoint(path string, l *wal.Log, f *fleet.Fleet, aud *audit.Auditor)
 	}
 	w := bufio.NewWriter(file)
 
-	meta := ckptMetaJSON{LSN: lsn, Verdicts: f.Verdicts() != nil}
+	meta := ckptMetaJSON{LSN: lsn}
 	sw, err := snapcodec.NewWriter(w, ckptMagic, ckptVersion)
 	if err != nil {
 		return fail(err)
@@ -88,11 +86,6 @@ func saveCheckpoint(path string, l *wal.Log, f *fleet.Fleet, aud *audit.Auditor)
 	sw.Record(rec) // a failed Record is sticky: Close reports it
 	if err := sw.Close(); err != nil {
 		return fail(err)
-	}
-	if v := f.Verdicts(); v != nil {
-		if _, err := v.Snapshot(w); err != nil {
-			return fail(err)
-		}
 	}
 	if _, err := f.SnapshotHomes(w); err != nil {
 		return fail(err)
@@ -156,16 +149,6 @@ func loadCheckpoint(path string, f *fleet.Fleet, aud *audit.Auditor) (uint64, er
 	if err := sr.End(); err != nil {
 		return 0, fmt.Errorf("meta: %w", err)
 	}
-	nv := 0
-	if meta.Verdicts {
-		v := f.Verdicts()
-		if v == nil {
-			return 0, errors.New("a pair-verdict section follows but the verdict cache is disabled")
-		}
-		if nv, err = v.Restore(r); err != nil {
-			return 0, fmt.Errorf("pair verdicts: %w", err)
-		}
-	}
 	nh, err := f.RestoreHomes(r)
 	if err != nil {
 		return 0, fmt.Errorf("fleet homes: %w", err)
@@ -173,8 +156,8 @@ func loadCheckpoint(path string, f *fleet.Fleet, aud *audit.Auditor) (uint64, er
 	if err := aud.Restore(r); err != nil {
 		return 0, fmt.Errorf("audit store: %w", err)
 	}
-	log.Printf("homeguardd: checkpoint restored from %s (lsn %d, %d pair verdicts, %d homes, %d cached extractions, store rev %d)",
-		path, meta.LSN, nv, nh, f.Cache().Len(), aud.Rev())
+	log.Printf("homeguardd: checkpoint restored from %s (lsn %d, %d homes, %d cached extractions, store rev %d)",
+		path, meta.LSN, nh, f.Cache().Len(), aud.Rev())
 	return meta.LSN, nil
 }
 

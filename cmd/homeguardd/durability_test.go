@@ -397,6 +397,11 @@ func TestLoadCheckpointErrors(t *testing.T) {
 	if _, err := load(skewed); !errors.Is(err, snapcodec.ErrVersion) {
 		t.Errorf("v1 meta: %v, want ErrVersion", err)
 	}
+	// A v2 checkpoint carried a pair-verdict section after the meta.
+	binary.BigEndian.PutUint32(skewed[8:12], 2)
+	if _, err := load(skewed); !errors.Is(err, snapcodec.ErrVersion) {
+		t.Errorf("v2 meta: %v, want ErrVersion", err)
+	}
 
 	var legacy bytes.Buffer
 	if _, err := srv.fleet.Cache().Snapshot(&legacy); err != nil {

@@ -88,10 +88,11 @@
 // every state-changing operation (home install, reconfigure, threat
 // accept, store audit batch) is appended to a segmented write-ahead log
 // in that directory BEFORE the client sees success, and a background
-// checkpointer periodically persists the full state — the pair-verdict
-// cache, every home as its op history (installs, reconfigures and
-// accepts with their resolved configs, replayed on restore to derive its
-// threats) with its apps' extractions, and the store auditor — then
+// checkpointer periodically persists the full state — every home as its
+// op history (installs, reconfigures and accepts with their resolved
+// configs, replayed on restore to derive its threats and, through the
+// shared pair-verdict cache, solving each app pair once) with its apps'
+// extractions, and the store auditor — then
 // garbage-collects the log segments the checkpoint covers. On boot the
 // daemon loads the newest checkpoint and replays the log tail, so a kill
 // -9 (or kernel panic) loses nothing that was acknowledged: recovery
@@ -126,8 +127,8 @@
 // would silently drop acked state.
 //
 // The checkpoint file is one "HGCKSNP\x00" meta section (the log
-// position the checkpoint covers) followed by the pair-verdict,
-// fleet-homes and auditor sections back to back, each in the
+// position the checkpoint covers) followed by the fleet-homes and
+// auditor sections back to back, each in the
 // internal/snapcodec framing (8-byte magic, big-endian uint32 version,
 // length-prefixed records, end sentinel, SHA-256 trailer) and each
 // rejecting version skew and damage with typed errors. A file that does

@@ -251,13 +251,15 @@
 //     /homes/{id}/threats?active=true) serves that live view, while
 //     Threats remains the append-only history.
 //
-//   - Persistent warm starts. Both fleet-level caches persist in
-//     homeguardd's checkpoint (internal/snapcodec; see Durability): the
-//     pair-verdict cache as its own section, the extraction cache as the
-//     homes section's app table, one entry per installed app, merged
-//     back into the cache on restore. A daemon restarted on its -wal-dir
+//   - Persistent warm starts. homeguardd's checkpoint (internal/snapcodec;
+//     see Durability) persists the extraction cache as the homes
+//     section's app table, one entry per installed app, merged back into
+//     the cache on restore. The pair-verdict cache has no section:
+//     restoring the homes replays their installs, which solves each app
+//     pair they hold once and refills it, in less time than decoding a
+//     stored verdict section took. A daemon restarted on its -wal-dir
 //     therefore serves a repeat install storm of its catalog with a
-//     ≥0.99 extraction-cache hit ratio and zero re-solved pair verdicts.
+//     ≥0.99 extraction-cache hit ratio and no pair verdict solved twice.
 //     Version skew and corruption are rejected with typed errors, never
 //     loaded as garbage.
 //
@@ -300,11 +302,11 @@
 //
 // A background checkpointer (homeguardd -checkpoint-interval) bounds
 // replay time and log growth: it captures the log position, writes the
-// full state — the pair-verdict cache, every home as its op history (the
-// installs, reconfigures and accepts that built it, which restore
-// replays through the same home mutations to derive the threat log,
-// ledger and accepted threats again) beside its apps' extractions, the
-// store auditor with its revision history — to a temp file, atomically
+// full state — every home as its op history (the installs, reconfigures
+// and accepts that built it, which restore replays through the same home
+// mutations to derive the threat log, ledger and accepted threats again)
+// beside its apps' extractions, the store auditor with its revision
+// history — to a temp file, atomically
 // renames it into place (parent directory fsynced so the rename itself
 // is durable), then garbage-collects the segments the checkpoint covers.
 // A restarted store daemon therefore resumes at its last revision and

@@ -1,9 +1,10 @@
-// Persistent warm-start for the extraction cache: Snapshot serializes
-// every completed entry (results and cached errors) through the shared
-// snapcodec framing, Restore merges a snapshot back in. The fleet's
-// homes layout persists each installed app as the same entry record
-// (EncodeEntry), and a checkpoint restores it through the same merge
-// (Merge).
+// Persistence for the extraction cache. The fleet's homes layout
+// persists each installed app as one entry record (EncodeEntry), and a
+// checkpoint restore decodes it (DecodeEntry) and files it in the cache
+// (Merge). Snapshot writes every completed entry (results and cached
+// errors) in the same record format behind the shared snapcodec
+// framing; the daemon's checkpoint does not hold that section, and it
+// is kept for perfbench's snapshot rung, which measures it.
 
 package extractcache
 
@@ -18,19 +19,16 @@ import (
 	"homeguard/internal/symexec"
 )
 
-// Snapshot format identity. Bump the version on any payload change: a
-// restored snapshot must either parse exactly or be rejected typed.
+// Snapshot format identity. Bump the version on any payload change (an
+// entry-record change also changes the fleet's homes layout).
 const (
 	snapshotMagic   = "HGXCSNP\x00"
 	snapshotVersion = 1
 )
 
-// Re-exported so callers can match restore failures without importing the
-// codec package.
-var (
-	ErrSnapshotVersion = snapcodec.ErrVersion
-	ErrSnapshotCorrupt = snapcodec.ErrCorrupt
-)
+// ErrSnapshotCorrupt is re-exported so callers can match decode failures
+// without importing the codec package.
+var ErrSnapshotCorrupt = snapcodec.ErrCorrupt
 
 // inputDeclJSON mirrors symexec.InputDecl with the Default term in the
 // tagged wire format (a Term behind an interface does not round-trip
@@ -258,38 +256,6 @@ func (c *Cache) Snapshot(w io.Writer) (int, error) {
 		return 0, fmt.Errorf("extractcache: snapshot: %w", err)
 	}
 	return len(done), nil
-}
-
-// Restore merges a snapshot produced by Snapshot into the cache,
-// returning the number of entries added. Keys already present (completed
-// or in flight) keep their live value — a restore never clobbers fresher
-// work. A wrong format version fails with ErrSnapshotVersion and damage
-// with ErrSnapshotCorrupt; both leave already-merged entries in place
-// (they are individually valid), so a caller may still serve what loaded.
-// Restored entries count toward the entry bound; overflow evicts as
-// usual on the next insert.
-func (c *Cache) Restore(r io.Reader) (int, error) {
-	sr, err := snapcodec.NewReader(r, snapshotMagic, snapshotVersion)
-	if err != nil {
-		return 0, fmt.Errorf("extractcache: restore: %w", err)
-	}
-	added := 0
-	for {
-		rec, err := sr.Next()
-		if err == io.EOF {
-			return added, nil
-		}
-		if err != nil {
-			return added, fmt.Errorf("extractcache: restore: %w", err)
-		}
-		k, res, cacheErr, err := DecodeEntry(rec)
-		if err != nil {
-			return added, fmt.Errorf("extractcache: restore: %w", err)
-		}
-		if _, ok := c.Merge(k, res, cacheErr); ok {
-			added++
-		}
-	}
 }
 
 // Merge inserts a restored entry for k unless k is present (completed

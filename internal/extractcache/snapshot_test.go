@@ -11,6 +11,7 @@ import (
 	"homeguard/internal/corpus"
 	"homeguard/internal/detect"
 	"homeguard/internal/rule"
+	"homeguard/internal/snapcodec"
 	"homeguard/internal/symexec"
 )
 
@@ -26,10 +27,37 @@ func ruleBytes(t *testing.T, rs *rule.RuleSet) string {
 	return string(b)
 }
 
-// TestSnapshotRoundTrip pins warm-start behavior: a cache restored from a
-// snapshot serves the same sources as hits — identical app metadata,
-// byte-identical rule files, preserved warnings/paths, and cached errors
-// still failing — without ever invoking the extractor.
+// mergeSnapshot files every entry record of a Snapshot in c the way a
+// checkpoint restore files the homes table's records: DecodeEntry, then
+// Merge. It returns the number of entries Merge inserted.
+func mergeSnapshot(c *Cache, r io.Reader) (int, error) {
+	sr, err := snapcodec.NewReader(r, snapshotMagic, snapshotVersion)
+	if err != nil {
+		return 0, err
+	}
+	added := 0
+	for {
+		rec, err := sr.Next()
+		if err == io.EOF {
+			return added, nil
+		}
+		if err != nil {
+			return added, err
+		}
+		k, res, cacheErr, err := DecodeEntry(rec)
+		if err != nil {
+			return added, err
+		}
+		if _, ok := c.Merge(k, res, cacheErr); ok {
+			added++
+		}
+	}
+}
+
+// TestSnapshotRoundTrip pins the entry record: a cache filled from a
+// snapshot's records serves the same sources as hits — identical app
+// metadata, byte-identical rule files, preserved warnings/paths, and
+// cached errors still failing — without ever invoking the extractor.
 func TestSnapshotRoundTrip(t *testing.T) {
 	apps := corpus.StoreAudit()[:5]
 	src := func(i int) string { return apps[i].Source }
@@ -60,12 +88,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Errorf("restored cache ran the extractor for %q", name)
 		return nil, errors.New("unexpected extraction")
 	})
-	added, err := cold.Restore(bytes.NewReader(buf.Bytes()))
+	added, err := mergeSnapshot(cold, bytes.NewReader(buf.Bytes()))
 	if err != nil {
-		t.Fatalf("restore: %v", err)
+		t.Fatalf("merge: %v", err)
 	}
 	if added != n {
-		t.Fatalf("restore added %d entries, want %d", added, n)
+		t.Fatalf("merge added %d entries, want %d", added, n)
 	}
 
 	for i := range apps {
@@ -109,47 +137,41 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsDamage: wrong version and corrupt payloads fail with
-// the typed sentinels and never poison the cache.
+// TestSnapshotRejectsDamage: a damaged entry record fails DecodeEntry
+// with ErrSnapshotCorrupt, so it never reaches Merge.
 func TestSnapshotRejectsDamage(t *testing.T) {
-	warm := New()
-	if _, err := warm.Extract(corpus.StoreAudit()[0].Source, ""); err != nil {
+	c := New()
+	k, res, err := c.ExtractKeyed(corpus.StoreAudit()[0].Source, "")
+	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := warm.Snapshot(&buf); err != nil {
+	rec, err := EncodeEntry(k, res, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	snap := buf.Bytes()
-
-	// Version bump in the header (bytes 8..11 are the big-endian version).
-	bad := append([]byte(nil), snap...)
-	bad[11]++
-	if _, err := New().Restore(bytes.NewReader(bad)); !errors.Is(err, ErrSnapshotVersion) {
-		t.Errorf("version mismatch: err = %v, want ErrSnapshotVersion", err)
+	if _, got, _, err := DecodeEntry(rec); err != nil || got.App.Name != res.App.Name {
+		t.Fatalf("intact record: %v", err)
 	}
-
-	// Flipped payload byte: checksum must catch it.
-	bad = append([]byte(nil), snap...)
-	bad[len(bad)/2] ^= 0x40
-	if _, err := New().Restore(bytes.NewReader(bad)); !errors.Is(err, ErrSnapshotCorrupt) {
-		t.Errorf("payload damage: err = %v, want ErrSnapshotCorrupt", err)
-	}
-
-	// Truncation.
-	if _, err := New().Restore(bytes.NewReader(snap[:len(snap)-7])); !errors.Is(err, ErrSnapshotCorrupt) {
-		t.Errorf("truncation: err = %v, want ErrSnapshotCorrupt", err)
-	}
-
-	// Wrong magic entirely.
-	if _, err := New().Restore(bytes.NewReader([]byte("NOTASNAPSHOTATALL..."))); !errors.Is(err, ErrSnapshotCorrupt) {
-		t.Errorf("bad magic: err = %v, want ErrSnapshotCorrupt", err)
+	noRules := bytes.Replace(rec, []byte(`"rules":`), []byte(`"rwles":`), 1)
+	badDefault := append(bytes.Clone(rec[:len(k)]),
+		`{"hasResult":true,"inputs":[{"name":"x","default":{"t":"nope"}}],"rules":{"app":"A"}}`...)
+	for name, bad := range map[string][]byte{
+		"shorter than a key":      rec[:len(k)-1],
+		"truncated payload":       rec[:len(rec)-7],
+		"not JSON":                append(bytes.Clone(rec[:len(k)]), "{nope"...),
+		"result without rules":    noRules,
+		"undecodable input term":  badDefault,
+		"rule set of wrong shape": append(bytes.Clone(rec[:len(k)]), `{"hasResult":true,"rules":[1]}`...),
+	} {
+		if _, _, _, err := DecodeEntry(bad); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Errorf("%s: err = %v, want ErrSnapshotCorrupt", name, err)
+		}
 	}
 }
 
-// TestSnapshotConcurrent races Snapshot/Restore against live Extract
-// traffic (meaningful under -race): snapshots must neither block nor
-// corrupt the cache.
+// TestSnapshotConcurrent races Snapshot and Merge against live Extract
+// traffic (meaningful under -race): neither may block on or corrupt the
+// cache.
 func TestSnapshotConcurrent(t *testing.T) {
 	apps := corpus.StoreAudit()[:8]
 	c := New()
@@ -175,8 +197,8 @@ func TestSnapshotConcurrent(t *testing.T) {
 					t.Errorf("snapshot: %v", err)
 					return
 				}
-				if _, err := c.Restore(bytes.NewReader(buf.Bytes())); err != nil {
-					t.Errorf("restore: %v", err)
+				if _, err := mergeSnapshot(c, bytes.NewReader(buf.Bytes())); err != nil {
+					t.Errorf("merge: %v", err)
 					return
 				}
 			}
@@ -193,13 +215,15 @@ func TestSnapshotConcurrent(t *testing.T) {
 		t.Fatalf("final snapshot: n=%d err=%v", n, err)
 	}
 	fresh := New()
-	if added, err := fresh.Restore(&buf); err != nil || added != n {
-		t.Fatalf("final restore: added=%d err=%v", added, err)
+	if added, err := mergeSnapshot(fresh, &buf); err != nil || added != n {
+		t.Fatalf("final merge: added=%d err=%v", added, err)
 	}
 }
 
-// FuzzExtractCacheRestore feeds arbitrary bytes to Restore on an empty
-// cache: it never panics, bad input fails with ErrSnapshotVersion or
+// FuzzExtractCacheRestore feeds arbitrary bytes, read as snapshot
+// records, to DecodeEntry and Merge on an empty cache, the decoder and
+// the merge a checkpoint restore runs on the homes table's records: it
+// never panics, bad input fails with snapcodec.ErrVersion or
 // ErrSnapshotCorrupt, and every entry it merged snapshots again and
 // installs into a detector, the use a live install makes of it. Seeded
 // from a real snapshot.
@@ -238,8 +262,8 @@ func FuzzExtractCacheRestore(f *testing.F) {
 
 func checkRestore(t *testing.T, data []byte) {
 	c := New()
-	if _, err := c.Restore(bytes.NewReader(data)); err != nil && !errors.Is(err, ErrSnapshotVersion) && !errors.Is(err, ErrSnapshotCorrupt) {
-		t.Fatalf("Restore failed with an untyped error: %v", err)
+	if _, err := mergeSnapshot(c, bytes.NewReader(data)); err != nil && !errors.Is(err, snapcodec.ErrVersion) && !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("merge failed with an untyped error: %v", err)
 	}
 	if _, err := c.Snapshot(io.Discard); err != nil {
 		t.Fatalf("restored entries do not snapshot again: %v", err)

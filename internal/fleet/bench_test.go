@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -356,47 +357,38 @@ func restoreBenchFleet(b testing.TB, homes int) *Fleet {
 	return f
 }
 
-// BenchmarkRestoreHomes times RestoreHomes of a 300-home checkpoint
-// section into a fresh fleet, which includes merging the section's app
-// table into the extraction cache. warm restores the verdict cache
-// first, untimed, as the daemon's checkpoint load does; cold-verdicts
-// does not, so every pair verdict the homes need misses. homes-B is the
-// homes section's size and ckpt-B the bytes of the sections homeguardd
-// writes for this fleet: the verdict and homes sections.
+// BenchmarkRestoreHomes times the fleet's share of a homeguardd
+// checkpoint for a 300-home fleet. restore is the daemon's checkpoint
+// load: a fresh fleet and RestoreHomes into it, which merges the app
+// table into the extraction cache and replays every home's ops, solving
+// each pair verdict the homes need once. write is SnapshotHomes. ckpt-B
+// is the homes section's size, which is all the checkpoint holds of the
+// fleet.
 func BenchmarkRestoreHomes(b *testing.B) {
 	src := restoreBenchFleet(b, 300)
-	var vc, homes bytes.Buffer
-	if _, err := src.Verdicts().Snapshot(&vc); err != nil {
-		b.Fatal(err)
-	}
+	var homes bytes.Buffer
 	n, err := src.SnapshotHomes(&homes)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, bc := range []struct {
-		name     string
-		verdicts bool
-	}{{"warm", true}, {"cold-verdicts", false}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportMetric(float64(homes.Len()), "homes-B")
-			b.ReportMetric(float64(vc.Len()+homes.Len()), "ckpt-B")
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				f := New(Options{})
-				if bc.verdicts {
-					if _, err := f.Verdicts().Restore(bytes.NewReader(vc.Bytes())); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StartTimer()
-				got, err := f.RestoreHomes(bytes.NewReader(homes.Bytes()))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got != n {
-					b.Fatalf("restored %d homes, want %d", got, n)
-				}
+	b.Run("restore", func(b *testing.B) {
+		b.ReportMetric(float64(homes.Len()), "ckpt-B")
+		for i := 0; i < b.N; i++ {
+			got, err := New(Options{}).RestoreHomes(bytes.NewReader(homes.Bytes()))
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if got != n {
+				b.Fatalf("restored %d homes, want %d", got, n)
+			}
+		}
+	})
+	b.Run("write", func(b *testing.B) {
+		b.ReportMetric(float64(homes.Len()), "ckpt-B")
+		for i := 0; i < b.N; i++ {
+			if _, err := src.SnapshotHomes(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -90,24 +90,17 @@ func randomOps(t *testing.T, f *Fleet, seed int64) {
 	}
 }
 
-// restoreCopy restores f's checkpoint sections into a new fleet built
-// with opts, in the daemon's order: the verdict cache when opts keeps
-// one, then the homes, whose app table restores the extraction cache.
+// restoreCopy restores f's homes section into a new fleet built with
+// opts, as the daemon's checkpoint load does: the app table restores
+// the extraction cache, and replaying the ops fills the verdict cache
+// when opts keeps one.
 func restoreCopy(t *testing.T, f *Fleet, opts Options) *Fleet {
 	t.Helper()
-	var vc, homes bytes.Buffer
-	if _, err := f.Verdicts().Snapshot(&vc); err != nil {
-		t.Fatal(err)
-	}
+	var homes bytes.Buffer
 	if _, err := f.SnapshotHomes(&homes); err != nil {
 		t.Fatal(err)
 	}
 	g := New(opts)
-	if g.Verdicts() != nil {
-		if _, err := g.Verdicts().Restore(&vc); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if _, err := g.RestoreHomes(&homes); err != nil {
 		t.Fatalf("RestoreHomes: %v", err)
 	}
@@ -115,10 +108,10 @@ func restoreCopy(t *testing.T, f *Fleet, opts Options) *Fleet {
 }
 
 // TestRestoreEquivalence: a home rebuilt from its op history serves
-// what the live home serves — through a checkpoint restore with the
-// verdict cache restored, the same restore with every verdict solved
-// again, and an export/import hop per home — and evolves identically
-// under a further install.
+// what the live home serves — through a checkpoint restore into a fleet
+// with a verdict cache, the same restore with the cache disabled so
+// every pair is solved per home, and an export/import hop per home —
+// and evolves identically under a further install.
 func TestRestoreEquivalence(t *testing.T) {
 	ctx := context.Background()
 	demo := corpus.ByCategory(corpus.Demo)
@@ -306,17 +299,11 @@ func tableLen(t *testing.T, section []byte) int {
 // checkpoint's app table.
 func TestRestoreSharesExtractions(t *testing.T) {
 	live := restoreBenchFleet(t, 300)
-	var vc, homes bytes.Buffer
-	if _, err := live.Verdicts().Snapshot(&vc); err != nil {
-		t.Fatal(err)
-	}
+	var homes bytes.Buffer
 	if _, err := live.SnapshotHomes(&homes); err != nil {
 		t.Fatal(err)
 	}
 	f := New(Options{})
-	if _, err := f.Verdicts().Restore(&vc); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := f.RestoreHomes(&homes); err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,8 @@
 // the shared snapcodec framing; RestoreHomes rebuilds each home by
 // replaying those ops. A home's threat log, ledger and accepted set are
 // a deterministic function of its ops, so they are derived again, never
-// stored. Together with the verdict-cache section and the WAL, a
-// checkpoint restore plus a log replay reproduces the exact
-// acknowledged state.
+// stored. Together with the WAL, a checkpoint restore plus a log replay
+// reproduces the exact acknowledged state.
 //
 // The homes layout — a meta record, the app table, then one record per
 // home — has one writer (writeHomes) and one reader (readHomes), shared
@@ -254,8 +253,8 @@ func (f *Fleet) readHomes(r io.Reader, magic string, version uint32, trusted boo
 // RestoreHomes rebuilds homes from a snapshot written by SnapshotHomes,
 // returning the number of homes restored. Each home's ops are replayed
 // through the live mutations (rebuildHome): the threat log, ledger and
-// accepted set are derived again, each pair verdict served by the
-// verdict cache where the checkpoint restored it and solved otherwise.
+// accepted set are derived again, and each pair verdict is solved once
+// into the verdict cache (when the fleet has one) and shared from there.
 // Restoring into a fleet that already has one of the snapshot's homes
 // populated is an error (restore is a boot-time operation).
 func (f *Fleet) RestoreHomes(r io.Reader) (int, error) {

@@ -8,22 +8,16 @@ import (
 	"homeguard/internal/snapcodec"
 )
 
-// Persistent warm-start for the pair-verdict cache: Snapshot serializes
-// every completed verdict through the shared snapcodec framing, Restore
-// merges a snapshot back in, so a restarted daemon answers its first
-// install storm from solved verdicts instead of re-running the solver
-// per pair. Failed (panicked) entries are never snapshotted.
+// Snapshot serializes every completed verdict through the shared
+// snapcodec framing; failed (panicked) entries are never snapshotted.
+// The daemon's checkpoint does not hold this section (a restore refills
+// the cache by replaying the homes' installs, which costs less than
+// decoding every verdict), and nothing reads it back: it is kept for
+// perfbench's snapshot rung, which measures it.
 
 const (
 	snapshotMagic   = "HGPVSNP\x00"
 	snapshotVersion = 1
-)
-
-// Re-exported so callers can match restore failures without importing the
-// codec package.
-var (
-	ErrSnapshotVersion = snapcodec.ErrVersion
-	ErrSnapshotCorrupt = snapcodec.ErrCorrupt
 )
 
 // Snapshot writes every completed verdict to w in the versioned,
@@ -70,51 +64,3 @@ func (c *Cache) Snapshot(w io.Writer) (int, error) {
 	}
 	return len(done), nil
 }
-
-// Restore merges a snapshot produced by Snapshot into the cache,
-// returning the number of verdicts added. Keys already present keep
-// their live value. A wrong format version fails with ErrSnapshotVersion
-// and damage with ErrSnapshotCorrupt; entries merged before the failure
-// stay (each is individually valid). Restored entries count toward the
-// bound; overflow evicts as usual on the next insert.
-func (c *Cache) Restore(r io.Reader) (int, error) {
-	sr, err := snapcodec.NewReader(r, snapshotMagic, snapshotVersion)
-	if err != nil {
-		return 0, fmt.Errorf("pairverdict: restore: %w", err)
-	}
-	added := 0
-	for {
-		rec, err := sr.Next()
-		if err == io.EOF {
-			return added, nil
-		}
-		if err != nil {
-			return added, fmt.Errorf("pairverdict: restore: %w", err)
-		}
-		var k Key
-		if len(rec) < len(k) {
-			return added, fmt.Errorf("pairverdict: restore: %w: record shorter than a key", ErrSnapshotCorrupt)
-		}
-		copy(k[:], rec)
-		threats, err := detect.UnmarshalThreats(rec[len(k):])
-		if err != nil {
-			return added, fmt.Errorf("pairverdict: restore: %w: %v", ErrSnapshotCorrupt, err)
-		}
-		e := &entry{done: closedDone, threats: threats}
-		c.mu.Lock()
-		if _, exists := c.entries[k]; !exists {
-			c.entries[k] = e
-			added++
-			c.evictOverflowLocked()
-		}
-		c.mu.Unlock()
-	}
-}
-
-// closedDone is the pre-closed done channel shared by restored entries
-// (waiters must never block on them).
-var closedDone = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
