@@ -600,26 +600,26 @@ type Extraction struct {
 // opens the install's span and extracts src through the shared cache.
 // A failed extraction counts as a failed install and returns the
 // extraction error unwrapped.
-func (f *Fleet) Extract(ctx context.Context, homeID, src string) (*Extraction, error) {
+func (f *Fleet) Extract(ctx context.Context, homeID, src string) (Extraction, error) {
 	x := f.beginInstall(ctx, homeID, src)
 	esp := x.sp.Child("extract")
 	key, res, err := f.cache.ExtractKeyed(src, "")
 	esp.End()
 	if err != nil {
 		f.extractFailed(x, err)
-		return nil, err
+		return Extraction{}, err
 	}
 	x.key, x.res = key, res
 	return x, nil
 }
 
-func (f *Fleet) beginInstall(ctx context.Context, homeID, src string) *Extraction {
-	x := &Extraction{homeID: homeID, src: src, start: time.Now(), sp: f.opSpan(ctx, "install")}
+func (f *Fleet) beginInstall(ctx context.Context, homeID, src string) Extraction {
+	x := Extraction{homeID: homeID, src: src, start: time.Now(), sp: f.opSpan(ctx, "install")}
 	x.sp.SetStr("home", homeID)
 	return x
 }
 
-func (f *Fleet) extractFailed(x *Extraction, err error) {
+func (f *Fleet) extractFailed(x Extraction, err error) {
 	x.sp.End()
 	f.metrics.installFailed()
 	f.events.Publish(events.Event{Type: events.TypeInstall, Home: x.homeID, Err: err.Error()})
@@ -628,7 +628,7 @@ func (f *Fleet) extractFailed(x *Extraction, err error) {
 // InstallExtracted finishes an install Extract began: detection against
 // the home's apps, the threat log and the WAL record, as Install
 // documents.
-func (f *Fleet) InstallExtracted(ctx context.Context, x *Extraction, cfg *detect.Config) (*InstallResult, error) {
+func (f *Fleet) InstallExtracted(ctx context.Context, x Extraction, cfg *detect.Config) (*InstallResult, error) {
 	sp, homeID, res := x.sp, x.homeID, x.res
 	defer sp.End()
 	// Deadline check at the extract/detect boundary: an expired request

@@ -179,7 +179,7 @@ func (s *Service) Install(ctx context.Context, req *api.InstallRequest) (*api.In
 	if aerr != nil {
 		return nil, aerr
 	}
-	var x *fleet.Extraction
+	var x fleet.Extraction
 	if aerr := s.runStage(ctx, StageExtract, s.extract, func() error {
 		var err error
 		if x, err = s.fleet.Extract(ctx, req.Home, src); err != nil {
