@@ -3,270 +3,479 @@
 // human-readable form so users can check that an app behaves as claimed,
 // and the threat interpreter explains discovered CAI threats so users can
 // decide whether to keep, remove or re-configure the new app (Fig. 7b).
+//
+// Every text is written by an appender into a byte buffer. A dialog or a
+// threat read renders all of its texts into one pooled scratch buffer
+// and converts that to one string; each item text is a substring of it.
 package frontend
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 
 	"homeguard/internal/detect"
 	"homeguard/internal/rule"
 	"homeguard/internal/solver"
 )
 
+// scratch is a render buffer and the item spans (start, end offset
+// pairs) recorded into it.
+type scratch struct {
+	buf   []byte
+	spans []int
+}
+
+// scratchPool recycles render buffers. A scratch that grew past
+// maxPooledScratch bytes is dropped, not kept.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+const maxPooledScratch = 1 << 20
+
+func getScratch() *scratch {
+	s := scratchPool.Get().(*scratch)
+	s.buf, s.spans = s.buf[:0], s.spans[:0]
+	return s
+}
+
+func putScratch(s *scratch) {
+	if cap(s.buf) <= maxPooledScratch && 8*cap(s.spans) <= maxPooledScratch {
+		scratchPool.Put(s)
+	}
+}
+
+// span records buf[start:len(buf)] as item i.
+func (s *scratch) span(i, start int) {
+	s.spans[2*i], s.spans[2*i+1] = start, len(s.buf)
+}
+
+// setItems sizes spans for n items.
+func (s *scratch) setItems(n int) {
+	s.spans = append(s.spans[:0], make([]int, 2*n)...)
+}
+
+// item is item i's text in text, the string of s.buf.
+func (s *scratch) item(text string, i int) string {
+	return text[s.spans[2*i]:s.spans[2*i+1]]
+}
+
 // DescribeRule renders one rule as an English sentence.
 func DescribeRule(r *rule.Rule) string {
-	var sb strings.Builder
-	sb.WriteString("When ")
-	sb.WriteString(describeTrigger(r.Trigger))
-	if !r.Condition.Always() {
-		sb.WriteString(", if ")
-		sb.WriteString(describeCondition(r.Condition))
-	}
-	sb.WriteString(", then ")
-	sb.WriteString(describeAction(r.Action))
-	sb.WriteString(".")
-	return sb.String()
+	s := getScratch()
+	defer putScratch(s)
+	s.buf = appendRule(s.buf, r)
+	return string(s.buf)
 }
 
-func describeTrigger(t rule.Trigger) string {
+func appendRule(dst []byte, r *rule.Rule) []byte {
+	dst = append(dst, "When "...)
+	dst = appendTrigger(dst, r.Trigger)
+	if !r.Condition.Always() {
+		dst = append(dst, ", if "...)
+		dst = appendCondition(dst, r.Condition)
+	}
+	dst = append(dst, ", then "...)
+	dst = appendAction(dst, r.Action)
+	return append(dst, '.')
+}
+
+func appendTrigger(dst []byte, t rule.Trigger) []byte {
 	switch t.Subject {
 	case "time":
-		return "the scheduled time arrives"
+		return append(dst, "the scheduled time arrives"...)
 	case "app":
-		return "the app button is tapped"
+		return append(dst, "the app button is tapped"...)
+	case "location":
+		dst = append(dst, "the home"...)
+	default:
+		dst = append(dst, t.Subject...)
 	}
-	subj := t.Subject
-	if t.Subject == "location" {
-		subj = "the home"
-	}
+	dst = append(dst, "'s "...)
+	dst = append(dst, t.Attribute...)
 	if t.AnyChange() {
-		return fmt.Sprintf("%s's %s changes", subj, t.Attribute)
+		return append(dst, " changes"...)
 	}
-	return fmt.Sprintf("%s's %s becomes %s", subj, t.Attribute, describeConstraintValue(t.Constraint))
+	dst = append(dst, " becomes "...)
+	return appendConstraintValue(dst, t.Constraint)
 }
 
-// describeConstraintValue extracts the compared value(s) from a trigger
+// appendConstraintValue appends the compared value(s) of a trigger
 // constraint for compact rendering.
-func describeConstraintValue(c rule.Constraint) string {
+func appendConstraintValue(dst []byte, c rule.Constraint) []byte {
 	switch x := c.(type) {
 	case rule.Cmp:
-		op := ""
 		switch x.Op {
-		case rule.OpEq:
-			op = ""
 		case rule.OpNe:
-			op = "not "
+			dst = append(dst, "not "...)
 		case rule.OpGt:
-			op = "more than "
+			dst = append(dst, "more than "...)
 		case rule.OpGe:
-			op = "at least "
+			dst = append(dst, "at least "...)
 		case rule.OpLt:
-			op = "less than "
+			dst = append(dst, "less than "...)
 		case rule.OpLe:
-			op = "at most "
+			dst = append(dst, "at most "...)
 		}
-		return op + termText(x.R)
+		return appendTerm(dst, x.R)
 	case rule.And:
-		parts := make([]string, len(x.Cs))
 		for i, sub := range x.Cs {
-			parts[i] = describeConstraintValue(sub)
+			if i > 0 {
+				dst = append(dst, " and "...)
+			}
+			dst = appendConstraintValue(dst, sub)
 		}
-		return strings.Join(parts, " and ")
+		return dst
 	}
-	return c.String()
+	return append(dst, c.String()...)
 }
 
-func termText(t rule.Term) string {
+func appendTerm(dst []byte, t rule.Term) []byte {
 	switch x := t.(type) {
 	case rule.StrVal:
-		return string(x)
+		return append(dst, x...)
 	case rule.IntVal:
-		return fmt.Sprintf("%d", int64(x))
+		return strconv.AppendInt(dst, int64(x), 10)
 	case rule.Var:
-		return "the configured " + x.Name
+		dst = append(dst, "the configured "...)
+		return append(dst, x.Name...)
 	case rule.Sum:
-		return x.String()
+		// rule.Sum.String's "X + K" / "X - -K".
+		dst = append(dst, x.X.Name...)
+		if x.K < 0 {
+			dst = append(dst, " - "...)
+			return strconv.AppendInt(dst, -x.K, 10)
+		}
+		dst = append(dst, " + "...)
+		return strconv.AppendInt(dst, x.K, 10)
 	case rule.BoolVal:
-		return fmt.Sprintf("%t", bool(x))
+		return strconv.AppendBool(dst, bool(x))
 	}
-	return t.String()
+	return append(dst, t.String()...)
 }
 
-func describeCondition(c rule.Condition) string {
-	f := c.Formula()
-	return constraintText(f)
+// appendCondition appends the condition's formula, c.Formula(), walked
+// in place: the conjunction rule.Conj would build from the predicates,
+// with every variable the data constraints bind replaced the way
+// rule.Substitute replaces it (resolveTerm).
+func appendCondition(dst []byte, c rule.Condition) []byte {
+	n := 0
+	for _, p := range c.Predicates {
+		switch x := p.(type) {
+		case nil:
+		case rule.Lit:
+			if !bool(x) {
+				return append(dst, "never"...)
+			}
+		case rule.And:
+			n += len(x.Cs)
+		default:
+			n++
+		}
+	}
+	if n == 0 {
+		return append(dst, "always"...)
+	}
+	k := 0
+	for _, p := range c.Predicates {
+		switch x := p.(type) {
+		case nil, rule.Lit:
+		case rule.And:
+			for _, sub := range x.Cs {
+				dst = appendConjunct(dst, k, sub, c.Data)
+				k++
+			}
+		default:
+			dst = appendConjunct(dst, k, p, c.Data)
+			k++
+		}
+	}
+	return dst
 }
 
-func constraintText(c rule.Constraint) string {
+// appendConjunct appends conjunct k of a condition, after " and "
+// unless it is the first.
+func appendConjunct(dst []byte, k int, c rule.Constraint, data []rule.DataConstraint) []byte {
+	if k > 0 {
+		dst = append(dst, " and "...)
+	}
+	return appendConstraint(dst, c, data)
+}
+
+// resolveTerm is t after rule.Substitute's binding of data: a bound
+// variable is replaced by its term, up to Substitute's eight rounds, and
+// a name bound twice takes its last binding.
+func resolveTerm(t rule.Term, data []rule.DataConstraint) rule.Term {
+	for round := 0; round < 8; round++ {
+		v, ok := t.(rule.Var)
+		if !ok {
+			return t
+		}
+		bound := false
+		for i := len(data) - 1; i >= 0; i-- {
+			if data[i].Var == v.Name {
+				t, bound = data[i].Term, true
+				break
+			}
+		}
+		if !bound {
+			return t
+		}
+	}
+	return t
+}
+
+func appendConstraint(dst []byte, c rule.Constraint, data []rule.DataConstraint) []byte {
 	switch x := c.(type) {
 	case rule.Cmp:
-		var op string
+		dst = appendVarText(dst, resolveTerm(x.L, data))
 		switch x.Op {
 		case rule.OpEq:
-			op = "is"
+			dst = append(dst, " is "...)
 		case rule.OpNe:
-			op = "is not"
+			dst = append(dst, " is not "...)
 		case rule.OpGt:
-			op = "is above"
+			dst = append(dst, " is above "...)
 		case rule.OpGe:
-			op = "is at least"
+			dst = append(dst, " is at least "...)
 		case rule.OpLt:
-			op = "is below"
+			dst = append(dst, " is below "...)
 		case rule.OpLe:
-			op = "is at most"
+			dst = append(dst, " is at most "...)
+		default:
+			dst = append(dst, "  "...)
 		}
-		return fmt.Sprintf("%s %s %s", varText(x.L), op, termText(x.R))
+		return appendTerm(dst, resolveTerm(x.R, data))
 	case rule.And:
-		parts := make([]string, len(x.Cs))
 		for i, sub := range x.Cs {
-			parts[i] = constraintText(sub)
+			if i > 0 {
+				dst = append(dst, " and "...)
+			}
+			dst = appendConstraint(dst, sub, data)
 		}
-		return strings.Join(parts, " and ")
+		return dst
 	case rule.Or:
-		parts := make([]string, len(x.Cs))
+		dst = append(dst, '(')
 		for i, sub := range x.Cs {
-			parts[i] = constraintText(sub)
+			if i > 0 {
+				dst = append(dst, " or "...)
+			}
+			dst = appendConstraint(dst, sub, data)
 		}
-		return "(" + strings.Join(parts, " or ") + ")"
+		return append(dst, ')')
 	case rule.Not:
-		return "not (" + constraintText(x.C) + ")"
+		dst = append(dst, "not ("...)
+		dst = appendConstraint(dst, x.C, data)
+		return append(dst, ')')
 	case rule.Lit:
 		if bool(x) {
-			return "always"
+			return append(dst, "always"...)
 		}
-		return "never"
+		return append(dst, "never"...)
 	}
-	return c.String()
+	return append(dst, c.String()...)
 }
 
-func varText(t rule.Term) string {
-	if v, ok := t.(rule.Var); ok {
-		return strings.ReplaceAll(v.Name, ".", "'s ")
+// appendVarText appends a variable's name with each "." read as "'s "
+// (tSensor.temperature → tSensor's temperature), any other term as
+// appendTerm does.
+func appendVarText(dst []byte, t rule.Term) []byte {
+	v, ok := t.(rule.Var)
+	if !ok {
+		return appendTerm(dst, t)
 	}
-	return termText(t)
+	name := v.Name
+	for {
+		i := strings.IndexByte(name, '.')
+		if i < 0 {
+			return append(dst, name...)
+		}
+		dst = append(dst, name[:i]...)
+		dst = append(dst, "'s "...)
+		name = name[i+1:]
+	}
 }
 
-func describeAction(a rule.Action) string {
-	var verb string
+func appendAction(dst []byte, a rule.Action) []byte {
 	switch a.Command {
 	case "setLocationMode":
-		verb = "set the home mode"
+		dst = append(dst, "set the home mode"...)
 		if len(a.Params) > 0 {
-			verb += " to " + termText(a.Params[0])
+			dst = append(dst, " to "...)
+			dst = appendTerm(dst, a.Params[0])
 		}
 	case "sendSms", "sendSmsMessage", "sendPush", "sendNotification":
-		verb = "send a notification"
+		dst = append(dst, "send a notification"...)
 	default:
-		verb = fmt.Sprintf("issue %s's %s", a.Subject, a.Command)
+		dst = append(dst, "issue "...)
+		dst = append(dst, a.Subject...)
+		dst = append(dst, "'s "...)
+		dst = append(dst, a.Command...)
 		if len(a.Params) > 0 {
-			parts := make([]string, len(a.Params))
+			dst = append(dst, '(')
 			for i, p := range a.Params {
-				parts[i] = termText(p)
+				if i > 0 {
+					dst = append(dst, ", "...)
+				}
+				dst = appendTerm(dst, p)
 			}
-			verb += "(" + strings.Join(parts, ", ") + ")"
+			dst = append(dst, ')')
 		}
 	}
 	if a.When > 0 {
-		verb += fmt.Sprintf(" after %d seconds", a.When)
+		dst = append(dst, " after "...)
+		dst = strconv.AppendInt(dst, int64(a.When), 10)
+		dst = append(dst, " seconds"...)
 	} else if a.When < 0 {
-		verb += " after a configured delay"
+		dst = append(dst, " after a configured delay"...)
 	}
 	if a.Period > 0 {
-		verb += fmt.Sprintf(", repeating every %d seconds", a.Period)
+		dst = append(dst, ", repeating every "...)
+		dst = strconv.AppendInt(dst, int64(a.Period), 10)
+		dst = append(dst, " seconds"...)
 	}
-	return verb
+	return dst
 }
 
 // DescribeThreat renders one discovered threat for the installation
 // dialog.
 func DescribeThreat(t detect.Threat) string {
-	var sb strings.Builder
-	sb.Grow(160)
-	describeThreatInto(&sb, t)
-	return sb.String()
+	s := getScratch()
+	defer putScratch(s)
+	s.buf, _, _ = appendThreat(s.buf, t)
+	return string(s.buf)
 }
 
-// describeThreatInto is the builder-writing core of DescribeThreat: the
-// install report renders every threat of every install, so the text is
-// assembled with direct writes instead of one fmt.Sprintf per clause.
-func describeThreatInto(sb *strings.Builder, t detect.Threat) {
-	sb.WriteString("[")
-	sb.WriteString(string(t.Kind))
-	sb.WriteString("] ")
-	sb.WriteString(kindTitle(t.Kind))
-	sb.WriteString(": ")
-	id1, id2 := t.R1.QualifiedID(), t.R2.QualifiedID()
+// RenderThreats renders every threat of ts into one string and calls
+// each(i, text, id1, id2) in order: text is DescribeThreat(ts[i]), and
+// id1 and id2 are ts[i].R1's and R2's qualified IDs. All three are
+// substrings of the one string, so a read of n threats allocates that
+// string only.
+func RenderThreats(ts []detect.Threat, each func(i int, text, id1, id2 string)) {
+	s := getScratch()
+	defer putScratch(s)
+	n := len(ts)
+	// Items are the n texts, then two rule IDs per threat.
+	s.setItems(3 * n)
+	for i, t := range ts {
+		start := len(s.buf)
+		var at1, at2 int
+		s.buf, at1, at2 = appendThreat(s.buf, t)
+		s.span(i, start)
+		s.threatIDs(n, i, t, at1, at2)
+	}
+	s.appendMissingIDs(n, ts)
+	text := string(s.buf)
+	for i := range ts {
+		each(i, s.item(text, i), s.item(text, n+2*i), s.item(text, n+2*i+1))
+	}
+}
+
+// threatIDs records the spans of threat i's rule IDs, which its text
+// names at at1 and at2, as items base+2i and base+2i+1.
+func (s *scratch) threatIDs(base, i int, t detect.Threat, at1, at2 int) {
+	j := 2 * (base + 2*i)
+	s.spans[j], s.spans[j+1] = at1, at1+idLen(t.R1)
+	s.spans[j+2], s.spans[j+3] = at2, at2+idLen(t.R2)
+}
+
+// appendMissingIDs appends the rule IDs of every threat whose text names
+// none (a kind appendThreat does not know) after all that was rendered,
+// and records their spans, so every ID is a substring of the buffer.
+func (s *scratch) appendMissingIDs(base int, ts []detect.Threat) {
+	for i, t := range ts {
+		if s.spans[2*(base+2*i)] >= 0 {
+			continue
+		}
+		start := len(s.buf)
+		s.buf = appendQualifiedID(s.buf, t.R1)
+		s.span(base+2*i, start)
+		start = len(s.buf)
+		s.buf = appendQualifiedID(s.buf, t.R2)
+		s.span(base+2*i+1, start)
+	}
+}
+
+// appendQualifiedID appends r.QualifiedID().
+func appendQualifiedID(dst []byte, r *rule.Rule) []byte {
+	dst = append(dst, r.App...)
+	dst = append(dst, '/')
+	return append(dst, r.ID...)
+}
+
+func idLen(r *rule.Rule) int { return len(r.App) + 1 + len(r.ID) }
+
+// appendThreat appends t's explanation. Every kind's text names both
+// rules: at1 and at2 are the offsets in dst where R1's and R2's
+// qualified IDs start (-1 for a kind it does not know, whose text names
+// neither).
+func appendThreat(dst []byte, t detect.Threat) (out []byte, at1, at2 int) {
+	dst = append(dst, '[')
+	dst = append(dst, t.Kind...)
+	dst = append(dst, "] "...)
+	dst = append(dst, kindTitle(t.Kind)...)
+	dst = append(dst, ": "...)
+	at1, at2 = -1, -1
 	switch t.Kind {
 	case detect.ActuatorRace:
-		sb.WriteString("rules ")
-		sb.WriteString(id1)
-		sb.WriteString(" and ")
-		sb.WriteString(id2)
-		sb.WriteString(" can run in the same situation and issue contradictory commands (")
-		sb.WriteString(t.R1.Action.Command)
-		sb.WriteString(" vs ")
-		sb.WriteString(t.R2.Action.Command)
-		sb.WriteString(") to the same device.")
+		dst, at1, at2 = appendRulePair(dst, t, "rules ", " and ")
+		dst = append(dst, " can run in the same situation and issue contradictory commands ("...)
+		dst = append(dst, t.R1.Action.Command...)
+		dst = append(dst, " vs "...)
+		dst = append(dst, t.R2.Action.Command...)
+		dst = append(dst, ") to the same device."...)
 	case detect.GoalConflict:
-		sb.WriteString("rules ")
-		sb.WriteString(id1)
-		sb.WriteString(" and ")
-		sb.WriteString(id2)
-		sb.WriteString(" work against each other on ")
-		sb.WriteString(string(t.Property))
-		sb.WriteString(" (")
-		sb.WriteString(t.R1.Action.Subject)
-		sb.WriteString("(")
-		sb.WriteString(t.R1.Action.Command)
-		sb.WriteString(") vs ")
-		sb.WriteString(t.R2.Action.Subject)
-		sb.WriteString("(")
-		sb.WriteString(t.R2.Action.Command)
-		sb.WriteString(")).")
+		dst, at1, at2 = appendRulePair(dst, t, "rules ", " and ")
+		dst = append(dst, " work against each other on "...)
+		dst = append(dst, t.Property...)
+		dst = append(dst, " ("...)
+		dst = append(dst, t.R1.Action.Subject...)
+		dst = append(dst, '(')
+		dst = append(dst, t.R1.Action.Command...)
+		dst = append(dst, ") vs "...)
+		dst = append(dst, t.R2.Action.Subject...)
+		dst = append(dst, '(')
+		dst = append(dst, t.R2.Action.Command...)
+		dst = append(dst, "))."...)
 	case detect.CovertTriggering:
-		sb.WriteString("rule ")
-		sb.WriteString(id1)
-		sb.WriteString("'s action can covertly trigger rule ")
-		sb.WriteString(id2)
-		sb.WriteString(", forming the hidden rule: when ")
-		sb.WriteString(describeTrigger(t.R1.Trigger))
-		sb.WriteString(", eventually ")
-		sb.WriteString(describeAction(t.R2.Action))
-		sb.WriteString(".")
+		dst, at1, at2 = appendRulePair(dst, t, "rule ", "'s action can covertly trigger rule ")
+		dst = append(dst, ", forming the hidden rule: when "...)
+		dst = appendTrigger(dst, t.R1.Trigger)
+		dst = append(dst, ", eventually "...)
+		dst = appendAction(dst, t.R2.Action)
+		dst = append(dst, '.')
 	case detect.SelfDisabling:
-		sb.WriteString("rule ")
-		sb.WriteString(id1)
-		sb.WriteString(" triggers rule ")
-		sb.WriteString(id2)
-		sb.WriteString(", which immediately reverses ")
-		sb.WriteString(id1)
-		sb.WriteString("'s action.")
+		dst, at1, at2 = appendRulePair(dst, t, "rule ", " triggers rule ")
+		dst = append(dst, ", which immediately reverses "...)
+		dst = appendQualifiedID(dst, t.R1)
+		dst = append(dst, "'s action."...)
 	case detect.LoopTriggering:
-		sb.WriteString("rules ")
-		sb.WriteString(id1)
-		sb.WriteString(" and ")
-		sb.WriteString(id2)
-		sb.WriteString(" trigger each other in a loop with contradictory actions — devices may oscillate.")
+		dst, at1, at2 = appendRulePair(dst, t, "rules ", " and ")
+		dst = append(dst, " trigger each other in a loop with contradictory actions — devices may oscillate."...)
 	case detect.EnablingCondition:
-		sb.WriteString("rule ")
-		sb.WriteString(id1)
-		sb.WriteString("'s action can enable rule ")
-		sb.WriteString(id2)
-		sb.WriteString("'s condition.")
+		dst, at1, at2 = appendRulePair(dst, t, "rule ", "'s action can enable rule ")
+		dst = append(dst, "'s condition."...)
 	case detect.DisablingCond:
-		sb.WriteString("rule ")
-		sb.WriteString(id1)
-		sb.WriteString("'s action disables rule ")
-		sb.WriteString(id2)
-		sb.WriteString("'s condition — ")
-		sb.WriteString(t.R2.App)
-		sb.WriteString(" may silently stop working.")
+		dst, at1, at2 = appendRulePair(dst, t, "rule ", "'s action disables rule ")
+		dst = append(dst, "'s condition — "...)
+		dst = append(dst, t.R2.App...)
+		dst = append(dst, " may silently stop working."...)
 	}
 	if len(t.Witness) > 0 {
-		sb.WriteString(" Example situation: ")
-		witnessInto(sb, t)
+		dst = append(dst, " Example situation: "...)
+		dst = appendWitness(dst, t.Witness)
 	}
+	return dst, at1, at2
+}
+
+// appendRulePair appends lead, R1's ID, mid and R2's ID, and returns the
+// offsets at which the two IDs start.
+func appendRulePair(dst []byte, t detect.Threat, lead, mid string) (out []byte, at1, at2 int) {
+	dst = append(dst, lead...)
+	at1 = len(dst)
+	dst = appendQualifiedID(dst, t.R1)
+	dst = append(dst, mid...)
+	at2 = len(dst)
+	return appendQualifiedID(dst, t.R2), at1, at2
 }
 
 func kindTitle(k detect.Kind) string {
@@ -289,65 +498,78 @@ func kindTitle(k detect.Kind) string {
 	return string(k)
 }
 
-// witnessInto writes the example-situation clause: up to six variable
-// assignments sorted by variable name (variable names contain no spaces,
-// so name order and rendered "name = value" order coincide). One scratch
-// slice is the only allocation besides the builder's own growth.
-func witnessInto(sb *strings.Builder, t detect.Threat) {
+// maxWitness is how many variable assignments the example situation
+// shows.
+const maxWitness = 6
+
+// appendWitness appends the example-situation clause: the maxWitness
+// assignments first in variable-name order (variable names contain no
+// spaces, so name order and rendered "name = value" order coincide),
+// skipping the solver's internal variables. The assignments are picked
+// into a fixed array by insertion, so the clause allocates nothing.
+func appendWitness(dst []byte, w solver.Model) []byte {
 	type entry struct {
 		name string
 		v    solver.Value
 	}
-	entries := make([]entry, 0, len(t.Witness))
-	for name, v := range t.Witness {
-		if strings.HasPrefix(v.Enum, "\x00") {
+	var top [maxWitness]entry
+	n := 0
+	for name, v := range w {
+		if strings.HasPrefix(v.Enum, "\x00") || (n == maxWitness && name >= top[n-1].name) {
 			continue
 		}
-		entries = append(entries, entry{name, v})
-	}
-	for i := 1; i < len(entries); i++ {
-		for j := i; j > 0 && entries[j].name < entries[j-1].name; j-- {
-			entries[j], entries[j-1] = entries[j-1], entries[j]
-		}
-	}
-	if len(entries) > 6 {
-		entries = entries[:6]
-	}
-	for i, e := range entries {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(e.name)
-		sb.WriteString(" = ")
-		// Keep in lockstep with solver.Value.String — this is the same
-		// enum-name-else-integer rendering, written into the builder to
-		// avoid materializing the intermediate string per variable.
-		if e.v.Enum != "" {
-			sb.WriteString(e.v.Enum)
+		j := n
+		if n < maxWitness {
+			n++
 		} else {
-			fmt.Fprintf(sb, "%d", e.v.Int)
+			j--
+		}
+		for ; j > 0 && name < top[j-1].name; j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = entry{name, v}
+	}
+	for i, e := range top[:n] {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = append(dst, e.name...)
+		dst = append(dst, " = "...)
+		// solver.Value.String's rendering: the enum name, else the integer.
+		if e.v.Enum != "" {
+			dst = append(dst, e.v.Enum...)
+		} else {
+			dst = strconv.AppendInt(dst, e.v.Int, 10)
 		}
 	}
-	sb.WriteString(".")
+	return append(dst, '.')
 }
 
 // DescribeChain renders a multi-hop interference chain (Sec. VI-D).
 func DescribeChain(c detect.Chain) string {
-	var sb strings.Builder
-	sb.WriteString("interference chain: ")
+	s := getScratch()
+	defer putScratch(s)
+	s.buf = appendChain(s.buf, c)
+	return string(s.buf)
+}
+
+func appendChain(dst []byte, c detect.Chain) []byte {
+	dst = append(dst, "interference chain: "...)
 	for i, r := range c.Rules {
 		if i > 0 {
-			kind := "?"
+			dst = append(dst, " —"...)
 			if i-1 < len(c.Kinds) {
-				kind = string(c.Kinds[i-1])
+				dst = append(dst, c.Kinds[i-1]...)
+			} else {
+				dst = append(dst, '?')
 			}
-			sb.WriteString(fmt.Sprintf(" —%s→ ", kind))
+			dst = append(dst, "→ "...)
 		}
-		sb.WriteString(r.QualifiedID())
+		dst = appendQualifiedID(dst, r)
 	}
-	sb.WriteString(" — the first rule's action can ripple through ")
-	sb.WriteString(fmt.Sprintf("%d accepted interference(s).", len(c.Rules)-1))
-	return sb.String()
+	dst = append(dst, " — the first rule's action can ripple through "...)
+	dst = strconv.AppendInt(dst, int64(len(c.Rules)-1), 10)
+	return append(dst, " accepted interference(s)."...)
 }
 
 // InstallReport renders the full installation dialog: the new app's rules
@@ -359,57 +581,70 @@ func InstallReport(appName string, rules []*rule.Rule, threats []detect.Threat) 
 
 // Lines are the item texts of one rendered installation dialog: Rules[i]
 // is DescribeRule(rules[i]), Threats[i] DescribeThreat(threats[i]) and
-// Chains[i] DescribeChain(chains[i]), each a substring of the dialog, so
-// a caller that shows both renders every text once.
+// Chains[i] DescribeChain(chains[i]); ThreatRules[2i] and
+// ThreatRules[2i+1] are threats[i].R1's and R2's qualified IDs. Each is
+// a substring of the dialog, so a caller that shows both renders every
+// text once.
 type Lines struct {
-	Rules, Threats, Chains []string
+	Rules, Threats, Chains, ThreatRules []string
 }
 
 // InstallDialog renders the installation dialog including chained-threat
 // lines — the complete text both the library (homeguard.Home) and the
-// fleet service show at install time — and the texts of its lines.
+// fleet service show at install time — and the texts of its lines. It
+// allocates the dialog string and one slice that holds every line text.
 func InstallDialog(appName string, rules []*rule.Rule, threats []detect.Threat, chains []detect.Chain) (string, Lines) {
-	var sb strings.Builder
-	sb.Grow(256)
-	// spans holds each line text's start and end offset in the dialog.
-	spans := make([]int, 0, 2*(len(rules)+len(threats)+len(chains)))
-	sb.WriteString("HomeGuard — installing ")
-	sb.WriteString(appName)
-	sb.WriteString("\n")
-	sb.WriteString("========================================\n")
-	sb.WriteString("This app defines:\n")
-	for _, r := range rules {
-		sb.WriteString("  • ")
-		spans = append(spans, sb.Len())
-		sb.WriteString(DescribeRule(r))
-		spans = append(spans, sb.Len())
-		sb.WriteString("\n")
+	s := getScratch()
+	defer putScratch(s)
+	nr, nt, nc := len(rules), len(threats), len(chains)
+	// Items are the rules, the threats, the chains, then two rule IDs
+	// per threat, in the order Lines slices them.
+	ids := nr + nt + nc
+	s.setItems(ids + 2*nt)
+	s.buf = append(s.buf, "HomeGuard — installing "...)
+	s.buf = append(s.buf, appName...)
+	s.buf = append(s.buf, "\n========================================\nThis app defines:\n"...)
+	for i, r := range rules {
+		s.buf = append(s.buf, "  • "...)
+		start := len(s.buf)
+		s.buf = appendRule(s.buf, r)
+		s.span(i, start)
+		s.buf = append(s.buf, '\n')
 	}
-	if len(threats) == 0 {
-		sb.WriteString("No cross-app interference detected.\n")
+	if nt == 0 {
+		s.buf = append(s.buf, "No cross-app interference detected.\n"...)
 	} else {
-		fmt.Fprintf(&sb, "%d potential cross-app interference threat(s):\n", len(threats))
-		for _, t := range threats {
-			sb.WriteString("  ⚠ ")
-			spans = append(spans, sb.Len())
-			describeThreatInto(&sb, t)
-			spans = append(spans, sb.Len())
-			sb.WriteString("\n")
+		s.buf = strconv.AppendInt(s.buf, int64(nt), 10)
+		s.buf = append(s.buf, " potential cross-app interference threat(s):\n"...)
+		for i, t := range threats {
+			s.buf = append(s.buf, "  ⚠ "...)
+			start := len(s.buf)
+			var at1, at2 int
+			s.buf, at1, at2 = appendThreat(s.buf, t)
+			s.span(nr+i, start)
+			s.threatIDs(ids, i, t, at1, at2)
+			s.buf = append(s.buf, '\n')
 		}
-		sb.WriteString("Keep the app, remove it, or change its configuration.\n")
+		s.buf = append(s.buf, "Keep the app, remove it, or change its configuration.\n"...)
 	}
-	for _, c := range chains {
-		sb.WriteString("  ⛓ ")
-		spans = append(spans, sb.Len())
-		sb.WriteString(DescribeChain(c))
-		spans = append(spans, sb.Len())
-		sb.WriteString("\n")
+	for i, c := range chains {
+		s.buf = append(s.buf, "  ⛓ "...)
+		start := len(s.buf)
+		s.buf = appendChain(s.buf, c)
+		s.span(nr+nt+i, start)
+		s.buf = append(s.buf, '\n')
 	}
-	text := sb.String()
-	texts := make([]string, len(spans)/2)
+	end := len(s.buf)
+	s.appendMissingIDs(ids, threats)
+	text := string(s.buf)
+	texts := make([]string, len(s.spans)/2)
 	for i := range texts {
-		texts[i] = text[spans[2*i]:spans[2*i+1]]
+		texts[i] = s.item(text, i)
 	}
-	nr, nt := len(rules), len(rules)+len(threats)
-	return text, Lines{Rules: texts[:nr:nr], Threats: texts[nr:nt:nt], Chains: texts[nt:]}
+	return text[:end], Lines{
+		Rules:       texts[:nr:nr],
+		Threats:     texts[nr : nr+nt : nr+nt],
+		Chains:      texts[nr+nt : ids : ids],
+		ThreatRules: texts[ids:],
+	}
 }
