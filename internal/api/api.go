@@ -294,44 +294,43 @@ type Threat struct {
 
 // ThreatOf renders one threat with its log index (-1 for none).
 func ThreatOf(t detect.Threat, index int) Threat {
-	return threatOf(t, index, frontend.DescribeThreat(t))
+	return threatOf(t, index, frontend.DescribeThreat(t), t.R1.QualifiedID(), t.R2.QualifiedID())
 }
 
-// threatOf is ThreatOf with the threat's text already rendered.
-func threatOf(t detect.Threat, index int, text string) Threat {
+// threatOf is ThreatOf with the threat's text and rule IDs already
+// rendered.
+func threatOf(t detect.Threat, index int, text, id1, id2 string) Threat {
 	return Threat{
 		Index:    index,
 		Kind:     string(t.Kind),
 		Class:    t.Kind.Class(),
-		Rule1:    t.R1.QualifiedID(),
-		Rule2:    t.R2.QualifiedID(),
+		Rule1:    id1,
+		Rule2:    id2,
 		Property: string(t.Property),
 		Note:     t.Note,
 		Text:     text,
 	}
 }
 
-// ThreatsOf renders threats with log indices starting at logBase; pass
-// a negative logBase for responses without log positions.
-func ThreatsOf(ts []detect.Threat, logBase int) []Threat {
-	return threatsOf(ts, logBase, nil)
+// logIndex is the log index of the i-th threat of a response whose
+// first threat is log entry logBase, or -1 when logBase is negative.
+func logIndex(logBase, i int) int {
+	if logBase < 0 {
+		return -1
+	}
+	return logBase + i
 }
 
-// threatsOf is ThreatsOf taking the texts already rendered: texts[i]
-// is ts[i]'s, or nil to render them here.
-func threatsOf(ts []detect.Threat, logBase int, texts []string) []Threat {
+// ThreatsOf renders threats with log indices starting at logBase; pass
+// a negative logBase for responses without log positions. Every text
+// and rule ID is a substring of one string the read renders
+// (frontend.RenderThreats), so a read allocates that string and the
+// slice it returns.
+func ThreatsOf(ts []detect.Threat, logBase int) []Threat {
 	out := make([]Threat, len(ts))
-	for i, t := range ts {
-		idx := -1
-		if logBase >= 0 {
-			idx = logBase + i
-		}
-		if texts != nil {
-			out[i] = threatOf(t, idx, texts[i])
-		} else {
-			out[i] = ThreatOf(t, idx)
-		}
-	}
+	frontend.RenderThreats(ts, func(i int, text, id1, id2 string) {
+		out[i] = threatOf(ts[i], logIndex(logBase, i), text, id1, id2)
+	})
 	return out
 }
 
@@ -347,15 +346,20 @@ type InstallResponse struct {
 }
 
 // InstallResponseOf converts a fleet install result to the wire form.
-// The rule, threat and chain texts are the lines of the result's
-// report, which fleet.Install rendered once.
+// The rule, threat and chain texts and the threats' rule IDs are the
+// lines of the result's report, which fleet.Install rendered once.
 func InstallResponseOf(res *fleet.InstallResult) *InstallResponse {
 	lines := res.Lines
+	threats := make([]Threat, len(res.Threats))
+	for i, t := range res.Threats {
+		threats[i] = threatOf(t, logIndex(res.ThreatLogBase, i), lines.Threats[i],
+			lines.ThreatRules[2*i], lines.ThreatRules[2*i+1])
+	}
 	return &InstallResponse{
 		HomeID:   res.HomeID,
 		App:      res.App.Name,
 		Rules:    lines.Rules,
-		Threats:  threatsOf(res.Threats, res.ThreatLogBase, lines.Threats),
+		Threats:  threats,
 		Chains:   lines.Chains,
 		Report:   res.Report,
 		Warnings: res.Warnings,
