@@ -303,14 +303,14 @@ func (r *router) invoke(node cluster.Node, call func(c *rpc.Client) error) error
 // routes every other method by key — or, when the edge bound none, by
 // the key-only decode m.KeyOf(body) — then resyncs the home's journal
 // if routing moved it, relays body to the owner with the key in the
-// REQ header, and returns the owner's response body untouched.
+// REQ header, and appends the owner's response body, untouched, to dst.
 // Retryable failures retry per the cluster policy; a method that is not
 // Mutating is a read, for which DEADLINE_EXCEEDED is retryable too. An
 // acked mutating op is journaled, except that MigrateHome drops the
 // home's journal and pin: the home has left the cluster.
-func (r *router) Serve(ctx context.Context, m *rpc.Method, key string, body []byte) ([]byte, *api.Error) {
+func (r *router) Serve(ctx context.Context, m *rpc.Method, key string, body, dst []byte) ([]byte, *api.Error) {
 	if m == rpc.MethodPing.Method {
-		return r.ping()
+		return r.ping(dst)
 	}
 	if key == "" {
 		var aerr *api.Error
@@ -351,13 +351,13 @@ func (r *router) Serve(ctx context.Context, m *rpc.Method, key string, body []by
 	case m.Mutating:
 		hs.ops = append(hs.ops, journalOp{method: m, key: key, body: body})
 	}
-	return out, nil
+	return append(dst, out...), nil
 }
 
 // ping answers for the gateway itself: callers probing the gateway get
 // its identity and a journal-sized view of the fleet, not a forwarded
-// node answer.
-func (r *router) ping() ([]byte, *api.Error) {
+// node answer, appended to dst.
+func (r *router) ping(dst []byte) ([]byte, *api.Error) {
 	r.mu.Lock()
 	n := len(r.homes)
 	r.mu.Unlock()
@@ -365,7 +365,7 @@ func (r *router) ping() ([]byte, *api.Error) {
 	if err != nil {
 		return nil, api.Errorf(api.CodeInternal, "encode response: %v", err)
 	}
-	return out, nil
+	return append(dst, out...), nil
 }
 
 // syncLocked makes node current for the home: when the journal was last

@@ -111,7 +111,7 @@ func call[Req, Resp any](ctx context.Context, r *router, d rpc.Desc[Req, Resp], 
 	if err != nil {
 		return nil, api.Errorf(api.CodeInternal, "encode request: %v", err)
 	}
-	out, aerr := r.Serve(ctx, d.Method, "", body)
+	out, aerr := r.Serve(ctx, d.Method, "", body, nil)
 	if aerr != nil {
 		return nil, aerr
 	}

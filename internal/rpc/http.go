@@ -12,7 +12,8 @@ import (
 // RegisterHTTP serves every method of the table that has an HTTP route
 // on mux, dispatching into h. A POST route hands its body to h.Serve
 // verbatim; a GET route marshals the request it binds from the path's
-// {id} and the query. Either passes {id} as the key. The response is
+// {id} and the query. Either passes {id} as the key, and a response
+// buffer from the pool the RPC server uses (putBody). The response is
 // the body h returns plus a newline, or the {"error": {...}} envelope
 // under the code's HTTP status.
 func RegisterHTTP(mux *http.ServeMux, h Handler) {
@@ -31,8 +32,10 @@ func RegisterHTTP(mux *http.ServeMux, h Handler) {
 			if m.home != nil {
 				key = r.PathValue("id")
 			}
-			out, aerr := h.Serve(r.Context(), m, key, body)
+			bp := getBody()
+			out, aerr := h.Serve(r.Context(), m, key, body, *bp)
 			respondBody(w, out, aerr)
+			putBody(bp, out)
 		})
 	}
 }
@@ -107,6 +110,8 @@ func Respond(w http.ResponseWriter, v any, aerr *api.Error) {
 // respondBody writes a response body already encoded as compact JSON,
 // or the error envelope. The body is relayed as it is plus a newline,
 // which is exactly what WriteJSON writes for the value it encodes.
+// body is the caller's own buffer (the dst it gave Handler.Serve), so
+// the newline is appended to it and the answer is one write.
 func respondBody(w http.ResponseWriter, body []byte, aerr *api.Error) {
 	if aerr != nil {
 		Respond(w, nil, aerr)
@@ -114,17 +119,10 @@ func respondBody(w http.ResponseWriter, body []byte, aerr *api.Error) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	// Two writes, not append: the body may be a slice its handler shares.
-	_, err := w.Write(body)
-	if err == nil {
-		_, err = w.Write(newline)
-	}
-	if err != nil {
+	if _, err := w.Write(append(body, '\n')); err != nil {
 		log.Printf("rpc: write HTTP response: %v", err)
 	}
 }
-
-var newline = []byte{'\n'}
 
 // WriteJSON writes v as compact, newline-terminated JSON under status.
 func WriteJSON(w http.ResponseWriter, status int, v any) {

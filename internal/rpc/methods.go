@@ -88,31 +88,11 @@ type appender interface {
 	AppendJSON(dst []byte) []byte
 }
 
-// encodeBufs recycles the scratch buffers appenders encode into, so a
-// response costs one allocation of its exact size, as json.Marshal's
-// does. Buffers past maxPooledEncode are dropped, not kept.
-var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-const maxPooledEncode = 1 << 20
-
-// encode returns a's encoding in a slice of its own.
-func encode(a appender) []byte {
-	bp := encodeBufs.Get().(*[]byte)
-	buf := a.AppendJSON((*bp)[:0])
-	out := make([]byte, len(buf))
-	copy(out, buf)
-	if cap(buf) <= maxPooledEncode {
-		*bp = buf
-		encodeBufs.Put(bp)
-	}
-	return out
-}
-
 // serve runs the method on b from a raw request body: decode it, bind
 // key (when non-empty) as the request's home the way the HTTP edge
-// binds {id}, call b, and encode the response, with its own AppendJSON
-// when it has one and json.Marshal otherwise.
-func (m *Method) serve(ctx context.Context, b Backend, key string, body []byte) ([]byte, *api.Error) {
+// binds {id}, call b, and append the response's encoding to dst, with
+// its own AppendJSON when it has one and json.Marshal otherwise.
+func (m *Method) serve(ctx context.Context, b Backend, key string, body, dst []byte) ([]byte, *api.Error) {
 	req := m.newRequest()
 	if aerr := decodeBody(body, req); aerr != nil {
 		return nil, aerr
@@ -125,13 +105,40 @@ func (m *Method) serve(ctx context.Context, b Backend, key string, body []byte) 
 		return nil, aerr
 	}
 	if a, ok := res.(appender); ok {
-		return encode(a), nil
+		return a.AppendJSON(dst), nil
 	}
 	out, err := json.Marshal(res)
 	if err != nil {
 		return nil, api.Errorf(api.CodeInternal, "encode response: %v", err)
 	}
-	return out, nil
+	return append(dst, out...), nil
+}
+
+// bodyBufs holds the response buffers the edges pass to Handler.Serve
+// as dst. An edge takes one per request and puts it back once the
+// response is written (putBody), so the pool holds no more buffers than
+// there are requests in flight. A buffer past maxPooledBody bytes is
+// dropped, not kept.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 1 << 20
+
+// getBody takes an empty response buffer from the pool.
+func getBody() *[]byte {
+	bp := bodyBufs.Get().(*[]byte)
+	*bp = (*bp)[:0]
+	return bp
+}
+
+// putBody returns bp to the pool once the response out, which Serve
+// appended to *bp, is written; bp keeps out's storage when it grew.
+func putBody(bp *[]byte, out []byte) {
+	if cap(out) > cap(*bp) {
+		*bp = out
+	}
+	if cap(*bp) <= maxPooledBody {
+		bodyBufs.Put(bp)
+	}
 }
 
 // Desc is a typed handle on one table entry: a client stub that names

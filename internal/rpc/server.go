@@ -27,16 +27,21 @@ type ServerOptions struct {
 
 // Handler is the raw entry point every edge dispatches into: the RPC
 // server's calls and the HTTP routes both call Serve with the method's
-// descriptor, the home key the edge bound and the request body, and
-// write the response body Serve returns verbatim. key is non-empty only
-// for a method scoped to one home: the REQ header's key on the RPC
-// edge, the path's {id} on the HTTP edge, "" when the edge has none
-// (store methods, clients that send no key). body is the handler's to
-// keep; the edges never reuse it. *Service serves through the method
-// table; cmd/homeguardgw's router routes by key and relays both bodies
-// without decoding them.
+// descriptor, the home key the edge bound, the request body and a
+// response buffer dst, and write the response body Serve returns
+// verbatim. key is non-empty only for a method scoped to one home: the
+// REQ header's key on the RPC edge, the path's {id} on the HTTP edge,
+// "" when the edge has none (store methods, clients that send no key).
+//
+// Ownership: body is the handler's to keep; the edges never reuse it.
+// dst belongs to the edge. Serve appends the response body to dst and
+// returns the result, and must not keep dst or the returned slice once
+// it returns: the edge writes the response and then reuses the buffer
+// for another request. *Service serves through the method table;
+// cmd/homeguardgw's router routes by key and appends the owner's
+// response body to dst without decoding either body.
 type Handler interface {
-	Serve(ctx context.Context, m *Method, key string, body []byte) ([]byte, *api.Error)
+	Serve(ctx context.Context, m *Method, key string, body, dst []byte) ([]byte, *api.Error)
 	// BreakerState reports the named stage's breaker ("" for an unknown
 	// stage) for the homeguard_rpc_breaker_open gauge.
 	BreakerState(stage string) string
@@ -66,8 +71,8 @@ type Backend interface {
 // methods, whatever type embeds them.
 type typed struct{ Backend }
 
-func (t typed) Serve(ctx context.Context, m *Method, key string, body []byte) ([]byte, *api.Error) {
-	return m.serve(ctx, t.Backend, key, body)
+func (t typed) Serve(ctx context.Context, m *Method, key string, body, dst []byte) ([]byte, *api.Error) {
+	return m.serve(ctx, t.Backend, key, body, dst)
 }
 
 // handlerOf is the handler an edge dispatches into for h: a Backend is
@@ -262,6 +267,7 @@ func (s *Server) handleUnary(parent context.Context, fw *frameWriter, id uint64,
 		ctx = obs.ContextWithSpan(ctx, sp)
 	}
 	start := time.Now()
+	bp := getBody()
 	var res []byte
 	var aerr *api.Error
 	if m := unaryMethods[hdr.Method]; m == nil {
@@ -271,7 +277,7 @@ func (s *Server) handleUnary(parent context.Context, fw *frameWriter, id uint64,
 		if m.home == nil {
 			key = ""
 		}
-		res, aerr = s.svc.Serve(ctx, m, key, body)
+		res, aerr = s.svc.Serve(ctx, m, key, body, *bp)
 	}
 	sp.SetStr("code", string(statusCode(aerr)))
 	sp.End()
@@ -281,6 +287,7 @@ func (s *Server) handleUnary(parent context.Context, fw *frameWriter, id uint64,
 	// A write failure means the connection died; the reader loop
 	// notices and unwinds.
 	_ = fw.writeEnvelope(frameRes, id, rhdr, rbody)
+	putBody(bp, res)
 }
 
 // encodeStatus builds the RES frame of one finished RPC: body, already

@@ -73,8 +73,8 @@ func NewService(f *fleet.Fleet, opts ServiceOptions) *Service {
 
 // Serve is the node side of Handler: it runs m through the method
 // table on the raw request body, binding key as the request's home.
-func (s *Service) Serve(ctx context.Context, m *Method, key string, body []byte) ([]byte, *api.Error) {
-	return m.serve(ctx, s, key, body)
+func (s *Service) Serve(ctx context.Context, m *Method, key string, body, dst []byte) ([]byte, *api.Error) {
+	return m.serve(ctx, s, key, body, dst)
 }
 
 // Auditor returns the store auditor (nil when the edge serves none).
