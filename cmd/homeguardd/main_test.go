@@ -589,15 +589,18 @@ func TestDaemonSnapshotWarmBoot(t *testing.T) {
 		t.Fatalf("restore counted %d cache lookups; restores must not skew hit ratios", before.Cache.Lookups)
 	}
 
-	// The repeat install storm: same catalog, different homes.
-	for i, app := range apps {
-		home := fmt.Sprintf("/homes/h%d/install", 100+i)
-		code, resp := doJSON(t, cold, "POST", home, map[string]any{"corpus": app})
+	// The repeat install storm: the same catalog into one new home, so
+	// the storm looks up every pair the checkpointed home holds.
+	for _, app := range apps {
+		code, resp := doJSON(t, cold, "POST", "/homes/h100/install", map[string]any{"corpus": app})
 		if code != http.StatusOK {
 			t.Fatalf("warm install %s: status %d resp %v", app, code, resp)
 		}
 	}
 	m := cold.fleet.Metrics()
+	if n := m.PairVerdicts.Lookups - before.PairVerdicts.Lookups; n == 0 {
+		t.Error("repeat storm looked up no pair verdicts; it checks nothing about the verdict cache")
+	}
 	if m.Cache.Misses != 0 {
 		t.Errorf("warm boot ran %d extractions, want 0", m.Cache.Misses)
 	}
