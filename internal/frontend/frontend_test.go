@@ -1,6 +1,9 @@
 package frontend
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -126,5 +129,99 @@ func TestInstallReport(t *testing.T) {
 	clean := InstallReport("SafeApp", []*rule.Rule{comfortRule()}, nil)
 	if !strings.Contains(clean, "No cross-app interference") {
 		t.Errorf("clean report: %s", clean)
+	}
+}
+
+// TestConditionRendersItsFormula: a condition renders as its formula
+// does. appendCondition walks the predicates and binds the data
+// constraints in place, so it must give the text of the materialized
+// c.Formula() (rule.Conj, then rule.Substitute) for flattening, literal,
+// binding-chain, double-binding and cyclic cases alike.
+func TestConditionRendersItsFormula(t *testing.T) {
+	v := func(name string) rule.Var { return rule.Var{Name: name, Kind: rule.VarLocal, Type: rule.TypeInt} }
+	cmp := func(op rule.CmpOp, l, r rule.Term) rule.Cmp { return rule.Cmp{Op: op, L: l, R: r} }
+	var chain []rule.DataConstraint
+	for i := 0; i < 10; i++ {
+		chain = append(chain, rule.DataConstraint{Var: fmt.Sprintf("v%d", i), Term: v(fmt.Sprintf("v%d", i+1))})
+	}
+	cases := []rule.Condition{
+		{Predicates: []rule.Constraint{cmp(rule.OpGt, v("t"), v("threshold"))},
+			Data: []rule.DataConstraint{{Var: "t", Term: v("tSensor.temperature")}}},
+		{Predicates: []rule.Constraint{cmp(rule.OpEq, v("x"), rule.IntVal(3)), rule.Lit(true), nil,
+			rule.And{Cs: []rule.Constraint{cmp(rule.OpLe, v("y"), rule.Sum{X: v("z"), K: -5}), rule.And{Cs: []rule.Constraint{
+				cmp(rule.OpNe, v("a.b.c"), rule.StrVal("on"))}}}}},
+			Data: []rule.DataConstraint{{Var: "x", Term: rule.IntVal(1)}, {Var: "x", Term: v("w")}, {Var: "y", Term: v("y")}}},
+		{Predicates: []rule.Constraint{rule.Or{Cs: []rule.Constraint{cmp(rule.OpLt, v("a"), rule.BoolVal(true)),
+			rule.Not{C: cmp(rule.OpGe, v("b"), rule.Sum{X: v("a"), K: 2})}}}},
+			Data: []rule.DataConstraint{{Var: "a", Term: v("b")}, {Var: "b", Term: v("a")}}},
+		{Predicates: []rule.Constraint{cmp(rule.OpEq, v("v0"), v("v3"))}, Data: chain},
+		{Predicates: []rule.Constraint{cmp(rule.OpEq, v("x"), rule.IntVal(1)), rule.Lit(false)}},
+		{Predicates: []rule.Constraint{rule.Lit(true), rule.And{}}},
+		{Predicates: []rule.Constraint{rule.And{Cs: []rule.Constraint{rule.Lit(true), rule.Lit(false)}}}},
+	}
+	for i, c := range cases {
+		got := string(appendCondition(nil, c))
+		want := string(appendCondition(nil, rule.Condition{Predicates: []rule.Constraint{c.Formula()}}))
+		if got != want {
+			t.Errorf("case %d: condition renders %q, its formula %q", i, got, want)
+		}
+	}
+}
+
+// TestWitnessPicksFirstSix: the example situation shows the six
+// assignments first in name order, skipping internal variables, as a
+// sort of every assignment would.
+func TestWitnessPicksFirstSix(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 200; round++ {
+		m := solver.Model{}
+		for i, n := 0, rng.Intn(12); i < n; i++ {
+			name := fmt.Sprintf("dev-%c.attr%d", 'a'+rng.Intn(26), rng.Intn(5))
+			switch rng.Intn(3) {
+			case 0:
+				m[name] = solver.Value{Int: rng.Int63n(200) - 100}
+			case 1:
+				m[name] = solver.Value{Enum: "on"}
+			default:
+				m[name] = solver.Value{Enum: "\x00internal"}
+			}
+		}
+		var names []string
+		for name, v := range m {
+			if !strings.HasPrefix(v.Enum, "\x00") {
+				names = append(names, name)
+			}
+		}
+		sort.Strings(names)
+		parts := make([]string, 0, 6)
+		for _, name := range names[:min(6, len(names))] {
+			parts = append(parts, name+" = "+m[name].String())
+		}
+		want := strings.Join(parts, ", ") + "."
+		if got := string(appendWitness(nil, m)); got != want {
+			t.Fatalf("witness of %v: got %q, want %q", m, got, want)
+		}
+	}
+}
+
+// TestUnknownKindRuleIDs: a threat of a kind the renderer does not know
+// names no rules in its text, yet its rule IDs still come back, and the
+// dialog's text stays exactly the rendered lines.
+func TestUnknownKindRuleIDs(t *testing.T) {
+	th := detect.Threat{Kind: "ZZ", R1: comfortRule(), R2: closeRule()}
+	known := detect.Threat{Kind: detect.ActuatorRace, R1: closeRule(), R2: comfortRule()}
+	ts := []detect.Threat{th, known}
+	RenderThreats(ts, func(i int, text, id1, id2 string) {
+		if text != DescribeThreat(ts[i]) || id1 != ts[i].R1.QualifiedID() || id2 != ts[i].R2.QualifiedID() {
+			t.Errorf("threat %d: got %q, %q, %q", i, text, id1, id2)
+		}
+	})
+	report, lines := InstallDialog("ColdDefender", []*rule.Rule{closeRule()}, ts, nil)
+	if !strings.Contains(report, "  ⚠ [ZZ] ZZ: \n") || !strings.HasSuffix(report, "change its configuration.\n") {
+		t.Errorf("report carries the appended IDs:\n%s", report)
+	}
+	want := []string{"ComfortTV/r1", "ColdDefender/r1", "ColdDefender/r1", "ComfortTV/r1"}
+	if fmt.Sprint(lines.ThreatRules) != fmt.Sprint(want) {
+		t.Errorf("ThreatRules = %q, want %q", lines.ThreatRules, want)
 	}
 }

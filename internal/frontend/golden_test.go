@@ -36,32 +36,16 @@ func renderTranscript(t *testing.T) string {
 		}
 		fmt.Fprintf(&b, "-- %s\n%s\n", what, out)
 	}
-	apps := corpus.All()
 	for _, size := range []int{5, 12} {
 		f := fleet.New(fleet.Options{})
-		for lo := 0; lo < len(apps); lo += size {
-			home := fmt.Sprintf("h%d-%d", size, lo/size)
-			var first string
-			for _, a := range apps[lo:min(lo+size, len(apps))] {
-				fmt.Fprintf(&b, "== install %s %s\n", home, a.Name)
-				res, err := f.Install(ctx, home, a.Source, nil)
-				if err != nil {
-					fmt.Fprintf(&b, "error: %v\n", err)
-					continue
-				}
-				if first == "" {
-					first = res.App.Name
-				}
-				record("install", api.InstallResponseOf(res))
-				if len(res.Threats) > 0 {
-					if err := f.AcceptByIndex(home, res.ThreatLogBase); err != nil {
-						t.Fatalf("accept %s: %v", home, err)
-					}
-				}
+		fillHomes(t, f, size, func(home, app string, res *fleet.InstallResult, err error) {
+			fmt.Fprintf(&b, "== install %s %s\n", home, app)
+			if err != nil {
+				fmt.Fprintf(&b, "error: %v\n", err)
+				return
 			}
-			if first == "" {
-				continue
-			}
+			record("install", api.InstallResponseOf(res))
+		}, func(home, first string) {
 			fmt.Fprintf(&b, "== reconfigure %s %s\n", home, first)
 			rc, err := f.Reconfigure(ctx, home, first, nil)
 			if err != nil {
@@ -79,9 +63,42 @@ func renderTranscript(t *testing.T) string {
 				t.Fatalf("active threats %s: %v", home, err)
 			}
 			record("active", api.ThreatsOf(active, -1))
-		}
+		})
 	}
 	return b.String()
+}
+
+// fillHomes installs every corpus app, in name order, into f's homes of
+// size apps (the corpus cut into consecutive runs of that size), and
+// accepts each install's first threat so later installs report chains.
+// It calls installed after each install and full, with the home's first
+// app, after each home is full.
+func fillHomes(t *testing.T, f *fleet.Fleet, size int,
+	installed func(home, app string, res *fleet.InstallResult, err error), full func(home, first string)) {
+	t.Helper()
+	apps := corpus.All()
+	for lo := 0; lo < len(apps); lo += size {
+		home := fmt.Sprintf("h%d-%d", size, lo/size)
+		var first string
+		for _, a := range apps[lo:min(lo+size, len(apps))] {
+			res, err := f.Install(context.Background(), home, a.Source, nil)
+			installed(home, a.Name, res, err)
+			if err != nil {
+				continue
+			}
+			if first == "" {
+				first = res.App.Name
+			}
+			if len(res.Threats) > 0 {
+				if err := f.AcceptByIndex(home, res.ThreatLogBase); err != nil {
+					t.Fatalf("accept %s: %v", home, err)
+				}
+			}
+		}
+		if first != "" {
+			full(home, first)
+		}
+	}
 }
 
 // TestRenderGolden pins every rendered install dialog, rule, threat and
