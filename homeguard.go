@@ -78,7 +78,8 @@
 // core, driven by one method table (internal/rpc's Methods) that the
 // HTTP routes, the RPC dispatch, the client stubs and the gateway all
 // read, and one raw entry point (rpc.Handler) into which every edge
-// hands the method, the home key and the request body. The node
+// hands the method, the home key, the request body and a response
+// buffer of its own. The node
 // decodes there with one request-body decoder, so payloads and error
 // semantics are identical (a parity test pins this): every failure is
 // one typed envelope — a machine-readable code plus message — mapped
@@ -91,7 +92,13 @@
 // an HTTP response body is that same compact JSON plus a newline; a
 // response too large for the 4 MiB frame cap comes back as
 // RESOURCE_EXHAUSTED. The per-request cost around that is kept small:
-// the frame headers are appended and scanned without reflection
+// each edge takes its response buffer from one pool and gives it back
+// once the response is written, the node appends the response's
+// encoding straight into it and a gateway appends the owner's body, so
+// no body is copied into a slice of its own; an install dialog or a
+// threat read renders all of its texts into one string (the rule,
+// threat and chain texts and the threats' rule IDs are substrings of
+// it); the frame headers are appended and scanned without reflection
 // (unusual headers fall back to encoding/json), the gateway's routing
 // key is scanned out of the body without decoding the app source, and
 // RPC handlers and pipeline-stage ops run on reused goroutines whose

@@ -28,6 +28,9 @@ func TestInstallDialogAllocs(t *testing.T) {
 	if text, _ := frontend.InstallDialog(name, rules, threats, chains); text != last.Report {
 		t.Fatal("the dialog rendered again differs from the install's report")
 	}
+	if raceEnabled {
+		t.Skip("allocation counts need the pool a -race build thins out")
+	}
 	allocs := testing.AllocsPerRun(50, func() {
 		frontend.InstallDialog(name, rules, threats, chains)
 	})
@@ -62,6 +65,9 @@ func TestThreatsOfAllocs(t *testing.T) {
 		if got[i] != want {
 			t.Fatalf("threat %d: ThreatsOf gave %+v, ThreatOf %+v", i, got[i], want)
 		}
+	}
+	if raceEnabled {
+		t.Skip("allocation counts need the pool a -race build thins out")
 	}
 	allocs := testing.AllocsPerRun(50, func() { api.ThreatsOf(log, 0) })
 	t.Logf("ThreatsOf: %.1f allocations", allocs)
