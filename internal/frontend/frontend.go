@@ -90,8 +90,7 @@ func appendTrigger(dst []byte, t rule.Trigger) []byte {
 	default:
 		dst = append(dst, t.Subject...)
 	}
-	dst = append(dst, "'s "...)
-	dst = append(dst, t.Attribute...)
+	dst = cat(dst, "'s ", t.Attribute)
 	if t.AnyChange() {
 		return append(dst, " changes"...)
 	}
@@ -289,8 +288,7 @@ func appendVarText(dst []byte, t rule.Term) []byte {
 		if i < 0 {
 			return append(dst, name...)
 		}
-		dst = append(dst, name[:i]...)
-		dst = append(dst, "'s "...)
+		dst = cat(dst, name[:i], "'s ")
 		name = name[i+1:]
 	}
 }
@@ -306,10 +304,7 @@ func appendAction(dst []byte, a rule.Action) []byte {
 	case "sendSms", "sendSmsMessage", "sendPush", "sendNotification":
 		dst = append(dst, "send a notification"...)
 	default:
-		dst = append(dst, "issue "...)
-		dst = append(dst, a.Subject...)
-		dst = append(dst, "'s "...)
-		dst = append(dst, a.Command...)
+		dst = cat(dst, "issue ", a.Subject, "'s ", a.Command)
 		if len(a.Params) > 0 {
 			dst = append(dst, '(')
 			for i, p := range a.Params {
@@ -395,11 +390,17 @@ func (s *scratch) appendMissingIDs(base int, ts []detect.Threat) {
 	}
 }
 
+// cat appends each of ss to dst.
+func cat(dst []byte, ss ...string) []byte {
+	for _, s := range ss {
+		dst = append(dst, s...)
+	}
+	return dst
+}
+
 // appendQualifiedID appends r.QualifiedID().
 func appendQualifiedID(dst []byte, r *rule.Rule) []byte {
-	dst = append(dst, r.App...)
-	dst = append(dst, '/')
-	return append(dst, r.ID...)
+	return cat(dst, r.App, "/", r.ID)
 }
 
 func idLen(r *rule.Rule) int { return len(r.App) + 1 + len(r.ID) }
@@ -409,33 +410,18 @@ func idLen(r *rule.Rule) int { return len(r.App) + 1 + len(r.ID) }
 // qualified IDs start (-1 for a kind it does not know, whose text names
 // neither).
 func appendThreat(dst []byte, t detect.Threat) (out []byte, at1, at2 int) {
-	dst = append(dst, '[')
-	dst = append(dst, t.Kind...)
-	dst = append(dst, "] "...)
-	dst = append(dst, kindTitle(t.Kind)...)
-	dst = append(dst, ": "...)
+	dst = cat(dst, "[", string(t.Kind), "] ", kindTitle(t.Kind), ": ")
 	at1, at2 = -1, -1
 	switch t.Kind {
 	case detect.ActuatorRace:
 		dst, at1, at2 = appendRulePair(dst, t, "rules ", " and ")
-		dst = append(dst, " can run in the same situation and issue contradictory commands ("...)
-		dst = append(dst, t.R1.Action.Command...)
-		dst = append(dst, " vs "...)
-		dst = append(dst, t.R2.Action.Command...)
-		dst = append(dst, ") to the same device."...)
+		dst = cat(dst, " can run in the same situation and issue contradictory commands (",
+			t.R1.Action.Command, " vs ", t.R2.Action.Command, ") to the same device.")
 	case detect.GoalConflict:
 		dst, at1, at2 = appendRulePair(dst, t, "rules ", " and ")
-		dst = append(dst, " work against each other on "...)
-		dst = append(dst, t.Property...)
-		dst = append(dst, " ("...)
-		dst = append(dst, t.R1.Action.Subject...)
-		dst = append(dst, '(')
-		dst = append(dst, t.R1.Action.Command...)
-		dst = append(dst, ") vs "...)
-		dst = append(dst, t.R2.Action.Subject...)
-		dst = append(dst, '(')
-		dst = append(dst, t.R2.Action.Command...)
-		dst = append(dst, "))."...)
+		dst = cat(dst, " work against each other on ", string(t.Property), " (",
+			t.R1.Action.Subject, "(", t.R1.Action.Command, ") vs ",
+			t.R2.Action.Subject, "(", t.R2.Action.Command, ")).")
 	case detect.CovertTriggering:
 		dst, at1, at2 = appendRulePair(dst, t, "rule ", "'s action can covertly trigger rule ")
 		dst = append(dst, ", forming the hidden rule: when "...)
@@ -445,9 +431,7 @@ func appendThreat(dst []byte, t detect.Threat) (out []byte, at1, at2 int) {
 		dst = append(dst, '.')
 	case detect.SelfDisabling:
 		dst, at1, at2 = appendRulePair(dst, t, "rule ", " triggers rule ")
-		dst = append(dst, ", which immediately reverses "...)
-		dst = appendQualifiedID(dst, t.R1)
-		dst = append(dst, "'s action."...)
+		dst = cat(dst, ", which immediately reverses ", t.R1.App, "/", t.R1.ID, "'s action.")
 	case detect.LoopTriggering:
 		dst, at1, at2 = appendRulePair(dst, t, "rules ", " and ")
 		dst = append(dst, " trigger each other in a loop with contradictory actions — devices may oscillate."...)
@@ -456,9 +440,7 @@ func appendThreat(dst []byte, t detect.Threat) (out []byte, at1, at2 int) {
 		dst = append(dst, "'s condition."...)
 	case detect.DisablingCond:
 		dst, at1, at2 = appendRulePair(dst, t, "rule ", "'s action disables rule ")
-		dst = append(dst, "'s condition — "...)
-		dst = append(dst, t.R2.App...)
-		dst = append(dst, " may silently stop working."...)
+		dst = cat(dst, "'s condition — ", t.R2.App, " may silently stop working.")
 	}
 	if len(t.Witness) > 0 {
 		dst = append(dst, " Example situation: "...)
@@ -533,8 +515,7 @@ func appendWitness(dst []byte, w solver.Model) []byte {
 		if i > 0 {
 			dst = append(dst, ", "...)
 		}
-		dst = append(dst, e.name...)
-		dst = append(dst, " = "...)
+		dst = cat(dst, e.name, " = ")
 		// solver.Value.String's rendering: the enum name, else the integer.
 		if e.v.Enum != "" {
 			dst = append(dst, e.v.Enum...)
@@ -601,9 +582,7 @@ func InstallDialog(appName string, rules []*rule.Rule, threats []detect.Threat, 
 	// per threat, in the order Lines slices them.
 	ids := nr + nt + nc
 	s.setItems(ids + 2*nt)
-	s.buf = append(s.buf, "HomeGuard — installing "...)
-	s.buf = append(s.buf, appName...)
-	s.buf = append(s.buf, "\n========================================\nThis app defines:\n"...)
+	s.buf = cat(s.buf, "HomeGuard — installing ", appName, "\n========================================\nThis app defines:\n")
 	for i, r := range rules {
 		s.buf = append(s.buf, "  • "...)
 		start := len(s.buf)
