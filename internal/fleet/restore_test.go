@@ -378,3 +378,39 @@ func TestImportHomeSharesExtractions(t *testing.T) {
 		t.Errorf("extraction cache holds %d entries after the import, want 2", n)
 	}
 }
+
+// TestColdImportSharesExtractions: a home imported into a fleet whose
+// extraction cache has never seen its apps files them in the cache, so
+// a later live install of the same sources into another home extracts
+// nothing and both homes install one result per app.
+func TestColdImportSharesExtractions(t *testing.T) {
+	blob, _, err := pinnedFleet(t).ExportHome("fig3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := New(Options{})
+	if _, err := f.ImportHome("fig3", blob); err != nil {
+		t.Fatal(err)
+	}
+	misses := f.Cache().Stats().Misses
+	for _, app := range []string{"ComfortTV", "ColdDefender"} {
+		if _, err := f.Install(context.Background(), "h2", mustSource(t, app), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := f.Cache().Stats().Misses; m != misses {
+		t.Errorf("live installs of the imported apps ran %d extractions, want 0", m-misses)
+	}
+	imported := map[string]*symexec.Result{}
+	for _, res := range installedResults(t, f, "fig3") {
+		imported[res.App.Name] = res
+	}
+	for _, res := range installedResults(t, f, "h2") {
+		if imported[res.App.Name] != res {
+			t.Errorf("%s: the imported and the live home hold different results", res.App.Name)
+		}
+	}
+	if n := f.Cache().Len(); n != 2 {
+		t.Errorf("extraction cache holds %d entries, want 2", n)
+	}
+}
