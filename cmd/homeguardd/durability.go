@@ -1,8 +1,8 @@
 // Crash-safe durability for the daemon: with -wal-dir set, every fleet
 // and store mutation is appended to a segmented write-ahead log before
 // the client is acknowledged, and a background checkpointer periodically
-// writes the full daemon state — fleet homes with the extraction of
-// every installed app, audited store — to one checkpoint file, then
+// writes the full daemon state — fleet homes with the source of every
+// installed app, audited store — to one checkpoint file, then
 // garbage-collects the log segments the checkpoint covers.
 // Boot recovery restores the last checkpoint and replays the log's tail
 // on top; per-entity LSN watermarks persisted in the checkpoint make the
@@ -10,15 +10,18 @@
 // flips to 200 only when the replayed state is serving.
 //
 // The checkpoint file is three snapcodec sections back to back: a meta
-// section ("HGCKSNP\x00" v3, one JSON record naming the checkpoint
-// LSN), then the fleet homes ("HGFLSNP\x00", whose app table restores
-// into the extraction cache) and the audited store ("HGAUSNP\x00").
-// No cache is a section of its own: restoring the homes replays their
-// ops through the live install path, which solves each app pair the
-// homes hold once and so refills the pair-verdict cache. It is the
-// daemon's one persistence format: a file that does not start with the
-// meta section fails boot with snapcodec.ErrCorrupt, and a v1 or v2
-// file fails snapcodec.ErrVersion.
+// section ("HGCKSNP\x00" v4, one JSON record naming the checkpoint
+// LSN), then the fleet homes ("HGFLSNP\x00") and the audited store
+// ("HGAUSNP\x00"). Both persist each app as its source, never its
+// extraction: restoring them extracts each source once, through the
+// shared extraction cache's Warm, which counts no lookup, so the cache
+// is warm when the daemon turns ready and its hit ratio describes
+// traffic alone. No cache is a section of its own: restoring the homes
+// replays their ops through the live install path, which solves each
+// app pair the homes hold once and so refills the pair-verdict cache.
+// It is the daemon's one persistence format: a file that does not start
+// with the meta section fails boot with snapcodec.ErrCorrupt, and a v1,
+// v2 or v3 file fails snapcodec.ErrVersion.
 
 package main
 
@@ -41,7 +44,7 @@ import (
 // Checkpoint-file meta section identity.
 const (
 	ckptMagic   = "HGCKSNP\x00"
-	ckptVersion = 3
+	ckptVersion = 4
 )
 
 // ckptMetaJSON is the meta section's single record.

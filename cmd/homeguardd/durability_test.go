@@ -402,6 +402,11 @@ func TestLoadCheckpointErrors(t *testing.T) {
 	if _, err := load(skewed); !errors.Is(err, snapcodec.ErrVersion) {
 		t.Errorf("v2 meta: %v, want ErrVersion", err)
 	}
+	// A v3 checkpoint's homes and store held extraction results.
+	binary.BigEndian.PutUint32(skewed[8:12], 3)
+	if _, err := load(skewed); !errors.Is(err, snapcodec.ErrVersion) {
+		t.Errorf("v3 meta: %v, want ErrVersion", err)
+	}
 
 	var legacy bytes.Buffer
 	if _, err := srv.fleet.Cache().Snapshot(&legacy); err != nil {

@@ -92,7 +92,7 @@
 // op history (installs, reconfigures and accepts with their resolved
 // configs, replayed on restore to derive its threats and, through the
 // shared pair-verdict cache, solving each app pair once) with its apps'
-// extractions, and the store auditor — then
+// sources, and the store auditor's apps as sources — then
 // garbage-collects the log segments the checkpoint covers. On boot the
 // daemon loads the newest checkpoint and replays the log tail, so a kill
 // -9 (or kernel panic) loses nothing that was acknowledged: recovery
@@ -109,15 +109,17 @@
 //     -snapshot-path without -wal-dir is a usage error.
 //
 // Without -wal-dir the daemon persists nothing. -wal-dir with -fsync off
-// is the cheap warm start: a restart gets its caches and homes back
-// from the checkpoint, so an app a checkpointed home installed never
-// re-extracts (a source no home installed is extracted again).
+// is the cheap warm start: a restart gets its homes and store back from
+// the checkpoint, extracting each persisted source once before it turns
+// ready, so a later install of an app a checkpointed home installed is
+// a cache hit (a source no home installed is extracted again).
 //
 // Log records are logical, not physical: an install record carries the
-// app's Groovy source and its resolved config, and replay installs the
-// source again through the extraction cache — a hit when a restored home
-// installed that source, a fresh symbolic execution otherwise — without
-// re-running config resolution. Replay is idempotent via per-entity LSN
+// app's Groovy source and its resolved config (a store batch record its
+// upserts' sources), and replay installs the source again through the
+// extraction cache, counting no lookup — shared with a restored home
+// that installed that source, a fresh symbolic execution otherwise —
+// without re-running config resolution. Replay is idempotent via per-entity LSN
 // watermarks persisted in the checkpoint (a record at or below an
 // entity's watermark is skipped), so a checkpoint plus an overlapping
 // tail recovers exactly once. A torn final record (the crash landed mid

@@ -259,9 +259,9 @@
 //     Threats remains the append-only history.
 //
 //   - Persistent warm starts. homeguardd's checkpoint (internal/snapcodec;
-//     see Durability) persists the extraction cache as the homes
-//     section's app table, one entry per installed app, merged back into
-//     the cache on restore. The pair-verdict cache has no section:
+//     see Durability) persists each installed app once, as its source in
+//     the homes section's app table, and a restore extracts it again
+//     into the extraction cache. The pair-verdict cache has no section:
 //     restoring the homes replays their installs, which solves each app
 //     pair they hold once and refills it, in less time than decoding a
 //     stored verdict section took. A daemon restarted on its -wal-dir

@@ -84,7 +84,10 @@ type App struct {
 	Name string
 	// Source is the SmartApp Groovy source; used when Res is nil.
 	Source string
-	// Res is a pre-extracted result; takes precedence over Source.
+	// Res is a pre-extracted result; takes precedence over Source. An
+	// app submitted as a Res has no persisted form: an auditor with a
+	// WAL attached fails it with ErrNoSource, and Snapshot fails while
+	// the store holds one.
 	Res *symexec.Result
 	// Config carries installation-time bindings; nil means type-level
 	// device identity.
@@ -96,6 +99,11 @@ var ErrUnknownApp = errors.New("audit: app not in store")
 
 // ErrEmptyBatch reports an Apply with no upserts and no removes.
 var ErrEmptyBatch = errors.New("audit: empty batch")
+
+// ErrNoSource reports an app submitted as a pre-extracted Res where the
+// store must persist it: the WAL and the checkpoint hold each app as
+// its source.
+var ErrNoSource = errors.New("audit: app has no source to persist")
 
 // DefaultRevisionHistory bounds the per-revision deltas retained for
 // FindingsSince; older feeds degrade to a Reset snapshot.
@@ -183,13 +191,18 @@ type AuditorOptions struct {
 // storeApp is one installed store entry: the compiled app, its index
 // slot and its position in the store (install) order. batch is the
 // revision whose Apply last submitted or updated the app: during that
-// Apply it marks the app as changed.
+// Apply it marks the app as changed. override (empty when none) and src
+// are what the app was extracted from, its persisted form; an app
+// submitted as a Res has none, and preExtracted marks it.
 type storeApp struct {
-	name  string
-	app   *detect.InstalledApp
-	slot  int
-	pos   int
-	batch uint64
+	name         string
+	override     string
+	src          string
+	preExtracted bool
+	app          *detect.InstalledApp
+	slot         int
+	pos          int
+	batch        uint64
 	// verdicts holds the current threats of every pair of this app that
 	// HAS threats, keyed by the counterpart (the app itself for the intra
 	// pair). Clean pairs are absent — the delta diff treats missing as
@@ -405,12 +418,13 @@ func (a *Auditor) Apply(batch Batch) (*Revision, error) {
 }
 
 // apply is Apply's engine. A non-zero replayLSN marks boot-time WAL
-// replay: the batch's upserts carry pre-extracted results decoded from
-// the op record, the empty-batch check is waived (an acked batch whose
-// every op errored still produced a revision, and replay must reproduce
-// the revision numbering exactly), events/metrics are not re-published,
-// no record is re-appended, and a record at or below the persisted
-// watermark is skipped as already reflected in the restored checkpoint.
+// replay: the batch's upserts are the logged sources, extracted through
+// the cache's Warm, and one that fails to extract fails the replay; the
+// empty-batch check is waived (an acked batch whose every op errored
+// still produced a revision, and replay must reproduce the revision
+// numbering exactly), events/metrics are not re-published, no record is
+// re-appended, and a record at or below the persisted watermark is
+// skipped as already reflected in the restored checkpoint.
 func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -440,28 +454,25 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 		compilers[w] = detect.New(a.opts.Detector)
 	}
 	type prepared struct {
-		name string
-		res  *symexec.Result
-		cfg  *detect.Config
-		app  *detect.InstalledApp
+		name, src string
+		app       *detect.InstalledApp
 	}
 	preps := make([]prepared, len(batch.Upserts))
 	perr := make([]error, len(batch.Upserts))
 	xsp := sp.Child("extract")
 	runTasksWorker(len(batch.Upserts), a.workers, func(w, i int) {
 		in := &batch.Upserts[i]
+		var src string
 		res := in.Res
 		if res == nil {
 			var err error
-			if a.opts.Extract != nil {
-				res, err = a.opts.Extract.Extract(in.Source, in.Name)
-			} else {
-				res, err = symexec.Extract(in.Source, in.Name)
-			}
-			if err != nil {
+			if src, res, err = a.extract(in.Source, in.Name, replayLSN > 0); err != nil {
 				perr[i] = err
 				return
 			}
+		} else if a.wal != nil {
+			perr[i] = ErrNoSource
+			return
 		}
 		name := in.Name
 		if name == "" {
@@ -473,7 +484,7 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 		}
 		ia := detect.NewInstalledApp(res, in.Config)
 		compilers[w].Precompile(ia)
-		preps[i] = prepared{name: name, res: res, cfg: in.Config, app: ia}
+		preps[i] = prepared{name: name, src: src, app: ia}
 	})
 	if xsp != nil {
 		xsp.SetInt("apps", int64(len(batch.Upserts)))
@@ -482,6 +493,12 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 	for i, err := range perr {
 		if err == nil {
 			continue
+		}
+		if replayLSN > 0 {
+			if sp != nil {
+				sp.End()
+			}
+			return nil, fmt.Errorf("audit: replay lsn %d: upsert %d: %w", replayLSN, i, err)
 		}
 		key := batch.Upserts[i].Name
 		if key == "" {
@@ -542,16 +559,16 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 		if perr[i] != nil || last[preps[i].name] != i {
 			continue
 		}
-		p := &preps[i]
-		effUpserts = append(effUpserts, walUpsert{name: p.name, res: p.res, cfg: p.cfg})
+		p, in := &preps[i], &batch.Upserts[i]
+		effUpserts = append(effUpserts, walUpsert{override: in.Name, src: p.src, cfg: in.Config})
 		ia := p.app
 		if st := a.byName[p.name]; st != nil {
-			st.app = ia
+			st.app, st.override, st.src, st.preExtracted = ia, in.Name, p.src, in.Res != nil
 			a.idx.Update(st.slot, nil)
 			changed = append(changed, st)
 			continue
 		}
-		st := &storeApp{name: p.name, app: ia}
+		st := &storeApp{name: p.name, override: in.Name, src: p.src, preExtracted: in.Res != nil, app: ia}
 		if k := len(a.free); k > 0 {
 			st.slot = a.free[k-1] // its postings cleared at removal
 			a.free = a.free[:k-1]
@@ -746,6 +763,22 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 		sp.End()
 	}
 	return rev, nil
+}
+
+// extract extracts one app's source under its name override, through
+// the shared cache when there is one, and returns the source the store
+// keeps (the cache's canonical copy). warm marks a restore or a replay,
+// which extract through Warm and so count no cache lookup.
+func (a *Auditor) extract(src, name string, warm bool) (string, *symexec.Result, error) {
+	switch {
+	case a.opts.Extract == nil:
+		res, err := symexec.Extract(src, name)
+		return src, res, err
+	case warm:
+		return a.opts.Extract.Warm(src, name)
+	default:
+		return a.opts.Extract.ExtractKeyed(src, name)
+	}
 }
 
 // Findings returns the store's full active finding set in serial install

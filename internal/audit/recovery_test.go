@@ -2,11 +2,22 @@ package audit_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
 	"fmt"
+	"io"
+	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
 	"homeguard/internal/audit"
 	"homeguard/internal/corpus"
+	"homeguard/internal/detect"
+	"homeguard/internal/extractcache"
+	"homeguard/internal/snapcodec"
+	"homeguard/internal/symexec"
 	"homeguard/internal/wal"
 )
 
@@ -213,4 +224,182 @@ func TestAuditorCheckpointPlusReplay(t *testing.T) {
 	}
 	g.AttachWAL(rl)
 	assertAuditorsEqual(t, aud, g)
+}
+
+// lockSource is a one-rule lock app: when the sensor lock reports state,
+// command the actuator lock. Every version is a distinct source, and the
+// definition name is shared, so a store tells its apps apart only by
+// their name overrides.
+func lockSource(version int, state, cmd string) string {
+	return fmt.Sprintf(`definition(name: "LockApp", namespace: "test", author: "test",
+    description: "Synthetic lock automation, version %d.")
+input "sensor1", "capability.lock", title: "Lock to watch"
+input "actuator1", "capability.lock", title: "Lock to command"
+def installed() { subscribe(sensor1, "lock", onLock) }
+def updated() { unsubscribe(); subscribe(sensor1, "lock", onLock) }
+def onLock(evt) {
+    if (evt.value == "%s") {
+        actuator1.%s()
+    }
+}
+`, version, state, cmd)
+}
+
+// lockApp is store app i at version v, submitted as store churn submits
+// it: under the name override SynthLock%05d, bound to two of three locks
+// drawn from a generator seeded by (i, v).
+func lockApp(i, v int) audit.App {
+	rng := rand.New(rand.NewSource(int64(i*1000 + v)))
+	state, cmd := "locked", "unlock"
+	if rng.Intn(2) == 0 {
+		state, cmd = "unlocked", "lock"
+	}
+	cfg := detect.NewConfig()
+	cfg.Devices["sensor1"] = fmt.Sprintf("lock-%d", rng.Intn(3))
+	cfg.Devices["actuator1"] = fmt.Sprintf("lock-%d", rng.Intn(3))
+	return audit.App{Name: fmt.Sprintf("SynthLock%05d", i), Source: lockSource(v, state, cmd), Config: cfg}
+}
+
+// TestAuditorSourceFormRestore: a store of name-overridden apps restored
+// from a checkpoint plus a WAL tail extracts each persisted source under
+// the key the live Apply used. It serves what the live store serves and
+// what a from-scratch Apply of the final store finds, and the restore
+// counts no lookup, so no miss, in the shared extraction cache.
+func TestAuditorSourceFormRestore(t *testing.T) {
+	dir := t.TempDir()
+	aud := audit.NewAuditor(audit.AuditorOptions{Workers: 2, Extract: extractcache.New()})
+	l := openAuditWAL(t, dir)
+	aud.AttachWAL(l)
+	latest := map[string]audit.App{}
+	apply := func(removes []string, ups ...audit.App) {
+		t.Helper()
+		rev, err := aud.Apply(audit.Batch{Removes: removes, Upserts: ups})
+		if err != nil || len(rev.Errors) > 0 {
+			t.Fatalf("apply: %v %v", err, rev.Errors)
+		}
+		for _, name := range removes {
+			delete(latest, name)
+		}
+		for _, a := range ups {
+			latest[a.Name] = a
+		}
+	}
+	var initial []audit.App
+	for i := 0; i < 12; i++ {
+		initial = append(initial, lockApp(i, 0))
+	}
+	apply(nil, initial...)
+	apply([]string{"SynthLock00004"}, lockApp(1, 1), lockApp(2, 1), lockApp(7, 1))
+	var ckpt bytes.Buffer
+	if err := aud.Snapshot(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	apply(nil, lockApp(2, 2), lockApp(9, 1), lockApp(12, 0), lockApp(4, 3))
+	apply([]string{"SynthLock00000"}, lockApp(13, 0))
+	l.Close()
+
+	cache := extractcache.New()
+	g := audit.NewAuditor(audit.AuditorOptions{Workers: 2, Extract: cache})
+	if err := g.Restore(&ckpt); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	rl := openAuditWAL(t, dir)
+	defer rl.Close()
+	if err := rl.Replay(0, g.ReplayWALRecord); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if st := cache.Stats(); st.Lookups != 0 || st.Misses != 0 {
+		t.Errorf("restore plus replay counted %d lookups and %d misses, want none", st.Lookups, st.Misses)
+	}
+	assertAuditorsEqual(t, aud, g)
+
+	var final []audit.App
+	for _, name := range g.Apps() {
+		final = append(final, latest[name])
+	}
+	scratch := audit.NewAuditor(audit.AuditorOptions{Workers: 2})
+	if _, err := scratch.Apply(audit.Batch{Upserts: final}); err != nil {
+		t.Fatal(err)
+	}
+	want, got := scratch.Findings(), g.Findings()
+	if len(want) == 0 {
+		t.Fatal("the final store has no findings; the comparison checks nothing")
+	}
+	for i := range want {
+		if i < len(got) && (want[i].App1 != got[i].App1 || want[i].App2 != got[i].App2) {
+			t.Fatalf("finding %d pair: got (%s,%s), want (%s,%s)", i, got[i].App1, got[i].App2, want[i].App1, want[i].App2)
+		}
+	}
+	if !bytes.Equal(marshal(t, findingThreats(want)), marshal(t, findingThreats(got))) {
+		t.Fatalf("restored findings differ from a from-scratch Apply: %d vs %d", len(got), len(want))
+	}
+}
+
+// TestAuditorResOnlyHasNoPersistedForm: with a WAL attached, an upsert
+// given only a pre-extracted Res fails ErrNoSource and is not logged,
+// while the batch's source upserts apply; without a WAL it applies, and
+// Snapshot of a store holding it fails, naming the app.
+func TestAuditorResOnlyHasNoPersistedForm(t *testing.T) {
+	tv, _ := corpus.Get("ComfortTV")
+	cd, _ := corpus.Get("ColdDefender")
+	res, err := symexec.Extract(cd.Source, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	aud := audit.NewAuditor(audit.AuditorOptions{Workers: 1})
+	l := openAuditWAL(t, dir)
+	aud.AttachWAL(l)
+	rev, err := aud.Apply(audit.Batch{Upserts: []audit.App{{Source: tv.Source}, {Name: "Pre", Res: res}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(rev.Errors["Pre"], audit.ErrNoSource) {
+		t.Errorf("Res-only upsert under a WAL: errors %v, want ErrNoSource for Pre", rev.Errors)
+	}
+	if got := fmt.Sprint(aud.Apps()); got != "[ComfortTV]" {
+		t.Errorf("store holds %s, want [ComfortTV]", got)
+	}
+	l.Close()
+	rl := openAuditWAL(t, dir)
+	defer rl.Close()
+	if err := rl.Replay(0, func(_ uint64, _ byte, payload []byte) error {
+		if bytes.Contains(payload, []byte("Pre")) {
+			t.Errorf("the log names the Res-only app: %s", payload)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	mem := audit.NewAuditor(audit.AuditorOptions{Workers: 1})
+	if rev, err := mem.Apply(audit.Batch{Upserts: []audit.App{{Source: tv.Source}, {Res: res}}}); err != nil || len(rev.Errors) > 0 {
+		t.Fatalf("Res-only upsert without a WAL: %v %v", err, rev.Errors)
+	}
+	err = mem.Snapshot(io.Discard)
+	if !errors.Is(err, audit.ErrNoSource) || !strings.Contains(err.Error(), `"ColdDefender"`) {
+		t.Errorf("Snapshot of a store holding a Res-only app: %v, want ErrNoSource naming ColdDefender", err)
+	}
+}
+
+// TestAuditRestoreRejectsV1: a version-1 store section, which held each
+// app's encoded extraction result, fails snapcodec.ErrVersion and leaves
+// the auditor empty. The fixture is a one-app store as the v1 writer
+// produced it.
+func TestAuditRestoreRejectsV1(t *testing.T) {
+	b, err := os.ReadFile("testdata/audit-v1.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != "01e1329b690f690a3357286f946cb72d235d611d0b1bb3526b0198dfdd7cda0c" {
+		t.Fatal("testdata/audit-v1.bin is not the pinned bytes")
+	}
+	g := audit.NewAuditor(audit.AuditorOptions{Workers: 1})
+	if err := g.Restore(bytes.NewReader(b)); !errors.Is(err, snapcodec.ErrVersion) {
+		t.Errorf("Restore of a v1 section: %v, want ErrVersion", err)
+	}
+	if g.Rev() != 0 || len(g.Apps()) != 0 {
+		t.Errorf("rejected section left rev %d, apps %v", g.Rev(), g.Apps())
+	}
 }

@@ -1,8 +1,10 @@
 // Persistent store-auditor state: Snapshot serializes the audited store
-// — apps in install order with their configurations, every pair's
+// — apps in install order, each as its persisted form (name override,
+// Groovy source and configuration, as the WAL logs it), every pair's
 // current verdict, the retained revision history and the WAL watermark —
 // through the shared snapcodec framing; Restore rebuilds it in a fresh
-// auditor. Persisting the revision history means a restarted store
+// auditor, extracting each source again under the key the live Apply
+// used. Persisting the revision history means a restarted store
 // daemon keeps serving FindingsSince deltas from each client's last-seen
 // revision instead of forcing every feed consumer through a Reset.
 //
@@ -21,15 +23,14 @@ import (
 	"time"
 
 	"homeguard/internal/detect"
-	"homeguard/internal/extractcache"
 	"homeguard/internal/snapcodec"
-	"homeguard/internal/symexec"
 )
 
-// Snapshot format identity for the audit-store section.
+// Snapshot format identity for the audit-store section. Version 1 held
+// each app's encoded extraction result.
 const (
 	auditSnapshotMagic   = "HGAUSNP\x00"
-	auditSnapshotVersion = 1
+	auditSnapshotVersion = 2
 )
 
 type auditMetaJSON struct {
@@ -38,12 +39,6 @@ type auditMetaJSON struct {
 	Apps    int    `json:"apps"`    // app records following the meta record
 	Pairs   int    `json:"pairs"`   // verdict records following the apps
 	History int    `json:"history"` // revision records following the verdicts
-}
-
-type auditAppJSON struct {
-	Name   string          `json:"name"`
-	Res    json.RawMessage `json:"res"`
-	Config json.RawMessage `json:"config,omitempty"`
 }
 
 type auditPairJSON struct {
@@ -98,7 +93,9 @@ func decodeFindings(fj findingsJSON) ([]Finding, error) {
 
 // Snapshot writes the auditor's durable state to w. It holds the store
 // lock for the duration — checkpoints are a background operation racing
-// only with Apply, which serializes on the same lock anyway.
+// only with Apply, which serializes on the same lock anyway. A store
+// holding an app submitted as a Res has no persisted form: Snapshot
+// fails with ErrNoSource, naming the app.
 func (a *Auditor) Snapshot(w io.Writer) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -142,15 +139,14 @@ func (a *Auditor) Snapshot(w io.Writer) error {
 		return err
 	}
 	for _, st := range a.order {
-		rb, err := extractcache.MarshalResult(&symexec.Result{App: st.app.Info, Rules: st.app.Rules})
-		if err != nil {
-			return fmt.Errorf("audit: snapshot: app %q: %w", st.name, err)
+		if st.preExtracted {
+			return fmt.Errorf("audit: snapshot: app %q: %w", st.name, ErrNoSource)
 		}
-		cb, err := detect.MarshalConfig(st.app.Config)
+		aj, err := encodeUpsert(walUpsert{override: st.override, src: st.src, cfg: st.app.Config})
 		if err != nil {
 			return fmt.Errorf("audit: snapshot: app %q config: %w", st.name, err)
 		}
-		if err := write(auditAppJSON{Name: st.name, Res: rb, Config: cb}); err != nil {
+		if err := write(aj); err != nil {
 			return err
 		}
 	}
@@ -185,9 +181,11 @@ func (a *Auditor) Snapshot(w io.Writer) error {
 }
 
 // Restore rebuilds the auditor from a snapshot written by Snapshot.
-// Restoring is bookkeeping plus compilation (no re-extraction, no
-// solving): verdicts come back verbatim, so recovery cost is independent
-// of how many revisions the store has lived through. Restore into an
+// Restoring is extraction (through the shared cache's Warm, which counts
+// no lookup), compilation and bookkeeping, with no solving: verdicts
+// come back verbatim, so recovery cost is independent of how many
+// revisions the store has lived through. An app source that does not
+// extract fails with snapcodec.ErrCorrupt. Restore into an
 // auditor that has already applied a batch is an error (restore is a
 // boot-time operation).
 func (a *Auditor) Restore(r io.Reader) error {
@@ -221,27 +219,31 @@ func (a *Auditor) Restore(r io.Reader) error {
 	}
 	compiler := detect.New(a.opts.Detector)
 	for i := 0; i < meta.Apps; i++ {
-		var aj auditAppJSON
+		var aj upsertOpJSON
 		if err := read(fmt.Sprintf("app %d", i), &aj); err != nil {
 			return err
 		}
-		res, err := extractcache.UnmarshalResult(aj.Res)
+		src, res, err := a.extract(aj.Source, aj.Name, true)
 		if err != nil {
-			return fmt.Errorf("audit: restore: app %q: %w", aj.Name, err)
+			return fmt.Errorf("%w: app %d: %v", snapcodec.ErrCorrupt, i, err)
+		}
+		name := aj.Name
+		if name == "" {
+			name = res.App.Name
 		}
 		cfg, err := detect.UnmarshalConfig(aj.Config)
 		if err != nil {
-			return fmt.Errorf("%w: app %q config: %w", snapcodec.ErrCorrupt, aj.Name, err)
+			return fmt.Errorf("%w: app %q config: %w", snapcodec.ErrCorrupt, name, err)
 		}
-		if a.byName[aj.Name] != nil {
-			return fmt.Errorf("%w: duplicate app %q", snapcodec.ErrCorrupt, aj.Name)
+		if name == "" || a.byName[name] != nil {
+			return fmt.Errorf("%w: app %d: empty or duplicate name %q", snapcodec.ErrCorrupt, i, name)
 		}
 		ia := detect.NewInstalledApp(res, cfg)
 		compiler.Precompile(ia)
-		st := &storeApp{name: aj.Name, app: ia, slot: a.idx.Add(ia.Footprint()), pos: i}
+		st := &storeApp{name: name, override: aj.Name, src: src, app: ia, slot: a.idx.Add(ia.Footprint()), pos: i}
 		a.slots = append(a.slots, st)
 		a.order = append(a.order, st)
-		a.byName[aj.Name] = st
+		a.byName[name] = st
 	}
 	for i := 0; i < meta.Pairs; i++ {
 		var pj auditPairJSON

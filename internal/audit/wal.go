@@ -1,38 +1,43 @@
 // WAL integration for the incremental store auditor: every acknowledged
 // Apply appends exactly one OpAuditBatch record carrying the batch's
 // EFFECTIVE operations — the removes that hit an installed app and the
-// winning upsert per name, each upsert as its post-extraction result
-// (app metadata + rules) plus configuration. Logging resolved results
-// instead of raw sources makes replay deterministic and extraction-free:
-// a source that extracts differently after an engine upgrade, or an
-// upsert submitted as a pre-extracted Res with no source at all, replays
-// identically. Failed inputs are not logged, so a replayed revision's
-// Errors map is empty — per-app failures are a report to the submitting
-// client, not store state.
+// winning upsert per name, each upsert as the app's persisted form: its
+// name override (when it has one), its Groovy source and its
+// configuration. Replay extracts each source again under the same key
+// the live Apply used, through the shared extraction cache's Warm, so a
+// replayed store holds the very results a live submission of those
+// sources gets. This is the trade the fleet WAL makes: an engine upgrade
+// that extracts a source differently changes the replayed store, and a
+// logged source that no longer extracts fails the replay. An app
+// submitted as a pre-extracted Res has no persisted form, so with a log
+// attached Apply fails it with ErrNoSource and logs nothing for it.
+// Failed inputs are not logged, so a replayed revision's Errors map is
+// empty — per-app failures are a report to the submitting client, not
+// store state.
 
 package audit
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 
 	"homeguard/internal/detect"
-	"homeguard/internal/extractcache"
-	"homeguard/internal/symexec"
 	"homeguard/internal/wal"
 )
 
 // walUpsert is one effective upsert captured for the op record.
 type walUpsert struct {
-	name string
-	res  *symexec.Result
-	cfg  *detect.Config
+	override, src string
+	cfg           *detect.Config
 }
 
-// upsertOpJSON is one upsert inside an OpAuditBatch payload.
+// upsertOpJSON is one upsert inside an OpAuditBatch payload, and one
+// app record of the checkpoint's store section: the app's persisted
+// form.
 type upsertOpJSON struct {
-	Name   string          `json:"name"`
-	Res    json.RawMessage `json:"res"`
+	Name   string          `json:"name,omitempty"`
+	Source string          `json:"source"`
 	Config json.RawMessage `json:"config,omitempty"`
 }
 
@@ -59,21 +64,20 @@ func (a *Auditor) WALWatermark() uint64 {
 	return a.walLSN
 }
 
+// encodeUpsert encodes one app's persisted form.
+func encodeUpsert(u walUpsert) (upsertOpJSON, error) {
+	cb, err := detect.MarshalConfig(u.cfg)
+	return upsertOpJSON{Name: u.override, Source: u.src, Config: cb}, err
+}
+
 func encodeBatchOp(removes []string, upserts []walUpsert) ([]byte, error) {
 	op := batchOpJSON{Removes: removes}
 	for _, u := range upserts {
-		// The synthetic Result carries exactly what replay needs to rebuild
-		// the InstalledApp; extraction warnings and path counts are
-		// install-time diagnostics, reported once and gone.
-		rb, err := extractcache.MarshalResult(&symexec.Result{App: u.res.App, Rules: u.res.Rules})
+		uj, err := encodeUpsert(u)
 		if err != nil {
-			return nil, fmt.Errorf("audit: wal op: app %q: %w", u.name, err)
+			return nil, fmt.Errorf("audit: wal op: config: %w", err)
 		}
-		cb, err := detect.MarshalConfig(u.cfg)
-		if err != nil {
-			return nil, fmt.Errorf("audit: wal op: app %q config: %w", u.name, err)
-		}
-		op.Upserts = append(op.Upserts, upsertOpJSON{Name: u.name, Res: rb, Config: cb})
+		op.Upserts = append(op.Upserts, uj)
 	}
 	return json.Marshal(op)
 }
@@ -86,21 +90,21 @@ func (a *Auditor) ReplayWALRecord(lsn uint64, kind byte, payload []byte) error {
 	if kind != wal.OpAuditBatch {
 		return fmt.Errorf("audit: replay lsn %d: unknown op kind %d", lsn, kind)
 	}
+	// A record of an earlier layout (one that logged extraction results)
+	// fails on its unknown fields instead of replaying as empty sources.
 	var op batchOpJSON
-	if err := json.Unmarshal(payload, &op); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&op); err != nil {
 		return fmt.Errorf("audit: replay lsn %d: batch op: %w", lsn, err)
 	}
 	batch := Batch{Removes: op.Removes}
-	for _, u := range op.Upserts {
-		res, err := extractcache.UnmarshalResult(u.Res)
-		if err != nil {
-			return fmt.Errorf("audit: replay lsn %d: app %q: %w", lsn, u.Name, err)
-		}
+	for i, u := range op.Upserts {
 		cfg, err := detect.UnmarshalConfig(u.Config)
 		if err != nil {
-			return fmt.Errorf("audit: replay lsn %d: app %q config: %w", lsn, u.Name, err)
+			return fmt.Errorf("audit: replay lsn %d: upsert %d config: %w", lsn, i, err)
 		}
-		batch.Upserts = append(batch.Upserts, App{Name: u.Name, Res: res, Config: cfg})
+		batch.Upserts = append(batch.Upserts, App{Name: u.Name, Source: u.Source, Config: cfg})
 	}
 	_, err := a.apply(batch, lsn)
 	return err

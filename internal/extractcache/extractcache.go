@@ -13,6 +13,13 @@
 // A cached *symexec.Result is immutable after extraction (see the Result
 // documentation in internal/symexec) and is therefore handed out to every
 // caller without copying; callers must treat it as read-only.
+//
+// An entry also keeps the source string of the caller that filled it,
+// and ExtractKeyed hands that canonical string back: a caller that keeps
+// an app's source (the fleet's home history, the store auditor) then
+// holds the cache's one copy, not its own request's. Nothing else of an
+// extraction is ever persisted: a checkpoint, export blob or log record
+// holds the source, and its reader fills the cache again with Warm.
 package extractcache
 
 import (
@@ -39,16 +46,19 @@ func KeyOf(src, appName string) Key {
 }
 
 // entry is one cache slot. done is closed by the extracting goroutine
-// once res/err are set; waiters block on it (singleflight).
+// once res/err are set; waiters block on it (singleflight). src is the
+// source of the caller that created the entry.
 type entry struct {
 	done chan struct{}
+	src  string
 	res  *symexec.Result
 	err  error
 }
 
 // Stats are cumulative cache counters. HitRate is derived.
 type Stats struct {
-	// Lookups counts Extract calls.
+	// Lookups counts Extract and ExtractKeyed calls; Warm counts in no
+	// counter.
 	Lookups uint64
 	// Hits counts lookups served from a completed or in-flight entry
 	// (an in-flight join still means the caller did no symexec work).
@@ -128,21 +138,41 @@ func (c *Cache) Extract(src, appName string) (*symexec.Result, error) {
 	return res, err
 }
 
-// ExtractKeyed is Extract that also returns the key, KeyOf(src, appName).
-func (c *Cache) ExtractKeyed(src, appName string) (Key, *symexec.Result, error) {
+// ExtractKeyed is Extract that also returns the entry's canonical
+// source: a string equal to src, held by the cache entry, which the
+// caller can keep in place of its own copy.
+func (c *Cache) ExtractKeyed(src, appName string) (string, *symexec.Result, error) {
+	return c.get(src, appName, true)
+}
+
+// Warm files the extraction of (src, appName) in the cache, joining an
+// entry already present or in flight, and returns what ExtractKeyed
+// returns. It counts no lookup, hit or miss: restores and log replay
+// call it, so a recovered node's counters describe its traffic alone.
+func (c *Cache) Warm(src, appName string) (string, *symexec.Result, error) {
+	return c.get(src, appName, false)
+}
+
+func (c *Cache) get(src, appName string, count bool) (string, *symexec.Result, error) {
 	k := KeyOf(src, appName)
 
 	c.mu.Lock()
-	c.lookups++
+	if count {
+		c.lookups++
+	}
 	if e, ok := c.entries[k]; ok {
-		c.hits++
+		if count {
+			c.hits++
+		}
 		c.mu.Unlock()
 		<-e.done
-		return k, e.res, e.err
+		return e.src, e.res, e.err
 	}
-	e := &entry{done: make(chan struct{})}
+	e := &entry{done: make(chan struct{}), src: src}
 	c.entries[k] = e
-	c.misses++
+	if count {
+		c.misses++
+	}
 	c.evictOverflowLocked()
 	c.mu.Unlock()
 
@@ -161,7 +191,7 @@ func (c *Cache) ExtractKeyed(src, appName string) (Key, *symexec.Result, error) 
 		}()
 		e.res, e.err = c.extract(src, appName)
 	}()
-	return k, e.res, e.err
+	return src, e.res, e.err
 }
 
 // evictOverflowLocked drops arbitrary completed entries until the cache

@@ -2,14 +2,12 @@ package extractcache
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"errors"
 	"io"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"homeguard/internal/corpus"
-	"homeguard/internal/detect"
 	"homeguard/internal/rule"
 	"homeguard/internal/snapcodec"
 	"homeguard/internal/symexec"
@@ -27,37 +25,39 @@ func ruleBytes(t *testing.T, rs *rule.RuleSet) string {
 	return string(b)
 }
 
-// mergeSnapshot files every entry record of a Snapshot in c the way a
-// checkpoint restore files the homes table's records: DecodeEntry, then
-// Merge. It returns the number of entries Merge inserted.
-func mergeSnapshot(c *Cache, r io.Reader) (int, error) {
+// warmSnapshot files every (key, source) record of a Snapshot in c
+// with Warm, the way a checkpoint restore files the sources of the
+// homes table, and checks that each record's key is its source's. It
+// returns the number of records read.
+func warmSnapshot(t *testing.T, c *Cache, r io.Reader) int {
+	t.Helper()
 	sr, err := snapcodec.NewReader(r, snapshotMagic, snapshotVersion)
 	if err != nil {
-		return 0, err
+		t.Fatalf("snapshot header: %v", err)
 	}
-	added := 0
+	n := 0
 	for {
 		rec, err := sr.Next()
 		if err == io.EOF {
-			return added, nil
+			return n
 		}
 		if err != nil {
-			return added, err
+			t.Fatalf("snapshot record %d: %v", n, err)
 		}
-		k, res, cacheErr, err := DecodeEntry(rec)
-		if err != nil {
-			return added, err
+		var k Key
+		src := string(rec[len(k):])
+		if copy(k[:], rec) != len(k) || k != KeyOf(src, "") {
+			t.Fatalf("snapshot record %d: key is not its source's", n)
 		}
-		if _, ok := c.Merge(k, res, cacheErr); ok {
-			added++
-		}
+		c.Warm(src, "")
+		n++
 	}
 }
 
-// TestSnapshotRoundTrip pins the entry record: a cache filled from a
-// snapshot's records serves the same sources as hits — identical app
-// metadata, byte-identical rule files, preserved warnings/paths, and
-// cached errors still failing — without ever invoking the extractor.
+// TestSnapshotRoundTrip: a cache warmed from a snapshot's sources
+// serves them as hits, with identical app metadata, byte-identical rule
+// files, preserved warnings and path counts, and cached errors still
+// failing, and the warming counts no lookup.
 func TestSnapshotRoundTrip(t *testing.T) {
 	apps := corpus.StoreAudit()[:5]
 	src := func(i int) string { return apps[i].Source }
@@ -84,16 +84,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("snapshot wrote %d entries, want %d", n, len(apps)+1)
 	}
 
-	cold := NewWithExtractor(func(src, name string) (*symexec.Result, error) {
-		t.Errorf("restored cache ran the extractor for %q", name)
-		return nil, errors.New("unexpected extraction")
-	})
-	added, err := mergeSnapshot(cold, bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("merge: %v", err)
+	cold := New()
+	if got := warmSnapshot(t, cold, &buf); got != n {
+		t.Fatalf("read %d records, want %d", got, n)
 	}
-	if added != n {
-		t.Fatalf("merge added %d entries, want %d", added, n)
+	if st := cold.Stats(); st.Lookups != 0 || st.Misses != 0 || st.Entries != n {
+		t.Fatalf("after Warm: %+v, want no lookups and %d entries", st, n)
 	}
 
 	for i := range apps {
@@ -137,39 +133,34 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsDamage: a damaged entry record fails DecodeEntry
-// with ErrSnapshotCorrupt, so it never reaches Merge.
-func TestSnapshotRejectsDamage(t *testing.T) {
+// TestWarmSharesEntry: Warm of a source the cache holds returns the
+// entry's source string and result, and ExtractKeyed hands every later
+// caller the string of the caller that filled the entry.
+func TestWarmSharesEntry(t *testing.T) {
 	c := New()
-	k, res, err := c.ExtractKeyed(corpus.StoreAudit()[0].Source, "")
+	first := corpus.StoreAudit()[0].Source
+	again := string(append([]byte(nil), first...)) // equal, not the same string
+	_, res, err := c.Warm(first, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := EncodeEntry(k, res, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, got, _, err := DecodeEntry(rec); err != nil || got.App.Name != res.App.Name {
-		t.Fatalf("intact record: %v", err)
-	}
-	noRules := bytes.Replace(rec, []byte(`"rules":`), []byte(`"rwles":`), 1)
-	badDefault := append(bytes.Clone(rec[:len(k)]),
-		`{"hasResult":true,"inputs":[{"name":"x","default":{"t":"nope"}}],"rules":{"app":"A"}}`...)
-	for name, bad := range map[string][]byte{
-		"shorter than a key":      rec[:len(k)-1],
-		"truncated payload":       rec[:len(rec)-7],
-		"not JSON":                append(bytes.Clone(rec[:len(k)]), "{nope"...),
-		"result without rules":    noRules,
-		"undecodable input term":  badDefault,
-		"rule set of wrong shape": append(bytes.Clone(rec[:len(k)]), `{"hasResult":true,"rules":[1]}`...),
+	for name, get := range map[string]func(string, string) (string, *symexec.Result, error){
+		"Warm": c.Warm, "ExtractKeyed": c.ExtractKeyed,
 	} {
-		if _, _, _, err := DecodeEntry(bad); !errors.Is(err, ErrSnapshotCorrupt) {
-			t.Errorf("%s: err = %v, want ErrSnapshotCorrupt", name, err)
+		src, got, err := get(again, "")
+		if err != nil || got != res {
+			t.Errorf("%s: got %p, %v; want the entry's result %p", name, got, err, res)
 		}
+		if unsafe.StringData(src) != unsafe.StringData(first) {
+			t.Errorf("%s returned the caller's source, not the entry's", name)
+		}
+	}
+	if st := c.Stats(); st.Lookups != 1 || st.Hits != 1 || st.Misses != 0 {
+		t.Errorf("stats %+v, want the one ExtractKeyed counted as a hit", st)
 	}
 }
 
-// TestSnapshotConcurrent races Snapshot and Merge against live Extract
+// TestSnapshotConcurrent races Snapshot and Warm against live Extract
 // traffic (meaningful under -race): neither may block on or corrupt the
 // cache.
 func TestSnapshotConcurrent(t *testing.T) {
@@ -197,10 +188,7 @@ func TestSnapshotConcurrent(t *testing.T) {
 					t.Errorf("snapshot: %v", err)
 					return
 				}
-				if _, err := mergeSnapshot(c, bytes.NewReader(buf.Bytes())); err != nil {
-					t.Errorf("merge: %v", err)
-					return
-				}
+				warmSnapshot(t, c, &buf)
 			}
 		}()
 	}
@@ -215,62 +203,7 @@ func TestSnapshotConcurrent(t *testing.T) {
 		t.Fatalf("final snapshot: n=%d err=%v", n, err)
 	}
 	fresh := New()
-	if added, err := mergeSnapshot(fresh, &buf); err != nil || added != n {
-		t.Fatalf("final merge: added=%d err=%v", added, err)
-	}
-}
-
-// FuzzExtractCacheRestore feeds arbitrary bytes, read as snapshot
-// records, to DecodeEntry and Merge on an empty cache, the decoder and
-// the merge a checkpoint restore runs on the homes table's records: it
-// never panics, bad input fails with snapcodec.ErrVersion or
-// ErrSnapshotCorrupt, and every entry it merged snapshots again and
-// installs into a detector, the use a live install makes of it. Seeded
-// from a real snapshot.
-//
-//	go test -run '^$' -fuzz FuzzExtractCacheRestore -fuzztime 30s -fuzzminimizetime 1x ./internal/extractcache
-func FuzzExtractCacheRestore(f *testing.F) {
-	warm := New()
-	for _, a := range corpus.StoreAudit()[:2] {
-		if _, err := warm.Extract(a.Source, ""); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if _, err := warm.Extract("def broken( {", ""); err == nil {
-		f.Fatal("broken source must fail")
-	}
-	var buf bytes.Buffer
-	if _, err := warm.Snapshot(&buf); err != nil {
-		f.Fatal(err)
-	}
-	snap := buf.Bytes()
-	for _, seed := range [][]byte{snap, snap[:len(snap)-1], snap[:len(snap)/2], snap[:12]} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		checkRestore(t, data)
-		// Random bytes almost never carry a valid SHA-256 trailer, so
-		// also try the input with its trailer recomputed: that reaches
-		// the record decoders behind the checksum.
-		if len(data) > sha256.Size {
-			body := data[:len(data)-sha256.Size]
-			sum := sha256.Sum256(body)
-			checkRestore(t, append(bytes.Clone(body), sum[:]...))
-		}
-	})
-}
-
-func checkRestore(t *testing.T, data []byte) {
-	c := New()
-	if _, err := mergeSnapshot(c, bytes.NewReader(data)); err != nil && !errors.Is(err, snapcodec.ErrVersion) && !errors.Is(err, ErrSnapshotCorrupt) {
-		t.Fatalf("merge failed with an untyped error: %v", err)
-	}
-	if _, err := c.Snapshot(io.Discard); err != nil {
-		t.Fatalf("restored entries do not snapshot again: %v", err)
-	}
-	for _, e := range c.entries {
-		if e.res != nil {
-			detect.New(detect.Options{}).Install(detect.NewInstalledApp(e.res, nil))
-		}
+	if got := warmSnapshot(t, fresh, &buf); got != n || fresh.Len() != n {
+		t.Fatalf("final warm: read %d records into %d entries, want %d", got, fresh.Len(), n)
 	}
 }

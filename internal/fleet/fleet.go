@@ -260,13 +260,13 @@ type home struct {
 }
 
 // homeOp is one op of a home's history, holding what replaying it
-// needs: kind is wal.OpFleetInstall (key, res, cfg — key is res's
-// extraction-cache key, zero for an imported app the cache could not
-// vouch for), wal.OpFleetReconfigure (app, cfg) or wal.OpFleetAccept
+// needs: kind is wal.OpFleetInstall (src, res, cfg — src is the
+// extraction cache's canonical copy of the source res was extracted
+// from), wal.OpFleetReconfigure (app, cfg) or wal.OpFleetAccept
 // (indices). cfg is the resolved config.
 type homeOp struct {
 	kind    byte
-	key     extractcache.Key
+	src     string
 	res     *symexec.Result
 	app     string
 	cfg     *detect.Config
@@ -398,11 +398,11 @@ func (h *home) installed(name string) *detect.InstalledApp {
 // sp, when non-nil, receives their stage spans. Each of the first three
 // appends itself to h.ops once it has succeeded.
 
-// install adds res, extracted under cache key k, under cfg, runs
+// install adds res, extracted from src, under cfg, runs
 // detection against the home's other apps, and appends the threats to
 // the log and the ledger. An app name the home already has fails
 // ErrAppInstalled and changes nothing.
-func (h *home) install(sp *obs.Span, k extractcache.Key, res *symexec.Result, cfg *detect.Config) ([]detect.Threat, error) {
+func (h *home) install(sp *obs.Span, src string, res *symexec.Result, cfg *detect.Config) ([]detect.Threat, error) {
 	if h.installed(res.App.Name) != nil {
 		return nil, fmt.Errorf("%w: %q", ErrAppInstalled, res.App.Name)
 	}
@@ -422,7 +422,7 @@ func (h *home) install(sp *obs.Span, k extractcache.Key, res *symexec.Result, cf
 	// all fresh ledger entries.
 	h.ledger = append(h.ledger, h.groupRuns(lo)...)
 	lsp.End()
-	h.ops = append(h.ops, homeOp{kind: wal.OpFleetInstall, key: k, res: res, cfg: cfg})
+	h.ops = append(h.ops, homeOp{kind: wal.OpFleetInstall, src: src, res: res, cfg: cfg})
 	return threats, nil
 }
 
@@ -590,7 +590,6 @@ func (f *Fleet) Install(ctx context.Context, homeID, src string, cfg *detect.Con
 // is never ended, so it is not captured.
 type Extraction struct {
 	homeID, src string
-	key         extractcache.Key
 	res         *symexec.Result
 	start       time.Time
 	sp          *obs.Span
@@ -603,13 +602,13 @@ type Extraction struct {
 func (f *Fleet) Extract(ctx context.Context, homeID, src string) (Extraction, error) {
 	x := f.beginInstall(ctx, homeID, src)
 	esp := x.sp.Child("extract")
-	key, res, err := f.cache.ExtractKeyed(src, "")
+	src, res, err := f.cache.ExtractKeyed(src, "")
 	esp.End()
 	if err != nil {
 		f.extractFailed(x, err)
 		return Extraction{}, err
 	}
-	x.key, x.res = key, res
+	x.src, x.res = src, res
 	return x, nil
 }
 
@@ -673,7 +672,7 @@ func (f *Fleet) InstallExtracted(ctx context.Context, x Extraction, cfg *detect.
 			return
 		}
 		logBase = len(h.threats)
-		if threats, dupErr = h.install(sp, x.key, res, cfg); dupErr != nil {
+		if threats, dupErr = h.install(sp, x.src, res, cfg); dupErr != nil {
 			return
 		}
 		csp := sp.Child("chains")
@@ -774,7 +773,7 @@ func (f *Fleet) InstallBatch(ctx context.Context, homeID string, items []BatchIt
 	sp.SetInt("items", int64(len(items)))
 
 	type extracted struct {
-		key extractcache.Key
+		src string
 		res *symexec.Result
 		err error
 	}
@@ -790,7 +789,7 @@ func (f *Fleet) InstallBatch(ctx context.Context, homeID string, items []BatchIt
 		go func(p *extracted, src string) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			p.key, p.res, p.err = f.cache.ExtractKeyed(src, "")
+			p.src, p.res, p.err = f.cache.ExtractKeyed(src, "")
 		}(&pre[i], items[i].Source)
 	}
 	wg.Wait()
@@ -804,7 +803,7 @@ func (f *Fleet) InstallBatch(ctx context.Context, homeID string, items []BatchIt
 			out[i].Err = fmt.Errorf("fleet: home %s: %w", homeID, p.err)
 			continue
 		}
-		x.key, x.res = p.key, p.res
+		x.src, x.res = p.src, p.res
 		out[i].Result, out[i].Err = f.InstallExtracted(ctx, x, items[i].Config)
 	}
 	return out

@@ -9,10 +9,10 @@ import (
 	"encoding/hex"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 
 	"homeguard/internal/detect"
-	"homeguard/internal/extractcache"
 	"homeguard/internal/snapcodec"
 	"homeguard/internal/wal"
 )
@@ -58,8 +58,8 @@ func pinnedFleet(tb testing.TB) *Fleet {
 // version bump.
 func TestHomesLayoutBytesPinned(t *testing.T) {
 	const (
-		wantExport   = "59ef5936f9b9041d7d89bb07367a82cf6a83f5873aa006c2bd2c8c16e365fb61"
-		wantSnapshot = "7c2984747cdca18ad388ff0de2bedfc0cd5578cd991228f3b1509c4e8fd91d2e"
+		wantExport   = "d57932ac0de97f18ac5ee635d5434d7c47f25ae283b391a4c0797aa9b9f0af26"
+		wantSnapshot = "967b805f992ac487daf087c6c51ae62ab6bf49de24f657f5015bfc6b5984ec30"
 	)
 	f := pinnedFleet(t)
 	blob, _, err := f.ExportHome("fig3")
@@ -113,12 +113,8 @@ func TestHomesLayoutRejectsDeclaredCounts(t *testing.T) {
 // installX is a home record whose one op installs app-table entry 0.
 const installX = `{"id":"fig3","ops":[{"kind":1,"config":null}]}`
 
-// tableEntry is an app-table record holding payload as the entry JSON
-// under the extraction key of the source "X".
-func tableEntry(payload string) string {
-	k := extractcache.KeyOf("X", "")
-	return string(k[:]) + payload
-}
+// srcX is the source of an app "X" with no rules.
+const srcX = `definition(name: "X")`
 
 // badIndexExport is a single-home export whose home record installs
 // app-table index 5 of an empty table.
@@ -127,28 +123,31 @@ func badIndexExport() []byte {
 		`{"apps":0,"homes":1}`, `{"id":"fig3","ops":[{"kind":1,"t":5,"config":null}]}`)
 }
 
-// nullRuleExport is a single-home export whose app's rule set holds a
-// null rule (a crasher: detection compiled the rule and dereferenced
-// nil under the home lock).
-func nullRuleExport() []byte {
-	return craftSection(homeExportMagic, homeExportVersion, `{"apps":1,"homes":1}`,
-		tableEntry(`{"hasResult":true,"name":"X","rules":{"app":"X","rules":[null]}}`), installX)
+// unparsableExport is a single-home export whose one table source does
+// not parse.
+func unparsableExport() []byte {
+	return craftSection(homeExportMagic, homeExportVersion, `{"apps":1,"homes":1}`, "definition(", installX)
+}
+
+// renamedExport is a single-home export whose table source is app "X",
+// while the home's ops reconfigure the ComfortTV the record claims.
+func renamedExport() []byte {
+	return craftSection(homeExportMagic, homeExportVersion, `{"apps":1,"homes":1}`, srcX,
+		`{"id":"fig3","ops":[{"kind":1,"config":null},{"kind":2,"app":"ComfortTV","config":null}]}`)
 }
 
 // TestImportHomeFailureCreatesNoHome: a blob that fails validation, or
 // whose ops fail partway through their replay, must leave no trace — no
 // empty home in the counts, the ID list or the next checkpoint.
 func TestImportHomeFailureCreatesNoHome(t *testing.T) {
-	app := tableEntry(`{"hasResult":true,"name":"X","rules":{"app":"X","rules":[]}}`)
 	withOps := func(ops string) []byte {
 		return craftSection(homeExportMagic, homeExportVersion, `{"apps":1,"homes":1}`,
-			app, `{"id":"fig3","ops":[{"kind":1,"config":null},`+ops+`]}`)
+			srcX, `{"id":"fig3","ops":[{"kind":1,"config":null},`+ops+`]}`)
 	}
 	for name, blob := range map[string][]byte{
-		"bad table index": badIndexExport(),
-		"null rule":       nullRuleExport(),
-		"no rule set": craftSection(homeExportMagic, homeExportVersion, `{"apps":1,"homes":1}`,
-			tableEntry(`{"hasResult":true,"name":"X"}`), installX),
+		"bad table index":              badIndexExport(),
+		"unparsable source":            unparsableExport(),
+		"renamed app":                  renamedExport(),
 		"app installed twice":          withOps(`{"kind":1,"config":null}`),
 		"reconfigure of a missing app": withOps(`{"kind":2,"app":"Y","config":null}`),
 		"accept past the log":          withOps(`{"kind":3,"indices":[0]}`),
@@ -165,15 +164,14 @@ func TestImportHomeFailureCreatesNoHome(t *testing.T) {
 	}
 }
 
-// TestHomesTableRejectsNonResults: an app-table entry must hold an
-// extraction result under a whole key. An entry with a cached error,
-// with no result, or shorter than a key fails ErrCorrupt on both
-// readers and leaves no home.
+// TestHomesTableRejectsNonResults: a table source that does not
+// extract — it does not lex, does not parse, or is cut short — fails
+// ErrCorrupt on both readers and leaves no home.
 func TestHomesTableRejectsNonResults(t *testing.T) {
 	for name, entry := range map[string]string{
-		"no result":    tableEntry(`{}`),
-		"cached error": tableEntry(`{"err":"parse error","hasResult":true,"name":"X","rules":{"app":"X","rules":[]}}`),
-		"short key":    `{}`,
+		"lex error":   "\x00\xff",
+		"parse error": "definition(",
+		"cut short":   mustSource(t, "ComfortTV")[:100],
 	} {
 		f := New(Options{})
 		if _, err := f.ImportHome("fig3", craftSection(homeExportMagic, homeExportVersion, `{"apps":1,"homes":1}`, entry, installX)); !errors.Is(err, snapcodec.ErrCorrupt) {
@@ -188,26 +186,28 @@ func TestHomesTableRejectsNonResults(t *testing.T) {
 	}
 }
 
-// TestImportHomeMislabelledKey: an export blob carries no sources, so
-// it cannot file a result under a key. A blob whose one entry holds an
-// app "Evil" under the extraction key of a real source must leave that
-// key's extraction alone — after the import, and after a checkpoint of
-// the importing fleet is restored — whether the importer has the key
-// cached, has not seen it, or caches an error for it.
+// TestImportHomeMislabelledKey: an export blob carries sources, and
+// the importer computes each one's extraction key itself, so a blob
+// cannot file a result under another source's key. A blob whose one
+// source is an app "Evil" must leave the extraction of a real source
+// alone — after the import, and after a checkpoint of the importing
+// fleet is restored — whether the importer has that source cached, has
+// not seen it, or caches an error for it.
 func TestImportHomeMislabelledKey(t *testing.T) {
 	real, bad := mustSource(t, "ComfortTV"), "definition(name: broken"
+	evil := strings.Replace(real, `name: "ComfortTV"`, `name: "Evil"`, 1)
+	if evil == real {
+		t.Fatal("the ComfortTV source does not name itself")
+	}
 	for name, tc := range map[string]struct {
-		src     string
-		warm    bool   // extract src before the import
-		install string // app name the imported home installs
+		src  string
+		warm bool // extract src before the import
 	}{
-		"cached":       {real, true, "ComfortTV"},
-		"not cached":   {real, false, "Evil"},
-		"cached error": {bad, true, "Evil"},
+		"cached":       {real, true},
+		"not cached":   {real, false},
+		"cached error": {bad, true},
 	} {
-		k := extractcache.KeyOf(tc.src, "")
-		blob := craftSection(homeExportMagic, homeExportVersion, `{"apps":1,"homes":1}`,
-			string(k[:])+`{"hasResult":true,"name":"Evil","rules":{"app":"Evil","rules":[]}}`, installX)
+		blob := craftSection(homeExportMagic, homeExportVersion, `{"apps":1,"homes":1}`, evil, installX)
 		f := New(Options{})
 		if tc.warm {
 			f.Cache().Extract(tc.src, "")
@@ -215,8 +215,8 @@ func TestImportHomeMislabelledKey(t *testing.T) {
 		if _, err := f.ImportHome("fig3", blob); err != nil {
 			t.Fatalf("%s: import: %v", name, err)
 		}
-		if got := installedResults(t, f, "fig3"); len(got) != 1 || got[0].App.Name != tc.install {
-			t.Errorf("%s: imported home installs %v, want %s", name, got, tc.install)
+		if got := installedResults(t, f, "fig3"); len(got) != 1 || got[0].App.Name != "Evil" {
+			t.Errorf("%s: imported home installs %v, want Evil", name, got)
 		}
 		// A live install in a home sorted after fig3 makes the
 		// checkpoint meet the imported entry first.
@@ -291,7 +291,9 @@ func TestReplayFailureCreatesNoHome(t *testing.T) {
 
 // FuzzImportHome feeds arbitrary bytes to ImportHome on a fresh fleet:
 // it never panics, a rejected blob leaves no home, and an accepted one
-// survives a second export/import hop with the same threat log.
+// survives a second export/import hop with the same threat log. The
+// blob's app table holds untrusted Groovy sources, so the fuzzer drives
+// the parser and symexec through the reader as well.
 func FuzzImportHome(f *testing.F) {
 	blob, _, err := pinnedFleet(f).ExportHome("fig3")
 	if err != nil {
@@ -301,11 +303,12 @@ func FuzzImportHome(f *testing.F) {
 		blob,
 		craftSection(homeExportMagic, homeExportVersion, `{"apps":-1,"homes":1}`),
 		badIndexExport(),
-		nullRuleExport(),
+		unparsableExport(),
 		blob[:len(blob)-1],
 		blob[:len(blob)/2],
 		blob[:12],
 		claimExport(),
+		renamedExport(),
 	} {
 		f.Add(seed)
 	}

@@ -1,12 +1,13 @@
 // Planned home migration: ExportHome serializes one home's durable
-// state — its op history with the app table its installs reference
-// (snapshot.go) — as a self-contained snapcodec section; DetachHome
-// exports and then removes the home (WAL-logging the removal before it
-// returns, so a crash between migrate and adopt never resurrects it
-// here); ImportHome rebuilds the home on the adopting fleet by replaying
-// those ops and logs the adopt record carrying the full blob, so
-// recovery on the new owner replays the adoption without the old owner
-// existing anymore.
+// state — its op history with the app table of sources its installs
+// reference (snapshot.go) — as a self-contained snapcodec section;
+// DetachHome exports and then removes the home (WAL-logging the removal
+// before it returns, so a crash between migrate and adopt never
+// resurrects it here); ImportHome rebuilds the home on the adopting
+// fleet by extracting those sources through its extraction cache and
+// replaying the ops, and logs the adopt record carrying the full blob,
+// so recovery on the new owner replays the adoption without the old
+// owner existing anymore.
 //
 // The export zeroes the per-home WAL watermark: LSNs are meaningful
 // only within one log, and the adopting fleet's log assigns the home a
@@ -23,7 +24,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"homeguard/internal/extractcache"
 	"homeguard/internal/snapcodec"
 	"homeguard/internal/wal"
 )
@@ -31,7 +31,7 @@ import (
 // Export format identity for the single-home section.
 const (
 	homeExportMagic   = "HGHMSNP\x00"
-	homeExportVersion = 3
+	homeExportVersion = 4
 )
 
 // ExportHome serializes one home's durable state without removing it
@@ -54,8 +54,8 @@ func (f *Fleet) ExportHome(homeID string) ([]byte, int, error) {
 // exportUnderLock encodes the home as a single-home section. Callers
 // hold h.mu.
 func (h *home) exportUnderLock() ([]byte, int, error) {
-	tableIdx := map[extractcache.Key]int{}
-	var table [][]byte
+	tableIdx := map[string]int{}
+	var table []string
 	rec, err := h.encodeUnderLock(tableIdx, &table, 0)
 	if err != nil {
 		return nil, 0, fmt.Errorf("fleet: export home %s: %w", h.id, err)
@@ -153,7 +153,7 @@ func (f *Fleet) ImportHome(homeID string, blob []byte) (int, error) {
 // and rebuilds the home it holds, outside the shard map.
 func (f *Fleet) decodeExport(homeID string, blob []byte) (*home, error) {
 	var src *home
-	meta, err := f.readHomes(bytes.NewReader(blob), homeExportMagic, homeExportVersion, false, func(hs *homeSnapJSON, table []appEntry) error {
+	meta, err := f.readHomes(bytes.NewReader(blob), homeExportMagic, homeExportVersion, func(hs *homeSnapJSON, table []appEntry) error {
 		if hs.ID != homeID {
 			return fmt.Errorf("snapshot is for home %q, not %q", hs.ID, homeID)
 		}

@@ -166,12 +166,14 @@ func TestRestoreEquivalence(t *testing.T) {
 }
 
 // TestHomesLayoutV1Rejected: the version-1 homes layout, which stored
-// each home's threat log, ledger and accepted set by value, and the
+// each home's threat log, ledger and accepted set by value, the
 // version-2 layout, whose app table held keyless results beside a
-// separate extraction-cache section, fail with snapcodec.ErrVersion and
-// leave no home, as an export blob and as a checkpoint section. The
-// fixtures are pinnedFleet's bytes as the v1 and v2 writers produced
-// them (the digests TestHomesLayoutBytesPinned pinned).
+// separate extraction-cache section, and the version-3 layout, whose
+// app table held extraction-cache entries (a key and an encoded
+// result), fail with snapcodec.ErrVersion and leave no home, as an
+// export blob and as a checkpoint section. The fixtures are
+// pinnedFleet's bytes as the v1, v2 and v3 writers produced them (the
+// digests TestHomesLayoutBytesPinned pinned).
 func TestHomesLayoutV1Rejected(t *testing.T) {
 	read := func(name, wantDigest string) []byte {
 		b, err := os.ReadFile("testdata/" + name)
@@ -186,6 +188,7 @@ func TestHomesLayoutV1Rejected(t *testing.T) {
 	for _, v := range []struct{ name, blob, section string }{
 		{"v1", "fba56c03a0cc44ae5354926b8c08a91d66d0f598c7f00712b6283950c585fa18", "44c6be15b68b253c9a680a1cb43a8d73efa717f9389af85df558c67ccd83bc5d"},
 		{"v2", "00d51d657c0357df7a6f6ddf720b4a8aa03b5bfbef4415c2540f2117fc61080e", "606f68c914215e5a1000fa43b12c70964a1620199193de541d9489087a81d667"},
+		{"v3", "59ef5936f9b9041d7d89bb07367a82cf6a83f5873aa006c2bd2c8c16e365fb61", "7c2984747cdca18ad388ff0de2bedfc0cd5578cd991228f3b1509c4e8fd91d2e"},
 	} {
 		blob := read("home-export-"+v.name+".bin", v.blob)
 		section := read("homes-"+v.name+".bin", v.section)

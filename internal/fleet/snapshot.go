@@ -14,15 +14,18 @@
 // home record, from either, is rebuilt by rebuildHome, which the
 // checkpoint restore, ImportHome and the WAL adopt record all run.
 //
-// The app table holds each installed app once, as the extraction-cache
-// entry of the key its install op ran under; install ops reference it
-// by index. RestoreHomes merges a checkpoint's table into the fleet's
-// extraction cache, so a rebuilt home installs the very *symexec.Result
-// a live install of that source gets: nothing is extracted, and the
-// compile and verdict caches deduplicate as for live installs. An
-// export blob carries no sources, so its keys are unproven: an entry
-// installs the cache's result for its key, or, when the cache has none,
-// its own result under the zero key, which is never cached or interned.
+// The app table holds each installed app once, as its Groovy source;
+// install ops reference it by index. An app's rules are a deterministic
+// function of its source, so the reader extracts each table source
+// again through the fleet's extraction cache (Cache.Warm, which counts
+// no lookup): a rebuilt home installs the very *symexec.Result a live
+// install of that source gets, and the compile and verdict caches
+// deduplicate as for live installs. A checkpoint section and an export
+// blob are read the same way, since a key the reader computes from the
+// source cannot be mislabelled; a table source that does not extract
+// fails the section with snapcodec.ErrCorrupt. The price is the fleet
+// WAL's: an engine upgrade that extracts a source differently changes
+// what a restored home holds.
 
 package fleet
 
@@ -33,7 +36,6 @@ import (
 	"sort"
 
 	"homeguard/internal/detect"
-	"homeguard/internal/extractcache"
 	"homeguard/internal/snapcodec"
 	"homeguard/internal/symexec"
 	"homeguard/internal/wal"
@@ -42,7 +44,7 @@ import (
 // Snapshot format identity for the fleet-homes section.
 const (
 	homesSnapshotMagic   = "HGFLSNP\x00"
-	homesSnapshotVersion = 3
+	homesSnapshotVersion = 4
 )
 
 type homesMetaJSON struct {
@@ -64,9 +66,10 @@ type homeSnapJSON struct {
 	Ops    []walOp `json:"ops,omitempty"`
 }
 
-// appEntry is one decoded app-table entry.
+// appEntry is one app-table entry: the extraction cache's canonical
+// copy of the source and its extraction.
 type appEntry struct {
-	key extractcache.Key
+	src string
 	res *symexec.Result
 }
 
@@ -86,8 +89,8 @@ func (f *Fleet) SnapshotHomes(w io.Writer) (int, error) {
 	}
 	sort.Slice(homes, func(i, j int) bool { return homes[i].id < homes[j].id })
 
-	tableIdx := map[extractcache.Key]int{}
-	var table [][]byte
+	tableIdx := map[string]int{}
+	var table []string
 	var homeRecs [][]byte
 	for _, h := range homes {
 		rec, err := h.snapshotLocked(tableIdx, &table)
@@ -108,11 +111,11 @@ func (f *Fleet) SnapshotHomes(w io.Writer) (int, error) {
 }
 
 // snapshotLocked serializes one home under its lock, interning each
-// installed app's extraction-cache entry into the shared app table. It
-// returns a nil record (no error) for a home that was detached after
-// the caller collected its pointer — a removed home must not reappear
-// in a checkpoint.
-func (h *home) snapshotLocked(tableIdx map[extractcache.Key]int, table *[][]byte) ([]byte, error) {
+// installed app's source into the shared app table. It returns a nil
+// record (no error) for a home that was detached after the caller
+// collected its pointer — a removed home must not reappear in a
+// checkpoint.
+func (h *home) snapshotLocked(tableIdx map[string]int, table *[]string) ([]byte, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.migrated {
@@ -124,7 +127,7 @@ func (h *home) snapshotLocked(tableIdx map[extractcache.Key]int, table *[][]byte
 // encodeUnderLock serializes the home's ops with the given WAL
 // watermark. Callers hold h.mu. Export paths pass watermark 0: the
 // importing fleet's log assigns the adopted home a fresh LSN story.
-func (h *home) encodeUnderLock(tableIdx map[extractcache.Key]int, table *[][]byte, walLSN uint64) ([]byte, error) {
+func (h *home) encodeUnderLock(tableIdx map[string]int, table *[]string, walLSN uint64) ([]byte, error) {
 	hs := homeSnapJSON{ID: h.id, WalLSN: walLSN, Ops: make([]walOp, len(h.ops))}
 	for i, op := range h.ops {
 		rec := &hs.Ops[i]
@@ -133,15 +136,11 @@ func (h *home) encodeUnderLock(tableIdx map[extractcache.Key]int, table *[][]byt
 			continue
 		}
 		if op.kind == wal.OpFleetInstall {
-			idx, ok := tableIdx[op.key]
-			if !ok || op.key == (extractcache.Key{}) {
-				b, err := extractcache.EncodeEntry(op.key, op.res, nil)
-				if err != nil {
-					return nil, fmt.Errorf("app %q: %w", op.res.App.Name, err)
-				}
+			idx, ok := tableIdx[op.src]
+			if !ok {
 				idx = len(*table)
-				*table = append(*table, b)
-				tableIdx[op.key] = idx
+				*table = append(*table, op.src)
+				tableIdx[op.src] = idx
 			}
 			rec.Table = idx
 		}
@@ -157,7 +156,7 @@ func (h *home) encodeUnderLock(tableIdx map[extractcache.Key]int, table *[][]byt
 // checkpoint's homes section and the single-home export: the meta
 // record (with the app and home counts filled in), the app table, then
 // one record per home.
-func writeHomes(w io.Writer, magic string, version uint32, meta homesMetaJSON, table, homes [][]byte) error {
+func writeHomes(w io.Writer, magic string, version uint32, meta homesMetaJSON, table []string, homes [][]byte) error {
 	sw, err := snapcodec.NewWriter(w, magic, version)
 	if err != nil {
 		return err
@@ -169,8 +168,8 @@ func writeHomes(w io.Writer, magic string, version uint32, meta homesMetaJSON, t
 	}
 	// Writer errors are sticky: Close reports the first failed Record.
 	sw.Record(rec)
-	for _, rec := range table {
-		sw.Record(rec)
+	for _, src := range table {
+		sw.Record([]byte(src))
 	}
 	for _, rec := range homes {
 		sw.Record(rec)
@@ -179,13 +178,12 @@ func writeHomes(w io.Writer, magic string, version uint32, meta homesMetaJSON, t
 }
 
 // readHomes reads one homes-layout section written by writeHomes,
-// calling home once per home record with the decoded app table, so a
-// caller holds one decoded home at a time; only a trusted section's
-// table is merged into the extraction cache (see the file comment). The
-// declared counts never size an allocation: a negative count, a section
-// that ends early, or a table entry without a result fails with
-// snapcodec.ErrCorrupt.
-func (f *Fleet) readHomes(r io.Reader, magic string, version uint32, trusted bool, home func(*homeSnapJSON, []appEntry) error) (homesMetaJSON, error) {
+// extracting each table source through the cache (see the file comment)
+// and calling home once per home record with the app table, so a caller
+// holds one decoded home at a time. The declared counts never size an
+// allocation: a negative count, a section that ends early, or a table
+// source that does not extract fails with snapcodec.ErrCorrupt.
+func (f *Fleet) readHomes(r io.Reader, magic string, version uint32, home func(*homeSnapJSON, []appEntry) error) (homesMetaJSON, error) {
 	var meta homesMetaJSON
 	sr, err := snapcodec.NewReader(r, magic, version)
 	if err != nil {
@@ -214,25 +212,11 @@ func (f *Fleet) readHomes(r io.Reader, magic string, version uint32, trusted boo
 		if err != nil {
 			return meta, fmt.Errorf("app table entry %d: %w", i, err)
 		}
-		k, res, cacheErr, err := extractcache.DecodeEntry(rec)
-		if err == nil && (cacheErr != nil || res == nil) {
-			err = fmt.Errorf("%w: entry holds no result or a cached error", snapcodec.ErrCorrupt)
-		}
+		src, res, err := f.cache.Warm(string(rec), "")
 		if err != nil {
-			return meta, fmt.Errorf("app table entry %d: %w", i, err)
+			return meta, fmt.Errorf("%w: app table entry %d: %v", snapcodec.ErrCorrupt, i, err)
 		}
-		switch {
-		case k == (extractcache.Key{}): // private: never filed under a key
-		case trusted:
-			res, _ = f.cache.Merge(k, res, nil)
-		default:
-			if c := f.cache.Cached(k); c != nil {
-				res = c
-			} else {
-				k = extractcache.Key{}
-			}
-		}
-		table = append(table, appEntry{k, res})
+		table = append(table, appEntry{src, res})
 	}
 	for i := 0; i < meta.Homes; i++ {
 		rec, err := next()
@@ -258,7 +242,7 @@ func (f *Fleet) readHomes(r io.Reader, magic string, version uint32, trusted boo
 // Restoring into a fleet that already has one of the snapshot's homes
 // populated is an error (restore is a boot-time operation).
 func (f *Fleet) RestoreHomes(r io.Reader) (int, error) {
-	meta, err := f.readHomes(r, homesSnapshotMagic, homesSnapshotVersion, true, func(hs *homeSnapJSON, table []appEntry) error {
+	meta, err := f.readHomes(r, homesSnapshotMagic, homesSnapshotVersion, func(hs *homeSnapJSON, table []appEntry) error {
 		src, err := f.rebuildHome(hs, table)
 		if err != nil {
 			return err
@@ -284,8 +268,8 @@ func (f *Fleet) RestoreHomes(r io.Reader) (int, error) {
 // rebuildHome replays one home record's ops, against its section's app
 // table, into a new home outside the shard map, so a record that fails
 // at any op leaves the fleet as it was. The ops run through the live
-// mutations (install, reconfigure, acceptByIndex); nothing is
-// extracted, since the table holds the extraction results and keys.
+// mutations (install, reconfigure, acceptByIndex) against the table's
+// extractions.
 func (f *Fleet) rebuildHome(hs *homeSnapJSON, table []appEntry) (*home, error) {
 	h := &home{id: hs.ID, det: detect.New(f.opts.Detector), walLSN: hs.WalLSN}
 	for i := range hs.Ops {
@@ -311,7 +295,7 @@ func (h *home) replayOp(op *walOp, table []appEntry) error {
 			return fmt.Errorf("app table index %d of %d", op.Table, len(table))
 		}
 		e := table[op.Table]
-		_, err = h.install(nil, e.key, e.res, cfg)
+		_, err = h.install(nil, e.src, e.res, cfg)
 	case wal.OpFleetReconfigure:
 		_, err = h.reconfigure(nil, op.App, cfg)
 	default:

@@ -42,8 +42,8 @@ import (
 //
 // The same type is one op of a home's persisted history (homeSnapJSON):
 // there the record kind rides in kind, the home is implied, and an
-// install names, in t, the index of its app-table entry (the app's
-// extraction-cache key and result) in place of the source.
+// install names, in t, the index of its source in the section's app
+// table in place of the source itself.
 type walOp struct {
 	Kind     byte            `json:"kind,omitempty"`
 	Home     string          `json:"home,omitempty"`
@@ -96,7 +96,8 @@ func (f *Fleet) commit(sp *obs.Span, h *home, kind byte, rec []byte) error {
 // A record is validated (its source extracted, its blob decoded and
 // its home rebuilt) before the home it names is created, so a rejected
 // record leaves no home behind. A record at or below its home's
-// watermark, or predating the home's removal, is skipped.
+// watermark, or predating the home's removal, is skipped. Sources are
+// extracted through the cache's Warm, so replay counts no cache lookup.
 func (f *Fleet) ReplayWALRecord(lsn uint64, kind byte, payload []byte) error {
 	var op walOp
 	if err := json.Unmarshal(payload, &op); err != nil {
@@ -108,8 +109,7 @@ func (f *Fleet) ReplayWALRecord(lsn uint64, kind byte, payload []byte) error {
 	}
 	// A tombstone at a later LSN means the home was migrated away after
 	// this record: applying it would resurrect the home. A covered
-	// record is skipped before extraction, so a warm boot's covered
-	// records leave no trace in the cache's hit ratio.
+	// record is skipped before extraction.
 	if f.tombstoneCovers(op.Home, lsn) || f.lookup(op.Home).covers(lsn) {
 		return nil
 	}
@@ -123,11 +123,11 @@ func (f *Fleet) ReplayWALRecord(lsn uint64, kind byte, payload []byte) error {
 		if err != nil {
 			return fmt.Errorf("fleet: replay lsn %d: %w", lsn, err)
 		}
-		key, res, err := f.cache.ExtractKeyed(op.Source, "")
+		src, res, err := f.cache.Warm(op.Source, "")
 		if err != nil {
 			return fmt.Errorf("fleet: replay lsn %d: home %s: %w", lsn, op.Home, err)
 		}
-		apply = func(h *home) error { _, err := h.install(nil, key, res, cfg); return err }
+		apply = func(h *home) error { _, err := h.install(nil, src, res, cfg); return err }
 		create = true
 	case wal.OpFleetReconfigure:
 		cfg, err := detect.UnmarshalConfig(op.Config)

@@ -78,7 +78,7 @@ func pinnedWALRecords(tb testing.TB) []walRecord {
 // TestHomesLayoutBytesPinned pins the blob itself, so it changes only
 // with a homes-layout version bump.
 func TestFleetWALRecordBytesPinned(t *testing.T) {
-	const wantAdopt = "e4aaadeba67044df369f0e7e312b3d23d340f4412d4d6562c85c1e03904c915e"
+	const wantAdopt = "a4963b7109c05f578ba1b8aa0a74a9851c6b7c6eca8ff8469210b7466fbf375b"
 	quote := func(s string) string {
 		b, err := json.Marshal(s)
 		if err != nil {

@@ -277,9 +277,9 @@ func (r *Rule) UnmarshalJSON(b []byte) error {
 }
 
 // MarshalTerm serializes one term in the tagged wire format (nil terms
-// marshal to JSON null). The extraction-cache snapshot uses it for input
-// default values, which are Terms behind an interface and therefore not
-// round-trippable by plain encoding/json.
+// marshal to JSON null). The config codec (detect.MarshalConfig) uses it
+// for bound values, which are Terms behind an interface and therefore
+// not round-trippable by plain encoding/json.
 func MarshalTerm(t Term) ([]byte, error) {
 	return json.Marshal(termToJSON(t))
 }
@@ -301,21 +301,4 @@ func MarshalRuleSet(rs *RuleSet) ([]byte, error) {
 		App   string  `json:"app"`
 		Rules []*Rule `json:"rules"`
 	}{App: rs.App, Rules: rs.Rules}, "", "  ")
-}
-
-// UnmarshalRuleSet parses a rule file produced by MarshalRuleSet.
-func UnmarshalRuleSet(b []byte) (*RuleSet, error) {
-	var in struct {
-		App   string  `json:"app"`
-		Rules []*Rule `json:"rules"`
-	}
-	if err := json.Unmarshal(b, &in); err != nil {
-		return nil, err
-	}
-	for i, r := range in.Rules {
-		if r == nil {
-			return nil, fmt.Errorf("rule: rule set %q: rule %d is null", in.App, i)
-		}
-	}
-	return &RuleSet{App: in.App, Rules: in.Rules}, nil
 }

