@@ -161,17 +161,17 @@
 // The detection pipeline is organized so that all repeatable work happens
 // once, and the remaining per-pair work runs on precompiled artifacts:
 //
-//   - Compile-once rule sets. At install/reconfigure each app is compiled
-//     into an immutable CompiledRuleSet: canonical formulas (variables
-//     renamed to home-global form, configured values substituted), solver
-//     variable declaration plans, action effects with pre-rendered
-//     constraints, trigger metadata, the read/write footprint and the
-//     verdict signature. A pair check therefore does no canonicalization
-//     at all — before this layer it re-canonicalized both rules' formulas
-//     for every one of the O(rules²) pairs. Compilations are themselves
-//     shared fleet-wide through a content-addressed compile cache (same
-//     extraction result + content-equal configuration = one compilation),
-//     the same discipline as the extraction cache.
+//   - Interned, compile-once apps. An installed app is one immutable
+//     value per extraction result and configuration content, shared by
+//     every home that installs it (detect.NewInstalledApp's intern table,
+//     the same discipline as the extraction cache). It is compiled once,
+//     when it is built, into a CompiledRuleSet: canonical formulas
+//     (variables renamed to home-global form, configured values
+//     substituted), solver variable declaration plans, action effects
+//     with pre-rendered constraints, trigger metadata, the footprint
+//     channels and the verdict signature. A pair check therefore does no
+//     canonicalization at all — before this layer it re-canonicalized
+//     both rules' formulas for every one of the O(rules²) pairs.
 //
 //   - An interned, slice-backed solver core. The finite-domain solver
 //     interns variable names to dense indices at declaration; domains,
@@ -771,9 +771,5 @@ func (h *Home) InstallRules(appName string, rules []*Rule, cfg *Config) []Threat
 		addInput(r.Trigger.Subject, r.Trigger.Capability)
 		addInput(r.Action.Subject, r.Action.Capability)
 	}
-	ia := &detect.InstalledApp{Info: info, Rules: rs, Config: cfg}
-	if ia.Config == nil {
-		ia.Config = detect.NewConfig()
-	}
-	return h.det.Install(ia)
+	return h.det.Install(detect.NewInstalledApp(&symexec.Result{App: info, Rules: rs}, cfg))
 }

@@ -446,13 +446,7 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 	}
 
 	// Phase 1: extract and compile the upserts in parallel, each on one
-	// worker. The compiled-set attach is an unsynchronized write on the
-	// InstalledApp, so every app is compiled before any other goroutine
-	// sees it.
-	compilers := make([]*detect.Detector, a.workers)
-	for w := range compilers {
-		compilers[w] = detect.New(a.opts.Detector)
-	}
+	// worker (NewInstalledApp returns the app compiled).
 	type prepared struct {
 		name, src string
 		app       *detect.InstalledApp
@@ -482,9 +476,7 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 			perr[i] = fmt.Errorf("audit: upsert %d has no app name", i)
 			return
 		}
-		ia := detect.NewInstalledApp(res, in.Config)
-		compilers[w].Precompile(ia)
-		preps[i] = prepared{name: name, src: src, app: ia}
+		preps[i] = prepared{name: name, src: src, app: detect.NewInstalledApp(res, in.Config)}
 	})
 	if xsp != nil {
 		xsp.SetInt("apps", int64(len(batch.Upserts)))
@@ -625,8 +617,8 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 		// The index holds the unchanged apps and the changed apps already
 		// walked: exactly st's counterparts. Like Detector.Install, st
 		// posts its own footprint only after its query.
-		buf = a.idx.AppendCandidates(st.app.Footprint(), buf[:0])
-		a.idx.Update(st.slot, st.app.Footprint())
+		buf = a.idx.AppendCandidates(st.app.Channels(), buf[:0])
+		a.idx.Update(st.slot, st.app.Channels())
 		candRules := 0
 		for _, s := range buf {
 			other := a.slots[s]

@@ -217,7 +217,6 @@ func (a *Auditor) Restore(r io.Reader) error {
 	if err := read("meta", &meta); err != nil {
 		return err
 	}
-	compiler := detect.New(a.opts.Detector)
 	for i := 0; i < meta.Apps; i++ {
 		var aj upsertOpJSON
 		if err := read(fmt.Sprintf("app %d", i), &aj); err != nil {
@@ -239,8 +238,7 @@ func (a *Auditor) Restore(r io.Reader) error {
 			return fmt.Errorf("%w: app %d: empty or duplicate name %q", snapcodec.ErrCorrupt, i, name)
 		}
 		ia := detect.NewInstalledApp(res, cfg)
-		compiler.Precompile(ia)
-		st := &storeApp{name: name, override: aj.Name, src: src, app: ia, slot: a.idx.Add(ia.Footprint()), pos: i}
+		st := &storeApp{name: name, override: aj.Name, src: src, app: ia, slot: a.idx.Add(ia.Channels()), pos: i}
 		a.slots = append(a.slots, st)
 		a.order = append(a.order, st)
 		a.byName[name] = st

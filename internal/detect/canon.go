@@ -15,7 +15,7 @@ import (
 // type-level key ("type:<deviceType>#<mainAttr>") implementing the
 // Sec. VIII-B setting where two rules use "the same device" when their
 // devices share a type.
-func (d *Detector) deviceKey(app *InstalledApp, input string) string {
+func deviceKey(app *InstalledApp, input string) string {
 	if id, ok := app.Config.Devices[input]; ok && id != "" {
 		return id
 	}
@@ -23,7 +23,7 @@ func (d *Detector) deviceKey(app *InstalledApp, input string) string {
 	if in == nil {
 		return "type:" + input
 	}
-	dt := d.deviceType(app, in)
+	dt := deviceType(app, in)
 	// Use the capability's main attribute to separate e.g. locks from
 	// switches even when both are Generic-typed.
 	attr := ""
@@ -36,7 +36,7 @@ func (d *Detector) deviceKey(app *InstalledApp, input string) string {
 // deviceType resolves the physical device type of an input: pinned by
 // capability, else configured (NLP-classified), else guessed from the
 // input name/title, else Generic.
-func (d *Detector) deviceType(app *InstalledApp, in *symexec.InputDecl) envmodel.DeviceType {
+func deviceType(app *InstalledApp, in *symexec.InputDecl) envmodel.DeviceType {
 	if dt, pinned := envmodel.TypeForCapability(in.Capability); pinned {
 		return dt
 	}
@@ -62,7 +62,7 @@ func (d *Detector) deviceType(app *InstalledApp, in *symexec.InputDecl) envmodel
 // InternBanged): canonicalization re-derives the same home-global names at
 // every Install/Reconfigure compile, so repeat compiles of a hot catalog
 // app reuse one shared backing string instead of re-concatenating.
-func (d *Detector) canonVar(app *InstalledApp, v rule.Var) rule.Var {
+func canonVar(app *InstalledApp, v rule.Var) rule.Var {
 	name := v.Name
 	if strings.HasPrefix(name, "env.") || strings.HasPrefix(name, "location.") {
 		return v
@@ -75,7 +75,7 @@ func (d *Detector) canonVar(app *InstalledApp, v rule.Var) rule.Var {
 		ref := name[:dot]
 		rest := name[dot+1:]
 		if in := app.Info.Input(ref); in != nil && in.IsDevice() {
-			v.Name = rule.InternDotted(d.deviceKey(app, ref), rest)
+			v.Name = rule.InternDotted(deviceKey(app, ref), rest)
 			return v
 		}
 		v.Name = rule.InternBanged(app.Info.Name, name)
@@ -87,7 +87,7 @@ func (d *Detector) canonVar(app *InstalledApp, v rule.Var) rule.Var {
 }
 
 // configBindings returns substitutions for configured value inputs.
-func (d *Detector) configBindings(app *InstalledApp) map[string]rule.Term {
+func configBindings(app *InstalledApp) map[string]rule.Term {
 	bind := map[string]rule.Term{}
 	for name, t := range app.Config.Values {
 		bind[app.Info.Name+"!"+name] = t
@@ -99,26 +99,26 @@ func (d *Detector) configBindings(app *InstalledApp) map[string]rule.Term {
 // bindings: rename variables, then apply configured value substitutions.
 // Canonicalization runs once per rule at compile time (see compile.go);
 // pair checks consume the compiled formulas.
-func (d *Detector) canonFormulaBind(app *InstalledApp, c rule.Constraint, bind map[string]rule.Term) rule.Constraint {
+func canonFormulaBind(app *InstalledApp, c rule.Constraint, bind map[string]rule.Term) rule.Constraint {
 	if c == nil {
 		return nil
 	}
-	renamed := rule.RenameVars(c, func(v rule.Var) rule.Var { return d.canonVar(app, v) })
+	renamed := rule.RenameVars(c, func(v rule.Var) rule.Var { return canonVar(app, v) })
 	return rule.Substitute(renamed, bind)
 }
 
 // canonTermBind canonicalises a term (action parameter) against
 // precomputed config bindings.
-func (d *Detector) canonTermBind(app *InstalledApp, t rule.Term, bind map[string]rule.Term) rule.Term {
+func canonTermBind(app *InstalledApp, t rule.Term, bind map[string]rule.Term) rule.Term {
 	switch x := t.(type) {
 	case rule.Var:
-		cv := d.canonVar(app, x)
+		cv := canonVar(app, x)
 		if b, ok := bind[cv.Name]; ok {
 			return b
 		}
 		return cv
 	case rule.Sum:
-		cv := d.canonVar(app, x.X)
+		cv := canonVar(app, x.X)
 		if b, ok := bind[cv.Name]; ok {
 			if iv, ok := b.(rule.IntVal); ok {
 				return rule.IntVal(int64(iv) + x.K)
@@ -138,10 +138,25 @@ func (d *Detector) canonTermBind(app *InstalledApp, t rule.Term, bind map[string
 // formulas. This is the walk-everything path used for ad-hoc formula sets
 // (effect merges, setpoint bounds); the hot pair queries declare from
 // precompiled plans instead (declareGroups in compile.go).
-func (d *Detector) declareVars(p *solver.Problem, formulas ...rule.Constraint) {
+func (d *Detector) declareVars(p *solver.Problem, c1, c2 *compiledRule, formulas ...rule.Constraint) {
 	for _, dec := range compileDecls(rule.Conj(formulas...)) {
-		d.declareVar(p, dec.name, dec.v, dec.observed)
+		d.declareVar(p, c1, c2, dec.name, dec.v, dec.observed)
 	}
+}
+
+// inputOptions returns the enum options app declares for the canonical
+// input variable name ("<app>!<input>", see canonVar), or nil. Only the
+// pair's own apps can own a name its formulas reference: canonicalization
+// prefixes every app-local name with the app's name.
+func inputOptions(app *InstalledApp, name string) []string {
+	n := len(app.Info.Name)
+	if len(name) <= n || name[n] != '!' || name[:n] != app.Info.Name {
+		return nil
+	}
+	if in := app.Info.Input(name[n+1:]); in != nil && len(in.Options) > 0 {
+		return in.Options
+	}
+	return nil
 }
 
 func addObserved(m map[string]map[string]bool, varName, val string) {
@@ -151,12 +166,18 @@ func addObserved(m map[string]map[string]bool, varName, val string) {
 	m[varName][val] = true
 }
 
-func (d *Detector) declareVar(p *solver.Problem, name string, v rule.Var, observed []string) {
+// declareVar declares one variable of a formula over the rule pair
+// (c1, c2).
+func (d *Detector) declareVar(p *solver.Problem, c1, c2 *compiledRule, name string, v rule.Var, observed []string) {
 	if p.HasVar(name) {
 		return
 	}
 	// Enum inputs declared with options get their declared domain.
-	if opts, ok := d.inputOptions[name]; ok {
+	if opts := inputOptions(c1.app, name); opts != nil {
+		p.AddEnumVar(name, extendVals(opts, observed))
+		return
+	}
+	if opts := inputOptions(c2.app, name); opts != nil {
 		p.AddEnumVar(name, extendVals(opts, observed))
 		return
 	}
@@ -262,12 +283,12 @@ type deviceEffect struct {
 // actionEffectsBind computes the device-state effects of a rule's action
 // against precomputed config bindings (compile-time; pair checks read
 // compiledRule.effects).
-func (d *Detector) actionEffectsBind(app *InstalledApp, r *rule.Rule, bind map[string]rule.Term) []deviceEffect {
+func actionEffectsBind(app *InstalledApp, r *rule.Rule, bind map[string]rule.Term) []deviceEffect {
 	act := r.Action
 	if act.Command == "setLocationMode" {
 		var v rule.Term = rule.StrVal("?")
 		if len(act.Params) > 0 {
-			v = d.canonTermBind(app, act.Params[0], bind)
+			v = canonTermBind(app, act.Params[0], bind)
 		}
 		return []deviceEffect{{varName: "location.mode", value: v, attr: "mode"}}
 	}
@@ -279,12 +300,12 @@ func (d *Detector) actionEffectsBind(app *InstalledApp, r *rule.Rule, bind map[s
 	if ref == nil {
 		return nil
 	}
-	key := d.deviceKey(app, act.Subject)
+	key := deviceKey(app, act.Subject)
 	var out []deviceEffect
 	for _, e := range ref.Command.Effects {
 		de := deviceEffect{varName: key + "." + e.Attribute, attr: e.Attribute}
 		if e.FromParam >= 0 && e.FromParam < len(act.Params) {
-			de.value = d.canonTermBind(app, act.Params[e.FromParam], bind)
+			de.value = canonTermBind(app, act.Params[e.FromParam], bind)
 		} else if e.FromParam < 0 {
 			de.value = rule.StrVal(e.Value)
 			if a := ref.Capability.Attr(e.Attribute); a != nil && a.Kind == capability.Number {
@@ -313,12 +334,12 @@ func commandRef(capName, cmd string) *capability.CommandRef {
 
 // envEffects computes the environment effects of a rule's action based on
 // the device's physical type.
-func (d *Detector) envEffects(app *InstalledApp, r *rule.Rule) envmodel.Effects {
+func envEffects(app *InstalledApp, r *rule.Rule) envmodel.Effects {
 	in := app.Info.Input(r.Action.Subject)
 	if in == nil || !in.IsDevice() {
 		return nil
 	}
-	dt := d.deviceType(app, in)
+	dt := deviceType(app, in)
 	return envmodel.EffectsOf(dt, r.Action.Command)
 }
 

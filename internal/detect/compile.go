@@ -10,22 +10,19 @@ import (
 )
 
 // This file implements the compile-once layer of the detector: every
-// InstalledApp is compiled exactly once per Install/Reconfigure into a
-// CompiledRuleSet — canonical formulas, solver variable declarations,
-// action effects, trigger metadata, the footprint and the verdict
-// signature — so pair checks consume precompiled artifacts instead of
-// re-running canonVar/canonFormula/declareVars per pair. Before this
-// layer, canonicalization ran O(rules × pairs) times: each DetectPair
-// re-renamed and re-substituted both rules' formulas from scratch.
+// InstalledApp is compiled exactly once, when the intern table builds it
+// (intern.go), into a CompiledRuleSet — canonical formulas, solver
+// variable declarations, action effects, trigger metadata, the footprint
+// channels and the verdict signature — so pair checks consume precompiled
+// artifacts instead of re-running canonVar/canonFormula/declareVars per
+// pair.
 //
-// Compilation is a pure function of the app's exported fields (Info,
-// Rules, Config) plus the immutable capability/envmodel registries — it
-// never reads detector state — so a compiled set computed by one detector
-// is valid in any other, the same contract fp and sig already obeyed.
-// What stays per-detector is variable *declaration* (solver domains):
-// enum-input options and the home's mode universe live on the Detector,
-// so compiled artifacts carry declaration plans (varDecl) rather than
-// materialized domains.
+// Compilation is a pure function of the app's fields (Info, Rules,
+// Config) plus the immutable capability/envmodel registries; it reads no
+// detector state, so one compiled instance serves every detector. What
+// stays per-detector is variable *declaration* (solver domains): the
+// home's mode universe lives on the Detector, so compiled artifacts carry
+// declaration plans (varDecl) rather than materialized domains.
 
 // varDecl is the declaration plan for one canonical variable of a
 // compiled formula: its name, its kind/type metadata, and the string
@@ -47,7 +44,8 @@ type envProp struct {
 // compiledRule is the per-rule compilation artifact.
 type compiledRule struct {
 	r   *rule.Rule
-	qid string // r.QualifiedID(), precomputed for cache keys
+	app *InstalledApp // the app the rule was compiled under
+	qid string        // r.QualifiedID(), precomputed for cache keys
 
 	// Canonical formulas (variables renamed to home-global form, config
 	// values substituted) and their declaration plans.
@@ -83,80 +81,66 @@ type compiledRule struct {
 	setpointTerm  rule.Term
 }
 
-// CompiledRuleSet is the per-app artifact compiled once at
-// Install/Reconfigure and consumed by every pair check: compiled rules,
-// the app's canonical read/write footprint, and (when a verdict cache is
-// configured) the verdict signature that PairKey hashing reuses instead
-// of re-serializing the rule set.
+// CompiledRuleSet is the per-app artifact compiled once when the app is
+// interned and consumed by every pair check: compiled rules, the app's
+// footprint channels, and the verdict signature that PairKey hashing
+// reuses instead of re-serializing the rule set.
 type CompiledRuleSet struct {
 	rules []compiledRule
 	index map[*rule.Rule]int
-	fp    *rule.Footprint
+	chans Channels
 	sig   []byte
 }
 
-// Compiled returns the app's compiled rule set, or nil before the first
-// Install/Reconfigure/CheckPair involving the app.
+// Compiled returns the app's compiled rule set.
 func (app *InstalledApp) Compiled() *CompiledRuleSet { return app.comp }
 
-// Footprint returns the app's canonical read/write footprint, or nil
-// before the app was compiled (Precompile/Install/Reconfigure). The audit
-// engine feeds it to a FootprintIndex to generate candidate pairs.
-func (app *InstalledApp) Footprint() *rule.Footprint { return app.fp }
-
-// ensureCompiled compiles the app on first use by this or any detector
-// (DetectPair may be called on apps that were never installed; they get
-// the same compilation Install would produce).
-func (d *Detector) ensureCompiled(app *InstalledApp) *CompiledRuleSet {
-	if app.comp == nil {
-		d.prepare(app)
-	}
-	return app.comp
-}
+// Channels returns the app's footprint channels. The audit engine feeds
+// them to a FootprintIndex to generate candidate pairs.
+func (app *InstalledApp) Channels() Channels { return app.comp.chans }
 
 // compiledFor returns the compiled form of one rule, compiling a one-off
 // artifact for rules that are not part of the app's rule set (hand-built
 // rules in tests).
-func (d *Detector) compiledFor(app *InstalledApp, r *rule.Rule) *compiledRule {
-	comp := d.ensureCompiled(app)
-	if i, ok := comp.index[r]; ok {
-		return &comp.rules[i]
+func compiledFor(app *InstalledApp, r *rule.Rule) *compiledRule {
+	if i, ok := app.comp.index[r]; ok {
+		return &app.comp.rules[i]
 	}
-	cr := d.compileRule(app, r, d.configBindings(app))
+	cr := compileRule(app, r, configBindings(app))
 	return &cr
 }
 
-// compile builds the app's CompiledRuleSet.
-func (d *Detector) compile(app *InstalledApp) *CompiledRuleSet {
+// compile builds the app's CompiledRuleSet; the caller sets sig.
+func compile(app *InstalledApp) *CompiledRuleSet {
 	rules := app.Rules.Rules
 	cs := &CompiledRuleSet{
 		rules: make([]compiledRule, 0, len(rules)),
 		index: make(map[*rule.Rule]int, len(rules)),
 	}
-	bind := d.configBindings(app)
+	bind := configBindings(app)
 	for i, r := range rules {
-		cs.rules = append(cs.rules, d.compileRule(app, r, bind))
+		cs.rules = append(cs.rules, compileRule(app, r, bind))
 		cs.index[r] = i
 	}
-	cs.fp = footprintFromCompiled(cs)
+	cs.chans = ChannelsOf(footprintFromCompiled(cs))
 	return cs
 }
 
 // compileRule compiles one rule against the app's config bindings.
-func (d *Detector) compileRule(app *InstalledApp, r *rule.Rule, bind map[string]rule.Term) compiledRule {
-	c := compiledRule{r: r, qid: r.QualifiedID()}
+func compileRule(app *InstalledApp, r *rule.Rule, bind map[string]rule.Term) compiledRule {
+	c := compiledRule{r: r, app: app, qid: r.QualifiedID()}
 
-	c.situation = d.canonFormulaBind(app, r.TriggerConditionFormula(), bind)
-	c.condition = d.canonFormulaBind(app, r.Condition.Formula(), bind)
+	c.situation = canonFormulaBind(app, r.TriggerConditionFormula(), bind)
+	c.condition = canonFormulaBind(app, r.Condition.Formula(), bind)
 	c.situDecls = compileDecls(c.situation)
 	c.condDecls = compileDecls(c.condition)
 
 	t := r.Trigger
 	c.trigSkip = t.Subject == "app" || t.Subject == "time"
 	c.trigAnyChange = t.AnyChange()
-	c.trigVar = d.canonTriggerVar(app, r)
+	c.trigVar = canonTriggerVar(app, r)
 	if !c.trigAnyChange {
-		c.trigConstraint = d.canonFormulaBind(app, t.Constraint, bind)
+		c.trigConstraint = canonFormulaBind(app, t.Constraint, bind)
 		// The bound direction is read off the raw constraint: config
 		// substitution may replace a user-input threshold with a constant,
 		// which must not change how the trigger's one-sidedness is judged.
@@ -183,21 +167,21 @@ func (d *Detector) compileRule(app *InstalledApp, r *rule.Rule, bind map[string]
 		}
 	}
 
-	c.effects = d.actionEffectsBind(app, r, bind)
+	c.effects = actionEffectsBind(app, r, bind)
 	if len(c.effects) > 0 {
 		c.effectCs = make([]rule.Constraint, len(c.effects))
 		for i := range c.effects {
 			c.effectCs[i] = c.effects[i].constraint()
 		}
 	}
-	c.envEffects = d.envEffects(app, r)
+	c.envEffects = envEffects(app, r)
 
 	if in := app.Info.Input(r.Action.Subject); in != nil {
 		c.actionIsInput = true
-		c.actionDevKey = d.deviceKey(app, r.Action.Subject)
+		c.actionDevKey = deviceKey(app, r.Action.Subject)
 	}
 	if len(r.Action.Params) > 0 {
-		c.setpointTerm = d.canonTermBind(app, r.Action.Params[0], bind)
+		c.setpointTerm = canonTermBind(app, r.Action.Params[0], bind)
 	}
 	return c
 }
@@ -294,31 +278,31 @@ func collectObserved(c rule.Constraint, observed map[string]map[string]bool) {
 }
 
 // declareGroups declares the variables of up to two precompiled
-// declaration plans into the problem, unioning observed values for
+// declaration plans of the rule pair (c1, c2) into the problem, unioning observed values for
 // variables both plans reference (both formulas' comparisons widen the
 // shared variable's enum domain, exactly as the one-pass walk did).
 // Groups are sorted by name, so this is a linear merge.
-func (d *Detector) declareGroups(p *solver.Problem, a, b []varDecl) {
+func (d *Detector) declareGroups(p *solver.Problem, c1, c2 *compiledRule, a, b []varDecl) {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
 		case a[i].name < b[j].name:
-			d.declareVar(p, a[i].name, a[i].v, a[i].observed)
+			d.declareVar(p, c1, c2, a[i].name, a[i].v, a[i].observed)
 			i++
 		case a[i].name > b[j].name:
-			d.declareVar(p, b[j].name, b[j].v, b[j].observed)
+			d.declareVar(p, c1, c2, b[j].name, b[j].v, b[j].observed)
 			j++
 		default:
-			d.declareVar(p, a[i].name, a[i].v, unionSorted(a[i].observed, b[j].observed))
+			d.declareVar(p, c1, c2, a[i].name, a[i].v, unionSorted(a[i].observed, b[j].observed))
 			i++
 			j++
 		}
 	}
 	for ; i < len(a); i++ {
-		d.declareVar(p, a[i].name, a[i].v, a[i].observed)
+		d.declareVar(p, c1, c2, a[i].name, a[i].v, a[i].observed)
 	}
 	for ; j < len(b); j++ {
-		d.declareVar(p, b[j].name, b[j].v, b[j].observed)
+		d.declareVar(p, c1, c2, b[j].name, b[j].v, b[j].observed)
 	}
 }
 

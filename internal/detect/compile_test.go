@@ -3,15 +3,17 @@ package detect
 import (
 	"testing"
 
+	"homeguard/internal/rule"
 	"homeguard/internal/symexec"
 )
 
 // TestCompileSharedAcrossDetectors: two homes installing the same
-// extraction result under content-equal configurations share one
-// CompiledRuleSet (the fleet-wide compile cache), while a different
-// configuration compiles separately — and a content-equal rule set from a
-// *separate* extraction never shares (threats must report the caller's
-// own *rule.Rule pointers).
+// extraction result under content-equal configurations share one interned
+// InstalledApp (and so one compilation), while a different configuration
+// interns separately — and a content-equal rule set from a *separate*
+// extraction never shares (threats must report the caller's own
+// *rule.Rule pointers). Reconfigure swaps the slot to another instance and
+// leaves the old one, which other homes may hold, unchanged.
 func TestCompileSharedAcrossDetectors(t *testing.T) {
 	res, err := symexec.Extract(lockSrc, "")
 	if err != nil {
@@ -23,52 +25,116 @@ func TestCompileSharedAcrossDetectors(t *testing.T) {
 	a2 := NewInstalledApp(res, sharedLightConfig())
 	d1.Install(a1)
 	d2.Install(a2)
-	if a1.Compiled() == nil || a1.Compiled() != a2.Compiled() {
-		t.Fatal("same rule set + equal config must share one compilation")
+	if a1 != a2 || a1.Compiled() == nil {
+		t.Fatal("same rule set + equal config must intern to one compiled instance")
 	}
 
-	// Different binding → different signature → separate compilation.
+	// A nil config and an empty one are the same configuration.
+	if NewInstalledApp(res, nil) != NewInstalledApp(res, NewConfig()) {
+		t.Fatal("nil and empty configs must intern to one instance")
+	}
+
+	// The instance keeps its own copy of the config: the caller may reuse
+	// its config afterwards without reaching the shared instance.
 	cfg := NewConfig()
 	cfg.Devices["light1"] = "dev-other"
 	a3 := NewInstalledApp(res, cfg)
-	New(Options{}).Install(a3)
-	if a3.Compiled() == a1.Compiled() {
-		t.Fatal("different config must not share a compilation")
+	cfg.Devices["light1"] = "dev-mutated"
+	if a3.Config.Devices["light1"] != "dev-other" {
+		t.Fatal("caller's later config write reached the interned instance")
+	}
+	if a3 == a1 || a3.Compiled() == a1.Compiled() {
+		t.Fatal("different config must not share an instance")
 	}
 
 	// Content-identical rules from a second extraction: distinct pointers,
-	// distinct compilation, and threats keep referencing the installing
-	// app's own rules.
+	// distinct instance, and threats keep referencing the installing app's
+	// own rules.
 	res2, err := symexec.Extract(lockSrc, "")
 	if err != nil {
 		t.Fatalf("extract: %v", err)
 	}
-	a4 := NewInstalledApp(res2, sharedLightConfig())
-	New(Options{}).Install(a4)
-	if a4.Compiled() == a1.Compiled() {
-		t.Fatal("separate extractions must compile separately (rule identity)")
+	if a4 := NewInstalledApp(res2, sharedLightConfig()); a4 == a1 {
+		t.Fatal("separate extractions must intern separately (rule identity)")
 	}
 
-	// Reconfigure recompiles: the app must see a fresh compiled set with
-	// the new bindings.
-	d5 := New(Options{})
-	a5 := NewInstalledApp(res, sharedLightConfig())
-	d5.Install(a5)
-	before := a5.Compiled()
+	// Reconfigure swaps d1's slot to the instance of the new bindings;
+	// d2's app (the same old instance) is untouched.
 	newCfg := NewConfig()
 	newCfg.Devices["light1"] = "dev-rewired"
-	if _, err := d5.Reconfigure(a5.Info.Name, newCfg); err != nil {
+	if _, err := d1.Reconfigure(a1.Info.Name, newCfg); err != nil {
 		t.Fatalf("Reconfigure: %v", err)
 	}
-	after := a5.Compiled()
-	if after == before {
-		t.Fatal("Reconfigure must recompile the app")
+	after := d1.Apps()[0]
+	if after == a1 || after != NewInstalledApp(res, newCfg) {
+		t.Fatal("Reconfigure must swap the slot to the interned instance of the new config")
 	}
-	if len(after.rules) != len(before.rules) {
-		t.Fatalf("recompile changed rule count: %d vs %d", len(after.rules), len(before.rules))
+	if d2.Apps()[0] != a1 || a1.Config.Devices["light1"] != sharedLightConfig().Devices["light1"] {
+		t.Fatal("Reconfigure in one detector changed another detector's app")
 	}
-	// The recompiled footprint reflects the new device binding.
-	if _, ok := after.fp.Writes["dev-rewired.switch"]; !ok {
-		t.Fatalf("recompiled footprint misses the new binding: %s", after.fp)
+	// The swapped-in footprint reflects the new device binding.
+	fp := footprintOf(after.Channels())
+	if _, ok := fp.Writes["dev-rewired.switch"]; !ok {
+		t.Fatalf("reconfigured footprint misses the new binding: %s", fp)
+	}
+}
+
+// TestInternTableBounded: the intern table must not pin every rule set a
+// long-running process ever installs.
+func TestInternTableBounded(t *testing.T) {
+	for i := 0; i < internLimit+64; i++ {
+		NewInstalledApp(&symexec.Result{Rules: &rule.RuleSet{}}, nil)
+	}
+	interned.Lock()
+	n, sets := interned.n, len(interned.m)
+	interned.Unlock()
+	if n > internLimit || sets > internLimit {
+		t.Errorf("intern table holds %d instances of %d rule sets, limit is %d", n, sets, internLimit)
+	}
+}
+
+// TestSameInstanceTwiceIsCrossPair: one detector holding one interned
+// instance in two slots pairs them as a cross-app pair (n*n rule pairs,
+// each rule against its duplicate too), exactly as two separately built
+// instances of the same source do.
+func TestSameInstanceTwiceIsCrossPair(t *testing.T) {
+	threatsOf := func(twice func() (*InstalledApp, *InstalledApp)) []string {
+		d := New(Options{})
+		a, b := twice()
+		var out []string
+		for _, ia := range []*InstalledApp{a, b} {
+			for _, th := range d.Install(ia) {
+				out = append(out, th.String())
+			}
+		}
+		return out
+	}
+	res, err := symexec.Extract(comfortTVSrc, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sharedTVWindowConfig("dev-tv", "dev-window")
+	shared := threatsOf(func() (*InstalledApp, *InstalledApp) {
+		ia := NewInstalledApp(res, cfg)
+		return ia, ia
+	})
+	separate := threatsOf(func() (*InstalledApp, *InstalledApp) {
+		res2, err := symexec.Extract(comfortTVSrc, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewInstalledApp(res, cfg), NewInstalledApp(res2, cfg)
+	})
+	if len(shared) == 0 {
+		t.Fatal("precondition: the duplicate install must report threats")
+	}
+	if len(shared) != len(separate) {
+		t.Fatalf("one instance twice reports %d threats, two instances %d:\n%v\nvs\n%v",
+			len(shared), len(separate), shared, separate)
+	}
+	for i := range shared {
+		if shared[i] != separate[i] {
+			t.Errorf("threat %d: %s vs %s", i, shared[i], separate[i])
+		}
 	}
 }

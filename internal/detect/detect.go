@@ -3,6 +3,7 @@ package detect
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -24,21 +25,19 @@ var ErrAppNotInstalled = errors.New("detect: app not installed")
 // Concurrency contract: a Detector is NOT safe for concurrent use. Every
 // exported method — Install, Reconfigure, Accept, FindChains, DetectPair,
 // CheckPair, Stats, Apps — mutates or reads satCache, stats, curKind,
-// inputOptions, apps or accepted without internal locking; the caller must
-// serialize all calls on one Detector instance. internal/fleet does
-// exactly that: it wraps each home's Detector behind one per-home mutex
-// held for the full duration of any call, so those fields are guarded by
-// the fleet's per-home lock boundary while distinct homes run in parallel.
-// The Detector only ever READS the *rule.RuleSet and AppInfo inside an
-// InstalledApp, so extraction results may be shared across detectors
-// (the extractcache relies on this; see symexec.Result). The compiled
-// rule set a detector attaches to an InstalledApp is a pure function of
-// the app's exported fields (see compile.go), so sharing an InstalledApp
-// across detectors is still sound — but the attach itself is an
-// unsynchronized write, so one instance must not be compiled by different
-// detectors concurrently (build a fresh InstalledApp per home, as the
-// fleet does).
+// apps or accepted without internal locking; the caller must serialize
+// all calls on one Detector instance. internal/fleet does exactly that:
+// it wraps each home's Detector behind one per-home mutex held for the
+// full duration of any call, so those fields are guarded by the fleet's
+// per-home lock boundary while distinct homes run in parallel. The
+// Detector never writes an InstalledApp: instances are immutable and
+// interned process-wide (see intern.go), so every home that installs one
+// extraction under equal configurations holds the same pointer, and one
+// detector may hold the same instance in two slots. Which pair is intra-
+// or cross-app is decided by slot, never by pointer equality.
 type Detector struct {
+	// apps holds the installed apps by slot, in installation order.
+	// Reconfigure swaps a slot's instance; slots never move.
 	apps  []*InstalledApp
 	modes []string
 	// modesSig is the length-prefixed mode list rendering hashed into every
@@ -64,11 +63,6 @@ type Detector struct {
 	// eviction, so the index never holds stale keys. Guarded like satCache.
 	keysByApp map[string]map[string]struct{}
 
-	// inputOptions maps canonical input-variable names ("app!input") to
-	// the enum options declared in the app's preferences, giving the
-	// solver accurate domains for unbound enum inputs.
-	inputOptions map[string][]string
-
 	// accepted holds user-accepted interfering pairs for chained analysis.
 	accepted []Threat
 
@@ -91,13 +85,22 @@ type Detector struct {
 	totalRules int
 
 	// span, when non-nil, is the parent under which Install/Reconfigure
-	// record their stage spans (compile, candidates, verdict, solve). Set
-	// by the caller around one operation (SetSpan) under the same
-	// serialization every other detector field relies on; nil — the
-	// default — costs only nil checks on the instrumented paths, never in
-	// the per-rule-pair core (detectPair is not instrumented, keeping
-	// DetectPair allocation-free).
+	// record their stage spans (compile on reconfigure, candidates,
+	// verdict, solve). Set by the caller around one operation (SetSpan)
+	// under the same serialization every other detector field relies on;
+	// nil — the default — costs only nil checks on the instrumented paths,
+	// never in the per-rule-pair core (detectPair is not instrumented,
+	// keeping DetectPair allocation-free).
 	span *obs.Span
+}
+
+// PairRun is one app pair's threats from one Install or Reconfigure:
+// Threats is the slice the pair-verdict cache holds, shared fleet-wide and
+// read-only (a fresh slice when no cache is configured), and Lo <= Hi are
+// the pair's slots in Apps() order (equal for the intra-app pair).
+type PairRun struct {
+	Threats []Threat
+	Lo, Hi  int32
 }
 
 type satResult struct {
@@ -121,13 +124,12 @@ func New(opts Options) *Detector {
 		modes = []string{"Home", "Away", "Night"}
 	}
 	d := &Detector{
-		modes:        modes,
-		modesSig:     modesSignature(modes),
-		opts:         opts,
-		stats:        newStats(),
-		satCache:     map[string]satResult{},
-		keysByApp:    map[string]map[string]struct{}{},
-		inputOptions: map[string][]string{},
+		modes:     modes,
+		modesSig:  modesSignature(modes),
+		opts:      opts,
+		stats:     newStats(),
+		satCache:  map[string]satResult{},
+		keysByApp: map[string]map[string]struct{}{},
 	}
 	if !opts.DisablePruning {
 		d.idx = NewFootprintIndex()
@@ -151,6 +153,14 @@ func (d *Detector) Apps() []*InstalledApp { return d.apps }
 // Install detects CAI threats between the new app and every already
 // installed app (and within the new app itself), then records the app as
 // installed. This mirrors the one-time decision point at app installation.
+// It returns InstallRuns' threats in order, in one slice.
+func (d *Detector) Install(app *InstalledApp) []Threat {
+	return flatten(d.InstallRuns(app, nil))
+}
+
+// InstallRuns is Install returning each threatening pair's threats as
+// detection produced them, appended to dst: the intra-app pair first,
+// then each counterpart in installation order.
 //
 // Counterpart candidates come from the inverted footprint-channel index
 // (see FootprintIndex): only apps sharing an interference channel with
@@ -159,23 +169,16 @@ func (d *Detector) Apps() []*InstalledApp { return d.apps }
 // Stats.PairsPruned, since the index skips exactly the pairs the scan
 // path's footprint prune would have rejected one by one). With
 // DisablePruning the full scan runs instead.
-func (d *Detector) Install(app *InstalledApp) []Threat {
-	d.noteInputOptions(app)
-	// Compile the app once per install: canonical formulas, declaration
-	// plans, effects, footprint and verdict signature (see compile.go).
-	csp := d.span.Child("compile")
-	d.prepare(app)
-	csp.End()
-	var threats []Threat
-	// Intra-app pairs (rules within one app can interfere too).
-	threats = append(threats, d.appPairThreats(app, app)...)
+func (d *Detector) InstallRuns(app *InstalledApp, dst []PairRun) []PairRun {
+	slot := int32(len(d.apps))
+	dst = appendRun(dst, d.appPairThreats(app, app, true), slot, slot)
 	if d.idx != nil {
 		// Candidate slots come back sorted, i.e. in installation order, so
 		// pairing them directly reproduces the scan path's threat order.
 		// The skipped remainder is charged to the prune counters from the
 		// running rule-count total — no per-app walk.
 		gsp := d.span.Child("candidates")
-		d.candBuf = d.idx.AppendCandidates(app.fp, d.candBuf[:0])
+		d.candBuf = d.idx.AppendCandidates(app.comp.chans, d.candBuf[:0])
 		gsp.SetInt("candidates", int64(len(d.candBuf)))
 		gsp.End()
 		d.stats.PairsIndexed += len(d.candBuf)
@@ -183,69 +186,58 @@ func (d *Detector) Install(app *InstalledApp) []Threat {
 		for _, s := range d.candBuf {
 			old := d.apps[s]
 			candRules += len(old.Rules.Rules)
-			threats = append(threats, d.appPairVerdict(old, app)...)
+			dst = appendRun(dst, d.appPairVerdict(old, app, false), s, slot)
 		}
 		n := (d.totalRules - candRules) * len(app.Rules.Rules)
 		d.stats.PairsPruned += n
 		d.stats.PairsSkippedByIndex += n
-		d.idx.Add(app.fp) // slot == len(d.apps)
+		d.idx.Add(app.comp.chans) // slot == len(d.apps)
 	} else {
-		for _, old := range d.apps {
-			threats = append(threats, d.appPairThreats(old, app)...)
+		for s, old := range d.apps {
+			dst = appendRun(dst, d.appPairThreats(old, app, false), int32(s), slot)
 		}
 	}
 	d.apps = append(d.apps, app)
 	d.totalRules += len(app.Rules.Rules)
-	return threats
+	return dst
 }
 
-// noteInputOptions records an app's declared enum-input options for
-// solver domains (keyed by the app-qualified canonical input name, so
-// apps never interfere with each other's domains).
-func (d *Detector) noteInputOptions(app *InstalledApp) {
-	for i := range app.Info.Inputs {
-		in := &app.Info.Inputs[i]
-		if len(in.Options) > 0 {
-			d.inputOptions[rule.InternBanged(app.Info.Name, in.Name)] = in.Options
-		}
+// appendRun appends a pair's threats as a run unless there are none.
+func appendRun(dst []PairRun, ts []Threat, lo, hi int32) []PairRun {
+	if len(ts) == 0 {
+		return dst
 	}
+	return append(dst, PairRun{Threats: ts, Lo: lo, Hi: hi})
 }
 
-// Precompile attaches the app's compiled rule set without installing it.
-// Compilation is a pure function of the app's exported fields (see
-// compile.go), but the attach itself is an unsynchronized write — the
-// store auditor precompiles each changed app on one worker before
-// sharing the InstalledApps read-only across worker detectors.
-func (d *Detector) Precompile(app *InstalledApp) { d.ensureCompiled(app) }
-
-// DetectAppPair runs the full pair detection between two apps — footprint
-// prune, optional shared verdict cache, all seven per-rule-pair checks —
-// without recording either app as installed. It reproduces exactly what
-// Install computes for the (appA, appB) pair: the enum-input options of
-// both apps are noted first, as Install would have by the time this pair
-// ran, and per-pair solving state (satCache keys are rule-pair-scoped)
-// never crosses pairs, so a pair's threats are identical whether computed
-// by a serial install sequence or an independent detector. appA must be
-// the earlier-installed side (intra-app pairs pass the same app twice).
-func (d *Detector) DetectAppPair(appA, appB *InstalledApp) []Threat {
-	d.noteInputOptions(appA)
-	if appB != appA {
-		d.noteInputOptions(appB)
+// flatten concatenates the runs' threats into one fresh slice.
+func flatten(runs []PairRun) []Threat {
+	n := 0
+	for _, r := range runs {
+		n += len(r.Threats)
 	}
-	return d.appPairThreats(appA, appB)
+	if n == 0 {
+		return nil
+	}
+	out := make([]Threat, 0, n)
+	for _, r := range runs {
+		out = append(out, r.Threats...)
+	}
+	return out
 }
 
-// DetectAppPairCandidate is DetectAppPair for pairs already known to
-// share a footprint channel (index-generated candidates, or intra-app
-// pairs): it skips the per-pair footprint prune walk that DetectAppPair
-// would re-run, which is the point of generating candidates from postings
-// in the first place.
+// DetectAppPairCandidate runs the pair detection between two apps already
+// known to share a footprint channel (index-generated candidates, or
+// intra-app pairs), consulting the shared verdict cache, without recording
+// either app as installed. It reproduces exactly what Install computes for
+// the (appA, appB) pair: per-pair solving state (satCache keys are
+// rule-pair-scoped) never crosses pairs, so a pair's threats are identical
+// whether computed by a serial install sequence or an independent
+// detector. appA must be the earlier-installed side; the intra-app pair
+// passes the same app twice, so a caller must not hold one instance as two
+// of its apps (the store auditor holds each app name once).
 func (d *Detector) DetectAppPairCandidate(appA, appB *InstalledApp) []Threat {
-	d.noteInputOptions(appA)
-	if appB != appA {
-		d.noteInputOptions(appB)
-	}
-	return d.appPairVerdict(appA, appB)
+	return d.appPairVerdict(appA, appB, appA == appB)
 }
 
 // Merge adds other's counters into s, for engines that aggregate several
@@ -275,28 +267,28 @@ func (s *Stats) Merge(other Stats) {
 }
 
 // appPairThreats detects every threat between appA's and appB's rules
-// (intra-app when appA == appB), going through the footprint prune and,
-// when configured, the fleet-shared pair-verdict cache. Index-driven
-// callers that already know the pair shares a channel use appPairVerdict
-// directly, skipping the per-pair footprint walk.
-func (d *Detector) appPairThreats(appA, appB *InstalledApp) []Threat {
+// (the intra-app pair when intra is set), going through the footprint
+// prune and, when configured, the fleet-shared pair-verdict cache.
+// Index-driven callers that already know the pair shares a channel use
+// appPairVerdict directly, skipping the per-pair footprint walk.
+func (d *Detector) appPairThreats(appA, appB *InstalledApp, intra bool) []Threat {
 	// Footprint prune: when neither app's writes touch anything the other
 	// app reads or writes, no interference channel exists and the whole
 	// pair is skipped — no solving, no cache traffic. Intra-app pairs are
 	// never pruned (a rule set trivially shares its own footprint).
-	if !d.opts.DisablePruning && appA != appB && !appA.fp.SharesChannel(appB.fp) {
+	if !d.opts.DisablePruning && !intra && !appA.comp.chans.SharesChannel(appB.comp.chans) {
 		d.stats.PairsPruned += len(appA.Rules.Rules) * len(appB.Rules.Rules)
 		return nil
 	}
-	return d.appPairVerdict(appA, appB)
+	return d.appPairVerdict(appA, appB, intra)
 }
 
 // appPairVerdict runs pair detection for a pair already known to share an
 // interference channel (or exempt from pruning), consulting the
 // fleet-shared pair-verdict cache when configured.
-func (d *Detector) appPairVerdict(appA, appB *InstalledApp) []Threat {
+func (d *Detector) appPairVerdict(appA, appB *InstalledApp, intra bool) []Threat {
 	nPairs := len(appA.Rules.Rules) * len(appB.Rules.Rules)
-	if appA == appB {
+	if intra {
 		n := len(appA.Rules.Rules)
 		nPairs = n * (n - 1) / 2
 	}
@@ -305,7 +297,7 @@ func (d *Detector) appPairVerdict(appA, appB *InstalledApp) []Threat {
 	}
 	if d.opts.Verdicts == nil {
 		ssp := d.span.Child("solve")
-		out := d.detectAppPair(appA, appB)
+		out := d.detectAppPair(appA, appB, intra)
 		if ssp != nil {
 			ssp.SetStr("a", appA.Info.Name)
 			ssp.SetStr("b", appB.Info.Name)
@@ -315,9 +307,9 @@ func (d *Detector) appPairVerdict(appA, appB *InstalledApp) []Threat {
 		return out
 	}
 	vsp := d.span.Child("verdict")
-	threats, hit := d.opts.Verdicts.Detect(d.pairKey(appA, appB), func() []Threat {
+	threats, hit := d.opts.Verdicts.Detect(d.verdictKey(appA, appB, intra), func() []Threat {
 		ssp := vsp.Child("solve")
-		out := d.detectAppPair(appA, appB)
+		out := d.detectAppPair(appA, appB, intra)
 		ssp.End()
 		return out
 	})
@@ -344,10 +336,10 @@ func (d *Detector) appPairVerdict(appA, appB *InstalledApp) []Threat {
 
 // detectAppPair runs the pair detections over every rule pair of the two
 // apps, consuming their compiled rule sets.
-func (d *Detector) detectAppPair(appA, appB *InstalledApp) []Threat {
-	ca, cb := d.ensureCompiled(appA), d.ensureCompiled(appB)
+func (d *Detector) detectAppPair(appA, appB *InstalledApp, intra bool) []Threat {
+	ca, cb := appA.comp, appB.comp
 	var out []Threat
-	if appA == appB {
+	if intra {
 		for i := 0; i < len(ca.rules); i++ {
 			for j := i + 1; j < len(ca.rules); j++ {
 				out = append(out, d.detectPair(&ca.rules[i], &ca.rules[j])...)
@@ -376,27 +368,37 @@ func (d *Detector) Accepted() []Threat { return d.accepted }
 // an installed app is updated") and re-runs detection between that app and
 // every other installed app. It returns the threats under the new
 // configuration; an unknown app name fails with ErrAppNotInstalled.
+func (d *Detector) Reconfigure(appName string, cfg *Config) ([]Threat, error) {
+	runs, err := d.ReconfigureRuns(appName, cfg, nil)
+	return flatten(runs), err
+}
+
+// ReconfigureRuns is Reconfigure returning each threatening pair's threats
+// as detection produced them, appended to dst: the intra-app pair first,
+// then each counterpart in slot order. The app's slot now holds the
+// interned instance of its rules under cfg (nil means no bindings); the
+// previous instance is left as it was, since other homes may hold it.
 //
 // Like Install, counterpart candidates come from the footprint-channel
 // index: only pairs whose footprint intersects the reconfigured app are
 // re-solved — the index postings are updated to the app's new footprint
 // first, so candidates reflect the new bindings.
-func (d *Detector) Reconfigure(appName string, cfg *Config) ([]Threat, error) {
-	var target *InstalledApp
+func (d *Detector) ReconfigureRuns(appName string, cfg *Config, dst []PairRun) ([]PairRun, error) {
 	slot := -1
 	for i, a := range d.apps {
 		if a.Info.Name == appName {
-			target, slot = a, i
+			slot = i
 			break
 		}
 	}
-	if target == nil {
-		return nil, fmt.Errorf("%w: %q", ErrAppNotInstalled, appName)
+	if slot < 0 {
+		return dst, fmt.Errorf("%w: %q", ErrAppNotInstalled, appName)
 	}
-	if cfg == nil {
-		cfg = NewConfig()
-	}
-	target.Config = cfg
+	old := d.apps[slot]
+	csp := d.span.Child("compile")
+	target := internApp(old.Info, old.Rules, cfg)
+	csp.End()
+	d.apps[slot] = target
 	// Drop cached solving results involving the app: config substitutions
 	// change the formulas behind the cached keys. Entries record their
 	// participant apps exactly, so only keys the new binding invalidates
@@ -420,19 +422,14 @@ func (d *Detector) Reconfigure(appName string, cfg *Config) ([]Threat, error) {
 		}
 	}
 	delete(d.keysByApp, appName)
-	// The new bindings change the app's compiled formulas, its canonical
-	// footprint and its verdict signature; recompile before re-pairing.
-	csp := d.span.Child("compile")
-	d.prepare(target)
-	csp.End()
-	var threats []Threat
+	s32 := int32(slot)
 	if d.idx != nil {
 		gsp := d.span.Child("candidates")
-		d.idx.Update(slot, target.fp)
-		d.candBuf = d.idx.AppendCandidates(target.fp, d.candBuf[:0])
+		d.idx.Update(slot, target.comp.chans)
+		d.candBuf = d.idx.AppendCandidates(target.comp.chans, d.candBuf[:0])
 		gsp.SetInt("candidates", int64(len(d.candBuf)))
 		gsp.End()
-		threats = append(threats, d.appPairThreats(target, target)...)
+		dst = appendRun(dst, d.appPairThreats(target, target, true), s32, s32)
 		// Sorted candidate slots reproduce the scan path's pair order; the
 		// target's own slot is skipped (the intra pair already ran), and
 		// the never-generated remainder is charged to the prune counters
@@ -440,27 +437,27 @@ func (d *Detector) Reconfigure(appName string, cfg *Config) ([]Threat, error) {
 		tr := len(target.Rules.Rules)
 		candRules := 0
 		for _, s := range d.candBuf {
-			other := d.apps[s]
-			if other == target {
+			if s == s32 {
 				continue
 			}
+			other := d.apps[s]
 			d.stats.PairsIndexed++
 			candRules += len(other.Rules.Rules)
-			threats = append(threats, d.appPairVerdict(other, target)...)
+			dst = appendRun(dst, d.appPairVerdict(other, target, false), min(s, s32), max(s, s32))
 		}
 		n := (d.totalRules - tr - candRules) * tr
 		d.stats.PairsPruned += n
 		d.stats.PairsSkippedByIndex += n
-		return threats, nil
+		return dst, nil
 	}
-	threats = append(threats, d.appPairThreats(target, target)...)
-	for _, other := range d.apps {
-		if other == target {
+	dst = appendRun(dst, d.appPairThreats(target, target, true), s32, s32)
+	for s, other := range d.apps {
+		if s == slot {
 			continue
 		}
-		threats = append(threats, d.appPairThreats(other, target)...)
+		dst = appendRun(dst, d.appPairThreats(other, target, false), min(int32(s), s32), max(int32(s), s32))
 	}
-	return threats, nil
+	return dst, nil
 }
 
 // DetectPair runs all seven detections over one ordered rule pair,
@@ -485,8 +482,8 @@ func (d *Detector) DetectPair(appA *InstalledApp, r1 *rule.Rule, appB *Installed
 // monitored via Stats.SearchLimitHits / the fleet's SolverLimitHits
 // rollup instead.)
 func (d *Detector) CheckPair(appA *InstalledApp, r1 *rule.Rule, appB *InstalledApp, r2 *rule.Rule) ([]Threat, error) {
-	c1 := d.compiledFor(appA, r1)
-	c2 := d.compiledFor(appB, r2)
+	c1 := compiledFor(appA, r1)
+	c2 := compiledFor(appB, r2)
 	d.limitErr = nil
 	out := d.detectPair(c1, c2)
 	err := d.limitErr
@@ -574,9 +571,9 @@ func (d *Detector) endKind(t kindTimer) {
 }
 
 // solveCompiled decides satisfiability of the (up to) two compiled
-// formulas, caching by key and declaring variables from the precompiled
-// plans. apps names the participant apps for satCache eviction.
-func (d *Detector) solveCompiled(key string, apps [2]string, declsA, declsB []varDecl, f1, f2 rule.Constraint) (solver.Model, bool) {
+// formulas of the rule pair (c1, c2), caching by key and declaring
+// variables from the precompiled plans.
+func (d *Detector) solveCompiled(key string, c1, c2 *compiledRule, declsA, declsB []varDecl, f1, f2 rule.Constraint) (solver.Model, bool) {
 	if !d.opts.DisableReuse && key != "" {
 		if r, ok := d.satCache[key]; ok {
 			d.stats.SolverCacheHits++
@@ -585,15 +582,15 @@ func (d *Detector) solveCompiled(key string, apps [2]string, declsA, declsB []va
 		}
 	}
 	p := solver.NewProblem()
-	d.declareGroups(p, declsA, declsB)
+	d.declareGroups(p, c1, c2, declsA, declsB)
 	p.AddConstraint(f1)
 	p.AddConstraint(f2)
-	return d.runSolve(p, key, apps)
+	return d.runSolve(p, key, pairAppsC(c1, c2))
 }
 
 // solveWalk is solveCompiled for ad-hoc formula sets (effect merges,
 // setpoint bounds): variables are declared by walking the formulas.
-func (d *Detector) solveWalk(key string, apps [2]string, formulas ...rule.Constraint) (solver.Model, bool) {
+func (d *Detector) solveWalk(key string, c1, c2 *compiledRule, formulas ...rule.Constraint) (solver.Model, bool) {
 	if !d.opts.DisableReuse && key != "" {
 		if r, ok := d.satCache[key]; ok {
 			d.stats.SolverCacheHits++
@@ -602,11 +599,11 @@ func (d *Detector) solveWalk(key string, apps [2]string, formulas ...rule.Constr
 		}
 	}
 	p := solver.NewProblem()
-	d.declareVars(p, formulas...)
+	d.declareVars(p, c1, c2, formulas...)
 	for _, f := range formulas {
 		p.AddConstraint(f)
 	}
-	return d.runSolve(p, key, apps)
+	return d.runSolve(p, key, pairAppsC(c1, c2))
 }
 
 // runSolve executes a prepared problem, times it against the current
@@ -692,7 +689,7 @@ func condKey(c1, c2 *compiledRule) string {
 // situationsOverlap checks SAT(T1 ∧ C1 ∧ T2 ∧ C2) — the paper's
 // overlapping-condition detection for Action-Interference.
 func (d *Detector) situationsOverlap(c1, c2 *compiledRule) (solver.Model, bool) {
-	return d.solveCompiled(overlapKey(c1, c2), pairAppsC(c1, c2),
+	return d.solveCompiled(overlapKey(c1, c2), c1, c2,
 		c1.situDecls, c2.situDecls, c1.situation, c2.situation)
 }
 
@@ -708,7 +705,7 @@ func (d *Detector) conditionsOverlap(c1, c2 *compiledRule) (solver.Model, bool) 
 			return r.witness, true
 		}
 	}
-	return d.solveCompiled(condKey(c1, c2), pairAppsC(c1, c2),
+	return d.solveCompiled(condKey(c1, c2), c1, c2,
 		c1.condDecls, c2.condDecls, c1.condition, c2.condition)
 }
 
@@ -863,7 +860,7 @@ func (d *Detector) triggerChannel(c1, c2 *compiledRule) (envmodel.Property, stri
 				c1.r.Action.Subject, c1.r.Action.Command, t2Var)
 		}
 		// Check the trigger constraint against the effect value.
-		_, sat := d.solveWalk("", [2]string{}, c2.trigConstraint, c1.effectCs[i])
+		_, sat := d.solveWalk("", c1, c2, c2.trigConstraint, c1.effectCs[i])
 		if sat {
 			return "", fmt.Sprintf("action %s(%s) sets %s to the triggering value",
 				c1.r.Action.Subject, c1.r.Action.Command, t2Var)
@@ -887,13 +884,13 @@ func (d *Detector) triggerChannel(c1, c2 *compiledRule) (envmodel.Property, stri
 }
 
 // canonTriggerVar is the canonical variable T2 subscribes to.
-func (d *Detector) canonTriggerVar(app *InstalledApp, r *rule.Rule) string {
+func canonTriggerVar(app *InstalledApp, r *rule.Rule) string {
 	t := r.Trigger
 	if t.Subject == "location" {
 		return "location." + t.Attribute
 	}
 	if in := app.Info.Input(t.Subject); in != nil && in.IsDevice() {
-		return d.deviceKey(app, t.Subject) + "." + t.Attribute
+		return deviceKey(app, t.Subject) + "." + t.Attribute
 	}
 	return app.Info.Name + "!" + t.EventVar()
 }
@@ -984,7 +981,7 @@ func (d *Detector) detectCondInterference(c1, c2 *compiledRule) (Threat, bool) {
 	if !touched {
 		if d.opts.DisableFiltering {
 			key := "ec:" + c1.qid + "|" + c2.qid
-			d.solveWalk(key, pairAppsC(c1, c2), condF) // ablation: solve anyway
+			d.solveWalk(key, c1, c2, condF) // ablation: solve anyway
 		}
 		return Threat{}, false
 	}
@@ -993,7 +990,7 @@ func (d *Detector) detectCondInterference(c1, c2 *compiledRule) (Threat, bool) {
 	// Merge the effect constraints with C2: SAT ⇒ may enable (EC);
 	// UNSAT ⇒ disables (DC).
 	key := "ec:" + c1.qid + "|" + c2.qid
-	witness, sat := d.solveWalk(key, pairAppsC(c1, c2), append([]rule.Constraint{condF}, effectCs...)...)
+	witness, sat := d.solveWalk(key, c1, c2, append([]rule.Constraint{condF}, effectCs...)...)
 	if sat {
 		d.stats.Found[EnablingCondition]++
 		return Threat{
@@ -1064,15 +1061,21 @@ func (d *Detector) FindChains(newThreats []Threat, maxLen int) []Chain {
 		to   *rule.Rule
 		kind Kind
 	}
-	adj := map[string][]edge{}
-	nodes := map[string]*rule.Rule{}
+	adj := map[*rule.Rule][]edge{}
+	var nodes []*rule.Rule // in first-seen order
+	addNode := func(r *rule.Rule) {
+		if _, ok := adj[r]; !ok {
+			adj[r] = nil
+			nodes = append(nodes, r)
+		}
+	}
 	addEdge := func(t Threat) {
 		// Only trigger/condition interference propagates effects onward.
 		switch t.Kind {
 		case CovertTriggering, SelfDisabling, LoopTriggering, EnablingCondition, DisablingCond:
-			adj[t.R1.QualifiedID()] = append(adj[t.R1.QualifiedID()], edge{to: t.R2, kind: t.Kind})
-			nodes[t.R1.QualifiedID()] = t.R1
-			nodes[t.R2.QualifiedID()] = t.R2
+			addNode(t.R1)
+			addNode(t.R2)
+			adj[t.R1] = append(adj[t.R1], edge{to: t.R2, kind: t.Kind})
 		}
 	}
 	for _, t := range d.accepted {
@@ -1082,8 +1085,10 @@ func (d *Detector) FindChains(newThreats []Threat, maxLen int) []Chain {
 		addEdge(t)
 	}
 	var chains []Chain
-	var dfs func(cur *rule.Rule, path []*rule.Rule, kinds []Kind, onPath map[string]bool)
-	dfs = func(cur *rule.Rule, path []*rule.Rule, kinds []Kind, onPath map[string]bool) {
+	// The path is at most maxLen rules long, so a scan of it is the
+	// on-path test.
+	var dfs func(path []*rule.Rule, kinds []Kind)
+	dfs = func(path []*rule.Rule, kinds []Kind) {
 		if len(path) > maxLen {
 			return
 		}
@@ -1093,25 +1098,26 @@ func (d *Detector) FindChains(newThreats []Threat, maxLen int) []Chain {
 				Kinds: append([]Kind(nil), kinds...),
 			})
 		}
-		for _, e := range adj[cur.QualifiedID()] {
-			id := e.to.QualifiedID()
-			if onPath[id] {
+		for _, e := range adj[path[len(path)-1]] {
+			if slices.Contains(path, e.to) {
 				continue
 			}
-			onPath[id] = true
-			dfs(e.to, append(path, e.to), append(kinds, e.kind), onPath)
-			delete(onPath, id)
+			dfs(append(path, e.to), append(kinds, e.kind))
 		}
 	}
-	for id, r := range nodes {
-		dfs(r, []*rule.Rule{r}, nil, map[string]bool{id: true})
+	for _, r := range nodes {
+		dfs([]*rule.Rule{r}, nil)
 	}
 	return sortUniqueChains(chains)
 }
 
 // sortUniqueChains sorts chains by their String form and drops the
-// repeats, computing each chain's key once.
+// repeats, computing each chain's key once, and only when there are two
+// or more chains to order.
 func sortUniqueChains(chains []Chain) []Chain {
+	if len(chains) < 2 {
+		return chains
+	}
 	keys := make([]string, len(chains))
 	for i := range chains {
 		keys[i] = chains[i].String()

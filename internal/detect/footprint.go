@@ -2,43 +2,23 @@ package detect
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
+	"hash"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"homeguard/internal/envmodel"
 	"homeguard/internal/rule"
+	"homeguard/internal/symexec"
 )
 
-// This file builds the per-app footprint index and the content addresses
+// This file builds the per-app footprint and the content addresses
 // behind the fleet-shared pair-verdict cache. Both are computed once per
-// app at Install/Reconfigure time (prepare) and depend only on the app's
-// extracted rules, its input declarations and its installation config —
-// never on other detector state — so an InstalledApp reused across
-// detectors carries the same values.
-
-// prepare attaches the app's compiled rule set (canonical formulas,
-// declaration plans, effects, footprint and verdict signature — see
-// compile.go), reusing a fleet-shared compilation when another detector
-// already compiled the same rule set under a content-equal configuration
-// (see compilecache.go). The signature doubles as the cache key suffix,
-// so it is computed for every app — pairKey then reads it for free.
-func (d *Detector) prepare(app *InstalledApp) {
-	sig := appSignature(app)
-	key := compileKey{rules: app.Rules}
-	copy(key.sig[:], sig)
-	comp := compileCacheGet(key)
-	if comp == nil {
-		comp = d.compile(app)
-		comp.sig = sig
-		compileCachePut(key, comp)
-	}
-	app.comp = comp
-	app.fp = comp.fp
-	app.sig = comp.sig
-}
+// app instance when it is interned (see intern.go) and depend only on the
+// app's extracted rules, its input declarations and its installation
+// config, never on detector state.
 
 // propKey namespaces an environment property apart from canonical variable
 // names (variable names never contain NUL).
@@ -78,31 +58,30 @@ func addReadName(fp *rule.Footprint, name string) {
 // input the pair detections read.
 type PairKey [sha256.Size]byte
 
-// pairKey derives the verdict address for the ordered pair (appA, appB).
+// verdictKey derives the verdict address for the ordered pair (appA, appB).
 // The pair is kept ordered (installation order) so cached threats carry
 // R1/R2 in the exact orientation local detection would produce — a
 // deliberate tradeoff: homes that reach the same pair in opposite orders
 // cache the two orientations separately (at most doubling entries per
 // unordered pair) in exchange for sharing verdicts verbatim with no
-// threat-rewriting on retrieval. A
-// relation tag separates the intra-app domain from the cross-app one:
-// two content-identical apps installed as separate instances have equal
-// signatures, but their cross verdict (n*n rule pairs, including each
-// rule against its own duplicate) differs from the single instance's
-// intra verdict (n(n-1)/2 pairs).
-func (d *Detector) pairKey(appA, appB *InstalledApp) PairKey {
+// threat-rewriting on retrieval. intra tags the intra-app domain apart
+// from the cross-app one: one detector can hold the same interned app in
+// two slots, and their cross verdict (n*n rule pairs, including each rule
+// against its own duplicate) differs from the single slot's intra verdict
+// (n(n-1)/2 pairs).
+func (d *Detector) verdictKey(appA, appB *InstalledApp, intra bool) PairKey {
 	h := sha256.New()
-	if appA == appB {
+	if intra {
 		h.Write([]byte{'i'})
 	} else {
 		h.Write([]byte{'x'})
 	}
-	// The per-app signatures were precomputed at compile time (prepare),
+	// The per-app signatures were computed when the apps were interned,
 	// and the mode-list rendering once at New: keying a pair is three
 	// writes and one SHA-256 finalization, no re-serialization.
-	h.Write(appA.sig)
+	h.Write(appA.comp.sig)
 	h.Write([]byte{0})
-	h.Write(appB.sig)
+	h.Write(appB.comp.sig)
 	h.Write([]byte{0})
 	h.Write(d.modesSig)
 	var k PairKey
@@ -124,119 +103,116 @@ func modesSignature(modes []string) []byte {
 	return out
 }
 
-// appSignature hashes everything about one installed app that pair
-// detection reads: its name (the canonical variable prefix), its input
-// declarations (capabilities pick device keys and solver domains, titles
-// feed device-type guessing), its full rule set, and its installation
-// configuration (device bindings, value substitutions, device types).
-func appSignature(app *InstalledApp) []byte {
+// An app's verdict signature is one SHA-256 over everything about the
+// installed app that pair detection reads: its name (the canonical
+// variable prefix), its input declarations (capabilities pick device keys
+// and solver domains, titles feed device-type guessing), its full rule
+// set, and its installation configuration (device bindings, value
+// substitutions, device types). The intern table hashes the first three
+// once per rule set and keeps the hash state (infoState), so a new
+// configuration of a known app hashes only the configuration's encoding
+// (configEncoding), which also keys the instance. Every string is
+// length-prefixed: configs arrive verbatim from the JSON API and may
+// contain any byte, so delimiter framing would let crafted strings slide
+// across key/value boundaries and alias two different configurations onto
+// one fleet-shared verdict key.
+
+// infoState hashes an app's info and rule set and returns the marshaled
+// hash state, which signature continues.
+func infoState(info symexec.AppInfo, rs *rule.RuleSet) []byte {
 	h := sha256.New()
-	// Every string is length-prefixed: configs arrive verbatim from the
-	// JSON API and may contain any byte, so delimiter framing would let
-	// crafted strings slide across key/value boundaries and alias two
-	// different configurations onto one fleet-shared verdict key.
-	wr := func(s string) {
-		var n [4]byte
-		binary.BigEndian.PutUint32(n[:], uint32(len(s)))
-		h.Write(n[:])
-		h.Write([]byte(s))
-	}
-	wr(app.Info.Name)
-	for _, in := range app.Info.Inputs {
-		wr(in.Name)
-		wr(in.Type)
-		wr(in.Capability)
-		wr(in.Title)
-		wr(strconv.FormatBool(in.Multiple))
+	lengthPrefixed(h, info.Name)
+	for _, in := range info.Inputs {
+		lengthPrefixed(h, in.Name)
+		lengthPrefixed(h, in.Type)
+		lengthPrefixed(h, in.Capability)
+		lengthPrefixed(h, in.Title)
+		lengthPrefixed(h, strconv.FormatBool(in.Multiple))
 		// Tag bytes fence the variable-length fields so field contents
 		// cannot alias across boundaries (Options ["x"] + no default must
 		// hash apart from no options + default "x" — options feed solver
 		// enum domains, so the two are detection-distinct).
 		h.Write([]byte{6})
 		for _, o := range in.Options {
-			wr(o)
+			lengthPrefixed(h, o)
 		}
 		h.Write([]byte{7})
 		if in.Default != nil {
-			wr(in.Default.String())
+			lengthPrefixed(h, in.Default.String())
 		}
 		h.Write([]byte{1})
 	}
-	rsig := ruleSetSig(app.Rules)
-	h.Write(rsig[:])
-	h.Write([]byte{2})
-	cfg := app.Config
-	for _, k := range sortedKeys(cfg.Devices) {
-		wr(k)
-		wr(cfg.Devices[k])
-	}
-	h.Write([]byte{3})
-	for _, k := range sortedKeys(cfg.Values) {
-		wr(k)
-		wr(cfg.Values[k].String())
-	}
-	h.Write([]byte{4})
-	for _, k := range sortedKeys(cfg.ValueLists) {
-		wr(k)
-		for _, v := range cfg.ValueLists[k] {
-			wr(v)
-		}
-		// Terminate each list: {"a": ["b"]} must not alias {"a": [], "b": []}.
-		h.Write([]byte{6})
-	}
-	h.Write([]byte{5})
-	for _, k := range sortedKeys(cfg.DeviceTypes) {
-		wr(k)
-		wr(string(cfg.DeviceTypes[k]))
-	}
-	return h.Sum(nil)
-}
-
-// ruleSetSigs memoizes each rule set's content hash by pointer identity:
-// extraction results are cached and shared read-only across homes, so the
-// same *RuleSet recurs once per home install and marshaling it each time
-// would put an O(rule-set) serialization on the hot path the verdict
-// cache exists to flatten. Rule sets are immutable after extraction (the
-// contract the whole caching layer rests on). The map is bounded — each
-// entry strong-references its rule set, so an unbounded memo would pin
-// every app version a long-running process ever saw; on overflow,
-// arbitrary entries are dropped and simply recomputed on next use.
-const ruleSetSigLimit = 1 << 16
-
-var ruleSetSigs = struct {
-	sync.Mutex
-	m map[*rule.RuleSet][sha256.Size]byte
-}{m: map[*rule.RuleSet][sha256.Size]byte{}}
-
-func ruleSetSig(rs *rule.RuleSet) [sha256.Size]byte {
-	ruleSetSigs.Lock()
-	sum, ok := ruleSetSigs.m[rs]
-	ruleSetSigs.Unlock()
-	if ok {
-		return sum
-	}
-	h := sha256.New()
+	rh := sha256.New()
 	if b, err := rule.MarshalRuleSet(rs); err == nil {
-		h.Write(b)
+		rh.Write(b)
 	} else {
 		// Extraction output always marshals; hand-built rule sets that
 		// somehow don't still hash via their renderings.
 		for _, r := range rs.Rules {
-			h.Write([]byte(r.String()))
-			h.Write([]byte{0})
+			rh.Write([]byte(r.String()))
+			rh.Write([]byte{0})
 		}
 	}
-	h.Sum(sum[:0])
-	ruleSetSigs.Lock()
-	for k := range ruleSetSigs.m {
-		if len(ruleSetSigs.m) < ruleSetSigLimit {
-			break
-		}
-		delete(ruleSetSigs.m, k)
+	h.Write(rh.Sum(nil))
+	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic("detect: sha256 state does not marshal: " + err.Error())
 	}
-	ruleSetSigs.m[rs] = sum
-	ruleSetSigs.Unlock()
-	return sum
+	return state
+}
+
+// configEncoding renders an installation configuration for hashing; nil
+// and empty maps encode alike.
+func configEncoding(cfg *Config) []byte {
+	b := []byte{2}
+	for _, k := range sortedKeys(cfg.Devices) {
+		b = appendPrefixed(b, k)
+		b = appendPrefixed(b, cfg.Devices[k])
+	}
+	b = append(b, 3)
+	for _, k := range sortedKeys(cfg.Values) {
+		b = appendPrefixed(b, k)
+		b = appendPrefixed(b, cfg.Values[k].String())
+	}
+	b = append(b, 4)
+	for _, k := range sortedKeys(cfg.ValueLists) {
+		b = appendPrefixed(b, k)
+		for _, v := range cfg.ValueLists[k] {
+			b = appendPrefixed(b, v)
+		}
+		// Terminate each list: {"a": ["b"]} must not alias {"a": [], "b": []}.
+		b = append(b, 6)
+	}
+	b = append(b, 5)
+	for _, k := range sortedKeys(cfg.DeviceTypes) {
+		b = appendPrefixed(b, k)
+		b = appendPrefixed(b, string(cfg.DeviceTypes[k]))
+	}
+	return b
+}
+
+// signature finishes an app's verdict signature from its info hash state
+// and its configuration encoding.
+func signature(state, cfgEnc []byte) []byte {
+	h := sha256.New()
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
+		panic("detect: sha256 state does not unmarshal: " + err.Error())
+	}
+	h.Write(cfgEnc)
+	return h.Sum(nil)
+}
+
+func appendPrefixed(b []byte, s string) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
+	return append(b, s...)
+}
+
+// lengthPrefixed writes s with a 4-byte length prefix.
+func lengthPrefixed(h hash.Hash, s string) {
+	var n [4]byte
+	binary.BigEndian.PutUint32(n[:], uint32(len(s)))
+	h.Write(n[:])
+	h.Write([]byte(s))
 }
 
 func sortedKeys[V any](m map[string]V) []string {

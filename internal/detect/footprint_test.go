@@ -48,11 +48,11 @@ func TestPruneSoundness(t *testing.T) {
 	for i := 0; i < len(apps); i++ {
 		for j := i + 1; j < len(apps); j++ {
 			a, b := apps[i], apps[j]
-			if a.fp.SharesChannel(b.fp) {
+			if a.Channels().SharesChannel(b.Channels()) {
 				continue
 			}
 			pruned++
-			if ts := d.detectAppPair(a, b); len(ts) != 0 {
+			if ts := d.detectAppPair(a, b, false); len(ts) != 0 {
 				t.Errorf("pair (%s, %s) pruned as disjoint but the solver path reports %d threat(s): %v",
 					a.Info.Name, b.Info.Name, len(ts), ts)
 			}
@@ -64,8 +64,8 @@ func TestPruneSoundness(t *testing.T) {
 	t.Logf("verified %d pruned pairs threat-free under the full solver path", pruned)
 }
 
-// nopVerdicts makes the detector compute verdict signatures (prepare
-// fills them only when a cache is configured) without caching anything.
+// nopVerdicts routes pair detection through the verdict-cache path
+// without caching anything.
 type nopVerdicts struct{}
 
 func (nopVerdicts) Detect(_ PairKey, compute func() []Threat) ([]Threat, bool) {
@@ -123,8 +123,8 @@ func TestPairKeyDeterministicAcrossDetectors(t *testing.T) {
 		t.Error("pair key collapsed the pair orientation")
 	}
 
-	// Two content-identical instances have equal signatures, but their
-	// cross verdict must not be served from the single instance's
+	// One interned instance installed twice shares its signature, but the
+	// two slots' cross verdict must not be served from the instance's
 	// intra-app entry (the rule-pair sets differ).
 	res, err := symexec.Extract(comfortTVSrc, "")
 	if err != nil {
@@ -133,14 +133,41 @@ func TestPairKeyDeterministicAcrossDetectors(t *testing.T) {
 	d5 := New(Options{Verdicts: nopVerdicts{}})
 	copy1 := NewInstalledApp(res, sharedTVWindowConfig("dev-tv", "dev-window"))
 	copy2 := NewInstalledApp(res, sharedTVWindowConfig("dev-tv", "dev-window"))
+	if copy1 != copy2 {
+		t.Fatal("one extraction under equal configs should intern to one instance")
+	}
 	d5.Install(copy1)
 	d5.Install(copy2)
-	if string(copy1.sig) != string(copy2.sig) {
-		t.Fatal("identical instances should share a signature")
-	}
-	if d5.pairKey(copy1, copy2) == d5.pairKey(copy2, copy2) {
+	if d5.verdictKey(copy1, copy2, false) == d5.verdictKey(copy2, copy2, true) {
 		t.Error("pair key aliases the cross verdict of duplicate instances with the intra-app verdict")
 	}
+}
+
+// pairKey addresses the verdict of two apps held in distinct slots, or,
+// given one app twice, its intra-app verdict.
+func (d *Detector) pairKey(appA, appB *InstalledApp) PairKey {
+	return d.verdictKey(appA, appB, appA == appB)
+}
+
+// footprintOf renders channels back to names: a channel the app both
+// reads and writes renders as a write only.
+func footprintOf(c Channels) *rule.Footprint {
+	fp := rule.NewFootprint()
+	chanTab.RLock()
+	defer chanTab.RUnlock()
+	for _, ch := range c {
+		if name := chanTab.names[ch>>1]; ch&1 != 0 {
+			fp.AddWrite(name)
+		} else {
+			fp.AddRead(name)
+		}
+	}
+	return fp
+}
+
+// appSignature is the verdict signature of an app built by hand.
+func appSignature(app *InstalledApp) []byte {
+	return signature(infoState(app.Info, app.Rules), configEncoding(app.Config))
 }
 
 // TestAppSignatureNoFieldAliasing: variable-length signature fields are
@@ -191,20 +218,6 @@ func TestAppSignatureNoFieldAliasing(t *testing.T) {
 	}
 }
 
-// TestRuleSetSigBounded: the signature memo must not pin every rule set
-// a long-running process ever signs.
-func TestRuleSetSigBounded(t *testing.T) {
-	for i := 0; i < ruleSetSigLimit+64; i++ {
-		ruleSetSig(&rule.RuleSet{})
-	}
-	ruleSetSigs.Lock()
-	n := len(ruleSetSigs.m)
-	ruleSetSigs.Unlock()
-	if n > ruleSetSigLimit {
-		t.Errorf("memo holds %d entries, limit is %d", n, ruleSetSigLimit)
-	}
-}
-
 // TestFootprintCoversDemoChannels spot-checks the computed footprint on a
 // demo app: ComfortTV reads the TV switch and temperature and writes the
 // window switch.
@@ -216,12 +229,7 @@ func TestFootprintCoversDemoChannels(t *testing.T) {
 	cfg := sharedTVWindowConfig("dev-tv", "dev-window")
 	cfg.Devices["tSensor"] = "dev-tSensor"
 	ia := NewInstalledApp(res, cfg)
-	d := New(Options{})
-	d.Install(ia)
-	fp := ia.fp
-	if fp == nil {
-		t.Fatal("Install left the footprint unset")
-	}
+	fp := footprintOf(ia.Channels())
 	for _, read := range []string{"dev-tv.switch", "dev-tSensor.temperature"} {
 		if _, ok := fp.Reads[read]; !ok {
 			t.Errorf("footprint misses read %q: %s", read, fp)

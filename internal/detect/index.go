@@ -1,9 +1,8 @@
 package detect
 
 import (
+	"slices"
 	"sort"
-
-	"homeguard/internal/rule"
 )
 
 // FootprintIndex is an inverted index over footprint channels: every
@@ -16,8 +15,9 @@ import (
 // prune), the index walks only the posting lists of the querying app's
 // channels and never materializes a disjoint pair at all.
 //
-// Candidate semantics mirror rule.Footprint.SharesChannel exactly: app A
-// is a candidate counterpart of footprint f iff some name f writes is
+// Candidate semantics mirror Channels.SharesChannel (and so
+// rule.Footprint.SharesChannel) exactly: app A is a candidate counterpart
+// of footprint f iff some name f writes is
 // touched (read or written) by A, or some name A writes is touched by f.
 // AppendCandidates is therefore sound (it never misses a pair
 // SharesChannel would keep) and complete (it never yields a pair
@@ -29,136 +29,116 @@ import (
 // call order (the detector keeps them aligned with its install order; the
 // store auditor reuses freed slots and maps them to apps itself).
 type FootprintIndex struct {
-	// chanIDs interns channel names to dense ids; postings[id] holds the
-	// packed posting list of that channel: slot<<1 | writeBit. One posting
-	// per (channel, app) — an app that both reads and writes a channel
-	// carries the write posting, which satisfies read-or-write queries too.
-	chanIDs  map[string]int32
-	postings [][]int32
-
-	// appChans[slot] lists the channel ids slot posted to, so Update can
-	// remove exactly its postings when a reconfigure changes the footprint.
-	appChans [][]int32
+	// posts holds one posting per (channel, app), sorted: channel id in the
+	// high 32 bits, then slot<<1 | writeBit. An app that both reads and
+	// writes a channel carries the write posting, which satisfies
+	// read-or-write queries too. Postings hold no pointers and no names:
+	// channel ids are process-wide (see Channels).
+	posts []uint64
+	// scratch is reused to sort one app's new postings before merging.
+	scratch []uint64
+	// posted[slot] counts slot's postings, so updating a slot that has
+	// none (the auditor reserves a slot before posting it) skips the
+	// filter pass.
+	posted []int32
 
 	// mark/stamp implement O(1)-reset candidate deduplication: a slot is
-	// marked for the current query iff mark[slot] == stamp.
+	// marked for the current query iff mark[slot] == stamp. len(mark) is
+	// the number of slots.
 	mark  []uint64
 	stamp uint64
 }
 
 // NewFootprintIndex returns an empty index.
-func NewFootprintIndex() *FootprintIndex {
-	return &FootprintIndex{chanIDs: map[string]int32{}}
-}
+func NewFootprintIndex() *FootprintIndex { return &FootprintIndex{} }
 
 // Len returns the number of indexed apps (slots).
-func (x *FootprintIndex) Len() int { return len(x.appChans) }
+func (x *FootprintIndex) Len() int { return len(x.mark) }
 
-// Add indexes a footprint under the next free slot and returns the slot.
-// A nil footprint indexes no channels (such an app is never yielded as a
-// candidate — callers that can see nil footprints must not prune on the
-// index, mirroring SharesChannel's nil-is-unprunable rule; the detector
-// always compiles a footprint before adding).
-func (x *FootprintIndex) Add(fp *rule.Footprint) int {
-	slot := len(x.appChans)
-	x.appChans = append(x.appChans, nil)
+// Add indexes an app's channels under the next free slot and returns the
+// slot. Nil channels index nothing (such an app is never yielded as a
+// candidate).
+func (x *FootprintIndex) Add(ch Channels) int {
+	slot := len(x.mark)
 	x.mark = append(x.mark, 0)
-	x.insert(slot, fp)
+	x.posted = append(x.posted, 0)
+	x.insert(slot, ch)
 	return slot
 }
 
-// Update replaces slot's postings with the given footprint (the
-// reconfigure path: new config bindings rename the app's channels).
-func (x *FootprintIndex) Update(slot int, fp *rule.Footprint) {
-	for _, id := range x.appChans[slot] {
-		ps := x.postings[id]
-		for i, p := range ps {
-			if int(p>>1) == slot {
-				ps[i] = ps[len(ps)-1]
-				x.postings[id] = ps[:len(ps)-1]
-				break
+// Update replaces slot's postings with the given channels (the reconfigure
+// path: new config bindings rename the app's channels).
+func (x *FootprintIndex) Update(slot int, ch Channels) {
+	if x.posted[slot] > 0 {
+		out := x.posts[:0]
+		for _, p := range x.posts {
+			if postSlot(p) != int32(slot) {
+				out = append(out, p)
 			}
 		}
+		x.posts = out
+		x.posted[slot] = 0
 	}
-	x.insert(slot, fp)
+	x.insert(slot, ch)
 }
 
-// insert posts slot's channels; slot's per-app structures must be empty.
-func (x *FootprintIndex) insert(slot int, fp *rule.Footprint) {
-	if fp == nil {
-		x.appChans[slot] = x.appChans[slot][:0]
+func posting(c int32, slot int) uint64 {
+	return uint64(c>>1)<<32 | uint64(slot)<<1 | uint64(c&1)
+}
+
+func postSlot(p uint64) int32 { return int32(uint32(p) >> 1) }
+
+// insert merges slot's postings into the sorted list; slot must have
+// none.
+func (x *FootprintIndex) insert(slot int, ch Channels) {
+	if len(ch) == 0 {
 		return
 	}
-	chans := x.appChans[slot][:0]
-	for name := range fp.Writes {
-		id := x.intern(name)
-		x.postings[id] = append(x.postings[id], int32(slot)<<1|1)
-		chans = append(chans, id)
+	add := x.scratch[:0]
+	for _, c := range ch {
+		add = append(add, posting(c, slot))
 	}
-	for name := range fp.Reads {
-		if _, alsoWritten := fp.Writes[name]; alsoWritten {
-			continue // the write posting already covers touch queries
-		}
-		id := x.intern(name)
-		x.postings[id] = append(x.postings[id], int32(slot)<<1)
-		chans = append(chans, id)
+	x.scratch = add // ch is sorted by channel, so add is sorted too
+	x.posted[slot] = int32(len(add))
+	n := len(x.posts)
+	x.posts = append(x.posts, add...)
+	// Merge from the back: each new posting's tail block of larger old
+	// postings moves up by the number of new postings still to place, in
+	// one copy.
+	end := n // old postings [0, end) are not yet moved
+	for j := len(add) - 1; j >= 0; j-- {
+		at, _ := slices.BinarySearch(x.posts[:end], add[j])
+		copy(x.posts[at+j+1:end+j+1], x.posts[at:end])
+		x.posts[at+j] = add[j]
+		end = at
 	}
-	x.appChans[slot] = chans
-}
-
-func (x *FootprintIndex) intern(name string) int32 {
-	if id, ok := x.chanIDs[name]; ok {
-		return id
-	}
-	id := int32(len(x.postings))
-	x.chanIDs[name] = id
-	x.postings = append(x.postings, nil)
-	return id
 }
 
 // AppendCandidates appends to buf the sorted slots of every indexed app
-// that shares an interference channel with fp — exactly the pairs
+// that shares an interference channel with ch — exactly the pairs
 // SharesChannel would keep — and returns the extended buffer. The
-// querying app's own slot is included when fp overlaps itself and the
-// slot is indexed; callers pairing a new app against its predecessors
-// query before Add, so self never appears on the install path. Cost is
-// proportional to the total length of fp's channels' posting lists, not
+// querying app's own slot is included when it is indexed; callers pairing
+// a new app against its predecessors query before Add, so self never
+// appears on the install path. Cost is proportional to the total length
+// of ch's channels' posting lists (plus a binary search per channel), not
 // to the number of indexed apps.
-func (x *FootprintIndex) AppendCandidates(fp *rule.Footprint, buf []int32) []int32 {
-	if fp == nil {
+func (x *FootprintIndex) AppendCandidates(ch Channels, buf []int32) []int32 {
+	if len(ch) == 0 {
 		return buf
 	}
 	x.stamp++
 	base := len(buf)
-	// Channels fp writes: any toucher is a counterpart.
-	for name := range fp.Writes {
-		id, ok := x.chanIDs[name]
-		if !ok {
-			continue
-		}
-		for _, p := range x.postings[id] {
-			slot := p >> 1
-			if x.mark[slot] != x.stamp {
-				x.mark[slot] = x.stamp
-				buf = append(buf, slot)
-			}
-		}
-	}
-	// Channels fp only reads: writers are counterparts (write∩write was
-	// covered above, so written names can be skipped here).
-	for name := range fp.Reads {
-		if _, alsoWritten := fp.Writes[name]; alsoWritten {
-			continue
-		}
-		id, ok := x.chanIDs[name]
-		if !ok {
-			continue
-		}
-		for _, p := range x.postings[id] {
-			if p&1 == 0 {
+	for _, c := range ch {
+		id := uint64(c >> 1)
+		// A written channel pairs with any toucher; a read-only one only
+		// with writers.
+		write := c&1 != 0
+		for k := sort.Search(len(x.posts), func(k int) bool { return x.posts[k]>>32 >= id }); k < len(x.posts) && x.posts[k]>>32 == id; k++ {
+			p := x.posts[k]
+			if !write && p&1 == 0 {
 				continue
 			}
-			slot := p >> 1
+			slot := postSlot(p)
 			if x.mark[slot] != x.stamp {
 				x.mark[slot] = x.stamp
 				buf = append(buf, slot)
@@ -166,6 +146,6 @@ func (x *FootprintIndex) AppendCandidates(fp *rule.Footprint, buf []int32) []int
 		}
 	}
 	tail := buf[base:]
-	sort.Slice(tail, func(i, j int) bool { return tail[i] < tail[j] })
+	slices.Sort(tail)
 	return buf
 }

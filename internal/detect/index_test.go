@@ -48,13 +48,13 @@ func TestIndexCandidatesMatchBruteForce(t *testing.T) {
 			idx := NewFootprintIndex()
 			for i := range fps {
 				fps[i] = randomFootprint(rng, cfg.chans, cfg.pRead, cfg.pWrite)
-				if slot := idx.Add(fps[i]); slot != i {
+				if slot := idx.Add(ChannelsOf(fps[i])); slot != i {
 					t.Fatalf("Add returned slot %d, want %d", slot, i)
 				}
 			}
 			for j := range fps {
 				got := map[int]bool{}
-				for _, s := range idx.AppendCandidates(fps[j], nil) {
+				for _, s := range idx.AppendCandidates(ChannelsOf(fps[j]), nil) {
 					got[int(s)] = true
 				}
 				for i := range fps {
@@ -76,29 +76,29 @@ func TestIndexUpdateRewritesPostings(t *testing.T) {
 	idx := NewFootprintIndex()
 	a := rule.NewFootprint()
 	a.AddWrite("light.switch")
-	idx.Add(a)
+	idx.Add(ChannelsOf(a))
 
 	b := rule.NewFootprint()
 	b.AddRead("light.switch")
-	slotB := idx.Add(b)
+	slotB := idx.Add(ChannelsOf(b))
 
 	query := rule.NewFootprint()
 	query.AddWrite("light.switch")
-	if got := idx.AppendCandidates(query, nil); len(got) != 2 {
+	if got := idx.AppendCandidates(ChannelsOf(query), nil); len(got) != 2 {
 		t.Fatalf("precondition: both apps touch light.switch, candidates = %v", got)
 	}
 
 	// B is rebound: it now reads the lock channel instead.
 	b2 := rule.NewFootprint()
 	b2.AddRead("lock.lock")
-	idx.Update(slotB, b2)
+	idx.Update(slotB, ChannelsOf(b2))
 
-	if got := idx.AppendCandidates(query, nil); len(got) != 1 || got[0] != 0 {
+	if got := idx.AppendCandidates(ChannelsOf(query), nil); len(got) != 1 || got[0] != 0 {
 		t.Errorf("after Update, light.switch candidates = %v, want [0]", got)
 	}
 	lockQ := rule.NewFootprint()
 	lockQ.AddWrite("lock.lock")
-	if got := idx.AppendCandidates(lockQ, nil); len(got) != 1 || int(got[0]) != slotB {
+	if got := idx.AppendCandidates(ChannelsOf(lockQ), nil); len(got) != 1 || int(got[0]) != slotB {
 		t.Errorf("after Update, lock.lock candidates = %v, want [%d]", got, slotB)
 	}
 
@@ -108,15 +108,15 @@ func TestIndexUpdateRewritesPostings(t *testing.T) {
 	churn := NewFootprintIndex()
 	for i := range fps {
 		fps[i] = randomFootprint(rng, 30, 0.2, 0.15)
-		churn.Add(fps[i])
+		churn.Add(ChannelsOf(fps[i]))
 	}
 	for step := 0; step < 50; step++ {
 		slot := rng.Intn(len(fps))
 		fps[slot] = randomFootprint(rng, 30, 0.2, 0.15)
-		churn.Update(slot, fps[slot])
+		churn.Update(slot, ChannelsOf(fps[slot]))
 		j := rng.Intn(len(fps))
 		got := map[int]bool{}
-		for _, s := range churn.AppendCandidates(fps[j], nil) {
+		for _, s := range churn.AppendCandidates(ChannelsOf(fps[j]), nil) {
 			got[int(s)] = true
 		}
 		for i := range fps {

@@ -96,33 +96,27 @@ func NewConfig() *Config {
 	}
 }
 
-// InstalledApp couples extraction output with install-time configuration.
+// InstalledApp is one app as installed: its extraction output, its
+// resolved installation configuration and its compiled rule set (see
+// compile.go). It is immutable and shared: NewInstalledApp returns one
+// instance per (rule set, configuration content) process-wide, compiled
+// when it is built, so every home and the store auditor that install one
+// extraction under equal configurations hold the same pointer. Nothing
+// writes its fields after construction; callers must not either.
 type InstalledApp struct {
 	Info   symexec.AppInfo
 	Rules  *rule.RuleSet
 	Config *Config
 
-	// comp, fp and sig are filled by the owning detector at
-	// Install/Reconfigure (see prepare): the app's compiled rule set
-	// (canonical formulas, declaration plans, effects — compile.go), its
-	// canonical read/write footprint and its verdict-cache signature. All
-	// are pure functions of the exported fields, so an InstalledApp
-	// installed into several detectors gets the same values each time —
-	// but the writes are unsynchronized, so one instance must not be
-	// installed into different detectors concurrently (build a fresh
-	// InstalledApp per home, as the fleet does).
 	comp *CompiledRuleSet
-	fp   *rule.Footprint
-	sig  []byte
 }
 
-// NewInstalledApp wraps an extraction result. A nil config selects
-// type-level device identity (the store-audit mode of Sec. VIII-B).
+// NewInstalledApp returns the shared, compiled instance of res under cfg
+// (see intern.go). A nil config selects type-level device identity (the
+// store-audit mode of Sec. VIII-B). The instance keeps its own copy of
+// cfg, so the caller may reuse cfg afterwards.
 func NewInstalledApp(res *symexec.Result, cfg *Config) *InstalledApp {
-	if cfg == nil {
-		cfg = NewConfig()
-	}
-	return &InstalledApp{Info: res.App, Rules: res.Rules, Config: cfg}
+	return internApp(res.App, res.Rules, cfg)
 }
 
 // Options tune the detector; the zero value enables everything.

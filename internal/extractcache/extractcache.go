@@ -26,6 +26,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"homeguard/internal/symexec"
 )
@@ -34,12 +35,14 @@ import (
 // source and the name override.
 type Key [sha256.Size]byte
 
-// KeyOf computes the content address for a source/name pair.
+// KeyOf computes the content address for a source/name pair. It hashes
+// the strings in place: the hash only reads what it is given, so a source
+// (tens of KB for a large app) is not copied to a byte slice first.
 func KeyOf(src, appName string) Key {
 	h := sha256.New()
-	h.Write([]byte(src))
+	h.Write(unsafe.Slice(unsafe.StringData(src), len(src)))
 	h.Write([]byte{0}) // domain-separate source from name override
-	h.Write([]byte(appName))
+	h.Write(unsafe.Slice(unsafe.StringData(appName), len(appName)))
 	var k Key
 	h.Sum(k[:0])
 	return k

@@ -1,6 +1,7 @@
 package extractcache
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,6 +39,20 @@ func TestHitMiss(t *testing.T) {
 	}
 	if got, want := s.HitRate(), 1.0/3.0; got != want {
 		t.Errorf("HitRate() = %v, want %v", got, want)
+	}
+}
+
+// TestKeyOfPinned pins KeyOf's bytes: a key is SHA-256 over the source,
+// a NUL and the name override, so hashing the strings in place must give
+// the digests the byte-slice copies gave.
+func TestKeyOfPinned(t *testing.T) {
+	for _, c := range []struct{ src, name, want string }{
+		{"definition(name: \"Pinned\")\ndef installed() {}\n", "", "8072d2f9bfc79aef3697230d66af5c8078af3b0c846a41c58e168678d597d7ed"},
+		{"src", "Override", "544072c8b42b3616a64fc7ffec4381e818f9cd698e8afafb6a61ebf419d6a502"},
+	} {
+		if got := fmt.Sprintf("%x", KeyOf(c.src, c.name)); got != c.want {
+			t.Errorf("KeyOf(%q, %q) = %s, want %s", c.src, c.name, got, c.want)
+		}
 	}
 }
 

@@ -25,20 +25,22 @@
 // lock is never held while a home lock is held, so there is no lock-order
 // cycle.
 //
-// Rule compilation is deduplicated the same way: at install each home's
-// detector attaches a CompiledRuleSet (canonical formulas, declaration
-// plans, effects, footprint, verdict signature — detect/compile.go) that
-// is shared through a content-addressed compile cache keyed by the
-// extraction result and the configuration content, so a hot catalog app
-// is canonicalized once fleet-wide, not once per home. The compiled
-// signature is also what PairKey hashing consumes, so addressing a pair
-// verdict costs one SHA-256 finalization, not a rule-set serialization.
+// Installed apps are deduplicated the same way: detect.NewInstalledApp
+// returns one immutable, compiled instance per extraction result and
+// configuration content (canonical formulas, declaration plans, effects,
+// footprint channels, verdict signature — detect/compile.go), so a hot
+// catalog app is canonicalized once fleet-wide and every home holds a
+// reference to it, not a copy. The compiled signature is also what
+// PairKey hashing consumes, so addressing a pair verdict costs one
+// SHA-256 finalization, not a rule-set serialization.
 //
 // Detection solving gets the same treatment through a shared
 // pairverdict.Cache: each app pair's verdict is content-addressed by both
 // apps' canonical rule sets, configurations and mode list, so a catalog
 // installed into a million homes is solved once per distinct pair
-// fleet-wide. Unlike extraction, the verdict computation runs *under* the
+// fleet-wide, and a home's threat log and ledger hold references to the
+// cached verdict slices rather than copies of the threats. Unlike
+// extraction, the verdict computation runs *under* the
 // computing home's lock (detection reads that home's detector state); a
 // home that joins an in-flight entry therefore waits, holding only its own
 // home lock, for another home's computation. That cannot deadlock: the
@@ -218,27 +220,30 @@ type shard struct {
 // home is one managed smart home. mu serializes every detector call; the
 // detector itself is not safe for concurrent use.
 type home struct {
-	mu      sync.Mutex
-	id      string
-	det     *detect.Detector
-	threats []detect.Threat // every threat reported for this home, in order
+	mu  sync.Mutex
+	id  string
+	det *detect.Detector
+	// log is the home's threat log: every threat reported for this home,
+	// in order, held as runs that reference the fleet-shared pair verdicts
+	// instead of copying them. Log index i is log[k].ts[i-log[k].base] for
+	// the run k whose base is the greatest at or below i. Guarded by mu.
+	log []run
 	// ledger is the home's incremental threat ledger: the CURRENT threat
-	// set, grouped by app pair in first-report order, each entry a range
-	// of the threats log above. Installs append the new app's pair
-	// groups; Reconfigure splices — only the entries whose pair involves
-	// the changed app are replaced (or dropped when the new config
-	// resolves them), everything else is retained verbatim, so the home's
-	// live view is maintained without ever recomputing unaffected pairs.
-	// The threats log stays the append-only history. Guarded by mu.
-	ledger []ledgerEntry
+	// set, one run index per app pair, in first-report order. Installs
+	// append the new app's runs; Reconfigure splices — only the entries
+	// whose pair involves the changed app are replaced (or dropped when the
+	// new config resolves them), everything else is retained verbatim, so
+	// the home's live view is maintained without ever recomputing
+	// unaffected pairs. The log stays the append-only history. Guarded by
+	// mu.
+	ledger []int32
 	// detSeen is the detector-counter high-water mark already folded into
 	// fleet metrics (see takeDetectorDelta). Guarded by mu.
 	detSeen DetectorTotals
-	// groupBuf and usedBuf are reusable scratch for groupRuns/spliceLedger
-	// (the ledger copies entry values out, so the buffers are free to reuse
-	// on the next operation). Guarded by mu.
-	groupBuf []ledgerEntry
-	usedBuf  []bool
+	// runBuf and usedBuf are reusable scratch for the detector's runs and
+	// spliceLedger. Guarded by mu.
+	runBuf  []detect.PairRun
+	usedBuf []bool
 	// walLSN is the LSN of the last WAL record reflected in this home's
 	// state (the ARIES page-LSN idea, per home): set under mu at append
 	// time, persisted in snapshots, and compared at replay so a record
@@ -273,80 +278,81 @@ type homeOp struct {
 	indices []int
 }
 
-// ledgerEntry is one app pair's current threats, h.threats[lo:hi]
-// (a == b for intra-app pairs; a <= b otherwise).
-type ledgerEntry struct {
-	a, b   string
-	lo, hi int
+// run is one app pair's threats from one install or reconfigure: ts is
+// the detector's slice (the pair-verdict cache's, shared and read-only),
+// base the log index of ts[0], and lo <= hi the pair's detector slots.
+type run struct {
+	ts     []detect.Threat
+	base   int
+	lo, hi int32
 }
 
-// pairNames returns a threat's participant apps in canonical order.
-func pairNames(t detect.Threat) (string, string) {
-	a, b := t.R1.App, t.R2.App
-	if b < a {
-		a, b = b, a
+// logLen returns the number of threats in the log. Callers hold h.mu.
+func (h *home) logLen() int {
+	if len(h.log) == 0 {
+		return 0
 	}
-	return a, b
+	last := &h.log[len(h.log)-1]
+	return last.base + len(last.ts)
 }
 
-// groupRuns folds one detection result, the threat-log tail
-// h.threats[lo:], into ledger entries, one per app pair, in first-report
-// order. It exploits the detector's output order — the intra pair first,
-// then each candidate counterpart's threats as one contiguous run
-// (candidates pair in ascending slot order and each pair runs exactly
-// once) — so grouping is a single boundary-detecting walk: no per-pair
-// map, no per-group slice. The entries land in h.groupBuf, which is
-// reused across operations; callers must copy the entry values out
-// (appending to h.ledger does) before the next call. Callers hold h.mu.
-func (h *home) groupRuns(lo int) []ledgerEntry {
-	out := h.groupBuf[:0]
-	defer func() { h.groupBuf = out }()
-	if lo == len(h.threats) {
-		return out
+// appendRuns appends the detector's runs to the log and returns the
+// threats they hold in one slice: the single run's own slice when there is
+// one, else a fresh concatenation. Callers hold h.mu.
+func (h *home) appendRuns(runs []detect.PairRun) []detect.Threat {
+	base := h.logLen()
+	n := 0
+	for _, r := range runs {
+		h.log = append(h.log, run{ts: r.Threats, base: base + n, lo: r.Lo, hi: r.Hi})
+		n += len(r.Threats)
 	}
-	start := lo
-	a0, b0 := pairNames(h.threats[lo])
-	for i := lo + 1; i < len(h.threats); i++ {
-		a, b := pairNames(h.threats[i])
-		if a == a0 && b == b0 {
-			continue
-		}
-		out = append(out, ledgerEntry{a: a0, b: b0, lo: start, hi: i})
-		start, a0, b0 = i, a, b
+	switch len(runs) {
+	case 0:
+		return nil
+	case 1:
+		return runs[0].Threats
 	}
-	return append(out, ledgerEntry{a: a0, b: b0, lo: start, hi: len(h.threats)})
+	out := make([]detect.Threat, 0, n)
+	for _, r := range runs {
+		out = append(out, r.Threats...)
+	}
+	return out
 }
 
-// spliceLedger applies a reconfigure's re-detection result, the
-// threat-log tail h.threats[lo:]: entries
-// involving appName are replaced in place by the pair's new threats (or
-// dropped when the pair is now clean), untouched entries keep their
-// position, and newly threatening pairs append at the end. The rewrite is
-// incremental per candidate pair: new groups come from one groupRuns walk
-// and are matched against the ledger with a cursor (detection re-pairs
-// candidates in the order they first reported, so the match is almost
-// always the cursor position and the scan fallback is a rare
-// near-miss), replacing the map rebuild that made dense-home
-// reconfigures allocate per pair. Callers hold h.mu.
-func (h *home) spliceLedger(appName string, lo int) {
-	groups := h.groupRuns(lo)
+// threatAt returns log entry i, which must be in range. Callers hold h.mu.
+func (h *home) threatAt(i int) detect.Threat {
+	k := sort.Search(len(h.log), func(k int) bool { return h.log[k].base > i }) - 1
+	return h.log[k].ts[i-h.log[k].base]
+}
+
+// spliceLedger applies a reconfigure's re-detection result, the log's
+// runs from first on, for the app in slot: entries involving the slot are
+// replaced in place by the pair's new run (or dropped when the pair is
+// now clean), untouched entries keep their position, and newly
+// threatening pairs append at the end. New runs are matched against the
+// ledger with a cursor (detection re-pairs candidates in the order they
+// first reported, so the match is almost always the cursor position and
+// the scan fallback is a rare near-miss). Callers hold h.mu.
+func (h *home) spliceLedger(slot int32, first int) {
+	fresh := h.log[first:]
 	used := h.usedBuf[:0]
-	for range groups {
+	for range fresh {
 		used = append(used, false)
 	}
 	h.usedBuf = used
-	next := 0 // cursor into groups: first candidate not yet matched
+	next := 0 // cursor into fresh: first run not yet matched
 	out := h.ledger[:0]
-	for _, e := range h.ledger {
-		if e.a != appName && e.b != appName {
-			out = append(out, e)
+	for _, k := range h.ledger {
+		e := &h.log[k]
+		if e.lo != slot && e.hi != slot {
+			out = append(out, k)
 			continue
 		}
 		i := next
-		if i >= len(groups) || used[i] || groups[i].a != e.a || groups[i].b != e.b {
+		if i >= len(fresh) || used[i] || fresh[i].lo != e.lo || fresh[i].hi != e.hi {
 			i = -1
-			for j := range groups {
-				if !used[j] && groups[j].a == e.a && groups[j].b == e.b {
+			for j := range fresh {
+				if !used[j] && fresh[j].lo == e.lo && fresh[j].hi == e.hi {
 					i = j
 					break
 				}
@@ -356,14 +362,14 @@ func (h *home) spliceLedger(appName string, lo int) {
 			continue // pair now clean: entry dropped
 		}
 		used[i] = true
-		out = append(out, groups[i])
-		for next < len(groups) && used[next] {
+		out = append(out, int32(first+i))
+		for next < len(fresh) && used[next] {
 			next++
 		}
 	}
-	for i := range groups {
+	for i := range fresh {
 		if !used[i] {
-			out = append(out, groups[i])
+			out = append(out, int32(first+i))
 		}
 	}
 	h.ledger = out
@@ -380,15 +386,15 @@ func (h *home) takeDetectorDelta() DetectorTotals {
 	return delta
 }
 
-// installed returns the home's installed app named name, or nil. Callers
-// hold h.mu.
-func (h *home) installed(name string) *detect.InstalledApp {
-	for _, a := range h.det.Apps() {
+// installed returns the home's installed app named name and its slot, or
+// nil. Callers hold h.mu.
+func (h *home) installed(name string) (*detect.InstalledApp, int32) {
+	for i, a := range h.det.Apps() {
 		if a.Info.Name == name {
-			return a
+			return a, int32(i)
 		}
 	}
-	return nil
+	return nil, -1
 }
 
 // The four home mutations — install, reconfigure, acceptByIndex and
@@ -401,27 +407,40 @@ func (h *home) installed(name string) *detect.InstalledApp {
 // install adds res, extracted from src, under cfg, runs
 // detection against the home's other apps, and appends the threats to
 // the log and the ledger. An app name the home already has fails
-// ErrAppInstalled and changes nothing.
+// ErrAppInstalled and changes nothing. The returned threats may be the
+// shared verdict cache's slice: read only.
 func (h *home) install(sp *obs.Span, src string, res *symexec.Result, cfg *detect.Config) ([]detect.Threat, error) {
-	if h.installed(res.App.Name) != nil {
+	if a, _ := h.installed(res.App.Name); a != nil {
 		return nil, fmt.Errorf("%w: %q", ErrAppInstalled, res.App.Name)
 	}
-	// The detector records its stage spans (compile, candidates,
-	// verdict, solve) as children of the detect span. SetSpan is legal
-	// here because the home lock serializes the detector; the deferred
-	// reset keeps a panic from leaking the span into the next operation.
+	// The detector records its stage spans (candidates, verdict, solve)
+	// as children of the detect span. SetSpan is legal here because the
+	// home lock serializes the detector; the deferred reset keeps a panic
+	// from leaking the span into the next operation.
 	dsp := sp.Child("detect")
 	h.det.SetSpan(dsp)
 	defer h.det.SetSpan(nil)
-	threats := h.det.Install(detect.NewInstalledApp(res, cfg))
+	csp := dsp.Child("compile")
+	app := detect.NewInstalledApp(res, cfg)
+	csp.End()
+	runs := h.det.InstallRuns(app, h.runBuf[:0])
 	dsp.End()
 	lsp := sp.Child("ledger")
-	lo := len(h.threats)
-	h.threats = append(h.threats, threats...)
-	// Every pair of an install involves the new app, so its groups are
-	// all fresh ledger entries.
-	h.ledger = append(h.ledger, h.groupRuns(lo)...)
+	first := len(h.log)
+	threats := h.appendRuns(runs)
+	// Every pair of an install involves the new app, so its runs are all
+	// fresh ledger entries.
+	for k := first; k < len(h.log); k++ {
+		h.ledger = append(h.ledger, int32(k))
+	}
+	clear(runs)
+	h.runBuf = runs[:0]
 	lsp.End()
+	// The history keeps the app's own copy of a non-nil config, so a home
+	// holds its bindings once.
+	if cfg != nil {
+		cfg = app.Config
+	}
 	h.ops = append(h.ops, homeOp{kind: wal.OpFleetInstall, src: src, res: res, cfg: cfg})
 	return threats, nil
 }
@@ -429,21 +448,28 @@ func (h *home) install(sp *obs.Span, src string, res *symexec.Result, cfg *detec
 // reconfigure re-runs detection for an installed app under cfg (the
 // resolved configuration: nil means no bindings), appends the threats
 // to the log and splices them into the ledger. An app the home lacks
-// fails and changes nothing.
+// fails and changes nothing. The returned threats may be the shared
+// verdict cache's slice: read only.
 func (h *home) reconfigure(sp *obs.Span, app string, cfg *detect.Config) ([]detect.Threat, error) {
 	dsp := sp.Child("detect")
 	h.det.SetSpan(dsp)
 	defer h.det.SetSpan(nil)
-	threats, err := h.det.Reconfigure(app, cfg)
+	runs, err := h.det.ReconfigureRuns(app, cfg, h.runBuf[:0])
 	dsp.End()
 	if err != nil {
 		return nil, err
 	}
 	ssp := sp.Child("splice")
-	lo := len(h.threats)
-	h.threats = append(h.threats, threats...)
-	h.spliceLedger(app, lo)
+	first := len(h.log)
+	threats := h.appendRuns(runs)
+	clear(runs)
+	h.runBuf = runs[:0]
+	a, slot := h.installed(app)
+	h.spliceLedger(slot, first)
 	ssp.End()
+	if cfg != nil {
+		cfg = a.Config
+	}
 	h.ops = append(h.ops, homeOp{kind: wal.OpFleetReconfigure, app: app, cfg: cfg})
 	return threats, nil
 }
@@ -452,13 +478,14 @@ func (h *home) reconfigure(sp *obs.Span, app string, cfg *detect.Config) ([]dete
 // checks every index before accepting any, so an out-of-range index
 // fails ErrBadThreatIndex and changes nothing.
 func (h *home) acceptByIndex(indices []int) error {
+	n := h.logLen()
 	for _, i := range indices {
-		if i < 0 || i >= len(h.threats) {
-			return fmt.Errorf("%w: %d (log has %d)", ErrBadThreatIndex, i, len(h.threats))
+		if i < 0 || i >= n {
+			return fmt.Errorf("%w: %d (log has %d)", ErrBadThreatIndex, i, n)
 		}
 	}
 	for _, i := range indices {
-		h.det.Accept(h.threats[i])
+		h.det.Accept(h.threatAt(i))
 	}
 	h.ops = append(h.ops, homeOp{kind: wal.OpFleetAccept, indices: slices.Clone(indices)})
 	return nil
@@ -526,9 +553,11 @@ func (f *Fleet) lookup(homeID string) *home {
 // InstallResult is what an install returns to the frontend; it mirrors
 // the single-home homeguard.InstallResult.
 type InstallResult struct {
-	HomeID  string
-	App     symexec.AppInfo
-	Rules   []*rule.Rule
+	HomeID string
+	App    symexec.AppInfo
+	Rules  []*rule.Rule
+	// Threats are the install's threats in log order. The slice may be
+	// the fleet's cached verdict for a pair, shared: read only.
 	Threats []detect.Threat
 	// ThreatLogBase is the index of Threats[0] in the home's threat log
 	// (AcceptByIndex addressing): Threats[i] is log entry ThreatLogBase+i.
@@ -671,7 +700,7 @@ func (f *Fleet) InstallExtracted(ctx context.Context, x Extraction, cfg *detect.
 			gone = true
 			return
 		}
-		logBase = len(h.threats)
+		logBase = h.logLen()
 		if threats, dupErr = h.install(sp, x.src, res, cfg); dupErr != nil {
 			return
 		}
@@ -816,7 +845,9 @@ type ReconfigureResult struct {
 	HomeID string
 	// App is the reconfigured app's name.
 	App string
-	// Threats are the threats detected under the new configuration.
+	// Threats are the threats detected under the new configuration. The
+	// slice may be the fleet's cached verdict for a pair, shared: read
+	// only.
 	Threats []detect.Threat
 	// ThreatLogBase is the index of Threats[0] in the home's threat log
 	// (AcceptByIndex addressing): Threats[i] is log entry ThreatLogBase+i.
@@ -861,7 +892,7 @@ func (f *Fleet) Reconfigure(ctx context.Context, homeID, appName string, cfg *de
 			gone = true
 			return
 		}
-		target := h.installed(appName)
+		target, _ := h.installed(appName)
 		if target == nil {
 			missing = true
 			return
@@ -880,7 +911,7 @@ func (f *Fleet) Reconfigure(ctx context.Context, homeID, appName string, cfg *de
 				return
 			}
 		}
-		logBase = len(h.threats)
+		logBase = h.logLen()
 		// h.reconfigure errors only on an unknown app, and the app was
 		// found above under the same lock, so the error is impossible
 		// here; the missing flag above is what carries not-found out.
@@ -950,7 +981,11 @@ func (f *Fleet) Threats(homeID string) ([]detect.Threat, error) {
 	if h.migrated {
 		return nil, fmt.Errorf("fleet: %w %q", ErrUnknownHome, homeID)
 	}
-	return append([]detect.Threat(nil), h.threats...), nil
+	out := make([]detect.Threat, 0, h.logLen())
+	for _, r := range h.log {
+		out = append(out, r.ts...)
+	}
+	return out, nil
 }
 
 // ActiveThreats returns the home's CURRENT threat set from the
@@ -970,8 +1005,8 @@ func (f *Fleet) ActiveThreats(homeID string) ([]detect.Threat, error) {
 		return nil, fmt.Errorf("fleet: %w %q", ErrUnknownHome, homeID)
 	}
 	var out []detect.Threat
-	for _, e := range h.ledger {
-		out = append(out, h.threats[e.lo:e.hi]...)
+	for _, k := range h.ledger {
+		out = append(out, h.log[k].ts...)
 	}
 	return out, nil
 }

@@ -11,6 +11,7 @@ import (
 
 	"homeguard/internal/corpus"
 	"homeguard/internal/detect"
+	"homeguard/internal/symexec"
 )
 
 func mustSource(t testing.TB, name string) string {
@@ -256,6 +257,24 @@ func TestFleetInstallError(t *testing.T) {
 	// A failed extraction must not create the home.
 	if n := f.NumHomes(); n != 0 {
 		t.Errorf("NumHomes() = %d after failed install, want 0", n)
+	}
+}
+
+// TestFleetInstallNoDefinition: a source without a definition(name: ...)
+// declares no app, so its install fails with symexec.ErrNoDefinition
+// (counted as an install error) instead of installing an app named "app".
+func TestFleetInstallNoDefinition(t *testing.T) {
+	f := New(Options{})
+	for _, src := range []string{"{}", "", "x = 1", "preferences {}"} {
+		if _, err := f.Install(context.Background(), "h", src, nil); !errors.Is(err, symexec.ErrNoDefinition) {
+			t.Errorf("install of %q: %v, want ErrNoDefinition", src, err)
+		}
+	}
+	if n := f.NumHomes(); n != 0 {
+		t.Errorf("NumHomes() = %d after failed installs, want 0", n)
+	}
+	if m := f.Metrics(); m.InstallErrors != 4 || m.Installs != 0 {
+		t.Errorf("metrics = %+v, want 4 install errors and 0 installs", m)
 	}
 }
 

@@ -129,6 +129,12 @@ func unparsableExport() []byte {
 	return craftSection(homeExportMagic, homeExportVersion, `{"apps":1,"homes":1}`, "definition(", installX)
 }
 
+// noDefinitionExport is a single-home export whose table source, "{}",
+// parses but declares no app.
+func noDefinitionExport() []byte {
+	return craftSection(homeExportMagic, homeExportVersion, `{"apps":1,"homes":1}`, "{}", installX)
+}
+
 // renamedExport is a single-home export whose table source is app "X",
 // while the home's ops reconfigure the ComfortTV the record claims.
 func renamedExport() []byte {
@@ -147,6 +153,7 @@ func TestImportHomeFailureCreatesNoHome(t *testing.T) {
 	for name, blob := range map[string][]byte{
 		"bad table index":              badIndexExport(),
 		"unparsable source":            unparsableExport(),
+		"source declaring no app":      noDefinitionExport(),
 		"renamed app":                  renamedExport(),
 		"app installed twice":          withOps(`{"kind":1,"config":null}`),
 		"reconfigure of a missing app": withOps(`{"kind":2,"app":"Y","config":null}`),
@@ -304,6 +311,7 @@ func FuzzImportHome(f *testing.F) {
 		craftSection(homeExportMagic, homeExportVersion, `{"apps":-1,"homes":1}`),
 		badIndexExport(),
 		unparsableExport(),
+		noDefinitionExport(),
 		blob[:len(blob)-1],
 		blob[:len(blob)/2],
 		blob[:12],

@@ -19,7 +19,7 @@
 // function of its source, so the reader extracts each table source
 // again through the fleet's extraction cache (Cache.Warm, which counts
 // no lookup): a rebuilt home installs the very *symexec.Result a live
-// install of that source gets, and the compile and verdict caches
+// install of that source gets, and the intern table and verdict cache
 // deduplicate as for live installs. A checkpoint section and an export
 // blob are read the same way, since a key the reader computes from the
 // source cannot be mislabelled; a table source that does not extract
@@ -311,7 +311,7 @@ func (h *home) adopt(src *home) error {
 	if len(h.ops) > 0 {
 		return fmt.Errorf("%w: %q", ErrHomeExists, h.id)
 	}
-	h.det, h.threats, h.ledger, h.ops, h.walLSN = src.det, src.threats, src.ledger, src.ops, src.walLSN
+	h.det, h.log, h.ledger, h.ops, h.walLSN = src.det, src.log, src.ledger, src.ops, src.walLSN
 	h.detSeen = detectorTotalsOf(h.det.Stats())
 	return nil
 }

@@ -142,6 +142,10 @@ func TestRPCErrorCodes(t *testing.T) {
 			_, err := client.Install(ctx, &api.InstallRequest{Home: "h2", Source: "not groovy {{{"})
 			return err
 		}(), api.CodeFailedPrecondition},
+		{"source declaring no app", func() error {
+			_, err := client.Install(ctx, &api.InstallRequest{Home: "h2", Source: "preferences {}"})
+			return err
+		}(), api.CodeFailedPrecondition},
 		{"bad config value", func() error {
 			_, err := client.Install(ctx, &api.InstallRequest{Home: "h1", Corpus: "ColdDefender",
 				Config: &api.Config{Values: map[string]any{"x": 1.5}}})

@@ -8,6 +8,7 @@
 package symexec
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -164,7 +165,16 @@ func Extract(src, appName string) (*Result, error) {
 	return ExtractScript(script, appName, Limits{})
 }
 
-// ExtractScript extracts rules from a parsed script.
+// ErrNoDefinition reports a source that declares no app: it has no
+// definition(name: ...) call and the caller gave no name override.
+// Every SmartApp declares its name there, and the name prefixes every
+// canonical variable the detector derives, so such a source is not an app
+// to install.
+var ErrNoDefinition = errors.New("symexec: source declares no app (no definition(name: ...))")
+
+// ExtractScript extracts rules from a parsed script. appName overrides the
+// name from definition() when non-empty; with neither, it fails
+// ErrNoDefinition.
 func ExtractScript(script *groovy.Script, appName string, lim Limits) (*Result, error) {
 	ex := newExecutor(script, lim)
 	ex.scanPreferences()
@@ -172,7 +182,8 @@ func ExtractScript(script *groovy.Script, appName string, lim Limits) (*Result, 
 		ex.app.Name = appName
 	}
 	if ex.app.Name == "" {
-		ex.app.Name = "app"
+		ex.release()
+		return nil, ErrNoDefinition
 	}
 	ex.run()
 	rs := &rule.RuleSet{App: ex.app.Name, Rules: ex.rules}
