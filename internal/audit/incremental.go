@@ -544,8 +544,9 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 	}
 
 	// Phase 3: upserts. Updates keep their store position and index slot;
-	// submits append and take a free slot. A changed app's slot holds no
-	// postings until phase 4 has queried its candidates.
+	// submits append and take a free slot. Every changed app posts its new
+	// footprint here, so the index merges the whole batch once, at phase
+	// 4's first query.
 	var changed []*storeApp
 	for i := range preps {
 		if perr[i] != nil || last[preps[i].name] != i {
@@ -556,7 +557,7 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 		ia := p.app
 		if st := a.byName[p.name]; st != nil {
 			st.app, st.override, st.src, st.preExtracted = ia, in.Name, p.src, in.Res != nil
-			a.idx.Update(st.slot, nil)
+			a.idx.Update(st.slot, ia.Channels())
 			changed = append(changed, st)
 			continue
 		}
@@ -565,8 +566,9 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 			st.slot = a.free[k-1] // its postings cleared at removal
 			a.free = a.free[:k-1]
 			a.slots[st.slot] = st
+			a.idx.Update(st.slot, ia.Channels())
 		} else {
-			st.slot = a.idx.Add(nil)
+			st.slot = a.idx.Add(ia.Channels())
 			a.slots = append(a.slots, st)
 		}
 		st.pos = len(a.order)
@@ -580,7 +582,8 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 	// counterpart sharing a channel (posting-list walk — cost scales with
 	// actual overlap, not store size) that sits earlier in the store or is
 	// unchanged by this batch, so a pair of two changed apps is emitted
-	// once, by its later side. For a cold batch these are exactly the
+	// once, by its later side: the index already holds the whole batch,
+	// so the app itself and later changed apps are filtered out. For a cold batch these are exactly the
 	// pairs, in exactly the order, a serial install sequence checks, and
 	// the counterparts never generated are charged to the prune counters
 	// the way Detector.Install charges them. Pairs that had findings but
@@ -614,11 +617,15 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 	for _, st := range changed {
 		nRules := len(st.app.Rules.Rules)
 		addTask(st, st)
-		// The index holds the unchanged apps and the changed apps already
-		// walked: exactly st's counterparts. Like Detector.Install, st
-		// posts its own footprint only after its query.
-		buf = a.idx.AppendCandidates(st.app.Channels(), buf[:0])
-		a.idx.Update(st.slot, st.app.Channels())
+		// st's counterparts are the unchanged apps and the changed apps
+		// already walked, as in a serial install sequence.
+		all := a.idx.AppendCandidates(st.app.Channels(), buf[:0])
+		buf = all[:0]
+		for _, s := range all {
+			if other := a.slots[s]; other != st && (other.batch != batchID || other.pos < st.pos) {
+				buf = append(buf, s)
+			}
+		}
 		candRules := 0
 		for _, s := range buf {
 			other := a.slots[s]

@@ -59,9 +59,10 @@ func deviceType(app *InstalledApp, in *symexec.InputDecl) envmodel.DeviceType {
 //
 // Renamed variables are interned through the same table the symbolic
 // executor uses for "<subject>.<attribute>" names (rule.InternDotted /
-// InternBanged): canonicalization re-derives the same home-global names at
-// every Install/Reconfigure compile, so repeat compiles of a hot catalog
-// app reuse one shared backing string instead of re-concatenating.
+// InternBanged), so the instances of one catalog app share their names.
+// A name over a configured device id is not: the id is client input, and
+// interning it would grow the process-wide table with every binding any
+// home ever sends, while an instance is compiled only once anyway.
 func canonVar(app *InstalledApp, v rule.Var) rule.Var {
 	name := v.Name
 	if strings.HasPrefix(name, "env.") || strings.HasPrefix(name, "location.") {
@@ -75,7 +76,11 @@ func canonVar(app *InstalledApp, v rule.Var) rule.Var {
 		ref := name[:dot]
 		rest := name[dot+1:]
 		if in := app.Info.Input(ref); in != nil && in.IsDevice() {
-			v.Name = rule.InternDotted(deviceKey(app, ref), rest)
+			if id := app.Config.Devices[ref]; id != "" {
+				v.Name = id + "." + rest
+			} else {
+				v.Name = rule.InternDotted(deviceKey(app, ref), rest)
+			}
 			return v
 		}
 		v.Name = rule.InternBanged(app.Info.Name, name)

@@ -1,7 +1,11 @@
 package detect
 
 import (
+	"bytes"
+	"fmt"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"homeguard/internal/rule"
 	"homeguard/internal/symexec"
@@ -73,24 +77,58 @@ func TestCompileSharedAcrossDetectors(t *testing.T) {
 		t.Fatal("Reconfigure in one detector changed another detector's app")
 	}
 	// The swapped-in footprint reflects the new device binding.
-	fp := footprintOf(after.Channels())
+	fp := footprintOf(t, after)
 	if _, ok := fp.Writes["dev-rewired.switch"]; !ok {
 		t.Fatalf("reconfigured footprint misses the new binding: %s", fp)
 	}
 }
 
 // TestInternTableBounded: the intern table must not pin every rule set a
-// long-running process ever installs.
+// long-running process ever installs, nor every configuration one rule
+// set is ever installed under (a client reconfiguring one app with fresh
+// values each time).
 func TestInternTableBounded(t *testing.T) {
+	check := func(what string) {
+		t.Helper()
+		interned.Lock()
+		n, sets := interned.n, len(interned.m)
+		held := 0
+		for _, e := range interned.m {
+			held += len(e.apps)
+		}
+		interned.Unlock()
+		if n > internLimit || sets > internLimit || held != n {
+			t.Errorf("%s: intern table holds %d (counted %d) instances of %d rule sets, limit is %d", what, held, n, sets, internLimit)
+		}
+	}
 	for i := 0; i < internLimit+64; i++ {
 		NewInstalledApp(&symexec.Result{Rules: &rule.RuleSet{}}, nil)
 	}
-	interned.Lock()
-	n, sets := interned.n, len(interned.m)
-	interned.Unlock()
-	if n > internLimit || sets > internLimit {
-		t.Errorf("intern table holds %d instances of %d rule sets, limit is %d", n, sets, internLimit)
+	check("distinct rule sets")
+	// One app under fresh device bindings: each instance also has its own
+	// channel names, which are hashed, not tabled, so nothing else grows.
+	res, err := symexec.Extract(comfortTVSrc, "")
+	if err != nil {
+		t.Fatal(err)
 	}
+	bound := func(i int) *Config { return sharedTVWindowConfig(fmt.Sprintf("dev-tv-%d", i), "dev-window") }
+	var first, last *InstalledApp
+	for i := 0; i < internLimit+64; i++ {
+		last = NewInstalledApp(res, bound(i))
+		if first == nil {
+			first = last
+		}
+	}
+	check("one rule set, distinct device bindings")
+	// Eviction only loses sharing: the newest instance is still the
+	// shared one, and an evicted configuration is rebuilt equal.
+	if NewInstalledApp(res, bound(internLimit+63)) != last {
+		t.Error("the newest instance is not shared")
+	}
+	if again := NewInstalledApp(res, bound(0)); !bytes.Equal(again.comp.sig, first.comp.sig) || !slices.Equal(again.Channels(), first.Channels()) {
+		t.Error("a rebuilt instance has a different signature or channels")
+	}
+	check("after rebuilds")
 }
 
 // TestSameInstanceTwiceIsCrossPair: one detector holding one interned
@@ -136,5 +174,28 @@ func TestSameInstanceTwiceIsCrossPair(t *testing.T) {
 		if shared[i] != separate[i] {
 			t.Errorf("threat %d: %s vs %s", i, shared[i], separate[i])
 		}
+	}
+}
+
+// TestConfiguredDeviceNamesNotInterned: a canonical name over a
+// configured device id is client input and stays out of the process-wide
+// name table, while a type-level device name is shared through it.
+func TestConfiguredDeviceNamesNotInterned(t *testing.T) {
+	res, err := symexec.Extract(comfortTVSrc, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := NewInstalledApp(res, sharedTVWindowConfig("dev-tv-unshared", "dev-window"))
+	v := canonVar(bound, rule.Var{Name: "tv1.switch"})
+	if v.Name != "dev-tv-unshared.switch" {
+		t.Fatalf("canonical name %q", v.Name)
+	}
+	if unsafe.StringData(v.Name) == unsafe.StringData(rule.InternDotted("dev-tv-unshared", "switch")) {
+		t.Error("a name over a configured device id was interned")
+	}
+	typed := NewInstalledApp(res, nil)
+	w := canonVar(typed, rule.Var{Name: "tv1.switch"})
+	if unsafe.StringData(w.Name) != unsafe.StringData(canonVar(typed, rule.Var{Name: "tv1.switch"}).Name) {
+		t.Error("a type-level device name was not interned")
 	}
 }

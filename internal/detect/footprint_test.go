@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"slices"
 	"testing"
 
 	"homeguard/internal/rule"
@@ -149,18 +150,13 @@ func (d *Detector) pairKey(appA, appB *InstalledApp) PairKey {
 	return d.verdictKey(appA, appB, appA == appB)
 }
 
-// footprintOf renders channels back to names: a channel the app both
-// reads and writes renders as a write only.
-func footprintOf(c Channels) *rule.Footprint {
-	fp := rule.NewFootprint()
-	chanTab.RLock()
-	defer chanTab.RUnlock()
-	for _, ch := range c {
-		if name := chanTab.names[ch>>1]; ch&1 != 0 {
-			fp.AddWrite(name)
-		} else {
-			fp.AddRead(name)
-		}
+// footprintOf is the app's footprint by channel name, which its Channels
+// hash.
+func footprintOf(t *testing.T, ia *InstalledApp) *rule.Footprint {
+	t.Helper()
+	fp := footprintFromCompiled(ia.comp)
+	if !slices.Equal(ChannelsOf(fp), ia.Channels()) {
+		t.Fatalf("%s: channels do not hash the footprint %s", ia.Info.Name, fp)
 	}
 	return fp
 }
@@ -229,7 +225,7 @@ func TestFootprintCoversDemoChannels(t *testing.T) {
 	cfg := sharedTVWindowConfig("dev-tv", "dev-window")
 	cfg.Devices["tSensor"] = "dev-tSensor"
 	ia := NewInstalledApp(res, cfg)
-	fp := footprintOf(ia.Channels())
+	fp := footprintOf(t, ia)
 	for _, read := range []string{"dev-tv.switch", "dev-tSensor.temperature"} {
 		if _, ok := fp.Reads[read]; !ok {
 			t.Errorf("footprint misses read %q: %s", read, fp)

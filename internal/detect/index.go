@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 )
@@ -15,38 +16,63 @@ import (
 // prune), the index walks only the posting lists of the querying app's
 // channels and never materializes a disjoint pair at all.
 //
-// Candidate semantics mirror Channels.SharesChannel (and so
-// rule.Footprint.SharesChannel) exactly: app A is a candidate counterpart
-// of footprint f iff some name f writes is
-// touched (read or written) by A, or some name A writes is touched by f.
-// AppendCandidates is therefore sound (it never misses a pair
-// SharesChannel would keep) and complete (it never yields a pair
-// SharesChannel would prune) — the property test in index_test.go pins
-// both directions against the brute-force all-pairs filter.
+// Candidate semantics mirror Channels.SharesChannel exactly (and so
+// rule.Footprint.SharesChannel, up to a channel-id collision, which could
+// only add a candidate; see Channels): app A is a candidate counterpart
+// of footprint f iff some name f writes is touched (read or written) by
+// A, or some name A writes is touched by f. AppendCandidates is therefore
+// sound (it never misses a pair SharesChannel would keep) and complete
+// (it never yields a pair SharesChannel would prune) — the property tests
+// in index_test.go pin both directions against the brute-force all-pairs
+// filter.
 //
 // The index is NOT goroutine-safe; it follows the owning detector's
 // serialization contract. Slots are dense app indices assigned by Add in
 // call order (the detector keeps them aligned with its install order; the
 // store auditor reuses freed slots and maps them to apps itself).
+//
+// Maintenance is batched: Add and Update only queue their postings and
+// mark the slot's old ones stale, and the next query merges everything
+// queued since the last one in one filter pass, one sort and one merge.
+// A run of adds or updates with no query in between (a store restore, an
+// audit batch) then costs one pass over the posting list, not one per
+// app.
 type FootprintIndex struct {
-	// posts holds one posting per (channel, app), sorted: channel id in the
-	// high 32 bits, then slot<<1 | writeBit. An app that both reads and
-	// writes a channel carries the write posting, which satisfies
-	// read-or-write queries too. Postings hold no pointers and no names:
-	// channel ids are process-wide (see Channels).
-	posts []uint64
-	// scratch is reused to sort one app's new postings before merging.
-	scratch []uint64
-	// posted[slot] counts slot's postings, so updating a slot that has
-	// none (the auditor reserves a slot before posting it) skips the
-	// filter pass.
-	posted []int32
+	// posts holds one posting per (channel, app), sorted by channel, then
+	// slot. An app that both reads and writes a channel carries the write
+	// posting, which satisfies read-or-write queries too. Postings hold no
+	// pointers and no names (see Channels).
+	posts []posting
+	// queue holds the postings added since the last merge, unsorted;
+	// queued[slot] reports whether slot has any there.
+	queue  []posting
+	queued []bool
+	// stale[slot] drops slot's postings in posts at the next merge;
+	// nstale counts the marked slots.
+	stale  []bool
+	nstale int
 
 	// mark/stamp implement O(1)-reset candidate deduplication: a slot is
 	// marked for the current query iff mark[slot] == stamp. len(mark) is
 	// the number of slots.
 	mark  []uint64
 	stamp uint64
+}
+
+// posting is one app's membership in one channel: the channel id and
+// slot<<1 | writeBit.
+type posting struct {
+	ch uint64
+	sw uint32
+}
+
+func (p posting) slot() int32 { return int32(p.sw >> 1) }
+
+func cmpPosting(a, b posting) int {
+	if a.ch != b.ch {
+		return cmp.Compare(a.ch, b.ch)
+	}
+	return cmp.Compare(a.sw, b.sw)
 }
 
 // NewFootprintIndex returns an empty index.
@@ -61,57 +87,65 @@ func (x *FootprintIndex) Len() int { return len(x.mark) }
 func (x *FootprintIndex) Add(ch Channels) int {
 	slot := len(x.mark)
 	x.mark = append(x.mark, 0)
-	x.posted = append(x.posted, 0)
-	x.insert(slot, ch)
+	x.queued = append(x.queued, false)
+	x.stale = append(x.stale, false)
+	x.enqueue(slot, ch)
 	return slot
 }
 
 // Update replaces slot's postings with the given channels (the reconfigure
 // path: new config bindings rename the app's channels).
 func (x *FootprintIndex) Update(slot int, ch Channels) {
-	if x.posted[slot] > 0 {
+	if x.queued[slot] {
+		x.merge() // updated twice between queries: settle the first
+	}
+	if !x.stale[slot] {
+		x.stale[slot] = true
+		x.nstale++
+	}
+	x.enqueue(slot, ch)
+}
+
+func (x *FootprintIndex) enqueue(slot int, ch Channels) {
+	for _, c := range ch {
+		x.queue = append(x.queue, posting{ch: c >> 1, sw: uint32(slot)<<1 | uint32(c&1)})
+	}
+	x.queued[slot] = len(ch) > 0
+}
+
+// merge drops the stale postings and merges the queued ones into posts.
+func (x *FootprintIndex) merge() {
+	if x.nstale > 0 {
 		out := x.posts[:0]
 		for _, p := range x.posts {
-			if postSlot(p) != int32(slot) {
+			if !x.stale[p.slot()] {
 				out = append(out, p)
 			}
 		}
 		x.posts = out
-		x.posted[slot] = 0
+		clear(x.stale)
+		x.nstale = 0
 	}
-	x.insert(slot, ch)
-}
-
-func posting(c int32, slot int) uint64 {
-	return uint64(c>>1)<<32 | uint64(slot)<<1 | uint64(c&1)
-}
-
-func postSlot(p uint64) int32 { return int32(uint32(p) >> 1) }
-
-// insert merges slot's postings into the sorted list; slot must have
-// none.
-func (x *FootprintIndex) insert(slot int, ch Channels) {
-	if len(ch) == 0 {
+	if len(x.queue) == 0 {
 		return
 	}
-	add := x.scratch[:0]
-	for _, c := range ch {
-		add = append(add, posting(c, slot))
+	slices.SortFunc(x.queue, cmpPosting)
+	// Merge from the back into the grown slice: each step places the
+	// larger of the two tails.
+	n, k := len(x.posts), len(x.queue)
+	x.posts = slices.Grow(x.posts, k)[:n+k]
+	i, j := n-1, k-1
+	for w := n + k - 1; j >= 0; w-- {
+		if i >= 0 && cmpPosting(x.posts[i], x.queue[j]) > 0 {
+			x.posts[w] = x.posts[i]
+			i--
+		} else {
+			x.posts[w] = x.queue[j]
+			j--
+		}
 	}
-	x.scratch = add // ch is sorted by channel, so add is sorted too
-	x.posted[slot] = int32(len(add))
-	n := len(x.posts)
-	x.posts = append(x.posts, add...)
-	// Merge from the back: each new posting's tail block of larger old
-	// postings moves up by the number of new postings still to place, in
-	// one copy.
-	end := n // old postings [0, end) are not yet moved
-	for j := len(add) - 1; j >= 0; j-- {
-		at, _ := slices.BinarySearch(x.posts[:end], add[j])
-		copy(x.posts[at+j+1:end+j+1], x.posts[at:end])
-		x.posts[at+j] = add[j]
-		end = at
-	}
+	x.queue = x.queue[:0]
+	clear(x.queued)
 }
 
 // AppendCandidates appends to buf the sorted slots of every indexed app
@@ -126,19 +160,22 @@ func (x *FootprintIndex) AppendCandidates(ch Channels, buf []int32) []int32 {
 	if len(ch) == 0 {
 		return buf
 	}
+	if x.nstale > 0 || len(x.queue) > 0 {
+		x.merge()
+	}
 	x.stamp++
 	base := len(buf)
 	for _, c := range ch {
-		id := uint64(c >> 1)
+		id := c >> 1
 		// A written channel pairs with any toucher; a read-only one only
 		// with writers.
 		write := c&1 != 0
-		for k := sort.Search(len(x.posts), func(k int) bool { return x.posts[k]>>32 >= id }); k < len(x.posts) && x.posts[k]>>32 == id; k++ {
+		for k := sort.Search(len(x.posts), func(k int) bool { return x.posts[k].ch >= id }); k < len(x.posts) && x.posts[k].ch == id; k++ {
 			p := x.posts[k]
-			if !write && p&1 == 0 {
+			if !write && p.sw&1 == 0 {
 				continue
 			}
-			slot := postSlot(p)
+			slot := p.slot()
 			if x.mark[slot] != x.stamp {
 				x.mark[slot] = x.stamp
 				buf = append(buf, slot)

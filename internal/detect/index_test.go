@@ -127,6 +127,47 @@ func TestIndexUpdateRewritesPostings(t *testing.T) {
 	}
 }
 
+// TestIndexBatchedMaintenance: runs of adds and updates with no query in
+// between — the same slot updated twice, cleared and refilled, new slots
+// added empty and filled later — leave the index answering exactly as if
+// each change had been merged at once.
+func TestIndexBatchedMaintenance(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var fps []*rule.Footprint
+	idx := NewFootprintIndex()
+	for step := 0; step < 200; step++ {
+		for n := rng.Intn(6); n > 0; n-- {
+			switch slot := rng.Intn(len(fps) + 1); {
+			case slot == len(fps) && rng.Intn(2) == 0:
+				fps = append(fps, randomFootprint(rng, 30, 0.2, 0.15))
+				idx.Add(ChannelsOf(fps[slot]))
+			case slot == len(fps):
+				fps = append(fps, nil)
+				idx.Add(nil)
+			case rng.Intn(3) == 0:
+				fps[slot] = nil
+				idx.Update(slot, nil)
+			default:
+				fps[slot] = randomFootprint(rng, 30, 0.2, 0.15)
+				idx.Update(slot, ChannelsOf(fps[slot]))
+			}
+		}
+		if len(fps) == 0 {
+			continue
+		}
+		q := randomFootprint(rng, 30, 0.2, 0.15)
+		got := map[int]bool{}
+		for _, s := range idx.AppendCandidates(ChannelsOf(q), nil) {
+			got[int(s)] = true
+		}
+		for i, fp := range fps {
+			if want := fp != nil && q.SharesChannel(fp); got[i] != want {
+				t.Fatalf("step %d: candidate %d = %v, brute force = %v", step, i, got[i], want)
+			}
+		}
+	}
+}
+
 // TestInstallIndexStats checks the install path's index accounting: the
 // skipped rule pairs land in both PairsPruned and PairsSkippedByIndex,
 // and candidates in PairsIndexed.

@@ -2,6 +2,7 @@ package detect
 
 import (
 	"crypto/sha256"
+	"hash/maphash"
 	"slices"
 	"sync"
 
@@ -27,7 +28,8 @@ import (
 // of its app info and rules, so a new configuration of a known app hashes
 // only the configuration.
 //
-// Entries strong-reference their rule sets, so the table is bounded: on
+// Entries strong-reference their rule sets and configurations, so the
+// table is bounded by instance count, checked on every insert: on
 // overflow arbitrary rule sets are dropped with all their instances.
 // Dropping an entry only loses sharing; homes keep the instances they
 // hold, and the next install of a dropped app builds a new one.
@@ -96,20 +98,24 @@ func internApp(info symexec.AppInfo, rules *rule.RuleSet, cfg *Config) *Installe
 
 	interned.Lock()
 	defer interned.Unlock()
-	e = interned.m[rules]
-	if e == nil {
-		for k, old := range interned.m {
-			if interned.n < internLimit {
-				break
-			}
-			interned.n -= len(old.apps)
-			delete(interned.m, k)
+	if e = interned.m[rules]; e != nil {
+		if won := e.apps[cd]; won != nil {
+			return won
 		}
+	}
+	// Every new instance is checked against the bound, whether its rule
+	// set is new or a known one under a new configuration; the dropped
+	// entries may include rules' own.
+	for k, old := range interned.m {
+		if interned.n < internLimit {
+			break
+		}
+		interned.n -= len(old.apps)
+		delete(interned.m, k)
+	}
+	if e = interned.m[rules]; e == nil {
 		e = &ruleSetApps{state: state, apps: map[digest]*InstalledApp{}}
 		interned.m[rules] = e
-	}
-	if won := e.apps[cd]; won != nil {
-		return won
 	}
 	e.apps[cd] = app
 	interned.n++
@@ -146,40 +152,24 @@ func (c *Config) clone() *Config {
 	return out
 }
 
-// Channel ids. Footprint channel names (canonical variable names and
-// environment-property keys) get process-wide int32 ids when an app is
-// compiled, so a home's FootprintIndex holds no strings. Like rule's
-// variable-name intern table, the table grows with the device and
-// attribute vocabulary, not with traffic, so nothing is evicted.
-var chanTab = struct {
-	sync.RWMutex
-	ids   map[string]int32
-	names []string
-}{ids: map[string]int32{}}
-
-func chanID(name string) int32 {
-	chanTab.RLock()
-	id, ok := chanTab.ids[name]
-	chanTab.RUnlock()
-	if ok {
-		return id
-	}
-	chanTab.Lock()
-	defer chanTab.Unlock()
-	if id, ok := chanTab.ids[name]; ok {
-		return id
-	}
-	id = int32(len(chanTab.names))
-	chanTab.ids[name] = id
-	chanTab.names = append(chanTab.names, name)
-	return id
-}
+// Channel ids. A footprint channel (a canonical variable name or an
+// environment-property key) is identified by a 63-bit hash of its name,
+// so a FootprintIndex holds no strings and no table maps names to ids:
+// configured device ids make channel names client-chosen, and a table
+// would grow with every binding any home ever sent. Ids are never
+// persisted or compared across processes, so the hash is seeded per
+// process. Two names of one index colliding (about 2^-63 per pair) only
+// make their apps a candidate pair, which the pair check itself then
+// decides: the index is a prune, never a verdict.
+var chanSeed = maphash.MakeSeed()
 
 // Channels is a footprint over channel ids: one entry per channel an
 // app's rules read or write, id<<1 | 1 when the app writes the channel
 // (a write posting also answers read-or-write queries) and id<<1 when it
 // only reads it, sorted ascending.
-type Channels []int32
+type Channels []uint64
+
+func chanID(name string) uint64 { return maphash.String(chanSeed, name) >> 1 }
 
 // ChannelsOf converts a footprint to channel ids. A nil footprint has no
 // channels.

@@ -8,6 +8,7 @@ import (
 
 	"homeguard/internal/extractcache"
 	"homeguard/internal/pairverdict"
+	"homeguard/internal/symexec"
 	"homeguard/internal/wal"
 )
 
@@ -62,5 +63,21 @@ func TestReplayAcceptAllOrNothing(t *testing.T) {
 	h := f.lookup("fig3")
 	if n := len(h.det.Accepted()); n != 0 {
 		t.Fatalf("failed accept record accepted %d threats", n)
+	}
+}
+
+// TestReplayNoDefinitionInstall pins the outcome for an install record
+// logged before sources declaring no app were refused: such a source
+// (here "{}") used to install an app named "app" with no rules, and its
+// record now fails replay with symexec.ErrNoDefinition, leaving no home
+// behind, like any logged source that no longer extracts.
+func TestReplayNoDefinitionInstall(t *testing.T) {
+	f := New(Options{})
+	err := f.ReplayWALRecord(1, wal.OpFleetInstall, []byte(`{"home":"legacy","source":"{}","config":null}`))
+	if !errors.Is(err, symexec.ErrNoDefinition) {
+		t.Fatalf("replay: %v, want ErrNoDefinition", err)
+	}
+	if n := f.NumHomes(); n != 0 {
+		t.Fatalf("failed replay left %d homes", n)
 	}
 }
