@@ -189,10 +189,10 @@
 //     pair-verdict cache (one solved verdict per distinct app pair,
 //     content-addressed by the compiled signatures), the footprint prune
 //     (disjoint pairs skipped before any hashing or solving), and the
-//     per-home satCache (solving-result reuse across threat kinds within
-//     a pair, the paper's Fig. 9 green arrows). A cache hit at any layer
-//     short-circuits everything below it; the compiled representation is
-//     what makes the remaining misses cheap.
+//     rule-pair solving memo (solving-result reuse across threat kinds
+//     within one rule pair, the paper's Fig. 9 green arrows). A cache hit
+//     at any layer short-circuits everything below it; the compiled
+//     representation is what makes the remaining misses cheap.
 //
 //   - An allocation-lean extraction cold path. The cache-miss cost of the
 //     layers above is a full parse plus symbolic execution, so both were

@@ -55,9 +55,9 @@
 // share only immutable data and write disjoint result slots. A pair's
 // threats are identical whether a serial install sequence or an
 // independent detector computes them: compiled rule sets are pure
-// functions of the apps, the solver's per-pair reuse cache never crosses
-// pairs, and the only cross-app state a pair check reads — the enum-input
-// options of the pair's own two apps — is recorded before checking. The
+// functions of the apps, the solving memo lives for one rule pair, and
+// the only cross-app state a pair check reads — the enum-input options of
+// the pair's own two apps — is recorded before checking. The
 // engine is race-clean under -race.
 package audit
 

@@ -52,17 +52,14 @@ func TestCheckPairSurfacesSearchLimit(t *testing.T) {
 		t.Fatal("unexpected SearchLimitHits under default budget")
 	}
 
-	// Degradation sticks to the cached verdict: a repeat CheckPair served
-	// from the satCache consumed the same budget-limited answer and must
-	// keep reporting the degradation, not launder it into a clean result.
+	// Degradation is reported on every call: a repeat CheckPair on the
+	// same detector must keep reporting it, not launder the pair into a
+	// clean result.
 	d3 := New(Options{SolverNodeCap: 1})
 	if _, err := d3.CheckPair(on, on.Rules.Rules[0], off, off.Rules.Rules[0]); !errors.Is(err, solver.ErrSearchLimit) {
 		t.Fatalf("want ErrSearchLimit, got %v", err)
 	}
 	if _, err := d3.CheckPair(on, on.Rules.Rules[0], off, off.Rules.Rules[0]); !errors.Is(err, solver.ErrSearchLimit) {
-		t.Fatalf("cached budget-degraded verdict must re-surface ErrSearchLimit, got %v", err)
-	}
-	if d3.Stats().SolverCacheHits == 0 {
-		t.Fatal("repeat call should have been served from the satCache")
+		t.Fatalf("repeat budget-degraded check must re-surface ErrSearchLimit, got %v", err)
 	}
 }

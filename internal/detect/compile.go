@@ -45,7 +45,6 @@ type envProp struct {
 type compiledRule struct {
 	r   *rule.Rule
 	app *InstalledApp // the app the rule was compiled under
-	qid string        // r.QualifiedID(), precomputed for cache keys
 
 	// Canonical formulas (variables renamed to home-global form, config
 	// values substituted) and their declaration plans.
@@ -128,7 +127,7 @@ func compile(app *InstalledApp) *CompiledRuleSet {
 
 // compileRule compiles one rule against the app's config bindings.
 func compileRule(app *InstalledApp, r *rule.Rule, bind map[string]rule.Term) compiledRule {
-	c := compiledRule{r: r, app: app, qid: r.QualifiedID()}
+	c := compiledRule{r: r, app: app}
 
 	c.situation = canonFormulaBind(app, r.TriggerConditionFormula(), bind)
 	c.condition = canonFormulaBind(app, r.Condition.Formula(), bind)

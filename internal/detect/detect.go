@@ -24,8 +24,8 @@ var ErrAppNotInstalled = errors.New("detect: app not installed")
 //
 // Concurrency contract: a Detector is NOT safe for concurrent use. Every
 // exported method — Install, Reconfigure, Accept, FindChains, DetectPair,
-// CheckPair, Stats, Apps — mutates or reads satCache, stats, curKind,
-// apps or accepted without internal locking; the caller must serialize
+// CheckPair, Stats, Apps — mutates or reads memo, stats, curKind, apps
+// or accepted without internal locking; the caller must serialize
 // all calls on one Detector instance. internal/fleet does exactly that:
 // it wraps each home's Detector behind one per-home mutex held for the
 // full duration of any call, so those fields are guarded by the fleet's
@@ -50,18 +50,9 @@ type Detector struct {
 	// (the fleet's per-home lock).
 	curKind Kind
 
-	// satCache memoises overlapping-condition solving results so CT/SD/LT
-	// reuse the AR merge and DC reuses EC (Fig. 9 green arrows). Guarded
-	// by the caller's serialization (the fleet's per-home lock).
-	satCache map[string]satResult
-	// keysByApp indexes satCache keys by participant app so Reconfigure
-	// evicts exactly the entries a config change invalidates in
-	// O(entries involving the app) instead of scanning the whole cache —
-	// in a populated home the full scan dominated the steady-state
-	// reconfigure cost. Sets mirror satCache exactly: every cached key is
-	// in its (up to) two participants' sets and is removed from both on
-	// eviction, so the index never holds stale keys. Guarded like satCache.
-	keysByApp map[string]map[string]struct{}
+	// memo is the solving memo of the rule pair detectPair is checking
+	// (see pairMemo); detectPair resets it on entry.
+	memo pairMemo
 
 	// accepted holds user-accepted interfering pairs for chained analysis.
 	accepted []Threat
@@ -103,18 +94,21 @@ type PairRun struct {
 	Lo, Hi  int32
 }
 
+// pairMemo holds the answers one rule pair's checks share (Fig. 9's
+// green arrows): overlap is SAT(T1 ∧ C1 ∧ T2 ∧ C2), which AR and GC share
+// and CT/SD/LT reuse when satisfiable, and cond is SAT(C1 ∧ C2), which
+// both CT directions share. Each EC/DC direction is solved once per pair,
+// so it has no slot. The memo lives for one detectPair call, so no answer
+// outlives the formulas that produced it.
+type pairMemo struct {
+	overlap, cond satResult
+}
+
+// satResult is one memo slot; ok marks it filled.
 type satResult struct {
+	ok      bool
 	sat     bool
 	witness solver.Model
-	// apps are the (up to) two app names whose rules produced the cached
-	// formulas, recorded so Reconfigure can evict exactly the entries a
-	// config change invalidates.
-	apps [2]string
-	// limited marks a verdict degraded by solver budget exhaustion
-	// (conservatively satisfiable). Cache hits re-raise the degradation so
-	// CheckPair reports it on every call that consumed the entry, not just
-	// the one that solved it.
-	limited bool
 }
 
 // New returns a detector for one smart home.
@@ -124,12 +118,10 @@ func New(opts Options) *Detector {
 		modes = []string{"Home", "Away", "Night"}
 	}
 	d := &Detector{
-		modes:     modes,
-		modesSig:  modesSignature(modes),
-		opts:      opts,
-		stats:     newStats(),
-		satCache:  map[string]satResult{},
-		keysByApp: map[string]map[string]struct{}{},
+		modes:    modes,
+		modesSig: modesSignature(modes),
+		opts:     opts,
+		stats:    newStats(),
 	}
 	if !opts.DisablePruning {
 		d.idx = NewFootprintIndex()
@@ -230,12 +222,12 @@ func flatten(runs []PairRun) []Threat {
 // known to share a footprint channel (index-generated candidates, or
 // intra-app pairs), consulting the shared verdict cache, without recording
 // either app as installed. It reproduces exactly what Install computes for
-// the (appA, appB) pair: per-pair solving state (satCache keys are
-// rule-pair-scoped) never crosses pairs, so a pair's threats are identical
-// whether computed by a serial install sequence or an independent
-// detector. appA must be the earlier-installed side; the intra-app pair
-// passes the same app twice, so a caller must not hold one instance as two
-// of its apps (the store auditor holds each app name once).
+// the (appA, appB) pair: the solving memo lives for one rule pair, so a
+// pair's threats and solver counters are identical whether computed by a
+// serial install sequence or an independent detector. appA must be the
+// earlier-installed side; the intra-app pair passes the same app twice,
+// so a caller must not hold one instance as two of its apps (the store
+// auditor holds each app name once).
 func (d *Detector) DetectAppPairCandidate(appA, appB *InstalledApp) []Threat {
 	return d.appPairVerdict(appA, appB, appA == appB)
 }
@@ -399,29 +391,6 @@ func (d *Detector) ReconfigureRuns(appName string, cfg *Config, dst []PairRun) (
 	target := internApp(old.Info, old.Rules, cfg)
 	csp.End()
 	d.apps[slot] = target
-	// Drop cached solving results involving the app: config substitutions
-	// change the formulas behind the cached keys. Entries record their
-	// participant apps exactly, so only keys the new binding invalidates
-	// go — substring matching over keys would both over-evict (app "Lock"
-	// clearing entries of "Auto Lock") and rot if the key format changed.
-	// The per-app key index walks exactly those entries; the counterpart
-	// app's index entry is dropped too, so the index stays an exact
-	// mirror of the cache.
-	for k := range d.keysByApp[appName] {
-		r, ok := d.satCache[k]
-		if !ok {
-			continue
-		}
-		delete(d.satCache, k)
-		other := r.apps[0]
-		if other == appName {
-			other = r.apps[1]
-		}
-		if other != appName && other != "" {
-			delete(d.keysByApp[other], k)
-		}
-	}
-	delete(d.keysByApp, appName)
 	s32 := int32(slot)
 	if d.idx != nil {
 		gsp := d.span.Child("candidates")
@@ -475,12 +444,11 @@ func (d *Detector) DetectPair(appA *InstalledApp, r1 *rule.Rule, appB *Installed
 // The threats are still the conservative verdict (a budget-limited query
 // counts as satisfiable, so potential threats are reported rather than
 // hidden) — but the caller knows the verdict was degraded instead of
-// mistaking it for a clean result. Degradation sticks: satCache entries
-// produced by a budget-limited solve re-surface the error on every later
-// CheckPair that consumes them. (Verdicts served from a fleet-shared
-// PairVerdictCache carry no such marker; fleet-level degradation is
-// monitored via Stats.SearchLimitHits / the fleet's SolverLimitHits
-// rollup instead.)
+// mistaking it for a clean result. Nothing is memoised across calls, so a
+// repeat CheckPair solves again and reports the degradation again.
+// (Verdicts served from a fleet-shared PairVerdictCache carry no such
+// marker; fleet-level degradation is monitored via Stats.SearchLimitHits /
+// the fleet's SolverLimitHits rollup instead.)
 func (d *Detector) CheckPair(appA *InstalledApp, r1 *rule.Rule, appB *InstalledApp, r2 *rule.Rule) ([]Threat, error) {
 	c1 := compiledFor(appA, r1)
 	c2 := compiledFor(appB, r2)
@@ -494,6 +462,7 @@ func (d *Detector) CheckPair(appA *InstalledApp, r1 *rule.Rule, appB *InstalledA
 // detectPair is the compiled-pair core behind DetectPair/CheckPair.
 func (d *Detector) detectPair(c1, c2 *compiledRule) []Threat {
 	d.stats.PairsChecked++
+	d.memo = pairMemo{}
 	var out []Threat
 
 	// --- Action-Interference: AR then GC ---
@@ -571,45 +540,38 @@ func (d *Detector) endKind(t kindTimer) {
 }
 
 // solveCompiled decides satisfiability of the (up to) two compiled
-// formulas of the rule pair (c1, c2), caching by key and declaring
-// variables from the precompiled plans.
-func (d *Detector) solveCompiled(key string, c1, c2 *compiledRule, declsA, declsB []varDecl, f1, f2 rule.Constraint) (solver.Model, bool) {
-	if !d.opts.DisableReuse && key != "" {
-		if r, ok := d.satCache[key]; ok {
-			d.stats.SolverCacheHits++
-			d.noteLimited(r)
-			return r.witness, r.sat
-		}
+// formulas of the rule pair (c1, c2), declaring variables from the
+// precompiled plans and memoising the answer in slot.
+func (d *Detector) solveCompiled(slot *satResult, c1, c2 *compiledRule, declsA, declsB []varDecl, f1, f2 rule.Constraint) (solver.Model, bool) {
+	if !d.opts.DisableReuse && slot.ok {
+		d.stats.SolverCacheHits++
+		return slot.witness, slot.sat
 	}
 	p := solver.NewProblem()
 	d.declareGroups(p, c1, c2, declsA, declsB)
 	p.AddConstraint(f1)
 	p.AddConstraint(f2)
-	return d.runSolve(p, key, pairAppsC(c1, c2))
+	m, sat := d.runSolve(p, c1, c2)
+	*slot = satResult{ok: true, sat: sat, witness: m}
+	return m, sat
 }
 
-// solveWalk is solveCompiled for ad-hoc formula sets (effect merges,
-// setpoint bounds): variables are declared by walking the formulas.
-func (d *Detector) solveWalk(key string, c1, c2 *compiledRule, formulas ...rule.Constraint) (solver.Model, bool) {
-	if !d.opts.DisableReuse && key != "" {
-		if r, ok := d.satCache[key]; ok {
-			d.stats.SolverCacheHits++
-			d.noteLimited(r)
-			return r.witness, r.sat
-		}
-	}
+// solveWalk decides satisfiability of an ad-hoc formula set (effect
+// merges, setpoint bounds): variables are declared by walking the
+// formulas.
+func (d *Detector) solveWalk(c1, c2 *compiledRule, formulas ...rule.Constraint) (solver.Model, bool) {
 	p := solver.NewProblem()
 	d.declareVars(p, c1, c2, formulas...)
 	for _, f := range formulas {
 		p.AddConstraint(f)
 	}
-	return d.runSolve(p, key, pairAppsC(c1, c2))
+	return d.runSolve(p, c1, c2)
 }
 
-// runSolve executes a prepared problem, times it against the current
-// threat kind, applies the conservative budget-exhaustion policy and
-// caches the result under key.
-func (d *Detector) runSolve(p *solver.Problem, key string, apps [2]string) (solver.Model, bool) {
+// runSolve executes a prepared problem for the rule pair (c1, c2), times
+// it against the current threat kind and applies the conservative
+// budget-exhaustion policy.
+func (d *Detector) runSolve(p *solver.Problem, c1, c2 *compiledRule) (solver.Model, bool) {
 	d.stats.SolverCalls++
 	if d.opts.SolverNodeCap > 0 {
 		p.SetNodeCap(d.opts.SolverNodeCap)
@@ -617,79 +579,24 @@ func (d *Detector) runSolve(p *solver.Problem, key string, apps [2]string) (solv
 	solveStart := time.Now()
 	m, sat, err := p.Solve()
 	d.stats.SolveNS[d.curKind] += time.Since(solveStart).Nanoseconds()
-	limited := false
 	if err != nil {
 		// Search-limit exhaustion: be conservative and report
 		// satisfiable-without-witness (a potential threat is surfaced to
 		// the user rather than hidden), and record the degradation so
 		// CheckPair can surface it as an error.
-		m, sat, limited = nil, true, true
+		m, sat = nil, true
 		d.stats.SearchLimitHits++
 		if d.limitErr == nil {
-			d.limitErr = fmt.Errorf("detect: pair (%s, %s): %w", apps[0], apps[1], err)
-		}
-	}
-	if !d.opts.DisableReuse && key != "" {
-		d.satCache[key] = satResult{sat: sat, witness: m, apps: apps, limited: limited}
-		d.noteKey(apps[0], key)
-		if apps[1] != apps[0] {
-			d.noteKey(apps[1], key)
+			d.limitErr = fmt.Errorf("detect: pair (%s, %s): %w", c1.r.App, c2.r.App, err)
 		}
 	}
 	return m, sat
 }
 
-// noteKey records key in app's satCache key index (see keysByApp). Two
-// map writes on the solve path — noise next to an actual solver run —
-// buy O(1)-per-entry eviction on reconfigure.
-func (d *Detector) noteKey(app, key string) {
-	if app == "" {
-		return
-	}
-	s := d.keysByApp[app]
-	if s == nil {
-		s = map[string]struct{}{}
-		d.keysByApp[app] = s
-	}
-	s[key] = struct{}{}
-}
-
-// noteLimited re-raises the degradation of a budget-limited cached
-// verdict for the current CheckPair call (the cached answer is still the
-// conservative one the original solve produced).
-func (d *Detector) noteLimited(r satResult) {
-	if r.limited && d.limitErr == nil {
-		d.limitErr = fmt.Errorf("detect: pair (%s, %s): cached verdict was budget-degraded: %w",
-			r.apps[0], r.apps[1], solver.ErrSearchLimit)
-	}
-}
-
-// pairAppsC names the two participant apps of a compiled rule pair for
-// satCache eviction bookkeeping.
-func pairAppsC(c1, c2 *compiledRule) [2]string { return [2]string{c1.r.App, c2.r.App} }
-
-// overlapKey identifies the merged-situation query for a rule pair
-// (unordered), enabling the AR→CT/SD/LT reuse.
-func overlapKey(c1, c2 *compiledRule) string {
-	a, b := c1.qid, c2.qid
-	if b < a {
-		a, b = b, a
-	}
-	return "overlap:" + a + "|" + b
-}
-
-func condKey(c1, c2 *compiledRule) string {
-	a, b := c1.qid, c2.qid
-	if b < a {
-		a, b = b, a
-	}
-	return "cond:" + a + "|" + b
-}
-
 // situationsOverlap checks SAT(T1 ∧ C1 ∧ T2 ∧ C2) — the paper's
 // overlapping-condition detection for Action-Interference.
 func (d *Detector) situationsOverlap(c1, c2 *compiledRule) (solver.Model, bool) {
-	return d.solveCompiled(overlapKey(c1, c2), c1, c2,
+	return d.solveCompiled(&d.memo.overlap, c1, c2,
 		c1.situDecls, c2.situDecls, c1.situation, c2.situation)
 }
 
@@ -698,14 +605,11 @@ func (d *Detector) situationsOverlap(c1, c2 *compiledRule) (solver.Model, bool) 
 // (the AR/GC check), its result is reused: T1∧C1∧T2∧C2 SAT implies
 // C1∧C2 SAT (the Fig. 9 AR→CT/SD/LT green arrow).
 func (d *Detector) conditionsOverlap(c1, c2 *compiledRule) (solver.Model, bool) {
-	if !d.opts.DisableReuse {
-		if r, ok := d.satCache[overlapKey(c1, c2)]; ok && r.sat {
-			d.stats.SolverCacheHits++
-			d.noteLimited(r)
-			return r.witness, true
-		}
+	if r := &d.memo.overlap; !d.opts.DisableReuse && r.ok && r.sat {
+		d.stats.SolverCacheHits++
+		return r.witness, true
 	}
-	return d.solveCompiled(condKey(c1, c2), c1, c2,
+	return d.solveCompiled(&d.memo.cond, c1, c2,
 		c1.condDecls, c2.condDecls, c1.condition, c2.condition)
 }
 
@@ -860,7 +764,7 @@ func (d *Detector) triggerChannel(c1, c2 *compiledRule) (envmodel.Property, stri
 				c1.r.Action.Subject, c1.r.Action.Command, t2Var)
 		}
 		// Check the trigger constraint against the effect value.
-		_, sat := d.solveWalk("", c1, c2, c2.trigConstraint, c1.effectCs[i])
+		_, sat := d.solveWalk(c1, c2, c2.trigConstraint, c1.effectCs[i])
 		if sat {
 			return "", fmt.Sprintf("action %s(%s) sets %s to the triggering value",
 				c1.r.Action.Subject, c1.r.Action.Command, t2Var)
@@ -980,8 +884,7 @@ func (d *Detector) detectCondInterference(c1, c2 *compiledRule) (Threat, bool) {
 	}
 	if !touched {
 		if d.opts.DisableFiltering {
-			key := "ec:" + c1.qid + "|" + c2.qid
-			d.solveWalk(key, c1, c2, condF) // ablation: solve anyway
+			d.solveWalk(c1, c2, condF) // ablation: solve anyway
 		}
 		return Threat{}, false
 	}
@@ -989,8 +892,7 @@ func (d *Detector) detectCondInterference(c1, c2 *compiledRule) (Threat, bool) {
 
 	// Merge the effect constraints with C2: SAT ⇒ may enable (EC);
 	// UNSAT ⇒ disables (DC).
-	key := "ec:" + c1.qid + "|" + c2.qid
-	witness, sat := d.solveWalk(key, c1, c2, append([]rule.Constraint{condF}, effectCs...)...)
+	witness, sat := d.solveWalk(c1, c2, append([]rule.Constraint{condF}, effectCs...)...)
 	if sat {
 		d.stats.Found[EnablingCondition]++
 		return Threat{

@@ -5,7 +5,7 @@
 // # Concurrency model
 //
 // The underlying detect.Detector is deliberately single-threaded (see the
-// package documentation of internal/detect): its satCache, stats and
+// package documentation of internal/detect): its solving memo, stats and
 // curKind fields assume serialized calls. The fleet preserves that
 // contract with a two-level locking scheme:
 //
@@ -110,7 +110,8 @@ const DefaultExtractEntries = 1 << 16
 type Options struct {
 	// Shards is the number of home-map shards (default 16).
 	Shards int
-	// Detector is applied to every home's detector (modes, ablations).
+	// Detector is applied to every home's detector (modes, ablations). Its
+	// Verdicts field is ignored: the fleet sets it from Verdicts.
 	Detector detect.Options
 	// Cache is the shared extraction cache; a fresh one is created when
 	// nil. Passing a cache lets several fleets (or a fleet plus batch
@@ -123,13 +124,12 @@ type Options struct {
 	// bounded at DefaultVerdictEntries is created — reconfigure churn
 	// re-keys pairs and would otherwise grow the cache without limit.
 	// Passing one shares verdicts between fleets the way Cache shares
-	// extractions (use pairverdict.New for an unbounded cache). A cache
-	// preset in Detector.Verdicts takes precedence over this field (see
-	// withDefaults); set only one of the two.
+	// extractions (use pairverdict.New for an unbounded cache). Every
+	// home's detector uses this cache.
 	Verdicts *pairverdict.Cache
 	// DisablePairVerdicts runs every home's detection without the shared
-	// verdict cache (ablation / benchmark contrast). It wins over a
-	// supplied Verdicts cache, including one preset in Detector.Verdicts.
+	// verdict cache (ablation / benchmark contrast), even when Verdicts is
+	// supplied.
 	DisablePairVerdicts bool
 	// MaxChainLen bounds chained-threat search at install (default 4).
 	MaxChainLen int
@@ -159,26 +159,12 @@ func (o Options) withDefaults() Options {
 	if o.Cache == nil {
 		o.Cache = extractcache.NewBounded(DefaultExtractEntries)
 	}
-	// Resolve the verdict-cache precedence once, for both layers: after
-	// this block o.Verdicts is what the fleet reports (Verdicts() and
-	// metrics) and o.Detector.Verdicts is what homes use, and the two can
-	// never disagree.
+	// The cache the fleet reports (Verdicts() and metrics) is the one
+	// every home uses. A disabled cache must be a nil interface, not a
+	// nil *pairverdict.Cache inside one, so it is assigned only when set.
+	o.Detector.Verdicts = nil
 	if o.DisablePairVerdicts {
-		// The ablation flag wins over a supplied cache: a contrast run
-		// constructed with both set must actually run cache-less.
 		o.Verdicts = nil
-		o.Detector.Verdicts = nil
-	} else if dv := o.Detector.Verdicts; dv != nil {
-		// A cache preset at the detector layer is the cache every home
-		// will actually use — it wins even over an Options.Verdicts also
-		// set, so Verdicts() and metrics always report the live cache. A
-		// foreign PairVerdictCache implementation can't be adopted — the
-		// fleet then owns no cache and reports none.
-		if pc, ok := dv.(*pairverdict.Cache); ok {
-			o.Verdicts = pc
-		} else {
-			o.Verdicts = nil
-		}
 	} else {
 		if o.Verdicts == nil {
 			o.Verdicts = pairverdict.NewBounded(DefaultVerdictEntries)

@@ -249,7 +249,7 @@ func (f *Fleet) registerCollector(r *obs.Registry) {
 		e.Counter("homeguard_detect_verdict_hits_total", "Detector-side pair-verdict cache hits.", float64(d.PairVerdictHits))
 		e.Counter("homeguard_detect_verdict_misses_total", "Detector-side pair-verdict cache misses.", float64(d.PairVerdictMisses))
 		e.Counter("homeguard_solver_calls_total", "Constraint-solver invocations.", float64(d.SolverCalls))
-		e.Counter("homeguard_solver_cache_hits_total", "Per-home solving-reuse (satCache) hits.", float64(d.SolverCacheHits))
+		e.Counter("homeguard_solver_cache_hits_total", "Solver answers reused across threat kinds within one rule pair (Fig. 9 reuse).", float64(d.SolverCacheHits))
 		e.Counter("homeguard_solver_limit_hits_total", "Solver calls degraded by node-budget exhaustion.", float64(d.SearchLimitHits))
 	})
 }

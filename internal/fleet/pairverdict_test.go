@@ -152,26 +152,30 @@ func f1VerdictCache(t *testing.T) *pairverdict.Cache {
 	return f1.Verdicts()
 }
 
-// TestDetectorLayerVerdictCacheAdopted: a cache preset in
-// Options.Detector.Verdicts is the one homes actually use, so the fleet
-// must adopt it for Verdicts() and metrics instead of building an idle
-// fresh cache that would report zero traffic.
-func TestDetectorLayerVerdictCacheAdopted(t *testing.T) {
+// TestDetectorLayerVerdictCacheIgnored: the fleet gives every home its
+// own verdict cache (Options.Verdicts), so a cache preset in
+// Options.Detector.Verdicts sees no traffic and the cache the fleet
+// reports is the one homes hit.
+func TestDetectorLayerVerdictCacheIgnored(t *testing.T) {
 	preset := pairverdict.New()
-	f := New(Options{Detector: detect.Options{Verdicts: preset}})
-	installCatalog(t, f, 2)
-	if f.Verdicts() != preset {
-		t.Error("fleet did not adopt the detector-layer cache")
-	}
-	if s := f.Metrics().PairVerdicts; s.Lookups == 0 || s.Hits == 0 {
-		t.Errorf("metrics report an idle cache while homes hit the preset one: %+v", s)
-	}
-
-	// With both layers set, the detector-level cache is the one homes
-	// use, so it must also be the one reported.
-	both := New(Options{Verdicts: pairverdict.New(), Detector: detect.Options{Verdicts: preset}})
-	if both.Verdicts() != preset {
-		t.Error("fleet reports the idle fleet-level cache instead of the detector-level one homes use")
+	for _, opts := range []Options{
+		{Detector: detect.Options{Verdicts: preset}},
+		{Verdicts: pairverdict.New(), Detector: detect.Options{Verdicts: preset}},
+	} {
+		f := New(opts)
+		installCatalog(t, f, 2)
+		if f.Verdicts() == preset || f.Verdicts() == nil {
+			t.Fatalf("fleet reports cache %p, want its own (preset %p)", f.Verdicts(), preset)
+		}
+		if opts.Verdicts != nil && f.Verdicts() != opts.Verdicts {
+			t.Error("fleet replaced the caller-provided verdict cache")
+		}
+		if s := f.Metrics().PairVerdicts; s.Lookups == 0 || s.Hits == 0 {
+			t.Errorf("the reported cache is idle: %+v", s)
+		}
+		if s := preset.Stats(); s.Lookups != 0 {
+			t.Errorf("detector-layer cache saw %d lookups", s.Lookups)
+		}
 	}
 }
 

@@ -11,16 +11,23 @@ import "sync"
 // backing string across both layers.
 //
 // The table is keyed two-level so a lookup never has to concatenate: the
-// joined string is built only on first sight of a pair. It grows with the
-// number of distinct (part, part) pairs — bounded by the app catalog's
-// device/attribute vocabulary, not by traffic — so no eviction is needed.
+// joined string is built only on first sight of a pair. Its parts include
+// each extracted source's own input names, so every never-seen source can
+// add entries; the table is therefore dropped whole once it holds
+// maxInterned pairs. Dropping only loses sharing: a name built after the
+// drop is equal to, but no longer shares storage with, one built before.
 var internTab = struct {
 	sync.RWMutex
-	dot  map[string]map[string]string // a.b
-	bang map[string]map[string]string // a!b
-}{
-	dot:  map[string]map[string]string{},
-	bang: map[string]map[string]string{},
+	tabs [2]map[string]map[string]string // "a.b", "a!b"
+	n    int                             // pairs held in tabs
+}{tabs: newInternTabs()}
+
+// maxInterned caps the pairs the intern table holds; far above the
+// vocabulary of a real app catalog.
+const maxInterned = 1 << 16
+
+func newInternTabs() [2]map[string]map[string]string {
+	return [2]map[string]map[string]string{{}, {}}
 }
 
 // InternDotted returns the canonical "a.b" string, allocating only the
@@ -33,31 +40,33 @@ func InternDotted(a, b string) string { return internJoin(a, b, '.') }
 func InternBanged(a, b string) string { return internJoin(a, b, '!') }
 
 func internJoin(a, b string, sep byte) string {
-	tab := internTab.dot
+	t := 0
 	if sep == '!' {
-		tab = internTab.bang
+		t = 1
 	}
 	internTab.RLock()
-	if m := tab[a]; m != nil {
-		if s, ok := m[b]; ok {
-			internTab.RUnlock()
-			return s
-		}
-	}
+	s, ok := internTab.tabs[t][a][b]
 	internTab.RUnlock()
+	if ok {
+		return s
+	}
 
 	joined := a + string(sep) + b
 	internTab.Lock()
-	m := tab[a]
+	defer internTab.Unlock()
+	if s, ok := internTab.tabs[t][a][b]; ok {
+		return s
+	}
+	if internTab.n >= maxInterned {
+		internTab.tabs = newInternTabs()
+		internTab.n = 0
+	}
+	m := internTab.tabs[t][a]
 	if m == nil {
 		m = map[string]string{}
-		tab[a] = m
+		internTab.tabs[t][a] = m
 	}
-	if s, ok := m[b]; ok {
-		joined = s
-	} else {
-		m[b] = joined
-	}
-	internTab.Unlock()
+	m[b] = joined
+	internTab.n++
 	return joined
 }
